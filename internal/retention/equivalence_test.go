@@ -1,9 +1,13 @@
 package retention
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activedr/internal/activeness"
@@ -55,22 +59,50 @@ func randomFS(rng *rand.Rand, users, files int) (*vfs.FS, []activeness.Rank) {
 	return fs, ranks
 }
 
-// diffReports compares two purge reports field by field with wall
-// clock normalized out.
-func diffReports(t *testing.T, label string, a, b *Report) {
+// selectionDigest fingerprints a purge sequence: every report with
+// wall clock zeroed (victim order, group accounting and fault outcomes
+// included), then the post-purge namespace.
+func selectionDigest(t *testing.T, reps []*Report, fs *vfs.FS) string {
 	t.Helper()
-	na, nb := *a, *b
-	na.Elapsed, nb.Elapsed = 0, 0
-	if !reflect.DeepEqual(na, nb) {
-		t.Errorf("%s: reports differ\n indexed: %+v\n legacy:  %+v", label, na, nb)
+	norm := make([]Report, len(reps))
+	for i, r := range reps {
+		norm[i] = *r
+		norm[i].Elapsed = 0
 	}
+	blob, err := json.Marshal(struct {
+		Reports []Report
+		Final   []trace.SnapshotEntry
+	}{norm, fs.Snapshot(tc).Entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:])
 }
 
-// TestIndexedSelectionEquivalence proves the tentpole contract at the
-// policy level: on randomized namespaces, with and without fault
-// injection, the indexed selection path produces bit-identical
-// reports — including victim sequences, group accounting, fault
-// outcomes and the post-purge namespace — to the legacy walk path.
+// selectionGolden holds the committed selectionDigest of every
+// TestIndexedSelectionEquivalence case.
+var selectionGolden = map[string]string{
+	"flt/trial0": "b90cfbcdf7a9c7a14dd108381367430c2c7db23453837c85827be5bb659fecf2",
+	"flt/trial1": "d96b3ba6963ee2fff1aa0aceb64c216910ec2b5d25823ee2d542748fdec3d1e5",
+	"flt/trial2": "9864c4ee2b6a5d60e0d5d71ee5ffacc2fe762bfc3ca7592673bd7ea0a1052f44",
+	"flt/trial3": "171e76eb078282d7c68990b022578db7b546963cc1fd6395714692ad48538487",
+	"flt/trial4": "bb83cc6a7774c0b3b7b7253143cefb28666405e0f21615fb93344aeee7eda7f9",
+	"flt/trial5": "fc4a6593cf807af95a47080fffda2a7e57c834e8c0534933145002ca799b84e9",
+	"adr/trial0": "d47b30837eb776a8db3d9f2995c67c83bfa82e17b852f3b14ee08687a2d85fe4",
+	"adr/trial1": "e7f3acb7f4d380f632b02fcf761d6722a419af2b32317d974e14aafa63ad2af7",
+	"adr/trial2": "676da361a6a3665156ac182a0e892c79edddb29ef2fd779fc51582fc08b889eb",
+	"adr/trial3": "c1d024c400b54d172e3d1c61373233836a72794c8560e53fc1964302f2f7871c",
+	"adr/trial4": "ccf8490632c31450a3c51ef67b288bb8798edcbd66d2d030666ec010ff5454b0",
+	"adr/trial5": "710d3bb98ee1492580068e3bda1c28b822e3ce2ec90092511fcd768dcb33c476",
+}
+
+// TestIndexedSelectionEquivalence pins candidate selection at the
+// policy level: on randomized namespaces (atime ties, tombstones from
+// churn, a re-owned path), with and without fault injection, two
+// purge triggers per policy must reproduce the committed digest of
+// their reports — victim sequences, group accounting, fault outcomes —
+// and of the post-purge namespace. Both selection paths must hit it.
 func TestIndexedSelectionEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -90,9 +122,18 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 			}
 			return faults.New(faultCfg)
 		}
+		check := func(t *testing.T, run func(legacy bool) string) {
+			t.Helper()
+			want := selectionGolden[strings.TrimPrefix(t.Name(), "TestIndexedSelectionEquivalence/")]
+			for _, legacy := range []bool{false, true} {
+				if got := run(legacy); got != want {
+					t.Errorf("legacy=%t: digest %s, golden %s", legacy, got, want)
+				}
+			}
+		}
 
 		t.Run(fmt.Sprintf("flt/trial%d", trial), func(t *testing.T) {
-			run := func(legacy bool) (*Report, *vfs.FS) {
+			check(t, func(legacy bool) string {
 				fs := base.Clone()
 				f := &FLT{
 					Lifetime:        timeutil.Days(90),
@@ -101,25 +142,15 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 					Faults:          injector(),
 					LegacySelection: legacy,
 				}
-				var reps []*Report
 				// Two triggers: failed unlinks from the first must stay
 				// candidates for the second.
-				reps = append(reps, f.Purge(fs, ranks, tc))
-				reps = append(reps, f.Purge(fs, ranks, tc.Add(timeutil.Week)))
-				reps[0].Victims = append(reps[0].Victims, reps[1].Victims...)
-				reps[0].PurgedFiles += reps[1].PurgedFiles
-				return reps[1], fs
-			}
-			ri, fsi := run(false)
-			rl, fsl := run(true)
-			diffReports(t, "flt", ri, rl)
-			if !reflect.DeepEqual(fsi.Snapshot(tc), fsl.Snapshot(tc)) {
-				t.Error("post-purge namespaces differ")
-			}
+				reps := []*Report{f.Purge(fs, ranks, tc), f.Purge(fs, ranks, tc.Add(timeutil.Week))}
+				return selectionDigest(t, reps, fs)
+			})
 		})
 
 		t.Run(fmt.Sprintf("adr/trial%d", trial), func(t *testing.T) {
-			run := func(legacy bool) (*Report, *vfs.FS) {
+			check(t, func(legacy bool) string {
 				fs := base.Clone()
 				adr, err := NewActiveDR(Config{
 					Lifetime:          timeutil.Days(90),
@@ -134,18 +165,9 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := adr.Purge(fs, ranks, tc)
-				rep2 := adr.Purge(fs, ranks, tc.Add(timeutil.Week))
-				rep.Victims = append(rep.Victims, rep2.Victims...)
-				rep.PurgedFiles += rep2.PurgedFiles
-				return rep, fs
-			}
-			ri, fsi := run(false)
-			rl, fsl := run(true)
-			diffReports(t, "adr", ri, rl)
-			if !reflect.DeepEqual(fsi.Snapshot(tc), fsl.Snapshot(tc)) {
-				t.Error("post-purge namespaces differ")
-			}
+				reps := []*Report{adr.Purge(fs, ranks, tc), adr.Purge(fs, ranks, tc.Add(timeutil.Week))}
+				return selectionDigest(t, reps, fs)
+			})
 		})
 	}
 }
