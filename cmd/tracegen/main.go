@@ -40,14 +40,13 @@ import (
 
 // options carries tracegen's flags after validation.
 type options struct {
-	out        string
-	users      int
-	seed       uint64
-	quiet      bool
-	sequential bool
-	snapOut    string
-	preset     string
-	usersSet   bool
+	out      string
+	users    int
+	seed     uint64
+	quiet    bool
+	snapOut  string
+	preset   string
+	usersSet bool
 
 	fromIN2P3 string
 	zone      string
@@ -68,7 +67,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.users, "users", 2000, "number of users")
 	fs.Uint64Var(&o.seed, "seed", 0, "random seed (0 = built-in default)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the summary")
-	fs.BoolVar(&o.sequential, "sequential", false, "write trace files one at a time instead of concurrently (A/B fallback; identical bytes)")
 	fs.StringVar(&o.snapOut, "vfs-snapshot-out", "", "also write the metadata snapshot as a binary snapfile to this path (cmd/simulate reopens it with -vfs-snapshot)")
 	fs.StringVar(&o.preset, "preset", "", "scale preset; \"spider\" streams a Spider II-scale namespace (1M users, 10M+ files) straight into a snapfile, bounded memory, no snapshot TSV")
 	fs.StringVar(&o.fromIN2P3, "from-in2p3", "", "adapt an IN2P3-style job accounting export (CSV/TSV, optionally .gz) into the output dataset")
@@ -152,7 +150,7 @@ func runSpider(o *options, out io.Writer) error {
 	}
 	ds := &trace.Dataset{Users: cfg.StreamUsers()}
 	ds.Snapshot.Taken = cfg.Taken
-	if err := trace.WriteDatasetWith(o.out, ds, trace.WriteOptions{Sequential: o.sequential}); err != nil {
+	if err := trace.WriteDataset(o.out, ds); err != nil {
 		return err
 	}
 	snapPath := o.snapOut
@@ -193,7 +191,7 @@ func runIN2P3(o *options, out io.Writer) error {
 		fmt.Fprintf(out, "quarantined %d of %d records from %s (first: %s)\n",
 			len(rep.Errors), rep.Lines, o.fromIN2P3, rep.Errors[0].Reason)
 	}
-	if err := trace.WriteDatasetWith(o.out, ds, trace.WriteOptions{Sequential: o.sequential}); err != nil {
+	if err := trace.WriteDataset(o.out, ds); err != nil {
 		return err
 	}
 	if o.snapOut != "" {
@@ -236,7 +234,7 @@ func runModel(o *options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteDatasetWith(o.out, ds, trace.WriteOptions{Sequential: o.sequential}); err != nil {
+	if err := trace.WriteDataset(o.out, ds); err != nil {
 		return err
 	}
 	streamed := 0
@@ -284,7 +282,7 @@ func run(o *options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteDatasetWith(o.out, ds, trace.WriteOptions{Sequential: o.sequential}); err != nil {
+	if err := trace.WriteDataset(o.out, ds); err != nil {
 		return err
 	}
 	if o.snapOut != "" {

@@ -71,7 +71,7 @@ func sameResult(t *testing.T, label string, want, got *sim.Result) {
 	}
 	for _, fs := range []struct {
 		name      string
-		want, got vfs.Namespace
+		want, got *vfs.FS
 	}{{"final", want.Final, got.Final}, {"captured", want.Captured, got.Captured}} {
 		if (fs.want == nil) != (fs.got == nil) {
 			t.Errorf("%s: %s state presence diverges", label, fs.name)

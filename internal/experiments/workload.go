@@ -30,10 +30,6 @@ var workloadSimConfig = sim.Config{
 	TargetUtilization: 0.5,
 }
 
-// workloadShards is the namespace layout for out-of-core upscale
-// replays (snapfile-backed, user-hash-sharded).
-const workloadShards = 4
-
 // WorkloadScenarioConfig parameterizes the scenario.
 type WorkloadScenarioConfig struct {
 	// Scales lists the regeneration multipliers; nil selects {1, 10}.
@@ -42,8 +38,8 @@ type WorkloadScenarioConfig struct {
 	Seed uint64
 	// SnapDir, when non-empty, routes every scale > 1 through the
 	// out-of-core path: the snapshot streams into a snapfile there and
-	// the replay runs against the snapfile-backed sharded VFS instead
-	// of a materialized snapshot.
+	// the replay starts from the snapfile-backed VFS instead of a
+	// materialized snapshot.
 	SnapDir string
 }
 
@@ -64,7 +60,7 @@ type WorkloadTrace struct {
 	// after dividing the upscaled total by the scale: 0.03 means the
 	// reconstruction purges 3% more per 1x-equivalent than the source.
 	Delta map[string]float64
-	// OutOfCore marks rows replayed through the snapfile+sharded path.
+	// OutOfCore marks rows replayed through the snapfile path.
 	OutOfCore bool
 }
 
@@ -140,7 +136,7 @@ func (s *Suite) WorkloadScenario(cfg WorkloadScenarioConfig) (*WorkloadScenarioR
 
 // workloadRegenRow regenerates at one scale and replays it, either on
 // a materialized snapshot or (SnapDir set, scale > 1) through the
-// snapfile + sharded-VFS out-of-core path.
+// snapfile out-of-core path.
 func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScenarioConfig, srcPurged map[string]int64) (*WorkloadTrace, error) {
 	outOfCore := cfg.SnapDir != "" && scale > 1
 	rcfg := workload.RegenConfig{Scale: scale, Seed: cfg.Seed, SkipSnapshot: outOfCore}
@@ -153,7 +149,6 @@ func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScena
 		return nil, err
 	}
 
-	simCfg := workloadSimConfig
 	var mux *sim.Multiplexer
 	var snapBytes int64
 	if outOfCore {
@@ -161,7 +156,6 @@ func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScena
 		if err != nil {
 			return nil, err
 		}
-		simCfg.Shards = workloadShards
 	} else {
 		snapBytes = ds.Snapshot.TotalBytes()
 		mux, err = sim.NewMultiplexer(ds)
@@ -169,7 +163,7 @@ func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScena
 			return nil, err
 		}
 	}
-	purged, misses, err := workloadReplay(mux, simCfg)
+	purged, misses, err := workloadReplay(mux, workloadSimConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +244,7 @@ func (r *WorkloadScenarioResult) Render(w io.Writer) {
 			}
 			mode := "in-memory"
 			if tr.OutOfCore {
-				mode = fmt.Sprintf("snapfile, %d shards", workloadShards)
+				mode = "snapfile"
 			}
 			pt.AddRow(tr.Name, policy, report.Bytes(tr.Purged[policy]),
 				fmt.Sprint(tr.Misses[policy]), delta, mode)

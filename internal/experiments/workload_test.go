@@ -72,7 +72,7 @@ func TestWorkloadScenario(t *testing.T) {
 	var out strings.Builder
 	res.Render(&out)
 	for _, want := range []string{"activeness-class shares", "per-policy replay totals",
-		"source", "regen 1x", "regen 2x", "snapfile, 4 shards"} {
+		"source", "regen 1x", "regen 2x", "snapfile"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}

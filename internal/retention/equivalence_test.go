@@ -102,7 +102,10 @@ var selectionGolden = map[string]string{
 // churn, a re-owned path), with and without fault injection, two
 // purge triggers per policy must reproduce the committed digest of
 // their reports — victim sequences, group accounting, fault outcomes —
-// and of the post-purge namespace. Both selection paths must hit it.
+// and of the post-purge namespace. The digests were recorded while a
+// namespace-walk selection path still ran beside the index and agreed
+// with it; the brute-force model in vfs/index_test.go checks the
+// index's selection contract itself.
 func TestIndexedSelectionEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -122,52 +125,43 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 			}
 			return faults.New(faultCfg)
 		}
-		check := func(t *testing.T, run func(legacy bool) string) {
+		check := func(t *testing.T, got string) {
 			t.Helper()
-			want := selectionGolden[strings.TrimPrefix(t.Name(), "TestIndexedSelectionEquivalence/")]
-			for _, legacy := range []bool{false, true} {
-				if got := run(legacy); got != want {
-					t.Errorf("legacy=%t: digest %s, golden %s", legacy, got, want)
-				}
+			if want := selectionGolden[strings.TrimPrefix(t.Name(), "TestIndexedSelectionEquivalence/")]; got != want {
+				t.Errorf("digest %s, golden %s", got, want)
 			}
 		}
 
 		t.Run(fmt.Sprintf("flt/trial%d", trial), func(t *testing.T) {
-			check(t, func(legacy bool) string {
-				fs := base.Clone()
-				f := &FLT{
-					Lifetime:        timeutil.Days(90),
-					Reserved:        reserved,
-					CollectVictims:  true,
-					Faults:          injector(),
-					LegacySelection: legacy,
-				}
-				// Two triggers: failed unlinks from the first must stay
-				// candidates for the second.
-				reps := []*Report{f.Purge(fs, ranks, tc), f.Purge(fs, ranks, tc.Add(timeutil.Week))}
-				return selectionDigest(t, reps, fs)
-			})
+			fs := base.Clone()
+			f := &FLT{
+				Lifetime:       timeutil.Days(90),
+				Reserved:       reserved,
+				CollectVictims: true,
+				Faults:         injector(),
+			}
+			// Two triggers: failed unlinks from the first must stay
+			// candidates for the second.
+			reps := []*Report{f.Purge(fs, ranks, tc), f.Purge(fs, ranks, tc.Add(timeutil.Week))}
+			check(t, selectionDigest(t, reps, fs))
 		})
 
 		t.Run(fmt.Sprintf("adr/trial%d", trial), func(t *testing.T) {
-			check(t, func(legacy bool) string {
-				fs := base.Clone()
-				adr, err := NewActiveDR(Config{
-					Lifetime:          timeutil.Days(90),
-					Capacity:          total,
-					TargetUtilization: 0.5,
-					MinLifetime:       timeutil.Week,
-					Reserved:          reserved,
-					CollectVictims:    true,
-					Faults:            injector(),
-					LegacySelection:   legacy,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				reps := []*Report{adr.Purge(fs, ranks, tc), adr.Purge(fs, ranks, tc.Add(timeutil.Week))}
-				return selectionDigest(t, reps, fs)
+			fs := base.Clone()
+			adr, err := NewActiveDR(Config{
+				Lifetime:          timeutil.Days(90),
+				Capacity:          total,
+				TargetUtilization: 0.5,
+				MinLifetime:       timeutil.Week,
+				Reserved:          reserved,
+				CollectVictims:    true,
+				Faults:            injector(),
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps := []*Report{adr.Purge(fs, ranks, tc), adr.Purge(fs, ranks, tc.Add(timeutil.Week))}
+			check(t, selectionDigest(t, reps, fs))
 		})
 	}
 }

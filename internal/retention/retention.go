@@ -26,12 +26,9 @@ import (
 // holds the activeness rank of every user (indexed by UserID) as
 // evaluated at tc; policies that do not use activeness (FLT) still
 // receive it so reports can attribute purges to activeness groups.
-// The namespace may be a single tree or a sharded view (vfs.Sharded);
-// the selection contract guarantees identical candidate streams
-// either way.
 type Policy interface {
 	Name() string
-	Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Time) *Report
+	Purge(fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Report
 }
 
 // FaultInjector simulates storage-layer failures during a purge pass.
@@ -143,7 +140,7 @@ func rankOf(ranks []activeness.Rank, u trace.UserID) activeness.Rank {
 
 // groupTotals seeds the per-group before-pass accounting from the
 // per-user counters the FS maintains — O(users), no namespace walk.
-func groupTotals(fsys vfs.Namespace, ranks []activeness.Rank, report *Report, users []trace.UserID) {
+func groupTotals(fsys *vfs.FS, ranks []activeness.Rank, report *Report, users []trace.UserID) {
 	for _, u := range users {
 		g := rankOf(ranks, u).Group()
 		report.Groups[g].Users++
@@ -170,11 +167,6 @@ type FLT struct {
 	// (internal/obs: counters plus the sampled audit stream). Purely
 	// observational: it never changes what gets purged.
 	Probe *obs.PurgeProbe
-	// LegacySelection selects candidates with the pre-index full
-	// namespace walk instead of the incremental atime index. The two
-	// paths are equivalent (selection.go); the knob exists for that
-	// proof and for before/after benchmarking.
-	LegacySelection bool
 
 	// scratch holds the per-user candidate buffers feeding the k-way
 	// merge, reused across triggers so a replay's hundreds of passes
@@ -201,7 +193,7 @@ func (f *FLT) SetFaults(fi FaultInjector) { f.Faults = fi }
 func (f *FLT) SetProbe(p *obs.PurgeProbe) { f.Probe = p }
 
 // Purge runs one fixed-lifetime purge pass at time tc.
-func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Time) *Report {
+func (f *FLT) Purge(fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Report {
 	timer := profiling.StartTimer()
 	report := &Report{
 		Policy:      f.Name(),
@@ -217,8 +209,7 @@ func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Tim
 		}
 		report.TargetBytes = target
 	}
-	src := selectionFor(fsys, f.LegacySelection)
-	users := src.users()
+	users := fsys.Users()
 	groupTotals(fsys, ranks, report, users)
 	budget := int64(-1)
 	if f.Faults != nil {
@@ -236,7 +227,7 @@ func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Tim
 	}
 	f.scratch = f.scratch[:len(users)]
 	for i, u := range users {
-		f.scratch[i] = src.staleFiles(f.scratch[i][:0], u, cutoff)
+		f.scratch[i] = fsys.AppendStaleFiles(f.scratch[i][:0], u, cutoff)
 	}
 	f.merge.reset(f.scratch)
 	merge := &f.merge
@@ -284,7 +275,7 @@ func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Tim
 			report.Groups[g].AffectedUsers++
 		}
 	}
-	// users is ascending (selection.go), so flattening the slot marks
+	// users is ascending (FS.Users), so flattening the slot marks
 	// in order reproduces exactly what sortedIDs built from a set.
 	n := 0
 	for _, hit := range f.affected {
@@ -367,11 +358,6 @@ type Config struct {
 	// (internal/obs: counters plus the sampled audit stream). Purely
 	// observational: it never changes what gets purged.
 	Probe *obs.PurgeProbe
-	// LegacySelection selects candidates with the pre-index full
-	// namespace walk instead of the incremental atime index. The two
-	// paths are equivalent (selection.go); the knob exists for that
-	// proof and for before/after benchmarking.
-	LegacySelection bool
 }
 
 // Defaults fills unset knobs with the paper's values.
@@ -527,7 +513,7 @@ func (a *ActiveDR) lifetime(r activeness.Rank, pass int) timeutil.Duration {
 }
 
 // Purge runs one ActiveDR retention pass at time tc.
-func (a *ActiveDR) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Time) *Report {
+func (a *ActiveDR) Purge(fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Report {
 	timer := profiling.StartTimer()
 	report := &Report{
 		Policy:      a.Name(),
@@ -543,8 +529,7 @@ func (a *ActiveDR) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeuti
 		}
 		report.TargetBytes = target
 	}
-	src := selectionFor(fsys, a.cfg.LegacySelection)
-	users := src.users()
+	users := fsys.Users()
 	groupTotals(fsys, ranks, report, users)
 	if a.cfg.TargetUtilization > 0 && target == 0 {
 		// Usage is already at or below the target: nothing to purge.
@@ -574,7 +559,7 @@ phaseLoop:
 				// instead of re-walking the user's whole holding.
 				eps := a.lifetime(su.rank, pass)
 				g := su.rank.Group()
-				cands = src.staleFiles(cands[:0], su.id, staleCutoff(tc, eps))
+				cands = fsys.AppendStaleFiles(cands[:0], su.id, staleCutoff(tc, eps))
 				for _, c := range cands {
 					if budget >= 0 && examined >= budget {
 						report.Incomplete = true
@@ -633,8 +618,8 @@ phaseLoop:
 // run: the input file system is left untouched. The policy's own
 // CollectVictims knob is not required; Plan forces collection via the
 // planner interface both built-in policies implement.
-func Plan(p Policy, fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Time) *Report {
-	clone := fsys.CloneNS()
+func Plan(p Policy, fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Report {
+	clone := fsys.Clone()
 	if c, ok := p.(victimCollector); ok {
 		restore := c.setCollectVictims(true)
 		defer restore()

@@ -109,18 +109,19 @@ type checkpointState struct {
 	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
 }
 
-// checkpointVersion 2 added the selection-path knob to the digest
-// (the indexed and legacy paths are equivalent, but a mismatch should
-// still be explicit rather than silent). Version 3 added the
-// full/delta kind and base-chain fields; v2 checkpoints are still
-// accepted (they are exactly a v3 full checkpoint without the new
-// fields), any other version fails fast.
+// checkpointVersion 2 added a selection-path token (sel=) to the
+// digest; that knob is retired and every build writes sel=false.
+// Version 3 added the full/delta kind and base-chain fields; v2
+// checkpoints are still accepted (they are exactly a v3 full
+// checkpoint without the new fields), any other version fails fast.
 const checkpointVersion = 3
 
 // digest fingerprints the knobs that shape the replay so a resume
 // against a different configuration is rejected instead of silently
 // diverging. Reserved is excluded (not serializable); supplying the
-// same exemption list on resume is the caller's contract.
+// same exemption list on resume is the caller's contract. The trailing
+// sel=false is the retired selection-path knob, kept literally so every
+// saved checkpoint's fingerprint still matches.
 func (c Config) digest() string {
 	return c.digestAt(checkpointVersion)
 }
@@ -131,11 +132,11 @@ func (c Config) digest() string {
 func (c Config) digestV2() string { return c.digestAt(2) }
 
 func (c Config) digestAt(version int) string {
-	return fmt.Sprintf("v%d life=%d period=%d trig=%d util=%g cap=%d retro=%d decay=%g capture=%d snap=%d logins=%t transfers=%t eq7=%t order=%d sel=%t",
+	return fmt.Sprintf("v%d life=%d period=%d trig=%d util=%g cap=%d retro=%d decay=%g capture=%d snap=%d logins=%t transfers=%t eq7=%t order=%d sel=false",
 		version, c.Lifetime, c.PeriodLength, c.TriggerInterval,
 		c.TargetUtilization, c.Capacity, c.RetroPasses, c.RetroDecay,
 		c.CaptureAt, c.SnapshotEvery, c.UseLogins, c.UseTransfers,
-		c.StrictEq7, c.Order, c.LegacySelection)
+		c.StrictEq7, c.Order)
 }
 
 // saveCheckpoint writes one complete checkpoint for the trigger that
@@ -518,16 +519,6 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 			}
 		}
 	}
-	// Re-partition under the resuming configuration's shard count. The
-	// serialized format is shard-agnostic (a plain snapshot), so a
-	// checkpoint written at one shard count resumes at any other; this
-	// is why Shards stays out of the config digest.
-	var fsys vfs.Namespace = tree
-	if e.cfg.Shards > 1 {
-		if fsys, err = vfs.ShardFS(tree, e.cfg.Shards); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
-		}
-	}
 	res := &Result{
 		Policy:        cs.Policy,
 		Days:          cs.Days,
@@ -583,7 +574,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// counter; that makes the resumed run's next checkpoint full,
 	// which is always safe.
 	st := &runState{
-		fsys:        fsys,
+		fsys:        tree,
 		res:         res,
 		cursor:      cs.Cursor,
 		nextTrigger: timeutil.Time(cs.NextTrigger),

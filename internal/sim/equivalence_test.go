@@ -1,24 +1,19 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"activedr/internal/faults"
-	"activedr/internal/synth"
 	"activedr/internal/timeutil"
 )
 
-// normalizeCheckpoint parses a checkpoint's state.json and blanks the
-// fields allowed to differ between selection paths: wall clock inside
-// the serialized reports, and the config digest (which deliberately
-// records which path wrote it).
+// normalizeCheckpoint parses the latest checkpoint's state.json and
+// zeroes the wall clock inside the serialized reports, the one field
+// allowed to differ between two runs of the same replay.
 func normalizeCheckpoint(t *testing.T, dir string) checkpointState {
 	t.Helper()
 	name, err := readLatest(dir)
@@ -36,7 +31,6 @@ func normalizeCheckpoint(t *testing.T, dir string) checkpointState {
 	for _, rep := range cs.Reports {
 		rep.Elapsed = 0
 	}
-	cs.Config = ""
 	return cs
 }
 
@@ -118,49 +112,5 @@ func TestSnapshotSpacingSurvivesResume(t *testing.T) {
 			t.Fatalf("stop=%d: resume: %v", stopAt, err)
 		}
 		requireSameResult(t, want, got)
-	}
-}
-
-// TestIndexedReplayEquivalence is the tentpole's end-to-end contract:
-// a full-year replay on the incremental candidate index produces
-// bit-identical Results (reports, day stats, totals, final state) and
-// checkpoints to the legacy full-walk path — for both policies, with
-// and without fault injection.
-func TestIndexedReplayEquivalence(t *testing.T) {
-	d, err := synth.Generate(synth.Config{Seed: 11, Users: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, faultsOn := range []bool{false, true} {
-		for _, name := range []string{"flt", "adr"} {
-			t.Run(fmt.Sprintf("%s/faults=%t", name, faultsOn), func(t *testing.T) {
-				run := func(legacy bool) (*Result, string) {
-					em, err := New(d, Config{TargetUtilization: 0.5, LegacySelection: legacy})
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := RunOptions{CheckpointDir: t.TempDir(), CheckpointEvery: 20}
-					if faultsOn {
-						opts.Faults = faults.New(faults.Config{
-							Seed: 42, UnlinkFailProb: 0.05, ScanInterruptProb: 0.05,
-						})
-					}
-					res, err := em.RunWith(policyFor(t, em, name), opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, opts.CheckpointDir
-				}
-				indexed, idxDir := run(false)
-				legacy, legDir := run(true)
-				requireSameResult(t, legacy, indexed)
-				if !reflect.DeepEqual(normalizeCheckpoint(t, idxDir), normalizeCheckpoint(t, legDir)) {
-					t.Error("checkpoint states diverge between selection paths")
-				}
-				if !bytes.Equal(readSidecar(t, idxDir), readSidecar(t, legDir)) {
-					t.Error("checkpointed file-system snapshots are not byte-identical")
-				}
-			})
-		}
 	}
 }

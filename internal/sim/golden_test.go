@@ -20,6 +20,7 @@ package sim
 // update flag; a mismatch prints the digest the run computed.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -35,7 +36,6 @@ import (
 
 	"activedr/internal/faults"
 	"activedr/internal/obs"
-	"activedr/internal/retention"
 	"activedr/internal/synth"
 	"activedr/internal/trace"
 	"activedr/internal/vfs"
@@ -126,25 +126,18 @@ type goldenRun struct {
 // digests computes a run's cell entry.
 func (r goldenRun) digests(t *testing.T) goldenDigests {
 	t.Helper()
-	var d goldenDigests
-
+	stripElapsed(r.res)
 	res := *r.res
-	res.Elapsed = 0
 	res.Final, res.Captured = nil, nil
-	res.Reports = zeroElapsed(res.Reports)
-	d.Result = digestJSON(t, &res)
-
-	name, cs := latestState(t, r.dir)
-	cs.Reports = zeroElapsed(cs.Reports)
-	d.Config = cs.Config
-	d.State = digestJSON(t, &cs)
-
-	f, err := os.Open(filepath.Join(r.dir, name, fsFile))
-	if err != nil {
-		t.Fatal(err)
+	cs := normalizeCheckpoint(t, r.dir)
+	d := goldenDigests{
+		Config:  cs.Config,
+		Result:  digestJSON(t, &res),
+		State:   digestJSON(t, &cs),
+		Metrics: digestJSON(t, r.metrics),
 	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
+
+	zr, err := gzip.NewReader(bytes.NewReader(readSidecar(t, r.dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,94 +157,11 @@ func (r goldenRun) digests(t *testing.T) goldenDigests {
 		}
 	}
 	d.Final = sumHex(h)
-
-	d.Metrics = digestJSON(t, r.metrics)
-	return d
-}
-
-// zeroElapsed copies reports with their wall-clock field zeroed.
-func zeroElapsed(reps []*retention.Report) []*retention.Report {
-	out := make([]*retention.Report, len(reps))
-	for i, rep := range reps {
-		c := *rep
-		c.Elapsed = 0
-		out[i] = &c
-	}
-	return out
-}
-
-// goldenVariant is one layout the matrix replays every cell under.
-type goldenVariant struct {
-	shards int
-	legacy bool
-}
-
-func (v goldenVariant) String() string {
-	return fmt.Sprintf("shards=%d,legacy=%t", v.shards, v.legacy)
-}
-
-func (v goldenVariant) apply(cfg Config) Config {
-	cfg.Shards = v.shards
-	cfg.LegacySelection = v.legacy
-	return cfg
-}
-
-// goldenVariants lists every namespace layout × candidate source. An
-// interrupted cell stops under variant i and resumes under
-// resumeVariant(i): another shard count, the same selection path.
-var goldenVariants = []goldenVariant{
-	{1, false}, {4, false}, {16, false},
-	{1, true}, {4, true}, {16, true},
-}
-
-func resumeVariant(i int) goldenVariant {
-	return goldenVariants[i/3*3+(i+1)%3]
-}
-
-// legacyNormalize maps a legacy-selection run onto the indexed run's
-// artifacts where the two differ by construction: the config
-// fingerprint records which selection path wrote a checkpoint, and the
-// legacy source never queries the candidate index, so the index query
-// counter is carried over from the indexed run ref.
-func legacyNormalize(t *testing.T, d goldenDigests, run goldenRun, ref goldenRun) goldenDigests {
-	t.Helper()
-	stale := func(s obs.MetricsSnapshot) (int64, bool) {
-		for _, c := range s.Counters {
-			if c.Name == obs.MetricVFSStaleQueries {
-				return c.Value, true
-			}
-		}
-		return 0, false
-	}
-	carry := func(dst *obs.MetricsSnapshot, src obs.MetricsSnapshot) {
-		v, ok := stale(src)
-		if !ok {
-			return
-		}
-		dst.Counters = append([]obs.MetricValue(nil), dst.Counters...)
-		for i := range dst.Counters {
-			if dst.Counters[i].Name == obs.MetricVFSStaleQueries {
-				dst.Counters[i].Value = v
-			}
-		}
-	}
-	_, refState := latestState(t, ref.dir)
-	_, st := latestState(t, run.dir)
-	st.Config = strings.Replace(st.Config, " sel=true", " sel=false", 1)
-	if st.Metrics != nil && refState.Metrics != nil {
-		carry(st.Metrics, *refState.Metrics)
-	}
-	st.Reports = zeroElapsed(st.Reports)
-	d.Config = st.Config
-	d.State = digestJSON(t, &st)
-	m := run.metrics
-	carry(&m, ref.metrics)
-	d.Metrics = digestJSON(t, m)
 	return d
 }
 
 // checkGolden compares a computed cell entry against the committed one.
-func checkGolden(t *testing.T, golden map[string]goldenDigests, cell, variant string, got goldenDigests) {
+func checkGolden(t *testing.T, golden map[string]goldenDigests, cell string, got goldenDigests) {
 	t.Helper()
 	want, ok := golden[cell]
 	if !ok {
@@ -268,17 +178,17 @@ func checkGolden(t *testing.T, golden map[string]goldenDigests, cell, variant st
 		{"metrics", got.Metrics, want.Metrics},
 	} {
 		if f.got != f.want {
-			t.Errorf("%s [%s]: %s digest %s, golden %s", cell, variant, f.name, f.got, f.want)
+			t.Errorf("%s: %s digest %s, golden %s", cell, f.name, f.got, f.want)
 		}
 	}
 }
 
-// runSolo replays one policy over em's dataset under cfg — or, when
-// stopCfg is non-nil, stops at goldenStop under stopCfg and resumes
-// under cfg in a fresh emulator.
-func runSolo(t *testing.T, ds *trace.Dataset, base *vfs.FS, cfg Config, stopCfg *Config, policy string, faultsOn bool) goldenRun {
+// runSolo replays one policy under cfg — or, with resume set, stops at
+// goldenStop and resumes from that checkpoint in a fresh emulator and
+// observer. A non-nil base starts from that file system (NewWithBase).
+func runSolo(t *testing.T, ds *trace.Dataset, base *vfs.FS, cfg Config, policy string, faultsOn, resume bool) goldenRun {
 	t.Helper()
-	newEm := func(cfg Config) *Emulator {
+	newEm := func() *Emulator {
 		var em *Emulator
 		var err error
 		if base != nil {
@@ -292,8 +202,8 @@ func runSolo(t *testing.T, ds *trace.Dataset, base *vfs.FS, cfg Config, stopCfg 
 		return em
 	}
 	dir := t.TempDir()
-	if stopCfg != nil {
-		em := newEm(*stopCfg)
+	if resume {
+		em := newEm()
 		if _, err := em.RunWith(policyFor(t, em, policy), RunOptions{
 			CheckpointDir: dir, CheckpointEvery: goldenEvery, Faults: goldenFaults(faultsOn),
 			Obs: goldenObserver(t), StopAfterTriggers: goldenStop,
@@ -301,12 +211,12 @@ func runSolo(t *testing.T, ds *trace.Dataset, base *vfs.FS, cfg Config, stopCfg 
 			t.Fatalf("stop at trigger %d: %v", goldenStop, err)
 		}
 	}
-	em := newEm(cfg)
+	em := newEm()
 	o := goldenObserver(t)
 	opts := RunOptions{CheckpointDir: dir, CheckpointEvery: goldenEvery, Faults: goldenFaults(faultsOn), Obs: o}
 	var res *Result
 	var err error
-	if stopCfg != nil {
+	if resume {
 		res, err = em.Resume(policyFor(t, em, policy), opts)
 	} else {
 		res, err = em.RunWith(policyFor(t, em, policy), opts)
@@ -317,34 +227,21 @@ func runSolo(t *testing.T, ds *trace.Dataset, base *vfs.FS, cfg Config, stopCfg 
 	return goldenRun{res: res, dir: dir, metrics: o.Registry().Snapshot(), users: ds.Users}
 }
 
-// checkVariants runs one cell under every variant and requires each to
-// hit the committed digests.
-func checkVariants(t *testing.T, golden map[string]goldenDigests, cells []string, run func(i int) []goldenRun) {
-	t.Helper()
-	var ref []goldenRun
-	for i, v := range goldenVariants {
-		runs := run(i)
-		if i == 0 {
-			ref = runs
-		}
-		for k, r := range runs {
-			d := r.digests(t)
-			if v.legacy {
-				d = legacyNormalize(t, d, r, ref[k])
-			}
-			checkGolden(t, golden, cells[k], v.String(), d)
-		}
-	}
-}
-
 // TestReplayGolden replays the golden matrix:
 //   - synthetic seeds 11 and 23 at 300 users × {FLT, ActiveDR} ×
 //     {faults off, on} × {uninterrupted, stopped at trigger 6 and
 //     resumed};
 //   - the 4-lane multiplexed fixture sweep with faults off and on;
 //   - a snapfile-backed NewWithBase start for each policy.
+//
+// The digests were recorded while two retired twins still ran beside
+// the replay — a user-hash-sharded namespace at 1, 4 and 16 shards and
+// a namespace-walk candidate selection — and every twin variant hit
+// every digest, interrupted cells resuming under another shard count
+// than they stopped under.
 func TestReplayGolden(t *testing.T) {
 	golden := loadGolden(t)
+	cfg := Config{TargetUtilization: 0.5}
 	for _, seed := range goldenSeeds {
 		ds, err := synth.Generate(synth.Config{Seed: seed, Users: goldenUsers})
 		if err != nil {
@@ -359,21 +256,7 @@ func TestReplayGolden(t *testing.T) {
 					}
 					cell := fmt.Sprintf("seed=%d/%s/faults=%s/%s", seed, policy, faultsLabel(faultsOn), mode)
 					t.Run(cell, func(t *testing.T) {
-						cfg := Config{TargetUtilization: 0.5}
-						checkVariants(t, golden, []string{cell}, func(i int) []goldenRun {
-							var stop *Config
-							if resume {
-								c := goldenVariants[i].apply(cfg)
-								stop = &c
-							}
-							run := cfg
-							if resume {
-								run = resumeVariant(i).apply(cfg)
-							} else {
-								run = goldenVariants[i].apply(cfg)
-							}
-							return []goldenRun{runSolo(t, ds, nil, run, stop, policy, faultsOn)}
-						})
+						checkGolden(t, golden, cell, runSolo(t, ds, nil, cfg, policy, faultsOn, resume).digests(t))
 					})
 				}
 			}
@@ -387,32 +270,24 @@ func TestReplayGolden(t *testing.T) {
 	for _, faultsOn := range []bool{false, true} {
 		prefix := fmt.Sprintf("mux/faults=%s", faultsLabel(faultsOn))
 		t.Run(prefix, func(t *testing.T) {
-			var cells []string
-			for i := range multiplexFixtureLanes() {
-				cells = append(cells, fmt.Sprintf("%s/lane%d", prefix, i))
+			lanes := multiplexFixtureLanes()
+			observers := make([]*obs.Observer, len(lanes))
+			for i := range lanes {
+				observers[i] = goldenObserver(t)
+				lanes[i].Opts = RunOptions{
+					CheckpointDir: t.TempDir(), CheckpointEvery: goldenEvery,
+					Faults: goldenFaults(faultsOn), Obs: observers[i],
+				}
 			}
-			checkVariants(t, golden, cells, func(vi int) []goldenRun {
-				lanes := multiplexFixtureLanes()
-				observers := make([]*obs.Observer, len(lanes))
-				for i := range lanes {
-					lanes[i].Config = goldenVariants[vi].apply(lanes[i].Config)
-					observers[i] = goldenObserver(t)
-					lanes[i].Opts = RunOptions{
-						CheckpointDir: t.TempDir(), CheckpointEvery: goldenEvery,
-						Faults: goldenFaults(faultsOn), Obs: observers[i],
-					}
-				}
-				res, err := RunMultiplexed(ds, lanes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs := make([]goldenRun, len(lanes))
-				for i := range lanes {
-					runs[i] = goldenRun{res: res[i], dir: lanes[i].Opts.CheckpointDir,
-						metrics: observers[i].Registry().Snapshot(), users: ds.Users}
-				}
-				return runs
-			})
+			res, err := RunMultiplexed(ds, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range lanes {
+				run := goldenRun{res: res[i], dir: lanes[i].Opts.CheckpointDir,
+					metrics: observers[i].Registry().Snapshot(), users: ds.Users}
+				checkGolden(t, golden, fmt.Sprintf("%s/lane%d", prefix, i), run.digests(t))
+			}
 		})
 	}
 
@@ -437,10 +312,7 @@ func TestReplayGolden(t *testing.T) {
 	for _, policy := range []string{"flt", "adr"} {
 		cell := "snapfile/" + policy
 		t.Run(cell, func(t *testing.T) {
-			checkVariants(t, golden, []string{cell}, func(i int) []goldenRun {
-				cfg := goldenVariants[i].apply(Config{TargetUtilization: 0.5})
-				return []goldenRun{runSolo(t, &bare, base, cfg, nil, policy, false)}
-			})
+			checkGolden(t, golden, cell, runSolo(t, &bare, base, cfg, policy, false, false).digests(t))
 		})
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"activedr/internal/activeness"
 	"activedr/internal/profiling"
@@ -226,125 +225,6 @@ func groupAt(gt []uint8, u trace.UserID) activeness.Group {
 	return activeness.BothInactive
 }
 
-// shardedLanes owns the lane-group layout of one multiplexed run:
-// one LaneGroup over the whole tree, or — under Config.Shards — one
-// LaneGroup per user-hash shard plus the path-id routing tables. Each
-// shard's group owns its subtree, candidate index and lane accounting
-// outright, so a batch's runs apply shard-parallel with no locks: the
-// columnar feed already groups every event of a path into one run,
-// and a path lives in exactly one shard.
-type shardedLanes struct {
-	shards   int
-	groups   []*vfs.LaneGroup
-	pidShard []uint8          // pid → owning shard (nil when shards == 1)
-	pidLocal []int32          // pid → shard-local path id
-	evs      [][]vfs.RunEvent // per-shard event scratch
-}
-
-// newShardedLanes partitions base and builds the per-shard lane
-// groups. The feed's interned paths are routed once: pidShard/pidLocal
-// turn the global path id of every run into (shard, local id), so the
-// per-shard handle tables stay dense.
-func newShardedLanes(base *vfs.FS, nLanes int, feed *colFeed, shards int) (*shardedLanes, error) {
-	if shards <= 1 {
-		g, err := vfs.NewLaneGroup(base, nLanes, len(feed.paths))
-		if err != nil {
-			return nil, err
-		}
-		return &shardedLanes{shards: 1, groups: []*vfs.LaneGroup{g}, evs: make([][]vfs.RunEvent, 1)}, nil
-	}
-	parts, err := vfs.ShardFS(base, shards)
-	if err != nil {
-		return nil, err
-	}
-	sl := &shardedLanes{
-		shards:   shards,
-		groups:   make([]*vfs.LaneGroup, shards),
-		pidShard: make([]uint8, len(feed.paths)),
-		pidLocal: make([]int32, len(feed.paths)),
-		evs:      make([][]vfs.RunEvent, shards),
-	}
-	counts := make([]int32, shards)
-	for pid, p := range feed.paths {
-		si := vfs.ShardIndex(p, shards)
-		sl.pidShard[pid] = uint8(si)
-		sl.pidLocal[pid] = counts[si]
-		counts[si]++
-	}
-	for si := range sl.groups {
-		g, err := vfs.NewLaneGroup(parts.Shard(si), nLanes, int(counts[si]))
-		if err != nil {
-			return nil, err
-		}
-		sl.groups[si] = g
-	}
-	return sl, nil
-}
-
-// laneFS returns lane i's namespace: the lane view itself, or a
-// Sharded stitched over the per-shard lane-i views — every read
-// operation (stale scans, walks, snapshots, clones) k-way merges in
-// system order, so policies and checkpoints see exactly the
-// single-tree lane state.
-func (sl *shardedLanes) laneFS(i int) (vfs.Namespace, error) {
-	if sl.shards == 1 {
-		return sl.groups[0].Lane(i), nil
-	}
-	views := make([]*vfs.FS, sl.shards)
-	for si := range sl.groups {
-		views[si] = sl.groups[si].Lane(i)
-	}
-	return vfs.ShardedOver(views)
-}
-
-// applyBatch applies every run of b and fills missBuf[ri] with run
-// ri's per-lane miss mask. Unsharded, the runs apply sequentially in
-// the batch's path order. Sharded, each shard's runs apply on their
-// own goroutine — disjoint trees, indexes and accounting — while the
-// order within a shard stays the batch's path order, so the shared
-// state each mask is computed against is identical either way.
-func (sl *shardedLanes) applyBatch(acc []trace.Access, feed *colFeed, b *colBatch, missBuf []uint64) {
-	if sl.shards == 1 {
-		evs := sl.evs[0]
-		for ri := range b.runs {
-			run := &b.runs[ri]
-			seg := feed.order[run.off : run.off+run.n]
-			evs = evs[:0]
-			for _, idx := range seg {
-				a := &acc[idx]
-				evs = append(evs, vfs.RunEvent{User: a.User, Size: a.Size, TS: a.TS, Create: a.Create})
-			}
-			missBuf[ri] = sl.groups[0].ApplyRun(run.pid, feed.paths[run.pid], evs)
-		}
-		sl.evs[0] = evs
-		return
-	}
-	var wg sync.WaitGroup
-	for si := 0; si < sl.shards; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			evs := sl.evs[si]
-			g := sl.groups[si]
-			for ri := range b.runs {
-				run := &b.runs[ri]
-				if int(sl.pidShard[run.pid]) != si {
-					continue
-				}
-				seg := feed.order[run.off : run.off+run.n]
-				evs = evs[:0]
-				for _, idx := range seg {
-					a := &acc[idx]
-					evs = append(evs, vfs.RunEvent{User: a.User, Size: a.Size, TS: a.TS, Create: a.Create})
-				}
-				missBuf[ri] = g.ApplyRun(sl.pidLocal[run.pid], feed.paths[run.pid], evs)
-			}
-			sl.evs[si] = evs
-		}(si)
-	}
-	wg.Wait()
-}
-
 // mlane is one lane's live replay machinery.
 type mlane struct {
 	s        *Stream
@@ -407,15 +287,6 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			}
 			ckptDirs[d] = i
 		}
-		if err := validateShards(cfg.Shards); err != nil {
-			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
-		}
-		if i > 0 && cfg.Shards != cfgs[0].Shards {
-			// Lanes share one tree (or one tree per shard); a per-lane
-			// shard count would need per-lane trees, defeating the point.
-			return nil, fmt.Errorf("sim: lane %d shard count %d differs from lane 0's %d; multiplexed lanes share one namespace layout",
-				i, cfg.Shards, cfgs[0].Shards)
-		}
 		cfgs[i] = cfg
 	}
 	feed, ok := m.feed(cfgs[0].TriggerInterval)
@@ -424,7 +295,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	}
 
 	timer := profiling.StartTimer()
-	sl, err := newShardedLanes(m.base, len(lanes), feed, cfgs[0].Shards)
+	group, err := vfs.NewLaneGroup(m.base, len(lanes), len(feed.paths))
 	if err != nil {
 		return nil, err
 	}
@@ -452,12 +323,8 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		}
 		r := rankers[dataKey{cfgs[i].UseLogins, cfgs[i].UseTransfers}]
 		ranker := r.laneRanker(pis[i])
-		lfs, err := sl.laneFS(i)
-		if err != nil {
-			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
-		}
 		st := &runState{
-			fsys:        lfs,
+			fsys:        group.Lane(i),
 			res:         &Result{Policy: policy.Name()},
 			nextTrigger: t0.Add(cfgs[i].TriggerInterval),
 			ranks:       ranker(t0),
@@ -493,7 +360,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	}
 
 	acc := m.ds.Accesses
-	var missBuf []uint64
+	var evs []vfs.RunEvent
 	for bi := range feed.batches {
 		b := &feed.batches[bi]
 		for i, ln := range ml {
@@ -502,19 +369,17 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			}
 			ln.day = ln.s.dayFor(b.first)
 		}
-		// Apply phase: compute every run's miss mask (shard-parallel
-		// under Config.Shards), then account in the batch's run order —
-		// pure sums until the event-ordered miss flush below, so the
-		// split changes nothing observable.
-		if cap(missBuf) < len(b.runs) {
-			missBuf = make([]uint64, len(b.runs))
-		}
-		missBuf = missBuf[:len(b.runs)]
-		sl.applyBatch(acc, feed, b, missBuf)
+		// Runs apply in the batch's path order; accounting is pure sums
+		// until the event-ordered miss flush below.
 		for ri := range b.runs {
 			run := &b.runs[ri]
 			seg := feed.order[run.off : run.off+run.n]
-			miss := missBuf[ri]
+			evs = evs[:0]
+			for _, idx := range seg {
+				a := &acc[idx]
+				evs = append(evs, vfs.RunEvent{User: a.User, Size: a.Size, TS: a.TS, Create: a.Create})
+			}
+			miss := group.ApplyRun(run.pid, feed.paths[run.pid], evs)
 			for _, rg := range rGroups {
 				ln0 := ml[rg[0]]
 				gt := ln0.ranker.groups[ln0.pi]
@@ -566,7 +431,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	for i, ln := range ml {
 		st := ln.s.st
 		if !st.captured {
-			st.res.Captured = st.fsys.CloneNS()
+			st.res.Captured = st.fsys.Clone()
 		}
 		st.res.Final = st.fsys
 		st.res.Elapsed = timer.Elapsed()

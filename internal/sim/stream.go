@@ -102,10 +102,9 @@ func (s *Stream) NextTrigger() timeutil.Time { return s.st.nextTrigger }
 // by user ID) and the trigger time it was evaluated at.
 func (s *Stream) Ranks() ([]activeness.Rank, timeutil.Time) { return s.st.ranks, s.st.ranksAt }
 
-// FS returns the live virtual file system (a single tree or a sharded
-// view, per Config.Shards). Callers must not mutate it and must not
-// retain it across Apply calls.
-func (s *Stream) FS() vfs.Namespace { return s.st.fsys }
+// FS returns the live virtual file system. Callers must not mutate it
+// and must not retain it across Apply calls.
+func (s *Stream) FS() *vfs.FS { return s.st.fsys }
 
 // Policy returns the policy the stream purges with.
 func (s *Stream) Policy() retention.Policy { return s.policy }
@@ -131,7 +130,7 @@ func (s *Stream) trigger(at timeutil.Time) {
 	st.ranks = st.ranker(at)
 	st.ranksAt = at
 	if !st.captured && at >= e.cfg.CaptureAt {
-		res.Captured = st.fsys.CloneNS()
+		res.Captured = st.fsys.Clone()
 		st.captured = true
 	}
 	seq := int64(st.triggers) + 1 // 1-based, stable across resumes

@@ -834,22 +834,11 @@ func NameIndex(users []User) map[string]UserID {
 	return m
 }
 
-// WriteOptions controls dataset writing.
-type WriteOptions struct {
-	// Sequential writes the trace files one at a time instead of
-	// concurrently; the bytes written are identical either way.
-	Sequential bool
-}
-
 // WriteDataset persists every trace kind under dir using the standard
-// file names, writing files concurrently.
+// file names, one writer per file running concurrently. Each file's
+// bytes are exactly its per-file writer's output (WriteUsers,
+// WriteJobs, ...), gzipped for .gz names.
 func WriteDataset(dir string, d *Dataset) error {
-	return WriteDatasetWith(dir, d, WriteOptions{})
-}
-
-// WriteDatasetWith persists every trace kind under dir under the
-// given options.
-func WriteDatasetWith(dir string, d *Dataset, wopts WriteOptions) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -884,14 +873,6 @@ func WriteDatasetWith(dir string, d *Dataset, wopts WriteOptions) error {
 		tasks = append(tasks, task{TransfersFile, func(w io.Writer) error { return WriteTransfers(w, d.Users, d.Transfers) }})
 	}
 	tasks = append(tasks, task{SnapshotFile, func(w io.Writer) error { return WriteSnapshot(w, d.Users, &d.Snapshot) }})
-	if wopts.Sequential {
-		for _, t := range tasks {
-			if err := write(t.name, t.fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, len(tasks))
 	run := make([]func() error, len(tasks))
 	for i, t := range tasks {

@@ -32,8 +32,8 @@ type ReadOptions struct {
 	// Sequential selects the original single-goroutine readers
 	// instead of the pipelined ones (pipeline.go). Both paths produce
 	// bit-identical records, reports, and errors — the equivalence
-	// tests enforce it — so this exists for A/B benchmarking and as a
-	// fallback, like retention's LegacySelection.
+	// tests enforce it — and the sequential readers serve as the
+	// reference the pipelined decoder is fuzzed against.
 	Sequential bool
 	// SkipSnapshot leaves the metadata snapshot unread: Dataset.Snapshot
 	// stays zero and the caller supplies the initial file-system state

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -449,26 +450,45 @@ func TestLoadSnapshotSeriesOrdersByTaken(t *testing.T) {
 	}
 }
 
+// TestWriteDatasetParallelMatchesSequential pins the concurrent
+// dataset writer to the per-file writers run one at a time: every
+// file WriteDataset produces decompresses to exactly the bytes its
+// per-file writer emits.
 func TestWriteDatasetParallelMatchesSequential(t *testing.T) {
 	d := bigDataset()
-	pdir, sdir := t.TempDir(), t.TempDir()
-	if err := WriteDatasetWith(pdir, d, WriteOptions{}); err != nil {
+	dir := t.TempDir()
+	if err := WriteDataset(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDatasetWith(sdir, d, WriteOptions{Sequential: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{UsersFile, JobsFile, AccessesFile, PubsFile, LoginsFile, TransfersFile, SnapshotFile} {
-		pb, err := os.ReadFile(filepath.Join(pdir, name))
+	for _, f := range []struct {
+		name  string
+		write func(w *bytes.Buffer) error
+	}{
+		{UsersFile, func(w *bytes.Buffer) error { return WriteUsers(w, d.Users) }},
+		{JobsFile, func(w *bytes.Buffer) error { return WriteJobs(w, d.Users, d.Jobs) }},
+		{AccessesFile, func(w *bytes.Buffer) error { return WriteAccesses(w, d.Users, d.Accesses) }},
+		{PubsFile, func(w *bytes.Buffer) error { return WritePublications(w, d.Users, d.Publications) }},
+		{LoginsFile, func(w *bytes.Buffer) error { return WriteLogins(w, d.Users, d.Logins) }},
+		{TransfersFile, func(w *bytes.Buffer) error { return WriteTransfers(w, d.Users, d.Transfers) }},
+		{SnapshotFile, func(w *bytes.Buffer) error { return WriteSnapshot(w, d.Users, &d.Snapshot) }},
+	} {
+		var want bytes.Buffer
+		if err := f.write(&want); err != nil {
+			t.Fatal(err)
+		}
+		r, closeFn, err := openReader(filepath.Join(dir, f.name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := os.ReadFile(filepath.Join(sdir, name))
-		if err != nil {
-			t.Fatal(err)
+		got, err := io.ReadAll(r)
+		if cerr := closeFn(); err == nil {
+			err = cerr
 		}
-		if !bytes.Equal(pb, sb) {
-			t.Fatalf("%s: parallel and sequential writes differ", name)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: written file (%d bytes) differs from its writer's output (%d bytes)", f.name, len(got), want.Len())
 		}
 	}
 }

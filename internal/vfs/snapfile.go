@@ -427,7 +427,7 @@ func (w *SnapfileWriter) Finish() (err error) {
 
 // WriteSnapfile streams a namespace's current state (system order
 // walk) into a snapfile at path.
-func WriteSnapfile(path string, ns Namespace, taken timeutil.Time) error {
+func WriteSnapfile(path string, ns *FS, taken timeutil.Time) error {
 	w, err := NewSnapfileWriter(path, taken)
 	if err != nil {
 		return err

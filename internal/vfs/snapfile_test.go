@@ -113,7 +113,7 @@ func TestSnapfileLoadEquivalence(t *testing.T) {
 // requireSameNamespace compares two namespaces for observable
 // equality: snapshot walk, totals, per-user accounting, and stale
 // scans at several cutoffs (exercising index order).
-func requireSameNamespace(t *testing.T, want, got Namespace, taken timeutil.Time) {
+func requireSameNamespace(t *testing.T, want, got *FS, taken timeutil.Time) {
 	t.Helper()
 	ws, gs := want.Snapshot(taken), got.Snapshot(taken)
 	if len(ws.Entries) != len(gs.Entries) {

@@ -417,67 +417,37 @@ func (d *snapDecoder) next(i int) (string, FileMeta, error) {
 // state FromSnapshot would have built from the equivalent TSV
 // snapshot.
 func LoadSnapfileFS(sf *SnapshotFile) (*FS, error) {
-	sharded, err := loadSnapfile(sf, 1)
-	if err != nil {
-		return nil, err
-	}
-	return sharded.shards[0], nil
-}
-
-// LoadSnapfileSharded materializes a Sharded namespace from an open
-// snapfile, routing records and index entries by the path hash.
-func LoadSnapfileSharded(sf *SnapshotFile, shards int) (*Sharded, error) {
-	return loadSnapfile(sf, shards)
-}
-
-func loadSnapfile(sf *SnapshotFile, shards int) (*Sharded, error) {
-	s, err := NewSharded(shards)
-	if err != nil {
-		return nil, err
-	}
 	if err := sf.verifyCRC(); err != nil {
 		return nil, err
 	}
 	if err := sf.ensureSegs(); err != nil {
 		return nil, err
 	}
+	f := New()
 	nodes := make([]*rnode[fileRecord], sf.files)
-	shardOf := make([]uint8, 0)
-	if shards > 1 {
-		if shards > math.MaxUint8+1 {
-			return nil, corruptf("vfs: snapfile shard count %d exceeds loader limit", shards)
-		}
-		shardOf = make([]uint8, sf.files)
-	}
 	dec := sf.newDecoder()
 	for i := 0; i < sf.files; i++ {
 		path, m, err := dec.next(i)
 		if err != nil {
 			return nil, err
 		}
-		si := 0
-		if shards > 1 {
-			si = ShardIndex(path, shards)
-			shardOf[i] = uint8(si)
-		}
-		f := s.shards[si]
 		n, _, _ := f.tree.put(path, fileRecord{meta: m, path: path})
 		f.bytes += m.Size
 		f.userBytes[m.User] += m.Size
 		f.userFiles[m.User]++
 		nodes[i] = n
 	}
-	if err := loadSnapIndex(sf, s, nodes, shardOf); err != nil {
+	if err := loadSnapIndex(sf, f, nodes); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return f, nil
 }
 
-// loadSnapIndex decodes the candidate-index section into per-shard
-// userIndex structures, validating that it is the canonical rebuild
-// of the file table (every file exactly once, under its owner, in its
-// atime's day bucket, file ids ascending).
-func loadSnapIndex(sf *SnapshotFile, s *Sharded, nodes []*rnode[fileRecord], shardOf []uint8) error {
+// loadSnapIndex decodes the candidate-index section into f's userIndex
+// structures, validating that it is the canonical rebuild of the file
+// table (every file exactly once, under its owner, in its atime's day
+// bucket, file ids ascending).
+func loadSnapIndex(sf *SnapshotFile, f *FS, nodes []*rnode[fileRecord]) error {
 	r := bufio.NewReaderSize(sf.b.sectionReader(sf.offs[secIndex], sf.lens[secIndex]), 1<<16)
 	var b12 [12]byte
 	entries := 0
@@ -518,11 +488,6 @@ func loadSnapIndex(sf *SnapshotFile, s *Sharded, nodes []*rnode[fileRecord], sha
 				if rec.meta.User != u || dayOf(rec.meta.ATime) != day {
 					return corruptf("vfs: snapfile index entry %d contradicts record", fid)
 				}
-				si := 0
-				if len(shardOf) > 0 {
-					si = int(shardOf[fid])
-				}
-				f := s.shards[si]
 				uidx := f.index[u]
 				if uidx == nil {
 					uidx = &userIndex{}

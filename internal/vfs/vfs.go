@@ -156,10 +156,10 @@ type FS struct {
 	// every lane, and a slice index beats a map probe there. A user
 	// with dFiles[u] == 0 owns nothing in this lane — the same
 	// observable state the private maps express by deleting the key.
-	dBytes []int64
-	dFiles []int64
-	index     map[trace.UserID]*userIndex
-	scratch   []liveEntry // reused across StaleFiles bucket compactions
+	dBytes  []int64
+	dFiles  []int64
+	index   map[trace.UserID]*userIndex
+	scratch []liveEntry // reused across StaleFiles bucket compactions
 	// probe holds the optional hot-path observability counters. The
 	// zero value is fully inert (nil counters discard increments), so
 	// an unobserved FS pays one predictable branch per operation.
@@ -407,8 +407,8 @@ func (f *FS) Users() []trace.UserID {
 }
 
 // StaleFiles returns the live files of user u with ATime < cutoff in
-// (ATime, Path) ascending order. This is the selection contract both
-// the indexed and the legacy purge paths honor; see DESIGN.md §8.
+// (ATime, Path) ascending order: the selection contract the purge
+// policies consume; see DESIGN.md §8.
 func (f *FS) StaleFiles(u trace.UserID, cutoff timeutil.Time) []Candidate {
 	return f.AppendStaleFiles(nil, u, cutoff)
 }
@@ -420,13 +420,6 @@ func (f *FS) StaleFiles(u trace.UserID, cutoff timeutil.Time) []Candidate {
 // index footprint stays proportional to the live file count.
 func (f *FS) AppendStaleFiles(dst []Candidate, u trace.UserID, cutoff timeutil.Time) []Candidate {
 	f.probe.StaleQueries.Inc()
-	return f.appendStale(dst, u, cutoff)
-}
-
-// appendStale is AppendStaleFiles without the query counter: the
-// sharded wrapper counts once per logical query, then fans out to the
-// holding shards through this entry point.
-func (f *FS) appendStale(dst []Candidate, u trace.UserID, cutoff timeutil.Time) []Candidate {
 	if f.group == nil {
 		return f.appendStaleScan(dst, f.index[u], u, cutoff, stalePrivate)
 	}
@@ -684,16 +677,11 @@ func (f *FS) UserFiles(u trace.UserID) int64 {
 // false stops the walk early. Paths are the interned canonical
 // strings, so a walk allocates nothing.
 func (f *FS) Walk(fn func(path string, m FileMeta) bool) {
-	f.walkFrom(f.tree.root, fn)
-}
-
-// walkFrom dispatches a subtree walk through the lane filter when f is
-// a lane view.
-func (f *FS) walkFrom(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bool {
 	if f.group != nil {
-		return f.laneWalkRecords(n, fn)
+		f.laneWalkRecords(f.tree.root, fn)
+		return
 	}
-	return walkRecords(n, fn)
+	walkRecords(f.tree.root, fn)
 }
 
 // laneWalkRecords is walkRecords restricted to the files this lane
@@ -712,31 +700,6 @@ func (f *FS) laneWalkRecords(n *rnode[fileRecord], fn func(path string, m FileMe
 	return true
 }
 
-// WalkPrefix visits every file whose path starts with prefix, in
-// lexicographic order.
-func (f *FS) WalkPrefix(prefix string, fn func(path string, m FileMeta) bool) {
-	n := f.tree.root
-	rest := prefix
-	for rest != "" {
-		i, ok := n.childIndex(rest[0])
-		if !ok {
-			return
-		}
-		child := n.children[i]
-		cp := commonPrefixLen(rest, child.label)
-		if cp == len(rest) {
-			f.walkFrom(child, fn)
-			return
-		}
-		if cp < len(child.label) {
-			return // diverged: nothing under prefix
-		}
-		rest = rest[cp:]
-		n = child
-	}
-	f.walkFrom(n, fn)
-}
-
 // walkRecords visits terminal records in lexicographic order using
 // their interned paths.
 func walkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bool {
@@ -751,19 +714,6 @@ func walkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bo
 		}
 	}
 	return true
-}
-
-// FilesByUser buckets every path by owning user in one walk. Each
-// bucket preserves lexicographic order. This is the legacy way a
-// retention pass obtains per-user scan lists; the indexed path asks
-// StaleFiles instead.
-func (f *FS) FilesByUser() map[trace.UserID][]string {
-	out := make(map[trace.UserID][]string)
-	f.Walk(func(path string, m FileMeta) bool {
-		out[m.User] = append(out[m.User], path)
-		return true
-	})
-	return out
 }
 
 // Snapshot exports the current state as a metadata snapshot taken at

@@ -153,54 +153,6 @@ func TestWalkEarlyStop(t *testing.T) {
 	}
 }
 
-func TestWalkPrefix(t *testing.T) {
-	fs := New()
-	fs.Insert("/u/alice/a", meta(0, 1))
-	fs.Insert("/u/alice/b", meta(0, 1))
-	fs.Insert("/u/alicia/c", meta(1, 1))
-	fs.Insert("/u/bob/d", meta(2, 1))
-	var got []string
-	fs.WalkPrefix("/u/alice/", func(p string, _ FileMeta) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != 2 || got[0] != "/u/alice/a" || got[1] != "/u/alice/b" {
-		t.Fatalf("WalkPrefix = %v", got)
-	}
-	// Prefix ending mid-edge still works.
-	got = nil
-	fs.WalkPrefix("/u/alici", func(p string, _ FileMeta) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != 1 || got[0] != "/u/alicia/c" {
-		t.Fatalf("mid-edge WalkPrefix = %v", got)
-	}
-	// Missing prefix yields nothing.
-	got = nil
-	fs.WalkPrefix("/nope", func(p string, _ FileMeta) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != 0 {
-		t.Fatalf("missing prefix yielded %v", got)
-	}
-}
-
-func TestFilesByUser(t *testing.T) {
-	fs := New()
-	fs.Insert("/u/a/1", meta(0, 1))
-	fs.Insert("/u/b/2", meta(1, 1))
-	fs.Insert("/u/a/3", meta(0, 1))
-	buckets := fs.FilesByUser()
-	if len(buckets) != 2 {
-		t.Fatalf("buckets = %d users", len(buckets))
-	}
-	if len(buckets[0]) != 2 || buckets[0][0] != "/u/a/1" || buckets[0][1] != "/u/a/3" {
-		t.Fatalf("user 0 bucket = %v", buckets[0])
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	fs := New()
 	fs.Insert("/u/a/1", FileMeta{User: 0, Size: 10, Stripes: 4, ATime: t0})

@@ -53,7 +53,7 @@ func cloneSeed(seed uint64, id int) uint64 {
 
 // cloneName formats clone id's login. Fixed width keeps name order,
 // ID order, and path order aligned at any scale (the snapfile format
-// and the shard merges key on path order).
+// keys on path order).
 func cloneName(id int) string { return fmt.Sprintf("w%07d", id) }
 
 // regenFiles deterministically regenerates one clone's snapshot files

@@ -26,10 +26,9 @@
 # Tunables (env): THRESHOLD_PCT (default 50), SPEEDUP_MIN (default
 # 2.5; the recorded trajectory bar is 3x on a quiet machine), COUNT
 # (default 5), BENCHTIME (default 3x), BENCH_PATTERN (default covers
-# the sweep pair plus the sharded-namespace / snapfile row — shard
-# scaling and snapshot-open latency ride the absolute-time gate only,
-# since a shard-speedup ratio would be meaningless on a 1-core CI
-# host).
+# the sweep pair, the single-policy FLT and ActiveDR replays, and the
+# snapfile open/load rows — all but the sweep pair ride the
+# absolute-time gate only).
 set -euo pipefail
 
 # Pin the locale: the awk math below parses go-test ns/op numbers and
@@ -40,7 +39,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BASELINE="${BASELINE:-$ROOT/benchmarks/baseline.txt}"
 THRESHOLD_PCT="${THRESHOLD_PCT:-50}"
 SPEEDUP_MIN="${SPEEDUP_MIN:-2.5}"
-BENCH_PATTERN="${BENCH_PATTERN:-Sweep4|ShardScaling|SnapshotOpen|SnapshotLoadFS}"
+BENCH_PATTERN="${BENCH_PATTERN:-Sweep4|ReplayFLT\$|ReplayActiveDR\$|SnapshotOpen|SnapshotLoadFS}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-3x}"
 

@@ -62,7 +62,7 @@ go run ./cmd/tracegen -out "$smoke/real" -seed 7 \
 go run ./cmd/tracegen -out "$smoke/big" -seed 7 \
     -model "$smoke/model.json" -scale 2 -vfs-snapshot-out "$smoke/big.snap"
 go run ./cmd/simulate -data "$smoke/big" -vfs-snapshot "$smoke/big.snap" \
-    -lifetime 90 -interval 7 -target 0.5 -shards 4 >/dev/null
+    -lifetime 90 -interval 7 -target 0.5 >/dev/null
 go run ./cmd/report -data "$smoke/real" -fig workload -o out/workload-report.txt
 grep -q 'regen 10x' out/workload-report.txt
 
