@@ -32,6 +32,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"activedr/internal/fsx"
 )
 
 // Benchmark is one parsed result line: the benchmark's name (with its
@@ -200,14 +202,28 @@ func resolveDate(s string) (time.Time, error) {
 	return t, nil
 }
 
+// benchBase strips the -<digits> GOMAXPROCS suffix go test appends to
+// a result name; any other '-' (a sub-benchmark's own name) stays.
+func benchBase(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 // medianNsOp returns the median ns/op across every repetition of the
 // named benchmark (names carry a -cpu suffix; -count adds lines, not
 // names), or 0 when the benchmark is absent.
 func medianNsOp(benches []Benchmark, name string) float64 {
 	var vals []float64
 	for _, b := range benches {
-		base, _, _ := strings.Cut(b.Name, "-")
-		if base != name {
+		if benchBase(b.Name) != name {
 			continue
 		}
 		if v, ok := b.Metrics["ns/op"]; ok {
@@ -313,10 +329,12 @@ func loadTrajectory(path string) (*Trajectory, error) {
 	return &t, nil
 }
 
+// writeTrajectory replaces the trajectory file atomically, so a run
+// killed mid-write leaves the previous file intact, never a torn one.
 func writeTrajectory(path string, t *Trajectory) error {
 	blob, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return fsx.WriteFileAtomic(path, append(blob, '\n'), 0o644)
 }

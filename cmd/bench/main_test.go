@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -71,5 +75,97 @@ PASS
 	derived := addDerived(benches)
 	if derived[len(derived)-1].Name != "Sweep4Speedup" {
 		t.Fatal("no Sweep4Speedup derived from parsed pair")
+	}
+}
+
+// TestMedianNsOpSuffix pins the name matching behind medianNsOp: only
+// a trailing -<digits> GOMAXPROCS suffix is stripped, so sub-benchmark
+// names that contain '-' neither collapse into their parent nor lose
+// their own repetitions.
+func TestMedianNsOpSuffix(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"BenchmarkReplayFLT-2", "BenchmarkReplayFLT"},
+		{"BenchmarkReplayFLT", "BenchmarkReplayFLT"},
+		{"BenchmarkPurgeTrigger/files=10000-16", "BenchmarkPurgeTrigger/files=10000"},
+		{"BenchmarkSweep/mode=multi-lane-4", "BenchmarkSweep/mode=multi-lane"},
+		{"BenchmarkSweep/mode=multi-lane", "BenchmarkSweep/mode=multi-lane"},
+		{"BenchmarkSweep/mode=x-2b", "BenchmarkSweep/mode=x-2b"},
+		{"BenchmarkOdd-", "BenchmarkOdd-"},
+	} {
+		if got := benchBase(tc.in); got != tc.want {
+			t.Errorf("benchBase(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+
+	mk := func(name string, ns float64) Benchmark {
+		return Benchmark{Name: name, Iterations: 1, Metrics: map[string]float64{"ns/op": ns}}
+	}
+	benches := []Benchmark{
+		mk("BenchmarkSweep4Sequential-2", 300),
+		mk("BenchmarkSweep4Sequential-2", 320),
+		mk("BenchmarkSweep4Sequential-2", 310),
+		mk("BenchmarkSweep4Sequential-cold-2", 900),
+		mk("BenchmarkSweep4Sequential-cold-2", 950),
+		mk("BenchmarkSweep4Sequential-cold-2", 920),
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+	}{
+		{"BenchmarkSweep4Sequential", 310},
+		{"BenchmarkSweep4Sequential-cold", 920},
+		{"BenchmarkSweep4Multiplexed", 0},
+	} {
+		if got := medianNsOp(benches, tc.name); got != tc.want {
+			t.Errorf("medianNsOp(%q) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestWriteTrajectory round-trips trajectories through the atomic
+// writer: a fresh file, then a shorter replacement that must not keep
+// any tail of the longer file it overwrote, with no temp file left
+// behind.
+func TestWriteTrajectory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_2026-01-02.json")
+	run := func(label string, n int) Run {
+		r := Run{Label: label}
+		for i := 0; i < n; i++ {
+			r.Benchmarks = append(r.Benchmarks, Benchmark{Name: "BenchmarkX-2", Iterations: 1, Metrics: map[string]float64{"ns/op": float64(i)}})
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name string
+		traj *Trajectory
+	}{
+		{"fresh", &Trajectory{Runs: []Run{run("a", 3), run("b", 3)}}},
+		{"shorter replacement", &Trajectory{Runs: []Run{run("c", 1)}}},
+	} {
+		if err := writeTrajectory(path, tc.traj); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := loadTrajectory(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.traj) {
+			t.Fatalf("%s: read back %+v, want %+v", tc.name, got, tc.traj)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(blob) {
+			t.Fatalf("%s: file is not one JSON document", tc.name)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("%s: %d files in the directory, want only the trajectory", tc.name, len(entries))
+		}
 	}
 }

@@ -618,6 +618,9 @@ func generatePublications(states []*userState, academics []trace.UserID, cfg Con
 			default:
 				n = 3
 			}
+			// Co-authors are distinct academics and st is one of them,
+			// so a tiny population caps the author count.
+			n = min(n, len(academics))
 			authors := []trace.UserID{st.id}
 			for len(authors) < n {
 				co := academics[src.Intn(len(academics))]

@@ -245,3 +245,48 @@ func TestExtraActivityTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateFewAcademics is the regression test for a population
+// with fewer academics than a publication's drawn author count: the
+// 60-user seed-36 population has two, and drawing a third distinct
+// co-author used to spin forever. Generation must finish, and every
+// publication must still list distinct authors.
+func TestGenerateFewAcademics(t *testing.T) {
+	cfg := Config{Seed: 36, Users: 60}
+	done := make(chan *trace.Dataset, 1)
+	errs := make(chan error, 1)
+	go func() {
+		d, err := Generate(cfg)
+		if err != nil {
+			errs <- err
+			return
+		}
+		done <- d
+	}()
+	var d *trace.Dataset
+	select {
+	case d = <-done:
+	case err := <-errs:
+		t.Fatal(err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("Generate did not return within 30s")
+	}
+	academics := 0
+	for _, u := range d.Users {
+		if u.Archetype == Power.String() || u.Archetype == Scholar.String() {
+			academics++
+		}
+	}
+	if academics >= 3 {
+		t.Fatalf("fixture has %d academics; the regression needs fewer than 3", academics)
+	}
+	for i, p := range d.Publications {
+		seen := make(map[trace.UserID]bool, len(p.Authors))
+		for _, a := range p.Authors {
+			if seen[a] {
+				t.Fatalf("publication %d repeats author %d: %v", i, a, p.Authors)
+			}
+			seen[a] = true
+		}
+	}
+}
