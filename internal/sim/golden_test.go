@@ -238,15 +238,21 @@ func runSolo(t *testing.T, ds *trace.Dataset, base *vfs.FS, cfg Config, policy s
 // the replay — a user-hash-sharded namespace at 1, 4 and 16 shards and
 // a namespace-walk candidate selection — and every twin variant hit
 // every digest, interrupted cells resuming under another shard count
-// than they stopped under.
+// than they stopped under. Cells share their datasets read-only and
+// run in parallel.
 func TestReplayGolden(t *testing.T) {
 	golden := loadGolden(t)
 	cfg := Config{TargetUtilization: 0.5}
+	datasets := make(map[uint64]*trace.Dataset, len(goldenSeeds))
 	for _, seed := range goldenSeeds {
 		ds, err := synth.Generate(synth.Config{Seed: seed, Users: goldenUsers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		datasets[seed] = ds
+	}
+	for _, seed := range goldenSeeds {
+		ds := datasets[seed]
 		for _, policy := range []string{"flt", "adr"} {
 			for _, faultsOn := range []bool{false, true} {
 				for _, resume := range []bool{false, true} {
@@ -256,6 +262,7 @@ func TestReplayGolden(t *testing.T) {
 					}
 					cell := fmt.Sprintf("seed=%d/%s/faults=%s/%s", seed, policy, faultsLabel(faultsOn), mode)
 					t.Run(cell, func(t *testing.T) {
+						t.Parallel()
 						checkGolden(t, golden, cell, runSolo(t, ds, nil, cfg, policy, faultsOn, resume).digests(t))
 					})
 				}
@@ -263,13 +270,11 @@ func TestReplayGolden(t *testing.T) {
 		}
 	}
 
-	ds, err := synth.Generate(synth.Config{Seed: goldenSeeds[0], Users: goldenUsers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := datasets[goldenSeeds[0]]
 	for _, faultsOn := range []bool{false, true} {
 		prefix := fmt.Sprintf("mux/faults=%s", faultsLabel(faultsOn))
 		t.Run(prefix, func(t *testing.T) {
+			t.Parallel()
 			lanes := multiplexFixtureLanes()
 			observers := make([]*obs.Observer, len(lanes))
 			for i := range lanes {
@@ -312,6 +317,7 @@ func TestReplayGolden(t *testing.T) {
 	for _, policy := range []string{"flt", "adr"} {
 		cell := "snapfile/" + policy
 		t.Run(cell, func(t *testing.T) {
+			t.Parallel()
 			checkGolden(t, golden, cell, runSolo(t, &bare, base, cfg, policy, false, false).digests(t))
 		})
 	}
