@@ -8,7 +8,8 @@
 // fsynced into the WAL and applied; killed at any instant, the next
 // incarnation recovers to purge plans bit-identical to a batch replay
 // of every acknowledged event (internal/daemon's chaos harness
-// enforces this). Feeders resume from /v1/status's applied_events.
+// enforces this). Feeders resume from /v1/status's applied_events, as
+// -feed does on a restart.
 //
 // Usage:
 //
@@ -333,6 +334,8 @@ func run(ctx context.Context, o *options, out io.Writer) (err error) {
 // replayFeed batch-ingests a TSV event feed through the same
 // WAL-acknowledged path HTTP ingestion uses. The sentinel @accesses
 // replays the dataset's own access log (CI drills and smoke runs).
+// The feed resumes at the daemon's applied count: a restart with the
+// same feed ingests only the events the daemon does not hold yet.
 func replayFeed(d *daemon.Daemon, ds *trace.Dataset, o *options, out io.Writer) error {
 	var evs []daemon.Event
 	if o.feed == "@accesses" {
@@ -350,13 +353,14 @@ func replayFeed(d *daemon.Daemon, ds *trace.Dataset, o *options, out io.Writer) 
 			return fmt.Errorf("%s: %w", o.feed, err)
 		}
 	}
-	for i := 0; i < len(evs); i += o.feedBatch {
+	held := min(d.Applied(), len(evs))
+	for i := held; i < len(evs); i += o.feedBatch {
 		end := min(i+o.feedBatch, len(evs))
 		if err := d.Ingest(evs[i:end]); err != nil {
 			return fmt.Errorf("feed batch [%d:%d): %w", i, end, err)
 		}
 	}
-	fmt.Fprintf(out, "ingested %d events from %s\n", len(evs), o.feed)
+	fmt.Fprintf(out, "ingested %d events from %s (%d already held)\n", len(evs)-held, o.feed, held)
 	return nil
 }
 

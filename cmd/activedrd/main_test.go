@@ -212,12 +212,62 @@ func TestKillThenRecoverCLI(t *testing.T) {
 	}
 }
 
+// TestKillThenRestartSameFeed restarts a killed daemon with the same
+// -feed: the feed must resume at the daemon's applied count, so the
+// replay state ends exactly where a clean run's does instead of
+// ingesting the acknowledged prefix a second time.
+func TestKillThenRestartSameFeed(t *testing.T) {
+	dataDir, feed, n := writeFixture(t)
+	runOnce := func(dir string, extra ...string) (statusDoc, error) {
+		t.Helper()
+		o, err := parseFlags(append([]string{
+			"-data", dataDir,
+			"-wal-dir", filepath.Join(dir, "wal"),
+			"-checkpoint-dir", filepath.Join(dir, "ckpt"),
+			"-feed", feed, "-oneshot", "-feed-batch", "64",
+		}, extra...), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(context.Background(), o, &out); err != nil {
+			return statusDoc{}, err
+		}
+		return decodeStatus(t, out.String()), nil
+	}
+
+	clean, err := runOnce(t.TempDir())
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	dir := t.TempDir()
+	if _, err := runOnce(dir, "-wal-fault-kill", daemon.KillWALSynced+":3"); err == nil || !strings.Contains(err.Error(), "killed") {
+		t.Fatalf("killed run = %v, want kill-point error", err)
+	}
+	got, err := runOnce(dir)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if clean.Applied != n {
+		t.Fatalf("clean run applied %d events, want %d", clean.Applied, n)
+	}
+	got.Recovered = clean.Recovered // how the state was reached may differ
+	if got != clean {
+		t.Fatalf("restart with the same feed = %+v, want the clean run's %+v", got, clean)
+	}
+}
+
 // statusDoc is the subset of the printed status document the CLI
 // tests assert on.
 type statusDoc struct {
-	State     string `json:"state"`
-	Applied   int    `json:"applied_events"`
-	Recovered int    `json:"recovered_events"`
+	State       string `json:"state"`
+	Applied     int    `json:"applied_events"`
+	Recovered   int    `json:"recovered_events"`
+	Triggers    int    `json:"triggers"`
+	NextTrigger int64  `json:"next_trigger"`
+	LastEventTS int64  `json:"last_event_ts"`
+	Files       int    `json:"files"`
+	Bytes       int64  `json:"bytes"`
 }
 
 // decodeStatus extracts the trailing JSON document from run's output.

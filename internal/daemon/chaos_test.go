@@ -1,9 +1,12 @@
 package daemon
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"activedr/internal/faults"
@@ -65,7 +68,47 @@ func makeCrashImage(t *testing.T, batch, ckptEvery int) crashImage {
 	if err := d.Close(); err != nil { // killed state: no drain checkpoint
 		t.Fatalf("Close: %v", err)
 	}
+	// Recovery from the image must cross a delta chain, not just load
+	// a full checkpoint.
+	if links := latestDeltaLinks(t, cfg.CheckpointDir); links == 0 {
+		t.Fatal("crash image's LATEST is a full checkpoint, want a delta")
+	}
 	return crashImage{walDir: cfg.WALDir, ckptDir: cfg.CheckpointDir, applied: applied}
+}
+
+// latestDeltaLinks follows LATEST's base chain down to its full
+// checkpoint, failing the test if a member is missing from disk or
+// the chain cycles, and returns how many delta links it crossed.
+func latestDeltaLinks(t *testing.T, ckptDir string) int {
+	t.Helper()
+	name := latestName(t, ckptDir)
+	for links := 0; ; links++ {
+		if links > 64 {
+			t.Fatalf("delta chain below %s exceeds 64 links", latestName(t, ckptDir))
+		}
+		blob, err := os.ReadFile(filepath.Join(ckptDir, name, "state.json"))
+		if err != nil {
+			t.Fatalf("chain member %s: %v", name, err)
+		}
+		var cs struct{ Kind, Base string }
+		if err := json.Unmarshal(blob, &cs); err != nil {
+			t.Fatalf("chain member %s: %v", name, err)
+		}
+		if cs.Kind != "delta" {
+			return links
+		}
+		name = cs.Base
+	}
+}
+
+// latestName returns the checkpoint LATEST names.
+func latestName(t *testing.T, ckptDir string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(ckptDir, "LATEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(string(b))
 }
 
 // recoverImage rebuilds a daemon over (a branch of) the image dirs.

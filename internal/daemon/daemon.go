@@ -28,6 +28,18 @@ const (
 	KillRecoverRecord = "daemon.recover.record"
 )
 
+// checkpointFullEvery makes every 8th daemon checkpoint a full
+// snapshot of the namespace and the ones between v3 deltas against
+// the checkpoint before, so a weekly trigger writes what the week
+// changed. Over a 2000-user year (ActiveDR-90d, 2 vCPUs) the
+// checkpoint phase took 3.4–3.5 s with every checkpoint full,
+// 1.5–1.6 s at 4, 1.2–1.3 s at 8 and 1.0 s at 16, while resuming
+// through a 4-delta chain took 0.10–0.12 s against 0.05–0.07 s from a
+// full checkpoint, about 12 ms a link: past 8 the saving levels off
+// and the worst-case chain doubles. Batch replays keep the full-only
+// default.
+const checkpointFullEvery = 8
+
 var (
 	// ErrBackpressure reports a full ingest queue: the caller must
 	// retry later (HTTP 429). Nothing was enqueued.
@@ -154,12 +166,12 @@ type batch struct {
 // Daemon is the retention service core. One applier goroutine owns
 // all mutations; HTTP handlers read under the same mutex.
 type Daemon struct {
-	cfg     Config
-	em      *sim.Emulator
-	users   []trace.User
-	byName  map[string]trace.UserID
-	backoff *faults.Backoff
-	queue   chan batch
+	cfg         Config
+	em          *sim.Emulator
+	users       []trace.User
+	byName      map[string]trace.UserID
+	backoff     *faults.Backoff
+	queue       chan batch
 	applierDone chan struct{}
 
 	ingestMu sync.RWMutex // guards queue against close-vs-send races
@@ -248,11 +260,12 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 	}
 
 	opts := sim.RunOptions{
-		CheckpointDir:   cfg.CheckpointDir,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Faults:          cfg.Faults,
-		Obs:             cfg.Obs,
-		OnCheckpoint:    d.onCheckpoint,
+		CheckpointDir:       cfg.CheckpointDir,
+		CheckpointEvery:     cfg.CheckpointEvery,
+		CheckpointFullEvery: checkpointFullEvery,
+		Faults:              cfg.Faults,
+		Obs:                 cfg.Obs,
+		OnCheckpoint:        d.onCheckpoint,
 	}
 	if sim.HasCheckpoint(cfg.CheckpointDir) {
 		if d.stream, err = em.ResumeStream(policy, opts); err != nil {
@@ -498,9 +511,18 @@ func (d *Daemon) die(s state, reason string) {
 	d.m.degraded.Set(1)
 }
 
+// Applied returns how many events the daemon holds: the position a
+// feeder resumes its log from.
+func (d *Daemon) Applied() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stream.Applied()
+}
+
 // Close drains the ingest queue, takes a final checkpoint, and
-// releases the WAL — the graceful SIGTERM path. Safe to call more
-// than once.
+// releases the WAL — the graceful SIGTERM path. The drain checkpoint
+// publishes under a fresh name, so the one LATEST names stays intact
+// until its replacement lands. Safe to call more than once.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		d.ingestMu.Lock()

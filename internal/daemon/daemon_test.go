@@ -315,6 +315,37 @@ func TestCloseDrainAndRestart(t *testing.T) {
 	requireSameFS(t, "restart", d2, ref)
 }
 
+// TestDrainCheckpointPublishesFreshName: the drain checkpoint Close
+// takes under a trigger count that already has a checkpoint publishes
+// under a new name, so the checkpoint LATEST named survives until its
+// replacement lands, and a restart replays no WAL record.
+func TestDrainCheckpointPublishesFreshName(t *testing.T) {
+	evs := accessEvents(tinyDataset())
+	cfg := baseConfig(t)
+	d1 := newDaemon(t, tinyDataset(), cfg)
+	ingestAll(t, d1, evs[:10], 10)
+	if d1.lastCkpt == 0 || d1.lastCkpt >= d1.stream.Applied() {
+		t.Fatalf("fixture: last trigger checkpoint at event %d of %d, want events after it", d1.lastCkpt, d1.stream.Applied())
+	}
+	triggerCkpt := latestName(t, cfg.CheckpointDir)
+	if err := d1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	drain := latestName(t, cfg.CheckpointDir)
+	if drain <= triggerCkpt {
+		t.Fatalf("drain checkpoint published as %q, want a name after the trigger checkpoint's %q", drain, triggerCkpt)
+	}
+	if _, err := os.Stat(filepath.Join(cfg.CheckpointDir, triggerCkpt)); err != nil {
+		t.Fatalf("trigger checkpoint gone after the drain: %v", err)
+	}
+
+	d2 := newDaemon(t, tinyDataset(), cfg)
+	defer d2.Close()
+	if d2.stream.Applied() != 10 || d2.recovered != 0 {
+		t.Fatalf("restart: Applied = %d, recovered = %d; want 10 and 0", d2.stream.Applied(), d2.recovered)
+	}
+}
+
 // TestDiskFullDegrades drives the daemon into degraded read-only mode
 // via the disk-pressure fault and checks a restarted daemon picks up
 // every durable event.

@@ -9,7 +9,8 @@ package sim
 // Layout under RunOptions.CheckpointDir:
 //
 //	LATEST            name of the newest complete checkpoint
-//	t000042/          one checkpoint, written atomically (tmp + rename)
+//	t000042-000042/   one checkpoint (trigger count, checkpoint
+//	                  sequence), written atomically (tmp + fsync + rename)
 //	  state.json      cursor, trigger clock, result-so-far, fault state
 //	  fs.tsv.gz       full vfs snapshot via the trace.Snapshot codec
 //	  delta.tsv.gz    (delta checkpoints) upserts since the base
@@ -24,8 +25,12 @@ package sim
 // "base" field names the previous checkpoint), so checkpoint cost
 // scales with the mutation rate instead of the tree size. Loading a
 // delta walks the base chain back to the nearest full checkpoint and
-// replays upserts and deletions forward. Pruning protects the base
-// chain of every kept checkpoint.
+// replays upserts and deletions forward.
+//
+// Names strictly increase along a run, resumes included, so a chain
+// is a contiguous run of names and pruning needs no state.json: after
+// each publish it deletes every checkpoint outside the range from the
+// previous checkpoint's chain start to the one just published.
 //
 // Checkpoints are taken right after a trigger's purge ran, so the
 // serialized state is exactly the uninterrupted run's state at that
@@ -38,9 +43,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"activedr/internal/activeness"
@@ -54,14 +59,13 @@ import (
 )
 
 const (
-	latestFile      = "LATEST"
-	stateFile       = "state.json"
-	fsFile          = "fs.tsv.gz"
-	deltaFile       = "delta.tsv.gz"
-	deletedFile     = "deleted.gz"
-	capturedFile    = "captured.tsv.gz"
-	snapsSubdir     = "snapshots"
-	keepCheckpoints = 2
+	latestFile   = "LATEST"
+	stateFile    = "state.json"
+	fsFile       = "fs.tsv.gz"
+	deltaFile    = "delta.tsv.gz"
+	deletedFile  = "deleted.gz"
+	capturedFile = "captured.tsv.gz"
+	snapsSubdir  = "snapshots"
 	// maxDeltaChain caps how many delta links a loader will walk — a
 	// cycle or runaway chain fails fast instead of spinning.
 	maxDeltaChain = 1024
@@ -140,12 +144,15 @@ func (c Config) digestAt(version int) string {
 }
 
 // saveCheckpoint writes one complete checkpoint for the trigger that
-// just fired at `at`, then atomically publishes it via LATEST and
-// prunes old ones. A crash at any point leaves either the previous or
-// the new checkpoint intact, never a torn one.
+// just fired at `at`, fsyncs it, then atomically publishes it via
+// LATEST and prunes old ones. A crash at any point leaves either the
+// previous or the new checkpoint intact, never a torn one.
 func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *runState, at timeutil.Time) error {
 	dir := opts.CheckpointDir
-	name := fmt.Sprintf("t%06d", st.triggers)
+	// The checkpoint sequence number makes every save's name fresh and
+	// sorting after the previous one — also the daemon's drain
+	// checkpoint, taken under a trigger count that already has one.
+	name := fmt.Sprintf("t%06d-%06d", st.triggers, st.ckpts+1)
 	tmp := filepath.Join(dir, name+".tmp")
 	if err := os.RemoveAll(tmp); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
@@ -153,12 +160,8 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	// Decide full vs delta. A delta needs a distinct previous
-	// checkpoint to diff against (the daemon's manual Checkpoint can
-	// re-save under the same trigger count, which must not self-base).
 	kind := kindFull
-	if opts.CheckpointFullEvery > 1 && st.ckpts%opts.CheckpointFullEvery != 0 &&
-		st.lastCkpt != "" && st.lastCkpt != name {
+	if opts.CheckpointFullEvery > 1 && st.ckpts%opts.CheckpointFullEvery != 0 && st.lastCkpt != "" {
 		kind = kindDelta
 	}
 	if kind == kindFull {
@@ -247,13 +250,17 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 	if err := os.WriteFile(filepath.Join(tmp, stateFile), blob, 0o644); err != nil {
 		return fmt.Errorf("sim: checkpoint state: %w", err)
 	}
-	final := filepath.Join(dir, name)
-	// A stale directory with this trigger count can linger from a
-	// previous incarnation killed before publishing LATEST.
-	if err := os.RemoveAll(final); err != nil {
+	// A durable rename does not make the files under it durable:
+	// without these fsyncs a power cut after LATEST moves, and after
+	// the daemon pruned its WAL up to this checkpoint, could leave its
+	// files empty.
+	if err := syncTree(tmp); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	if err := fsx.RenameDurable(tmp, final); err != nil {
+	if err := clearStale(dir, name); err != nil {
+		return fmt.Errorf("sim: checkpoint: %w", err)
+	}
+	if err := fsx.RenameDurable(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
 	// LATEST is the durability linchpin: fsx.WriteFileAtomic fsyncs
@@ -263,12 +270,73 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 	if err := fsx.WriteFileAtomic(filepath.Join(dir, latestFile), []byte(name+"\n"), 0o644); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
+	prevStart := st.chainStart
+	if kind == kindFull {
+		st.chainStart = name
+	}
 	st.ckpts++
 	st.lastCkpt = name
 	st.snapsSaved = len(st.res.Snapshots)
 	st.capturedSaved = st.res.Captured != nil
-	pruneCheckpoints(dir, keepCheckpoints)
+	pruneCheckpoints(dir, prevStart, name)
 	return nil
+}
+
+// syncTree fsyncs every file under root, then every directory
+// bottom-up, root last. The files were written by writers that do not
+// sync (trace.WriteSnapshotFile also serves tracegen, which must not
+// pay for it); an fsync through a fresh descriptor flushes the same
+// inode.
+func syncTree(root string) error {
+	var dirs []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			dirs = append(dirs, p)
+			return nil
+		}
+		f, err := os.Open(p)
+		if err != nil {
+			return err
+		}
+		serr := fsx.SyncFile(f)
+		if cerr := f.Close(); serr == nil {
+			serr = cerr
+		}
+		return serr
+	})
+	if err != nil {
+		return err
+	}
+	for i := len(dirs) - 1; i >= 0; i-- {
+		if err := fsx.SyncDir(dirs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clearStale removes a directory already holding name: debris of a
+// save killed between its rename and LATEST, or of a run abandoned in
+// this directory. Within one run names never repeat, so only an
+// abandoned run's LATEST can still name it; that pointer is withdrawn
+// first, because LATEST must never name a missing checkpoint.
+func clearStale(dir, name string) error {
+	final := filepath.Join(dir, name)
+	if _, err := os.Stat(final); err != nil {
+		return nil
+	}
+	if cur, err := readLatest(dir); err == nil && cur == name {
+		if err := os.Remove(filepath.Join(dir, latestFile)); err != nil {
+			return err
+		}
+		if err := fsx.SyncDir(dir); err != nil {
+			return err
+		}
+	}
+	return os.RemoveAll(final)
 }
 
 // writePathList persists a sorted newline-separated path list, gzip
@@ -326,56 +394,36 @@ func readPathList(path string) (paths []string, err error) {
 // series naming.
 func seriesName(i int) string { return fmt.Sprintf("s%05d.tsv.gz", i) }
 
-// pruneCheckpoints removes all but the newest keep checkpoint
-// directories, never touching a checkpoint some kept checkpoint's
-// delta chain still bases on. Best-effort: pruning failures (or an
-// unreadable kept state, which makes the chain unknowable) never fail
-// the run — they just skip the prune.
-func pruneCheckpoints(dir string, keep int) {
+// pruneCheckpoints runs after `to` was published and deletes every
+// checkpoint directory outside [from, to], where from is the chain
+// start of the checkpoint published before it ("" when there was
+// none: only to's own chain, itself, is then kept). A delta bases on
+// the checkpoint written just before it, so the range holds both
+// checkpoints' chains; names below it are superseded, names above it
+// and *.tmp directories are debris of killed saves or of a run
+// abandoned here. Best-effort: a failed removal costs disk, never the
+// run.
+func pruneCheckpoints(dir, from, to string) {
+	if from == "" {
+		from = to
+	}
+	if from > to {
+		// Only a version-2 state stored under a name of this format,
+		// which no writer produces, gets here: v2 carries no sequence,
+		// so a save under its trigger count sorts below it. Keep
+		// everything.
+		return
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	var names []string
 	for _, ent := range entries {
 		n := ent.Name()
-		if ent.IsDir() && strings.HasPrefix(n, "t") && !strings.HasSuffix(n, ".tmp") {
-			names = append(names, n)
+		if !ent.IsDir() || !strings.HasPrefix(n, "t") {
+			continue
 		}
-	}
-	sort.Strings(names)
-	if len(names) <= keep {
-		return
-	}
-	protected := make(map[string]bool)
-	for _, n := range names[len(names)-keep:] {
-		protected[n] = true
-	}
-	// Follow every kept checkpoint's base chain; each link is needed
-	// to reconstruct the one above it.
-	for _, n := range names[len(names)-keep:] {
-		cur := n
-		for hops := 0; hops < maxDeltaChain; hops++ {
-			blob, err := os.ReadFile(filepath.Join(dir, cur, stateFile))
-			if err != nil {
-				return // chain unknowable: keep everything
-			}
-			var cs struct {
-				Kind string `json:"kind"`
-				Base string `json:"base"`
-			}
-			if err := json.Unmarshal(blob, &cs); err != nil {
-				return
-			}
-			if cs.Kind != kindDelta || cs.Base == "" || protected[cs.Base] {
-				break
-			}
-			protected[cs.Base] = true
-			cur = cs.Base
-		}
-	}
-	for _, n := range names {
-		if !protected[n] {
+		if strings.HasSuffix(n, ".tmp") || n < from || n > to {
 			os.RemoveAll(filepath.Join(dir, n))
 		}
 	}
@@ -587,6 +635,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 		// just loaded, with the sidecars it already accounts for.
 		ckpts:         cs.Ckpts,
 		lastCkpt:      name,
+		chainStart:    chain[len(chain)-1],
 		snapsSaved:    cs.NumSnapshots,
 		capturedSaved: cs.HasCaptured,
 	}

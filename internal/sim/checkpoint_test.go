@@ -227,12 +227,47 @@ func TestCheckpointPruning(t *testing.T) {
 			dirs++
 		}
 	}
-	if dirs > keepCheckpoints {
-		t.Fatalf("%d checkpoint dirs kept, want ≤ %d", dirs, keepCheckpoints)
+	// Full checkpoints only: the published one and the one before it.
+	if dirs > 2 {
+		t.Fatalf("%d checkpoint dirs kept, want ≤ 2", dirs)
 	}
 	if !HasCheckpoint(dir) {
 		t.Fatal("no resumable checkpoint after full run")
 	}
+}
+
+// TestFreshRunKeepsItsCheckpoints: a fresh run in a directory that
+// still holds an older, longer run's checkpoints must not prune its
+// own. The stale names sort after the new ones; pruning must not take
+// them for the newest and delete the checkpoint LATEST names.
+func TestFreshRunKeepsItsCheckpoints(t *testing.T) {
+	ds := tinyDataset()
+	em, err := New(ds, Config{TargetUtilization: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := em.Run(em.NewFLT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir, StopAfterTriggers: 3}); !errors.Is(err, ErrInterrupted) {
+		t.Fatal(err)
+	}
+	if !HasCheckpoint(dir) {
+		t.Fatal("the fresh run's published checkpoint was pruned")
+	}
+	if name, cs := latestState(t, dir); cs.Triggers != 3 {
+		t.Fatalf("LATEST = %s at trigger %d, want the fresh run's trigger 3", name, cs.Triggers)
+	}
+	got, err := em.Resume(em.NewFLT(), RunOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, got)
 }
 
 // TestCheckpointEverySpacing verifies CheckpointEvery thins the
@@ -257,8 +292,8 @@ func TestCheckpointEverySpacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "t000004" {
-		t.Fatalf("latest checkpoint = %s, want t000004", name)
+	if name != "t000004-000001" {
+		t.Fatalf("latest checkpoint = %s, want t000004-000001", name)
 	}
 	got, err := em.Resume(em.NewFLT(), RunOptions{CheckpointDir: dir})
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,28 +10,54 @@ import (
 
 	"activedr/internal/faults"
 	"activedr/internal/fsx"
+	"activedr/internal/timeutil"
 )
 
 // TestLatestPointerDurability pins the checkpoint publish protocol to
-// real durability barriers: the data files and the LATEST pointer must
-// be fsynced (file and parent directory) before they are visible, so a
-// power cut after publish can never resurrect a stale pointer.
+// real durability barriers: every file and directory of a checkpoint
+// must be fsynced before its rename, and the rename and the LATEST
+// pointer (file and parent directory) after it, so a power cut after
+// publish can neither resurrect a stale pointer nor leave the new
+// checkpoint's files empty.
 func TestLatestPointerDurability(t *testing.T) {
 	ds := tinyDataset()
-	em, err := New(ds, Config{TargetUtilization: 0.5})
+	// A capture, a snapshot series and a delta put every sidecar kind
+	// (and the snapshots/ subdirectory) into the two checkpoints.
+	em, err := New(ds, Config{TargetUtilization: 0.5, CaptureAt: timeutil.Date(2016, 1, 1), SnapshotEvery: timeutil.Days(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	before := fsx.SyncCount()
-	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir, StopAfterTriggers: 2}); !errors.Is(err, ErrInterrupted) {
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir, CheckpointFullEvery: 2, StopAfterTriggers: 2}); !errors.Is(err, ErrInterrupted) {
 		t.Fatal(err)
 	}
-	// Two checkpoints; each publish must fence at least the renamed
-	// checkpoint dir (target-dir sync) and the LATEST replacement
-	// (file sync + dir sync).
-	if n := fsx.SyncCount() - before; n < 6 {
-		t.Fatalf("only %d fsync barriers issued across two checkpoint publishes", n)
+	synced := fsx.SyncCount() - before
+
+	// Both checkpoints are kept (the second is a delta on the first).
+	// Each publish must fence each of its files and directories, then
+	// the renamed checkpoint dir (target-dir sync) and the LATEST
+	// replacement (file sync + dir sync).
+	ckpts, err := filepath.Glob(filepath.Join(dir, "t*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpts) != 2 {
+		t.Fatalf("%d checkpoint dirs on disk, want 2: %v", len(ckpts), ckpts)
+	}
+	want := int64(0)
+	for _, ck := range ckpts {
+		err := filepath.WalkDir(ck, func(string, fs.DirEntry, error) error {
+			want++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += 3
+	}
+	if synced < want {
+		t.Fatalf("%d fsync barriers issued across two checkpoint publishes, want at least %d", synced, want)
 	}
 
 	name, err := readLatest(dir)

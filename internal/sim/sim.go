@@ -306,10 +306,12 @@ type runState struct {
 	triggers    int // purge triggers fired so far
 	// Checkpoint-cadence state: how many checkpoints this run has
 	// written (keys the full/delta rotation), the name of the newest
-	// one (a delta's base), and which sidecars it already carries so
-	// deltas only ship what is new since then.
+	// one (a delta's base) and of the full checkpoint its chain starts
+	// at (the prune's lower bound), and which sidecars it already
+	// carries so deltas only ship what is new since then.
 	ckpts         int
 	lastCkpt      string
+	chainStart    string
 	snapsSaved    int
 	capturedSaved bool
 	// cursors memoizes each user's activity position across the run's
