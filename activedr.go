@@ -141,9 +141,9 @@ type (
 // NewActiveDR builds the ActiveDR policy.
 var NewActiveDR = retention.NewActiveDR
 
-// PlanPurge dry-runs a policy against a copy of the file system and
-// returns the report with the victim list populated; the input is
-// left untouched.
+// PlanPurge dry-runs a policy against a copy-free dry-run view of the
+// file system and returns the report with the victim list populated;
+// the input's contents are left untouched.
 var PlanPurge = retention.Plan
 
 // Synthetic trace generation.

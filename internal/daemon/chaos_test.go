@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"activedr/internal/faults"
 	"activedr/internal/randx"
+	"activedr/internal/timeutil"
+	"activedr/internal/trace"
 )
 
 // crashImage is a daemon's on-disk state (WAL + checkpoints) frozen
@@ -375,4 +378,113 @@ func TestChaosSoak(t *testing.T) {
 	requireSameReports(t, "soak", d.stream.Result().Reports, ref.Reports)
 	requireSameFS(t, "soak", d, ref)
 	t.Logf("soak: %d rounds to ingest %d events", round, len(evs))
+}
+
+// denseDataset is tinyDataset with the busy user creating a file every
+// day instead of every week: a feed long enough for several
+// multi-event batches between the year's purge triggers.
+func denseDataset() *trace.Dataset {
+	ds := tinyDataset()
+	ds.Accesses = ds.Accesses[:0]
+	for t := snapAt; t < repEnd; t = t.Add(timeutil.Day) {
+		ds.Accesses = append(ds.Accesses, trace.Access{TS: t.Add(timeutil.Hour), User: 0, Create: true,
+			Size: 1 << 20, Path: "/lustre/atlas/busy/run/" + t.DateString() + ".dat"})
+	}
+	ds.Accesses = append(ds.Accesses, trace.Access{TS: timeutil.Date(2016, time.May, 1), User: 0,
+		Size: 1 << 30, Path: "/lustre/atlas/busy/old/data.dat"})
+	ds.SortAccesses()
+	return ds
+}
+
+// freeze copies a daemon's WAL and checkpoint directories as they are
+// on disk now. Taken before Close, it is the disk at the instant of a
+// simulated death: Close may still land buffered WAL records.
+func freeze(t *testing.T, cfg Config) crashImage {
+	t.Helper()
+	dir := t.TempDir()
+	im := crashImage{walDir: filepath.Join(dir, "wal"), ckptDir: filepath.Join(dir, "ckpt")}
+	copyDir(t, cfg.WALDir, im.walDir)
+	copyDir(t, cfg.CheckpointDir, im.ckptDir)
+	return im
+}
+
+// ingestUntilKilled feeds evs from event from in batches until the
+// daemon dies, failing the test on any other error or if it never
+// dies. It returns how many events were acknowledged.
+func ingestUntilKilled(t *testing.T, d *Daemon, evs []Event, from, batch int) int {
+	t.Helper()
+	for i := from; i < len(evs); i += batch {
+		end := min(i+batch, len(evs))
+		if err := d.Ingest(evs[i:end]); err != nil {
+			if !errors.Is(err, ErrKilled) {
+				t.Fatalf("Ingest[%d:%d]: %v", i, end, err)
+			}
+			return i
+		}
+	}
+	t.Fatal("the daemon was never killed")
+	return 0
+}
+
+// requireLogMatchesStream asserts a recovered daemon's WAL ends
+// exactly at the stream's cursor: the next event gets the next
+// sequence number, and no recovery can skip or re-apply it.
+func requireLogMatchesStream(t *testing.T, label string, d *Daemon, acked int) {
+	t.Helper()
+	if got, want := d.log.LastSeq(), uint64(d.stream.Applied()); got != want {
+		t.Fatalf("%s: WAL ends at %d, stream applied %d", label, got, want)
+	}
+	if d.stream.Applied() < acked {
+		t.Fatalf("%s: recovered %d events, %d were acknowledged", label, d.stream.Applied(), acked)
+	}
+}
+
+// TestKillImageRecovery kills a daemon at a trigger checkpoint in the
+// middle of a multi-event batch and recovers from the disk image at
+// that instant. Every event is fsynced before it is applied, so the
+// image's WAL reaches at least the checkpoint's cursor and recovery
+// ends with the log and the stream at the same event. A second
+// incarnation with sparse checkpoints numbers new events from there
+// and dies after its second fsync; recovering that image and finishing
+// the feed must reproduce the batch replay.
+func TestKillImageRecovery(t *testing.T) {
+	ds := denseDataset()
+	evs := accessEvents(ds)
+	ref := batchReference(t, ds, nil)
+	for _, tc := range []struct{ batch, syncEvery int }{{25, 256}, {60, 16}} {
+		for kill := 1; kill <= 4; kill++ {
+			t.Run(fmt.Sprintf("batch=%d/kill=%d", tc.batch, kill), func(t *testing.T) {
+				cfg := baseConfig(t)
+				cfg.SyncEvery = tc.syncEvery
+				cfg.Faults = faults.New(faults.Config{Seed: 3,
+					KillSpec: fmt.Sprintf("%s:%d", faults.KillSimCheckpointPublished, kill)})
+				d1 := newDaemon(t, denseDataset(), cfg)
+				acked := ingestUntilKilled(t, d1, evs, 0, tc.batch)
+				im := freeze(t, cfg)
+				if err := d1.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				cfg2 := Config{WALDir: im.walDir, CheckpointDir: im.ckptDir, Sim: simCfg(),
+					SyncEvery: tc.syncEvery, CheckpointEvery: 5,
+					Faults:    faults.New(faults.Config{Seed: 3}),
+					WALFaults: faults.New(faults.Config{Seed: 1, KillSpec: KillWALSynced + ":2"})}
+				d2 := newDaemon(t, denseDataset(), cfg2)
+				requireLogMatchesStream(t, "first recovery", d2, acked)
+				acked = ingestUntilKilled(t, d2, evs, d2.stream.Applied(), tc.batch)
+				im2 := freeze(t, cfg2)
+				if err := d2.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				d3 := newDaemon(t, denseDataset(), Config{WALDir: im2.walDir, CheckpointDir: im2.ckptDir,
+					Sim: simCfg(), SyncEvery: tc.syncEvery, Faults: faults.New(faults.Config{Seed: 3})})
+				defer d3.Close()
+				requireLogMatchesStream(t, "second recovery", d3, acked)
+				ingestAll(t, d3, evs[d3.stream.Applied():], tc.batch)
+				requireSameReports(t, "kill image", d3.stream.Result().Reports, ref.Reports)
+				requireSameFS(t, "kill image", d3, ref)
+			})
+		}
+	}
 }

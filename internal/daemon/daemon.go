@@ -71,9 +71,9 @@ type Config struct {
 	// QueueDepth bounds the ingest queue in batches (default 64);
 	// a full queue surfaces ErrBackpressure to the feeder.
 	QueueDepth int
-	// SyncEvery batches WAL fsyncs: at most this many events land
-	// between syncs within one batch (default 256; every batch also
-	// syncs at its end before acknowledging).
+	// SyncEvery sizes the WAL's group commits: a batch is appended,
+	// landed with one write and one fsync, and then applied in groups
+	// of at most this many events (default 256).
 	SyncEvery int
 	// CheckpointEvery spaces checkpoints to one every N purge
 	// triggers (default 1).
@@ -288,8 +288,9 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 }
 
 // recover opens the WAL, checks it joins the checkpoint without a
-// gap, and replays every event past the checkpoint through the same
-// Stream the live feed uses. Deterministic: killed and restarted at
+// gap or a shortfall (an empty WAL continues at the checkpoint's
+// cursor), and replays every event past the checkpoint through the
+// same Stream the live feed uses. Deterministic: killed and restarted at
 // any record, the surviving state is always a prefix-consistent
 // replay.
 func (d *Daemon) recover() error {
@@ -304,9 +305,28 @@ func (d *Daemon) recover() error {
 	d.walInfo = info
 
 	applied := uint64(d.stream.Applied())
-	if info.Records > 0 && info.FirstSeq > applied+1 {
+	switch {
+	case info.Records == 0 && log.LastSeq() > applied:
+		// The only segment is empty but named past the checkpoint: the
+		// records between were pruned or lost.
+		return fmt.Errorf("%w: checkpoint ends at event %d but the empty WAL resumes at %d: events lost",
+			wal.ErrCorrupt, applied, log.LastSeq()+1)
+	case info.Records == 0:
+		// A fresh or emptied WAL directory under existing checkpoints
+		// continues the stream's numbering, so the next recovery's
+		// "replay past the cursor" sees every new event.
+		if err := log.StartAt(applied + 1); err != nil {
+			return err
+		}
+	case info.FirstSeq > applied+1:
 		return fmt.Errorf("%w: checkpoint ends at event %d but the WAL starts at %d: events lost",
 			wal.ErrCorrupt, applied, info.FirstSeq)
+	case info.LastSeq < applied:
+		// Every event is fsynced before it is applied, so a log behind
+		// its checkpoint means the disk went backwards. Appending here
+		// would reuse sequence numbers the checkpoint already covers.
+		return fmt.Errorf("%w: checkpoint ends at event %d but the WAL ends at %d",
+			wal.ErrCorrupt, applied, info.LastSeq)
 	}
 	if info.LastSeq > applied {
 		d.recovering = true
@@ -416,9 +436,13 @@ func (d *Daemon) applier() {
 	}
 }
 
-// applyBatch runs one ingest batch: WAL append (with deterministic
-// jittered-backoff retries) then apply, fsync batching within, one
-// final fsync before the acknowledgment.
+// applyBatch runs one ingest batch as a sequence of group commits of
+// at most SyncEvery events each: append the group to the WAL (with
+// deterministic jittered-backoff retries), land and fsync it with one
+// write and one fsync, and only then apply it. Applying after the
+// fsync keeps every checkpoint a trigger writes inside the batch
+// behind the durable WAL, so recovery never finds the log ending
+// before the checkpoint's cursor.
 func (d *Daemon) applyBatch(events []Event) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -430,62 +454,27 @@ func (d *Daemon) applyBatch(events []Event) error {
 	case stateClosed:
 		return ErrClosed
 	}
-	sinceSync := 0
-	for i := range events {
-		ev := &events[i]
-		payload, err := ev.Encode(d.users)
-		if err != nil {
-			return err // nothing appended for this event; batch aborts
-		}
-		var seq uint64
-		attempt := 0
-		err = faults.RetryBackoff(d.cfg.RetryAttempts, d.backoff, func(t time.Duration) {
-			d.m.retries.Inc()
-			d.cfg.Sleep(t)
-		}, func() error {
-			attempt++
-			var aerr error
-			seq, aerr = d.log.Append(payload)
-			return aerr
-		})
-		if err != nil {
-			switch {
-			case errors.Is(err, wal.ErrTorn):
-				d.die(stateKilled, fmt.Sprintf("torn write at event %d: %v", i, err))
-				return fmt.Errorf("%w: %v", ErrKilled, err)
-			case faults.IsDiskFull(err):
-				d.die(stateDegraded, fmt.Sprintf("disk full: %v", err))
-				return fmt.Errorf("%w: %v", ErrDegraded, err)
-			default:
-				d.die(stateDegraded, fmt.Sprintf("write failed after %d attempts: %v", attempt, err))
-				return fmt.Errorf("%w: %v", ErrDegraded, err)
-			}
-		}
-		d.m.walRecords.Inc()
-		if err := d.apply(ev); err != nil {
-			if errors.Is(err, sim.ErrInterrupted) {
-				// A replay-level kill point (checkpoint published)
-				// fired: simulated process death.
-				d.die(stateKilled, "kill point after checkpoint publish")
-				return fmt.Errorf("%w: %v", ErrKilled, err)
-			}
-			// The event is already durable but unappliable — a feed
-			// bug. Degrade loudly instead of diverging quietly.
-			d.die(stateDegraded, fmt.Sprintf("apply event %d: %v", seq, err))
-			return fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-		d.m.lastSeq.Set(int64(d.stream.Applied()))
-		d.m.ingested.Inc()
-		sinceSync++
-		if sinceSync >= d.cfg.SyncEvery {
-			if err := d.syncLocked(); err != nil {
+	for len(events) > 0 {
+		group := events[:min(len(events), d.cfg.SyncEvery)]
+		events = events[len(group):]
+		for i := range group {
+			payload, err := group[i].Encode(d.users)
+			if err != nil {
+				// Nothing appended for this event; the batch aborts
+				// after committing the events before it, so the WAL
+				// holds no record the stream has not applied.
+				if cerr := d.commitLocked(group[:i]); cerr != nil {
+					return cerr
+				}
 				return err
 			}
-			sinceSync = 0
+			if err := d.appendLocked(payload); err != nil {
+				return err
+			}
 		}
-	}
-	if err := d.syncLocked(); err != nil {
-		return err
+		if err := d.commitLocked(group); err != nil {
+			return err
+		}
 	}
 	if d.cfg.WALFaults != nil && d.cfg.WALFaults.ShouldKill(KillWALSynced) {
 		d.die(stateKilled, "kill point after batch fsync")
@@ -494,7 +483,66 @@ func (d *Daemon) applyBatch(events []Event) error {
 	return nil
 }
 
-// syncLocked fsyncs the WAL (d.mu held), degrading on failure.
+// appendLocked appends one event's record to the WAL (d.mu held),
+// retrying transient failures, and moves the daemon to its terminal
+// state when the append fails for good.
+func (d *Daemon) appendLocked(payload []byte) error {
+	attempt := 0
+	err := faults.RetryBackoff(d.cfg.RetryAttempts, d.backoff, func(t time.Duration) {
+		d.m.retries.Inc()
+		d.cfg.Sleep(t)
+	}, func() error {
+		attempt++
+		_, aerr := d.log.Append(payload)
+		return aerr
+	})
+	switch {
+	case err == nil:
+		d.m.walRecords.Inc()
+		return nil
+	case errors.Is(err, wal.ErrTorn):
+		d.die(stateKilled, fmt.Sprintf("torn write: %v", err))
+		return fmt.Errorf("%w: %v", ErrKilled, err)
+	case faults.IsDiskFull(err):
+		d.die(stateDegraded, fmt.Sprintf("disk full: %v", err))
+		return fmt.Errorf("%w: %v", ErrDegraded, err)
+	default:
+		d.die(stateDegraded, fmt.Sprintf("write failed after %d attempts: %v", attempt, err))
+		return fmt.Errorf("%w: %v", ErrDegraded, err)
+	}
+}
+
+// commitLocked makes a group of appended events durable with one WAL
+// write and fsync, then applies them (d.mu held).
+func (d *Daemon) commitLocked(group []Event) error {
+	if len(group) == 0 {
+		return nil
+	}
+	if err := d.syncLocked(); err != nil {
+		return err
+	}
+	for i := range group {
+		if err := d.apply(&group[i]); err != nil {
+			if errors.Is(err, sim.ErrInterrupted) {
+				// A replay-level kill point (checkpoint published)
+				// fired: simulated process death.
+				d.die(stateKilled, "kill point after checkpoint publish")
+				return fmt.Errorf("%w: %v", ErrKilled, err)
+			}
+			// The event is already durable but unappliable — a feed
+			// bug. Degrade loudly instead of diverging quietly.
+			d.die(stateDegraded, fmt.Sprintf("apply event %d: %v", d.stream.Applied()+1, err))
+			return fmt.Errorf("%w: %v", ErrDegraded, err)
+		}
+		d.m.lastSeq.Set(int64(d.stream.Applied()))
+		d.m.ingested.Inc()
+	}
+	return nil
+}
+
+// syncLocked lands and fsyncs the WAL's pending records (d.mu held),
+// degrading on failure. Every call has records to sync, so the sync
+// counter counts fsyncs.
 func (d *Daemon) syncLocked() error {
 	if err := d.log.Sync(); err != nil {
 		d.die(stateDegraded, fmt.Sprintf("wal fsync: %v", err))

@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"activedr/internal/faults"
+	"activedr/internal/obs"
 	"activedr/internal/retention"
 	"activedr/internal/sim"
 	"activedr/internal/timeutil"
@@ -517,5 +519,120 @@ func copyDir(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatalf("copyDir %s: %v", src, err)
+	}
+}
+
+// TestEmptyWALContinuesCheckpointSequence restarts a daemon over its
+// checkpoints with the WAL directory gone. The new log must number its
+// events after the checkpoint's cursor: numbered from 1, the next
+// recovery would skip them as already covered and lose acknowledged
+// events.
+func TestEmptyWALContinuesCheckpointSequence(t *testing.T) {
+	ds := tinyDataset()
+	evs := accessEvents(ds)
+	ref := batchReference(t, ds, nil)
+
+	cfg := baseConfig(t)
+	cfg.CheckpointEvery = 1000 // only drain checkpoints: recovery leans on the WAL
+	d1 := newDaemon(t, tinyDataset(), cfg)
+	ingestAll(t, d1, evs[:40], 10)
+	if err := d1.Close(); err != nil { // drain checkpoint at event 40
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(cfg.WALDir); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2 := cfg
+	cfg2.WALFaults = faults.New(faults.Config{Seed: 1, KillSpec: KillWALSynced + ":2"})
+	d2 := newDaemon(t, tinyDataset(), cfg2)
+	if got := d2.log.LastSeq(); got != 40 {
+		t.Fatalf("empty WAL resumes after sequence %d, want 40", got)
+	}
+	if err := d2.Ingest(evs[40:45]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Ingest(evs[45:50]); !errors.Is(err, ErrKilled) {
+		t.Fatalf("second batch = %v, want ErrKilled after its fsync", err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d3 := newDaemon(t, tinyDataset(), cfg)
+	defer d3.Close()
+	if got := d3.stream.Applied(); got != 50 {
+		t.Fatalf("restart holds %d events, want the 50 fsynced (45 of them acknowledged)", got)
+	}
+	ingestAll(t, d3, evs[50:], 7)
+	requireSameReports(t, "empty WAL", d3.stream.Result().Reports, ref.Reports)
+	requireSameFS(t, "empty WAL", d3, ref)
+}
+
+// TestWALBehindCheckpointIsCorruption: a non-empty WAL that ends
+// before the checkpoint's cursor cannot come from a crash once every
+// event is fsynced before it is applied. Recovery refuses it instead
+// of numbering new events inside the checkpoint's range.
+func TestWALBehindCheckpointIsCorruption(t *testing.T) {
+	evs := accessEvents(tinyDataset())
+	cfg := baseConfig(t)
+	d1 := newDaemon(t, tinyDataset(), cfg)
+	ingestAll(t, d1, evs[:10], 10)
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replace the WAL with one holding only events 1..5.
+	if err := os.RemoveAll(cfg.WALDir); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(cfg.WALDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range evs[:5] {
+		payload, err := evs[i].Encode(tinyDataset().Users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(tinyDataset(), cfg)
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "event 10") ||
+		!strings.Contains(err.Error(), "ends at 5") {
+		t.Fatalf("recovery over a short WAL = %v, want wal.ErrCorrupt naming events 10 and 5", err)
+	}
+}
+
+// TestSyncCountsFsyncs: one batch of exactly SyncEvery events is one
+// group commit, so the sync counter reads 1.
+func TestSyncCountsFsyncs(t *testing.T) {
+	ds := tinyDataset()
+	o, err := obs.NewObserver(obs.NewRegistry(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(t)
+	cfg.Obs = o
+	d := newDaemon(t, ds, cfg)
+	defer d.Close()
+	// 256 touches of the same file, the default SyncEvery.
+	evs := make([]Event, 256)
+	for i := range evs {
+		evs[i] = Event{TS: snapAt.Add(timeutil.Duration(i)), User: 0, Op: OpAccess, Size: 1,
+			Path: "/lustre/atlas/busy/old/data.dat"}
+	}
+	if err := d.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Registry().Counter("daemon_wal_syncs_total").Value(); got != 1 {
+		t.Fatalf("daemon_wal_syncs_total = %d after one %d-event batch, want 1", got, len(evs))
+	}
+	if got := o.Registry().Counter("daemon_wal_records_total").Value(); got != 256 {
+		t.Fatalf("daemon_wal_records_total = %d, want 256", got)
 	}
 }

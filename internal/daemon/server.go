@@ -157,8 +157,8 @@ func (d *Daemon) handleRanks(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"evaluated_at": at, "ranks": entries})
 }
 
-// dryRunPlan runs the policy's purge against a clone of the live file
-// system at the next trigger time, using the current rank table
+// dryRunPlan runs the policy's purge against a dry-run view of the
+// live file system (retention.Plan) at the next trigger time, using the current rank table
 // (evaluated at the reference snapshot until the first trigger). The
 // plan uses a FRESH policy instance with no fault injector attached:
 // the live policy's faults handle must not see extra draws, or the
@@ -237,8 +237,8 @@ func (d *Daemon) planLocked(userName string) (planResponse, int, error) {
 		TargetReached: rep.TargetReached,
 	}
 	if uid >= 0 {
-		// Victims were purged from the clone, so ownership still
-		// resolves against the live tree.
+		// Victims were only hidden from the plan's view, so ownership
+		// still resolves against the live tree.
 		for _, path := range rep.Victims {
 			meta, ok := d.stream.FS().Lookup(path)
 			if !ok || int(meta.User) != uid {

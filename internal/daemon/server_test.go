@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,37 +208,62 @@ func TestReadyzReportsDegraded(t *testing.T) {
 // TestPlanDoesNotPerturbReplay guards the dry-run isolation: serving
 // plans mid-stream must not consume fault-injector draws or mutate
 // state, or the daemon's later purges would diverge from batch
-// replay. Runs with purge faults enabled so any stolen draw shows.
+// replay. Runs with purge faults enabled so any stolen draw shows. A
+// twin daemon fed the same batches and no reads must end with the
+// same value in every registry counter: plans carry no probe.
 func TestPlanDoesNotPerturbReplay(t *testing.T) {
 	ds := tinyDataset()
 	evs := accessEvents(ds)
 	fc := faults.Config{Seed: 42, UnlinkFailProb: 0.3}
 	ref := batchReference(t, ds, &fc)
 
-	cfg := baseConfig(t)
-	cfg.Faults = faults.New(fc)
-	d := newDaemon(t, ds, cfg)
+	newObserved := func() (*Daemon, *obs.Observer) {
+		t.Helper()
+		o, err := obs.NewObserver(obs.NewRegistry(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := baseConfig(t)
+		cfg.Faults = faults.New(fc)
+		cfg.Obs = o
+		return newDaemon(t, tinyDataset(), cfg), o
+	}
+	d, dObs := newObserved()
 	defer d.Close()
+	twin, twinObs := newObserved()
+	defer twin.Close()
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
+	// Hammer the dry-run endpoints before every batch and after the
+	// last, starting while the parked files still put usage over the
+	// target, so the plans do purge work.
+	planned := 0
+	hammer := func() {
+		t.Helper()
+		getJSON(t, srv, "/v1/plan?user=gone", http.StatusOK, nil)
+		var victims struct{ Total int }
+		getJSON(t, srv, "/v1/victims", http.StatusOK, &victims)
+		planned += victims.Total
+	}
 	for i := 0; i < len(evs); i += 5 {
 		end := min(i+5, len(evs))
+		hammer()
 		if err := d.Ingest(evs[i:end]); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
-		// Hammer the dry-run endpoints between batches.
-		resp, err := srv.Client().Get(srv.URL + "/v1/plan?user=gone")
-		if err != nil {
-			t.Fatal(err)
+		if err := twin.Ingest(evs[i:end]); err != nil {
+			t.Fatalf("twin Ingest: %v", err)
 		}
-		resp.Body.Close()
-		resp, err = srv.Client().Get(srv.URL + "/v1/victims")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	}
+	hammer()
+	if planned == 0 {
+		t.Fatal("no plan named a victim; the isolation check ran on empty plans")
 	}
 	requireSameReports(t, "plan isolation", d.stream.Result().Reports, ref.Reports)
 	requireSameFS(t, "plan isolation", d, ref)
+	got, want := dObs.Registry().Snapshot().Counters, twinObs.Registry().Snapshot().Counters
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters of the daemon serving plans diverge from its twin's:\n got %+v\nwant %+v", got, want)
+	}
 }

@@ -69,3 +69,32 @@ func BenchmarkPurgeTrigger(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlan times one ActiveDR dry-run plan (target utilization
+// 0.5) over a namespace of 10k/100k files: the work behind the
+// daemon's /v1/plan and /v1/victims. The plan leaves the namespace as
+// it was, so every iteration plans the same state.
+func BenchmarkPlan(b *testing.B) {
+	tc := timeutil.Date(2016, time.August, 23)
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("files=%d", n), func(b *testing.B) {
+			fsys, nUsers := buildPurgeFS(b, n, tc)
+			ranks := make([]activeness.Rank, nUsers)
+			adr, err := NewActiveDR(Config{
+				Lifetime:          timeutil.Days(90),
+				Capacity:          fsys.TotalBytes(),
+				TargetUtilization: 0.5,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := Plan(adr, fsys, ranks, tc); rep.PurgedFiles == 0 {
+					b.Fatal("plan purged nothing")
+				}
+			}
+		})
+	}
+}

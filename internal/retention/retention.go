@@ -613,18 +613,22 @@ phaseLoop:
 	return report
 }
 
-// Plan runs a policy against a throwaway copy of the file system and
-// returns the purge report with the victim list populated — a dry
-// run: the input file system is left untouched. The policy's own
+// Plan runs a policy against a dry-run view of the file system
+// (vfs.FS.DryRun) and returns the purge report with the victim list
+// populated — a dry run: the purge hides its victims from the view,
+// and the input file system's contents and totals are left untouched.
+// fsys must be a private FS, not a lane view. Like a purge, the plan
+// compacts fsys's candidate index, so it needs the same exclusive
+// access to fsys as any other query. The policy's own
 // CollectVictims knob is not required; Plan forces collection via the
 // planner interface both built-in policies implement.
 func Plan(p Policy, fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Report {
-	clone := fsys.Clone()
+	view := fsys.DryRun()
 	if c, ok := p.(victimCollector); ok {
 		restore := c.setCollectVictims(true)
 		defer restore()
 	}
-	return p.Purge(clone, ranks, tc)
+	return p.Purge(view, ranks, tc)
 }
 
 // victimCollector lets Plan force victim collection on a policy.

@@ -82,9 +82,9 @@ func TestParseLocalDST(t *testing.T) {
 		in   string
 		want Time
 	}{
-		{"before spring gap", "2024-03-31 01:59:59", 1711846799}, // 00:59:59Z
-		{"inside spring gap", "2024-03-31 02:30:00", 1711848600}, // normalized to 03:30 CEST = 01:30Z
-		{"after spring gap", "2024-03-31 03:00:00", 1711846800},  // 01:00Z
+		{"before spring gap", "2024-03-31 01:59:59", 1711846799},   // 00:59:59Z
+		{"inside spring gap", "2024-03-31 02:30:00", 1711848600},   // normalized to 03:30 CEST = 01:30Z
+		{"after spring gap", "2024-03-31 03:00:00", 1711846800},    // 01:00Z
 		{"ambiguous fall-back", "2024-10-27 02:30:00", 1729992600}, // post-transition CET = 01:30Z
 		{"after fall-back", "2024-10-27 03:30:00", 1729996200},
 	}

@@ -392,7 +392,7 @@ var (
 		parse: func(dc *decoder, line []byte, _ map[string]UserID) (User, error) {
 			return decodeUser(dc, line)
 		}}
-	jobSpec = rowSpec[Job]{name: JobsFile, recBytes: 20, parse: decodeJob}
+	jobSpec    = rowSpec[Job]{name: JobsFile, recBytes: 20, parse: decodeJob}
 	accessSpec = rowSpec[Access]{name: AccessesFile, recBytes: 32, internPaths: true,
 		parse: decodeAccess}
 	pubSpec      = rowSpec[Publication]{name: PubsFile, recBytes: 24, parse: decodePublication}

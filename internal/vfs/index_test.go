@@ -120,9 +120,9 @@ func TestStaleFilesTombstones(t *testing.T) {
 	mustInsert("/a", 1, day)
 	mustInsert("/b", 1, day)
 	mustInsert("/c", 1, day)
-	fs.Touch("/a", 100*day)                              // renewed: no longer stale
-	fs.Remove("/b")                                      // gone
-	mustInsert("/c", 2, day)                             // chowned to user 2
+	fs.Touch("/a", 100*day)  // renewed: no longer stale
+	fs.Remove("/b")          // gone
+	mustInsert("/c", 2, day) // chowned to user 2
 	if got := fs.StaleFiles(1, 50*day); len(got) != 0 {
 		t.Fatalf("user 1 stale = %v, want none", got)
 	}

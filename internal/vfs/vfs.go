@@ -3,6 +3,7 @@ package vfs
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -185,11 +186,17 @@ type FS struct {
 	// shared record's owner, so lane stale-file queries still find
 	// them under the override owner.
 	extra map[trace.UserID]*userIndex
+
+	// hidden is non-nil only on a dry-run view (DryRun): the terminal
+	// nodes of the source tree the view has removed. Everything the
+	// view answers skips them; the source never sees them.
+	hidden map[*rnode[fileRecord]]struct{}
 }
 
 // SetProbe installs observability counters for this FS's mutating hot
-// paths. Clones do not inherit the probe: captured states and planner
-// copies stay unobserved so instrumentation never double-counts.
+// paths. Clones and dry-run views do not inherit the probe: captured
+// states and plans stay unobserved so instrumentation never
+// double-counts.
 func (f *FS) SetProbe(p obs.VFSProbe) { f.probe = p }
 
 // New returns an empty FS.
@@ -227,16 +234,12 @@ func (f *FS) Insert(path string, m FileMeta) error {
 	if f.group != nil {
 		panic("vfs: lane views are mutated via LaneGroup.ApplyRun, not Insert")
 	}
+	if f.hidden != nil {
+		panic("vfs: a dry-run view only supports Remove, not Insert")
+	}
 	n, prev, existed := f.tree.put(path, fileRecord{meta: m, path: path})
 	if existed {
-		old := prev.meta
-		f.bytes -= old.Size
-		f.userBytes[old.User] -= old.Size
-		f.userFiles[old.User]--
-		if f.userFiles[old.User] == 0 {
-			delete(f.userFiles, old.User)
-			delete(f.userBytes, old.User)
-		}
+		f.unaccount(prev.meta)
 	}
 	f.bytes += m.Size
 	f.userBytes[m.User] += m.Size
@@ -266,7 +269,16 @@ func (f *FS) Lookup(path string) (FileMeta, bool) {
 		}
 		return f.laneMeta(&n.value), true
 	}
+	if f.hidden != nil && f.isHidden(n) {
+		return FileMeta{}, false
+	}
 	return n.value.meta, true
+}
+
+// isHidden reports whether a dry-run view has removed the file at n.
+func (f *FS) isHidden(n *rnode[fileRecord]) bool {
+	_, gone := f.hidden[n]
+	return gone
 }
 
 // Contains reports whether path holds a file.
@@ -280,6 +292,9 @@ func (f *FS) Contains(path string) bool {
 func (f *FS) Touch(path string, at timeutil.Time) bool {
 	if f.group != nil {
 		panic("vfs: lane views are mutated via LaneGroup.ApplyRun, not Touch")
+	}
+	if f.hidden != nil {
+		panic("vfs: a dry-run view only supports Remove, not Touch")
 	}
 	n := f.tree.findNode(path)
 	if n == nil || !n.terminal {
@@ -301,16 +316,30 @@ func (f *FS) Touch(path string, at timeutil.Time) bool {
 // Remove purges the file at path, reporting its metadata. Index
 // entries are invalidated lazily: the next StaleFiles compaction of
 // their bucket drops them. On a lane view only this lane's copy is
-// dropped; the shared record dies when the last holder removes it.
+// dropped; the shared record dies when the last holder removes it. On
+// a dry-run view the file is only hidden from the view.
 func (f *FS) Remove(path string) (FileMeta, bool) {
 	if f.group != nil {
 		return f.laneRemoveNode(f.laneResolve(path), path)
+	}
+	if f.hidden != nil {
+		return f.hide(f.tree.findNode(path))
 	}
 	r, ok := f.tree.delete(path)
 	if !ok {
 		return FileMeta{}, false
 	}
-	m := r.meta
+	f.unaccount(r.meta)
+	if f.dirty != nil {
+		f.dirty[r.path] = struct{}{}
+	}
+	f.probe.Removes.Inc()
+	return r.meta, true
+}
+
+// unaccount takes a file's bytes and count off a private FS's (or a
+// dry-run view's) totals, dropping users left with nothing.
+func (f *FS) unaccount(m FileMeta) {
 	f.bytes -= m.Size
 	f.userBytes[m.User] -= m.Size
 	f.userFiles[m.User]--
@@ -318,27 +347,42 @@ func (f *FS) Remove(path string) (FileMeta, bool) {
 		delete(f.userFiles, m.User)
 		delete(f.userBytes, m.User)
 	}
-	if f.dirty != nil {
-		f.dirty[r.path] = struct{}{}
-	}
-	f.probe.Removes.Inc()
-	return m, true
 }
 
 // RemoveCandidate is Remove for a candidate an earlier StaleFiles
-// call emitted: on a lane view the candidate's cached node replaces
-// the lookup when it still describes the path, with the same fallback
-// and content semantics as Remove. On a private FS it is exactly
-// Remove (the radix delete re-descends for node merging either way).
+// call emitted: on a lane or dry-run view the candidate's cached node
+// replaces the lookup when it still describes the path, with the same
+// fallback and content semantics as Remove. On a private FS it is
+// exactly Remove (the radix delete re-descends for node merging
+// either way).
 func (f *FS) RemoveCandidate(c Candidate) (FileMeta, bool) {
+	if f.group == nil && f.hidden == nil {
+		return f.Remove(c.Path)
+	}
+	n := c.node
+	valid := n != nil && n.terminal && n.value.path == c.Path
 	if f.group != nil {
-		n := c.node
-		if n == nil || !n.terminal || n.value.path != c.Path {
+		if !valid {
 			n = f.laneResolve(c.Path)
 		}
 		return f.laneRemoveNode(n, c.Path)
 	}
-	return f.Remove(c.Path)
+	if !valid {
+		n = f.tree.findNode(c.Path)
+	}
+	return f.hide(n)
+}
+
+// hide removes the file at n from a dry-run view: the view's
+// accounting drops it and its queries skip it, while the source's tree,
+// index and totals stay as they were.
+func (f *FS) hide(n *rnode[fileRecord]) (FileMeta, bool) {
+	if n == nil || !n.terminal || f.isHidden(n) {
+		return FileMeta{}, false
+	}
+	f.hidden[n] = struct{}{}
+	f.unaccount(n.value.meta)
+	return n.value.meta, true
 }
 
 // indexAdd appends an entry to the owner's day bucket, registering the
@@ -587,6 +631,13 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 			le := &live[i]
 			m := le.meta
 			switch mode {
+			case stalePrivate:
+				// A dry-run view compacts against the live tree, so the
+				// bucket stays right for the source; its own removals
+				// only filter what it emits.
+				if f.hidden != nil && f.isHidden(le.e.node) {
+					continue
+				}
 			case staleShared:
 				rec := &le.e.node.value
 				if rec.dropped&f.laneBit != 0 {
@@ -645,7 +696,7 @@ func (f *FS) Count() int {
 	if f.group != nil {
 		return int(f.laneFiles)
 	}
-	return f.tree.size()
+	return f.tree.size() - len(f.hidden)
 }
 
 // TotalBytes returns the total stored bytes.
@@ -677,11 +728,30 @@ func (f *FS) UserFiles(u trace.UserID) int64 {
 // false stops the walk early. Paths are the interned canonical
 // strings, so a walk allocates nothing.
 func (f *FS) Walk(fn func(path string, m FileMeta) bool) {
-	if f.group != nil {
+	switch {
+	case f.group != nil:
 		f.laneWalkRecords(f.tree.root, fn)
-		return
+	case f.hidden != nil:
+		f.viewWalkRecords(f.tree.root, fn)
+	default:
+		walkRecords(f.tree.root, fn)
 	}
-	walkRecords(f.tree.root, fn)
+}
+
+// viewWalkRecords is walkRecords skipping the files a dry-run view
+// has removed.
+func (f *FS) viewWalkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bool {
+	if n.terminal && !f.isHidden(n) {
+		if !fn(n.value.path, n.value.meta) {
+			return false
+		}
+	}
+	for _, c := range n.children {
+		if !f.viewWalkRecords(c, fn) {
+			return false
+		}
+	}
+	return true
 }
 
 // laneWalkRecords is walkRecords restricted to the files this lane
@@ -733,10 +803,11 @@ func (f *FS) Snapshot(taken timeutil.Time) *trace.Snapshot {
 // Clone deep-copies the FS so FLT and ActiveDR can replay the same
 // initial state independently. The tree is copied structurally (one
 // allocation per node, labels and paths shared) and the candidate
-// index is copied bucket by bucket. Cloning a lane view materializes
-// it as a private FS holding exactly the lane's files and metadata.
+// index is copied bucket by bucket. Cloning a lane or dry-run view
+// materializes it as a private FS holding exactly the view's files
+// and metadata.
 func (f *FS) Clone() *FS {
-	if f.group != nil {
+	if f.group != nil || f.hidden != nil {
 		c := New()
 		f.Walk(func(path string, m FileMeta) bool {
 			_ = c.Insert(path, m) // paths/sizes already validated on entry
@@ -758,6 +829,31 @@ func (f *FS) Clone() *FS {
 		c.userFiles[u] = n
 	}
 	return c
+}
+
+// DryRun returns a copy-free view of a private FS for planning a
+// purge against it. The view shares f's tree and candidate index and
+// copies only the per-user totals, O(users). Remove and
+// RemoveCandidate hide a file from the view; Count, Lookup, Walk,
+// the totals and the stale-file queries all answer for what is left,
+// while f itself is not changed. The view's queries compact f's index
+// buckets, as a query on f would, which changes no query's answer.
+// Insert and Touch panic, and the view has no probe and no dirty set.
+// A view is valid until f's next mutation and is not safe to use
+// concurrently with f.
+func (f *FS) DryRun() *FS {
+	if f.group != nil || f.hidden != nil {
+		panic("vfs: DryRun needs a private FS, not a lane or dry-run view")
+	}
+	return &FS{
+		tree:      f.tree,
+		bytes:     f.bytes,
+		userBytes: maps.Clone(f.userBytes),
+		userFiles: maps.Clone(f.userFiles),
+		index:     f.index,
+		scratch:   f.scratch,
+		hidden:    make(map[*rnode[fileRecord]]struct{}),
+	}
 }
 
 // cloneIndex deep-copies a candidate index. Cached node pointers are

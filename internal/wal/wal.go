@@ -11,10 +11,16 @@
 //
 // The log is a directory of segment files named by the first sequence
 // number they hold (<seq>.wal, zero-padded so lexical order is replay
-// order). Appends go to the last segment; a new one is started once
+// order). Records go to the last segment; a new one is started once
 // the active segment passes Options.SegmentBytes, which bounds both
 // recovery re-reads and the garbage a checkpoint-driven Prune leaves
 // behind.
+//
+// Commits are grouped: Append only frames a record into a pending
+// buffer, and Sync lands every pending record with one write(2) and
+// makes them durable with one fsync. A failed or short write is cut
+// back to the last whole record before Sync returns, so the segment
+// never holds a partial record that a later write would bury.
 //
 // Damage model: a crash can cut the tail of the last segment at any
 // byte (torn write). Open detects the incomplete record — short
@@ -106,11 +112,15 @@ type Log struct {
 	dir    string
 	opts   Options
 	f      *os.File // active segment (nil when empty log has no writes yet)
-	size   int64    // bytes in the active segment
+	size   int64    // bytes in the active segment, pending records included
+	buf    []byte   // framed records appended since the last write
 	next   uint64   // sequence the next Append receives
-	first  uint64   // first sequence still present (0 when empty)
-	dirty  bool     // unsynced appends pending
+	first  uint64   // first sequence still present or pending (0 when empty)
+	dirty  bool     // appends not yet fsynced
 	closed bool
+	// write lands bytes in the active segment: (*os.File).Write, which
+	// tests replace to model a short or failed write.
+	write func(f *os.File, p []byte) (int, error)
 }
 
 // Open scans dir (created if missing), validates every record,
@@ -130,7 +140,7 @@ func Open(dir string, opts Options) (*Log, RecoveryInfo, error) {
 	}
 	info.Segments = len(segs)
 
-	l := &Log{dir: dir, opts: opts, next: 1}
+	l := &Log{dir: dir, opts: opts, next: 1, write: (*os.File).Write}
 	if len(segs) > 0 {
 		// Pruned logs legitimately start past sequence 1; contiguity
 		// from the checkpoint's last applied sequence is the host's
@@ -189,11 +199,13 @@ func (l *Log) FirstSeq() uint64 { return l.first }
 // LastSeq returns the newest durable-or-pending sequence (0 = none).
 func (l *Log) LastSeq() uint64 { return l.next - 1 }
 
-// Append writes one record and returns its sequence number. The
-// record is NOT durable until Sync; the caller batches fsyncs. A
-// transient or disk-full error from the fault hooks leaves the log
-// unchanged (safe to retry); ErrTorn leaves a cut record behind and
-// poisons the log, modeling the crash that tore the write.
+// Append frames one record into the pending buffer and returns its
+// sequence number. Nothing is written until Sync (or a segment roll,
+// Replay or Close) lands the buffer; the record is durable only once
+// Sync returns. A transient or disk-full error from the fault hooks
+// leaves the log unchanged (safe to retry); ErrTorn lands the pending
+// records and a cut prefix of this one, then poisons the log,
+// modeling the crash that tore the write.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
@@ -208,47 +220,57 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 
 	seq := l.next
-	rec := make([]byte, headerSize+len(payload))
+	n := headerSize + len(payload)
+	h := l.opts.Hooks
+	if h != nil {
+		if err := h.WriteAttempt(n); err != nil {
+			return 0, err
+		}
+	}
+	mark := len(l.buf)
+	l.buf = append(l.buf, make([]byte, n)...)
+	rec := l.buf[mark:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(rec[8:16], seq)
 	copy(rec[headerSize:], payload)
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
 
-	if h := l.opts.Hooks; h != nil {
-		if err := h.WriteAttempt(len(rec)); err != nil {
-			return 0, err
-		}
-		if keep, torn := h.TornWrite(len(rec)); torn {
-			// Model the crash: the kept prefix lands (and is even
-			// synced, as the page cache may flush it), then the
-			// process is gone.
-			if _, werr := l.f.Write(rec[:keep]); werr != nil {
-				return 0, werr
+	if h != nil {
+		if keep, torn := h.TornWrite(n); torn {
+			// Model the crash: the records before this one and the kept
+			// prefix of this one land (and are even synced, as the page
+			// cache may flush them), then the process is gone.
+			l.closed = true
+			if _, err := l.write(l.f, l.buf[:mark+keep]); err != nil {
+				return 0, err
 			}
 			if err := fsx.SyncFile(l.f); err != nil {
 				return 0, err
 			}
-			l.closed = true
-			return 0, fmt.Errorf("wal: record %d cut at byte %d of %d: %w", seq, keep, len(rec), ErrTorn)
+			return 0, fmt.Errorf("wal: record %d cut at byte %d of %d: %w", seq, keep, n, ErrTorn)
 		}
 	}
 
-	if _, err := l.f.Write(rec); err != nil {
-		return 0, err
-	}
-	l.size += int64(len(rec))
+	l.size += int64(n)
 	l.next++
 	if l.first == 0 {
 		l.first = seq
 	}
 	l.dirty = true
-	return seq, nil //lint:allow fsyncorder Append is documented as not-durable-until-Sync; the daemon batches acks behind Options.SyncEvery
+	return seq, nil
 }
 
-// Sync makes every appended record durable.
+// Sync lands every pending record with one write(2), then makes every
+// appended record durable with one fsync. If the write fails or falls
+// short, the segment is cut back to its last whole record and the
+// records stay pending, so a retried Sync (or Close) writes whole
+// records only.
 func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.flush(); err != nil {
+		return err
 	}
 	if !l.dirty || l.f == nil {
 		return nil
@@ -260,11 +282,44 @@ func (l *Log) Sync() error {
 	return nil
 }
 
+// flush writes the pending records to the active segment in one
+// write(2). On a failed or short write it truncates the segment back
+// to the end of its last whole record and seeks there, keeping the
+// records pending. If even that fails the segment's tail is unknown,
+// so the log poisons itself: the partial record stays the last thing
+// in the segment, where Open repairs it as a torn tail.
+func (l *Log) flush() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	n, err := l.write(l.f, l.buf)
+	if err == nil && n < len(l.buf) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		l.buf = l.buf[:0]
+		return nil
+	}
+	whole := l.size - int64(len(l.buf))
+	if terr := l.f.Truncate(whole); terr != nil {
+		l.closed = true
+		return errors.Join(err, terr)
+	}
+	if _, serr := l.f.Seek(whole, io.SeekStart); serr != nil {
+		l.closed = true
+		return errors.Join(err, serr)
+	}
+	return err
+}
+
 // roll finalizes the active segment and starts a new one named by the
 // next sequence number. The directory entry is fsynced so the new
 // segment survives a crash that follows immediately.
 func (l *Log) roll() error {
 	if l.f != nil {
+		if err := l.flush(); err != nil {
+			return err
+		}
 		if err := fsx.SyncFile(l.f); err != nil {
 			return err
 		}
@@ -287,10 +342,52 @@ func (l *Log) roll() error {
 	return nil
 }
 
+// StartAt makes an empty log give seq to its next record, so a host
+// whose durable state already covers events 1..seq-1 (a checkpoint
+// over a fresh or emptied WAL directory) keeps one sequence space. An
+// empty segment left by a roll under another name is removed; the
+// next Append starts one named for seq. It fails once the log holds
+// or buffers a record.
+func (l *Log) StartAt(seq uint64) error {
+	if l.closed {
+		return ErrClosed
+	}
+	if seq == 0 {
+		return errors.New("wal: sequences start at 1")
+	}
+	if l.first != 0 {
+		return fmt.Errorf("wal: StartAt(%d) on a log holding records from %d", seq, l.first)
+	}
+	if seq == l.next {
+		return nil
+	}
+	if l.f != nil {
+		name := l.f.Name()
+		err := l.f.Close()
+		l.f = nil
+		if err != nil {
+			return err
+		}
+		if err := os.Remove(name); err != nil {
+			return err
+		}
+		if err := fsx.SyncDir(l.dir); err != nil {
+			return err
+		}
+	}
+	l.next = seq
+	return nil
+}
+
 // Replay streams every record with sequence > after, in order, to fn.
 // It re-reads and re-verifies the segment files, so it reports (not
 // panics on) anything that changed since Open.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
+	if !l.closed {
+		if err := l.flush(); err != nil {
+			return err
+		}
+	}
 	segs, err := listSegments(l.dir)
 	if err != nil {
 		return err
@@ -335,19 +432,21 @@ func (l *Log) Prune(upto uint64) error {
 	return nil
 }
 
-// Close syncs pending records and releases the active segment.
+// Close lands and syncs pending records and releases the active
+// segment. A poisoned log (torn write) lands nothing more.
 func (l *Log) Close() error {
-	if l.closed {
+	if l.f == nil {
+		l.closed = true
 		return nil
+	}
+	var err error
+	if !l.closed {
+		if err = l.flush(); err == nil {
+			err = fsx.SyncFile(l.f)
+		}
 	}
 	l.closed = true
-	if l.f == nil {
-		return nil
-	}
-	err := fsx.SyncFile(l.f)
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
+	err = errors.Join(err, l.f.Close())
 	l.f = nil
 	return err
 }

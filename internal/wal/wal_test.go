@@ -410,6 +410,164 @@ func TestFaultHooks(t *testing.T) {
 	})
 }
 
+// TestShortWriteKeepsWholeRecords: a write that lands part of the
+// pending records and then fails (a disk-full blip) is cut back to the
+// last whole record, and the records stay pending. Whatever follows —
+// a Close that lands them, or one that fails again — the log reopens
+// holding every record synced before the failure, never a partial
+// record buried under a retried one.
+func TestShortWriteKeepsWholeRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		failures  int    // failing writes before writes succeed again; -1 = all
+		wantAfter uint64 // records the reopened log holds
+	}{
+		{name: "write succeeds on close", failures: 1, wantAfter: 7},
+		{name: "write keeps failing", failures: -1, wantAfter: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, l, 3, "synced")
+			for i := 0; i < 4; i++ {
+				if _, err := l.Append([]byte(fmt.Sprintf("pending-%04d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recLen := headerSize + len("pending-0000")
+			writes := 0
+			l.write = func(f *os.File, p []byte) (int, error) {
+				writes++
+				if tc.failures >= 0 && writes > tc.failures {
+					return f.Write(p)
+				}
+				n, err := f.Write(p[:recLen+recLen/2]) // a record and a half land
+				if err != nil {
+					return n, err
+				}
+				return n, errors.New("no space left on device")
+			}
+			if err := l.Sync(); err == nil {
+				t.Fatal("Sync reported success after a short write")
+			}
+			if l.LastSeq() != 7 {
+				t.Fatalf("LastSeq = %d after a failed Sync, want 7 (records stay pending)", l.LastSeq())
+			}
+			cerr := l.Close()
+			if (cerr != nil) != (tc.failures < 0) {
+				t.Fatalf("Close = %v with %d failing writes", cerr, tc.failures)
+			}
+
+			l2, info, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen after a short write: %v", err)
+			}
+			if info.Records != tc.wantAfter || info.TornBytes != 0 {
+				t.Fatalf("reopened %+v, want %d records and no torn bytes", info, tc.wantAfter)
+			}
+			_, payloads := collect(t, l2, 0)
+			for i, p := range payloads {
+				want := fmt.Sprintf("synced-%04d", i)
+				if i >= 3 {
+					want = fmt.Sprintf("pending-%04d", i-3)
+				}
+				if p != want {
+					t.Fatalf("record %d = %q, want %q", i+1, p, want)
+				}
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestGroupCommitWritesOnSync: appends only buffer; Sync lands the
+// whole group with one write, and a segment roll lands the group
+// before starting the next segment.
+func TestGroupCommitWritesOnSync(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes []int
+	l.write = func(f *os.File, p []byte) (int, error) {
+		writes = append(writes, len(p))
+		return f.Write(p)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("group-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(writes) != 0 {
+		t.Fatalf("Append wrote %v before Sync", writes)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recLen := headerSize + len("group-0000")
+	if len(writes) != 1 || writes[0] != 2*recLen {
+		t.Fatalf("Sync wrote %v, want one write of %d bytes", writes, 2*recLen)
+	}
+	// 52 bytes in the segment: the next append still fits, the one
+	// after rolls and must land the pending record first.
+	for i := 2; i < 4; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("group-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(writes) != 2 || writes[1] != recLen {
+		t.Fatalf("roll wrote %v, want the pending record landed before the roll", writes)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil || info.Records != 4 || info.Segments != 2 {
+		t.Fatalf("reopened %+v (err %v), want 4 records in 2 segments", info, err)
+	}
+}
+
+// TestStartAt: an empty log continues at a host-given sequence, also
+// when a roll left an empty segment under another name; a log holding
+// records refuses.
+func TestStartAt(t *testing.T) {
+	dir := t.TempDir()
+	// A roll whose first record never landed leaves segment 1 empty.
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, info, err := Open(dir, Options{})
+	if err != nil || info.Records != 0 || l.LastSeq() != 0 {
+		t.Fatalf("open over an empty segment: %+v, LastSeq %d, err %v", info, l.LastSeq(), err)
+	}
+	if err := l.StartAt(41); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, l, 2, "resumed")
+	if err := l.StartAt(99); err == nil {
+		t.Fatal("StartAt accepted on a log holding records")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, info, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Segments != 1 || info.FirstSeq != 41 || info.LastSeq != 42 {
+		t.Fatalf("reopened %+v, want one segment holding 41..42", info)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzRecover feeds arbitrary bytes as a tail segment: Open must
 // never panic, and whatever it recovers must replay cleanly with
 // contiguous sequences from 1.

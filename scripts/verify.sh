@@ -4,13 +4,14 @@
 # cannot disagree about what "clean" means.
 #
 # Steps, in order (fail-fast):
-#   1. go vet
-#   2. go build
-#   3. vetadr, all rules, whole tree        (exit 1 on any finding)
-#   4. vetadr -suppressions                 (stale rule / empty reason)
-#   5. README rule catalogue in sync        (scripts/update-rule-catalogue.sh -check)
-#   6. go test -race                        (-quick: go test -short, no race)
-#   7. workload smoke: IN2P3 adapt + fit + 2x upscale replay, scenario
+#   1. gofmt over every tracked .go file    (exit 1 listing unformatted files)
+#   2. go vet
+#   3. go build
+#   4. vetadr, all rules, whole tree        (exit 1 on any finding)
+#   5. vetadr -suppressions                 (stale rule / empty reason)
+#   6. README rule catalogue in sync        (scripts/update-rule-catalogue.sh -check)
+#   7. go test -race                        (-quick: go test -short, no race)
+#   8. workload smoke: IN2P3 adapt + fit + 2x upscale replay, scenario
 #      report into out/workload-report.txt
 #
 # Usage:
@@ -29,6 +30,13 @@ case "${1:-}" in
 esac
 
 step() { printf '\n--- %s\n' "$*"; }
+
+step "gofmt"
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+    printf 'gofmt -w needed:\n%s\n' "$unformatted" >&2
+    exit 1
+fi
 
 step "go vet"
 go vet ./...
