@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The readers must never panic on arbitrary input — a malformed line
@@ -91,11 +96,43 @@ func FuzzReaders(f *testing.F) {
 	})
 }
 
-// FuzzPipelineEquivalence holds the pipelined readers to bit-identical
-// behavior against ReadOptions.Sequential on arbitrary input — values,
-// reports, and error text, in both strict and lenient mode. This is
-// the fuzz-shaped version of the directed equivalence tests in
-// pipeline_test.go.
+// framingSpec is a trace kind that rejects every data line with the
+// line itself as the reason, so a lenient read's quarantine list is
+// exactly the (line number, line) sequence the pipeline framed.
+var framingSpec = rowSpec[string]{name: "framing", recBytes: 16,
+	parse: func(_ *decoder, line []byte, _ map[string]UserID) (string, error) {
+		return "", errors.New(string(line))
+	}}
+
+// scanFraming is the framing reference: bufio.Scanner with a 64 KiB
+// initial buffer capped at maxLineBytes, blank and '#' lines skipped,
+// every other line reported with its 1-based number, and a terminal
+// error positioned at the line after the last one scanned.
+func scanFraming(r io.Reader) ([]ParseError, error) {
+	s := bufio.NewScanner(r)
+	s.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	var lines []ParseError
+	n := 0
+	for s.Scan() {
+		n++
+		if line := s.Text(); line != "" && line[0] != '#' {
+			lines = append(lines, ParseError{File: framingSpec.name, Line: n, Reason: line})
+		}
+	}
+	if err := s.Err(); err != nil {
+		return lines, fmt.Errorf("trace: %s line %d: %w", framingSpec.name, n+1, err)
+	}
+	return lines, nil
+}
+
+var errFramingRead = errors.New("read failed")
+
+// FuzzPipelineEquivalence holds the pipeline's line framing to
+// scanFraming on arbitrary input: CR stripping, unterminated final
+// lines, blank and comment skipping, line numbering and the terminal
+// error, both over the whole input and over a reader that fails after
+// failAt bytes. The per-kind row decoders keep their own oracles
+// (FuzzSplitTabs, FuzzParseIntBytes, TestMalformedLineReasons).
 func FuzzPipelineEquivalence(f *testing.F) {
 	seeds := []string{
 		"",
@@ -106,68 +143,28 @@ func FuzzPipelineEquivalence(f *testing.F) {
 		"good\tline\r\n\r\n# comment\nu000\t5",
 		strings.Repeat("garbage\n", 12),
 		strings.Repeat("u000\t7\n", 500),
+		"\r\r\n\n\r",
+		"no newline at all",
 	}
-	for _, s := range seeds {
-		f.Add(s)
+	for i, s := range seeds {
+		f.Add(s, uint16(3*i))
 	}
-	idx := map[string]UserID{"u000": 0, "u001": 1}
-
-	type reader func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error)
-	readers := map[string]reader{
-		"users": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadUsersWith(r, o)
-			return v, rep, err
-		},
-		"jobs": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadJobsWith(r, idx, o)
-			return v, rep, err
-		},
-		"accesses": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadAccessesWith(r, idx, o)
-			return v, rep, err
-		},
-		"publications": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadPublicationsWith(r, idx, o)
-			return v, rep, err
-		},
-		"snapshot": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadSnapshotWith(r, idx, o)
-			return v, rep, err
-		},
-		"logins": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadLoginsWith(r, idx, o)
-			return v, rep, err
-		},
-		"transfers": func(r *strings.Reader, o ReadOptions) (any, *ParseReport, error) {
-			v, rep, err := ReadTransfersWith(r, idx, o)
-			return v, rep, err
-		},
-	}
-	optsList := []ReadOptions{
-		{},
-		{Lenient: true, MaxErrors: 8},
-	}
-
-	f.Fuzz(func(t *testing.T, input string) {
-		for name, read := range readers {
-			for _, opts := range optsList {
-				pv, prep, perr := read(strings.NewReader(input), opts)
-				seq := opts
-				seq.Sequential = true
-				sv, srep, serr := read(strings.NewReader(input), seq)
-				if (perr == nil) != (serr == nil) || (perr != nil && perr.Error() != serr.Error()) {
-					t.Fatalf("%s (lenient=%v): pipelined err = %v, sequential err = %v",
-						name, opts.Lenient, perr, serr)
-				}
-				if !reflect.DeepEqual(pv, sv) {
-					t.Fatalf("%s (lenient=%v): pipelined and sequential values differ:\n %+v\n %+v",
-						name, opts.Lenient, pv, sv)
-				}
-				if !reflect.DeepEqual(prep, srep) {
-					t.Fatalf("%s (lenient=%v): pipelined and sequential reports differ:\n %+v\n %+v",
-						name, opts.Lenient, prep, srep)
-				}
+	f.Fuzz(func(t *testing.T, input string, failAt uint16) {
+		check := func(what string, open func() io.Reader) {
+			want, wantErr := scanFraming(open())
+			opts := ReadOptions{Lenient: true, MaxErrors: len(input) + 1}
+			_, _, rep, err := readPipelined(open(), nil, opts, 0, framingSpec)
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("%s: err = %v, want %v", what, err, wantErr)
+			}
+			if !reflect.DeepEqual(rep.Errors, want) || rep.Lines != len(want) {
+				t.Fatalf("%s: framed %d lines %+v, want %+v", what, rep.Lines, rep.Errors, want)
 			}
 		}
+		check("whole input", func() io.Reader { return strings.NewReader(input) })
+		cut := int(failAt) % (len(input) + 1)
+		check(fmt.Sprintf("read failing after %d bytes", cut), func() io.Reader {
+			return io.MultiReader(strings.NewReader(input[:cut]), iotest.ErrReader(errFramingRead))
+		})
 	})
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -15,42 +16,96 @@ import (
 	"activedr/internal/timeutil"
 )
 
-// Equivalence proofs for the pipelined ingestion path: on every
-// input — clean, malformed, truncated, over the MaxErrors cap — the
-// parallel pipeline must produce the same Dataset, the same
-// DatasetReport (line numbers included), and the same error text as
-// ReadOptions.Sequential. PR 1's lenient-parsing guarantees survive
-// the concurrency because these tests say so, not by assumption.
+// Pinned ingestion outcomes. Every fixture below is read and checked
+// against outcomes pinned in expect_test.go: the records, each file's
+// ParseReport with its quarantine line numbers and reasons, and the
+// exact error text. Clean fixtures pin their records to what was
+// written; damaged ones to what survives the damage.
 
-func seqOpts(o ReadOptions) ReadOptions {
-	o.Sequential = true
-	return o
+// readPaths lists the read paths every pinned outcome is checked on:
+// the pipelined decoder and the single-goroutine readers.
+func readPaths(opts ReadOptions) []ReadOptions {
+	seq := opts
+	seq.Sequential = true
+	return []ReadOptions{opts, seq}
 }
 
-func sameErr(t *testing.T, what string, pipelined, sequential error) {
-	t.Helper()
-	if (pipelined == nil) != (sequential == nil) {
-		t.Fatalf("%s: pipelined err = %v, sequential err = %v", what, pipelined, sequential)
+// errText is err's message, or "" for a nil error.
+func errText(err error) string {
+	if err == nil {
+		return ""
 	}
-	if pipelined != nil && pipelined.Error() != sequential.Error() {
-		t.Fatalf("%s: error text differs:\n pipelined:  %v\n sequential: %v", what, pipelined, sequential)
+	return err.Error()
+}
+
+// renderReports prints reports the way expect_test.go pins them: a
+// "file lines=N" header per report, marked " truncated" when its input
+// ended mid-stream, then each quarantined line in ParseError.String
+// form.
+func renderReports(reps ...*ParseReport) string {
+	var b strings.Builder
+	for _, r := range reps {
+		fmt.Fprintf(&b, "%s lines=%d", r.File, r.Lines)
+		if r.Truncated {
+			b.WriteString(" truncated")
+		}
+		b.WriteByte('\n')
+		for _, e := range r.Errors {
+			fmt.Fprintf(&b, "  %s\n", e)
+		}
+	}
+	return b.String()
+}
+
+// outcome renders one reader call: its records (spelled out when a
+// few short ones, otherwise counted and digested), its report and its
+// error.
+func outcome[T any](recs []T, rep *ParseReport, err error) string {
+	var b strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%+v\n", r)
+	}
+	if len(recs) > 4 || b.Len() > 512 {
+		b.Reset()
+		fmt.Fprintf(&b, "%d records, sha256 %x\n", len(recs), sha256.Sum256([]byte(fmt.Sprintf("%+v", recs))))
+	}
+	if rep != nil {
+		b.WriteString(renderReports(rep))
+	}
+	if err != nil {
+		fmt.Fprintf(&b, "error: %v\n", err)
+	}
+	return b.String()
+}
+
+// checkLoad loads dir and fails the test unless the dataset (nil for a
+// failed load), the rendered reports and the error text are exactly
+// the pinned ones.
+func checkLoad(t *testing.T, dir string, opts ReadOptions, want *Dataset, wantReports, wantErr string) {
+	t.Helper()
+	for _, o := range readPaths(opts) {
+		d, rep, err := LoadDatasetWith(dir, o)
+		if got := errText(err); got != wantErr {
+			t.Fatalf("sequential=%v: err = %q, want %q", o.Sequential, got, wantErr)
+		}
+		if got := renderReports(rep.Reports...); got != wantReports {
+			t.Fatalf("sequential=%v: reports:\n%s\nwant:\n%s", o.Sequential, got, wantReports)
+		}
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("sequential=%v: loaded dataset differs from the pinned one", o.Sequential)
+		}
 	}
 }
 
-// loadBoth loads dir through both paths and fails the test unless the
-// datasets, reports, and errors are bit-identical.
-func loadBoth(t *testing.T, dir string, opts ReadOptions) (*Dataset, *DatasetReport, error) {
+// checkRead runs read and fails the test unless its rendered outcome
+// is exactly want.
+func checkRead(t *testing.T, what string, opts ReadOptions, read func(ReadOptions) string, want string) {
 	t.Helper()
-	pd, pr, perr := LoadDatasetWith(dir, opts)
-	sd, sr, serr := LoadDatasetWith(dir, seqOpts(opts))
-	sameErr(t, "LoadDatasetWith", perr, serr)
-	if !reflect.DeepEqual(pd, sd) {
-		t.Fatalf("datasets differ between pipelined and sequential load (lenient=%v)", opts.Lenient)
+	for _, o := range readPaths(opts) {
+		if got := read(o); got != want {
+			t.Fatalf("%s (sequential=%v):\n%s\nwant:\n%s", what, o.Sequential, got, want)
+		}
 	}
-	if !reflect.DeepEqual(pr, sr) {
-		t.Fatalf("reports differ between pipelined and sequential load (lenient=%v):\n pipelined:  %+v\n sequential: %+v", opts.Lenient, pr, sr)
-	}
-	return pd, pr, perr
 }
 
 // bigDataset synthesizes a dataset large enough that every gzipped
@@ -129,35 +184,16 @@ func rewriteTrace(t *testing.T, path string, mutate func([]string) []string) {
 	}
 }
 
-func TestPipelinedMatchesSequentialClean(t *testing.T) {
-	dir := t.TempDir()
+// messyDataset writes bigDataset to dir with every flavor of damage
+// the lenient mode quarantines scattered through each file: short
+// rows, unknown users, bad numerics, empty paths, bad and duplicate
+// #taken headers, plus blanks, comments and CRLF line endings at both
+// ends and the middle of each file.
+func messyDataset(t *testing.T, dir string) {
+	t.Helper()
 	if err := WriteDataset(dir, bigDataset()); err != nil {
 		t.Fatal(err)
 	}
-	for _, lenient := range []bool{false, true} {
-		d, rep, err := loadBoth(t, dir, ReadOptions{Lenient: lenient})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Clean() {
-			t.Fatalf("clean dataset reported dirty: %s", rep.Summary())
-		}
-		if len(d.Accesses) != 40000 || len(d.Snapshot.Entries) != 20000 {
-			t.Fatalf("load dropped records: %d accesses, %d snapshot entries",
-				len(d.Accesses), len(d.Snapshot.Entries))
-		}
-	}
-}
-
-func TestPipelinedMatchesSequentialMessy(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteDataset(dir, bigDataset()); err != nil {
-		t.Fatal(err)
-	}
-	// Scatter every flavor of damage the lenient mode quarantines:
-	// short rows, unknown users, bad numerics, empty paths, bad and
-	// duplicate #taken headers, plus blanks, comments, and CRLF line
-	// endings sprinkled at both ends and the middle of each file.
 	splice := func(lines []string, at int, insert ...string) []string {
 		out := append([]string{}, lines[:at]...)
 		out = append(out, insert...)
@@ -189,57 +225,103 @@ func TestPipelinedMatchesSequentialMessy(t *testing.T) {
 		lines = splice(lines, 1, "#taken\tzzz", "u000\tx\t2\t3\t/q", "nosuch\t1\t2\t3\t/p")
 		return append(lines, "#taken\t777") // last valid header wins
 	})
+}
 
-	d, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true})
-	if err != nil {
+// messyWant is the lenient load of messyDataset: the clean dataset
+// plus the two damage lines that parse. User u900 (its CRLF ending
+// dropped) lands ahead of u098, so every later user's dense ID moves
+// up by one, and the trailing "#taken\t777" header wins.
+func messyWant() *Dataset {
+	d := bigDataset()
+	const at = 98
+	users := append([]User{}, d.Users[:at]...)
+	users = append(users, User{Name: "u900", Created: 1234, Archetype: "crlf"})
+	d.Users = append(users, d.Users[at:]...)
+	for i := range d.Users {
+		d.Users[i].ID = UserID(i)
+	}
+	shift := func(u *UserID) {
+		if *u >= at {
+			*u++
+		}
+	}
+	for i := range d.Jobs {
+		shift(&d.Jobs[i].User)
+	}
+	for i := range d.Accesses {
+		shift(&d.Accesses[i].User)
+	}
+	for i := range d.Publications {
+		for j := range d.Publications[i].Authors {
+			shift(&d.Publications[i].Authors[j])
+		}
+	}
+	for i := range d.Logins {
+		shift(&d.Logins[i].User)
+	}
+	for i := range d.Transfers {
+		shift(&d.Transfers[i].User)
+	}
+	for i := range d.Snapshot.Entries {
+		shift(&d.Snapshot.Entries[i].User)
+	}
+	d.Snapshot.Taken = 777
+	return d
+}
+
+// truncatedAccesses replaces dir's access log with a gzip stream of
+// 2000 generated rows cut at half its compressed length, and returns
+// the rows as written.
+func truncatedAccesses(t *testing.T, dir string) []Access {
+	t.Helper()
+	var buf bytes.Buffer
+	var rows []Access
+	gz := gzip.NewWriter(&buf)
+	for i := 0; i < 2000; i++ {
+		a := Access{TS: timeutil.Time(i), Size: 5, Path: fmt.Sprintf("/lustre/atlas/u000/f%04d-%x", i, i*2654435761)}
+		fmt.Fprintf(gz, "%d\tu000\t0\t5\t%s\n", a.TS, a.Path)
+		rows = append(rows, a)
+	}
+	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Errors() == 0 {
-		t.Fatal("messy dataset produced no quarantined lines")
+	if err := os.WriteFile(filepath.Join(dir, AccessesFile), buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if int64(d.Snapshot.Taken) != 777 {
-		t.Fatalf("Taken = %d, want the last valid header 777", int64(d.Snapshot.Taken))
+	return rows
+}
+
+func TestPipelinedClean(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteDataset(dir, bigDataset()); err != nil {
+		t.Fatal(err)
 	}
-	// Strict mode aborts on the first bad line with the identical
-	// positioned error on both paths.
-	if _, _, err := loadBoth(t, dir, ReadOptions{}); err == nil {
-		t.Fatal("strict load accepted messy dataset")
+	for _, lenient := range []bool{false, true} {
+		checkLoad(t, dir, ReadOptions{Lenient: lenient}, bigDataset(), wantCleanReports, "")
 	}
 }
 
-func TestPipelinedMatchesSequentialTruncated(t *testing.T) {
+func TestPipelinedMessy(t *testing.T) {
+	dir := t.TempDir()
+	messyDataset(t, dir)
+	checkLoad(t, dir, ReadOptions{Lenient: true}, messyWant(), wantMessyReports, "")
+	// Strict mode aborts on the canonically first bad line.
+	checkLoad(t, dir, ReadOptions{}, nil, wantMessyStrictReports, wantMessyStrictErr)
+}
+
+func TestPipelinedTruncated(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteDataset(dir, sampleDataset()); err != nil {
 		t.Fatal(err)
 	}
-	const total = 2000
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	for i := 0; i < total; i++ {
-		fmt.Fprintf(gz, "%d\tu000\t0\t5\t/lustre/atlas/u000/f%04d-%x\n", i, i, i*2654435761)
-	}
-	gz.Close()
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if err := os.WriteFile(filepath.Join(dir, AccessesFile), trunc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Truncated() {
-		t.Fatalf("truncation not reported: %s", rep.Summary())
-	}
-	if len(d.Accesses) == 0 || len(d.Accesses) >= total {
-		t.Fatalf("salvaged %d accesses, want a proper non-empty prefix", len(d.Accesses))
-	}
-	if _, _, err := loadBoth(t, dir, ReadOptions{}); err == nil {
-		t.Fatal("strict load accepted truncated gzip")
-	}
+	rows := truncatedAccesses(t, dir)
+	want := sampleDataset()
+	want.Accesses = append(rows[:wantTruncatedSalvaged:wantTruncatedSalvaged], wantTruncatedLast...)
+	checkLoad(t, dir, ReadOptions{Lenient: true}, want, wantTruncatedReports, "")
+	checkLoad(t, dir, ReadOptions{}, nil, wantTruncatedStrictReports, wantTruncatedStrictErr)
 }
 
-func TestPipelinedMatchesSequentialMaxErrors(t *testing.T) {
+func TestPipelinedMaxErrors(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteDataset(dir, sampleDataset()); err != nil {
 		t.Fatal(err)
@@ -250,91 +332,135 @@ func TestPipelinedMatchesSequentialMaxErrors(t *testing.T) {
 		}
 		return lines
 	})
-	_, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true, MaxErrors: 10})
-	if err == nil {
-		t.Fatal("load survived past MaxErrors")
-	}
-	if !strings.Contains(err.Error(), "more than 10 malformed lines") {
-		t.Fatalf("err = %v", err)
-	}
-	last := rep.Reports[len(rep.Reports)-1]
-	if last.File != AccessesFile || len(last.Errors) != 10 {
-		t.Fatalf("aborting report = %+v", last)
-	}
+	checkLoad(t, dir, ReadOptions{Lenient: true, MaxErrors: 10}, nil, wantMaxErrorsReports, wantMaxErrorsErr)
 }
 
 func TestPipelinedLongLines(t *testing.T) {
-	// A line whose content reaches the 4 MiB scanner cap fails with
-	// the same positioned bufio.ErrTooLong on both paths; one just
-	// under parses fine. The long line sits after a valid one so the
-	// error line number is exercised too.
-	long := strings.Repeat("a", maxLineBytes)
-	in := "u000\t100\n" + long + "\t5\n"
-	_, _, perr := ReadUsersWith(strings.NewReader(in), ReadOptions{})
-	_, _, serr := ReadUsersWith(strings.NewReader(in), ReadOptions{Sequential: true})
-	sameErr(t, "too-long line", perr, serr)
-	if perr == nil || !strings.Contains(perr.Error(), "token too long") {
-		t.Fatalf("err = %v, want bufio.ErrTooLong", perr)
+	// A line whose content reaches the 4 MiB scanner cap fails with a
+	// positioned bufio.ErrTooLong, even in lenient mode; one just under
+	// parses fine. The long line sits after a valid one so the error
+	// line number is exercised too.
+	read := func(in string) func(ReadOptions) string {
+		return func(o ReadOptions) string {
+			users, rep, err := ReadUsersWith(strings.NewReader(in), o)
+			return outcome(users, rep, err)
+		}
 	}
-	// Even lenient mode cannot salvage an over-long line.
-	_, _, perr = ReadUsersWith(strings.NewReader(in), ReadOptions{Lenient: true})
-	_, _, serr = ReadUsersWith(strings.NewReader(in), ReadOptions{Lenient: true, Sequential: true})
-	sameErr(t, "too-long line lenient", perr, serr)
-	if perr == nil {
-		t.Fatal("lenient read accepted an over-long line")
-	}
+	tooLong := "u000\t100\n" + strings.Repeat("a", maxLineBytes) + "\t5\n"
+	checkRead(t, "too-long line", ReadOptions{}, read(tooLong), wantTooLong)
+	checkRead(t, "too-long line lenient", ReadOptions{Lenient: true}, read(tooLong), wantTooLong)
 
-	ok := strings.Repeat("b", maxLineBytes-16)
-	in = ok + "\t100\n"
-	pu, prep, perr := ReadUsersWith(strings.NewReader(in), ReadOptions{})
-	su, srep, serr := ReadUsersWith(strings.NewReader(in), ReadOptions{Sequential: true})
-	sameErr(t, "near-cap line", perr, serr)
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	if !reflect.DeepEqual(pu, su) || !reflect.DeepEqual(prep, srep) {
-		t.Fatal("near-cap line parses differ")
-	}
-	if len(pu) != 1 || len(pu[0].Name) != maxLineBytes-16 {
-		t.Fatalf("near-cap user mangled: %d users", len(pu))
-	}
+	nearCap := strings.Repeat("b", maxLineBytes-16) + "\t100\n"
+	checkRead(t, "near-cap line", ReadOptions{}, read(nearCap), wantNearCap)
 }
 
 func TestPipelinedEdgeInputs(t *testing.T) {
 	idx := map[string]UserID{"u000": 0}
-	inputs := []string{
-		"",
-		"\n",
-		"\r\n",
-		"#only a comment\n",
-		"u000\t1",                  // no trailing newline
-		"u000\t1\r\n\r\nu000\t2\r", // CRLF endings, trailing CR
-		"\t\n",
-		strings.Repeat("u000\t7\n", 100000), // multi-block
+	for i, c := range wantEdgeInputs {
+		users := func(o ReadOptions) string {
+			u, rep, err := ReadUsersWith(strings.NewReader(c.in), o)
+			return outcome(u, rep, err)
+		}
+		snapshot := func(o ReadOptions) string {
+			s, rep, err := ReadSnapshotWith(strings.NewReader(c.in), idx, o)
+			if s == nil {
+				return outcome[SnapshotEntry](nil, rep, err)
+			}
+			return fmt.Sprintf("taken %d\n", int64(s.Taken)) + outcome(s.Entries, rep, err)
+		}
+		checkRead(t, fmt.Sprintf("users input %d", i), ReadOptions{}, users, c.users)
+		checkRead(t, fmt.Sprintf("users input %d lenient", i), ReadOptions{Lenient: true}, users, c.usersLenient)
+		checkRead(t, fmt.Sprintf("snapshot input %d", i), ReadOptions{}, snapshot, c.snapshot)
+		checkRead(t, fmt.Sprintf("snapshot input %d lenient", i), ReadOptions{Lenient: true}, snapshot, c.snapshotLenient)
 	}
-	for _, lenient := range []bool{false, true} {
-		opts := ReadOptions{Lenient: lenient}
-		for i, in := range inputs {
-			pu, prep, perr := ReadUsersWith(strings.NewReader(in), opts)
-			su, srep, serr := ReadUsersWith(strings.NewReader(in), seqOpts(opts))
-			sameErr(t, fmt.Sprintf("users input %d", i), perr, serr)
-			if !reflect.DeepEqual(pu, su) {
-				t.Fatalf("input %d (lenient=%v): users differ:\n pipelined:  %+v\n sequential: %+v", i, lenient, pu, su)
+}
+
+// TestMalformedLineReasons pins, per trace kind, the reason each
+// malformed line is quarantined under and the error that aborts a
+// strict read of it. Each line sits between two valid rows, so it is
+// line 2 of the input.
+func TestMalformedLineReasons(t *testing.T) {
+	idx := map[string]UserID{"u000": 0, "u001": 1}
+	kinds := map[string]struct {
+		file, good string
+		read       func(io.Reader, ReadOptions) (int, *ParseReport, error)
+	}{
+		"users": {UsersFile, "u000\t1", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadUsersWith(r, o)
+			return len(v), rep, err
+		}},
+		"jobs": {JobsFile, "u000\t1\t2\t3", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadJobsWith(r, idx, o)
+			return len(v), rep, err
+		}},
+		"accesses": {AccessesFile, "1\tu000\t0\t5\t/p", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadAccessesWith(r, idx, o)
+			return len(v), rep, err
+		}},
+		"publications": {PubsFile, "1\t2\tu000", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadPublicationsWith(r, idx, o)
+			return len(v), rep, err
+		}},
+		"snapshot": {SnapshotFile, "u000\t1\t2\t3\t/p", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadSnapshotWith(r, idx, o)
+			if v == nil {
+				return 0, rep, err
 			}
-			if !reflect.DeepEqual(prep, srep) {
-				t.Fatalf("input %d (lenient=%v): reports differ:\n pipelined:  %+v\n sequential: %+v", i, lenient, prep, srep)
+			return len(v.Entries), rep, err
+		}},
+		"logins": {LoginsFile, "1\tu000", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadLoginsWith(r, idx, o)
+			return len(v), rep, err
+		}},
+		"transfers": {TransfersFile, "1\tu000\tin\t5", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
+			v, rep, err := ReadTransfersWith(r, idx, o)
+			return len(v), rep, err
+		}},
+	}
+	for _, c := range wantMalformedLines {
+		k, ok := kinds[c.kind]
+		if !ok {
+			t.Fatalf("unknown trace kind %q", c.kind)
+		}
+		in := k.good + "\n" + c.line + "\n" + k.good + "\n"
+		for _, o := range readPaths(ReadOptions{Lenient: true}) {
+			n, rep, err := k.read(strings.NewReader(in), o)
+			want := []ParseError{{File: k.file, Line: 2, Reason: c.reason}}
+			if err != nil || n != 2 || rep.Lines != 3 || !reflect.DeepEqual(rep.Errors, want) {
+				t.Errorf("%s %q (sequential=%v): %d records, report %+v, err %v; want 2 records and %+v",
+					c.kind, c.line, o.Sequential, n, rep, err, want)
 			}
-			ps, psrep, perr := ReadSnapshotWith(strings.NewReader(in), idx, opts)
-			ss, ssrep, serr := ReadSnapshotWith(strings.NewReader(in), idx, seqOpts(opts))
-			sameErr(t, fmt.Sprintf("snapshot input %d", i), perr, serr)
-			if !reflect.DeepEqual(ps, ss) || !reflect.DeepEqual(psrep, ssrep) {
-				t.Fatalf("input %d (lenient=%v): snapshots differ", i, lenient)
+		}
+		for _, o := range readPaths(ReadOptions{}) {
+			_, _, err := k.read(strings.NewReader(in), o)
+			if want := fmt.Sprintf("trace: %s line 2: %s", k.file, c.reason); errText(err) != want {
+				t.Errorf("%s %q (sequential=%v): strict err = %v, want %q", c.kind, c.line, o.Sequential, err, want)
 			}
 		}
 	}
 }
 
-func TestSnapshotSeriesPipelinedMatchesSequential(t *testing.T) {
+// checkSeries loads the snapshot series under dir and fails the test
+// unless the snapshots (nil for a failed load), the rendered reports
+// and the error text, with "$DIR" standing for dir, are exactly the
+// pinned ones.
+func checkSeries(t *testing.T, dir string, idx map[string]UserID, opts ReadOptions, want []*Snapshot, wantReports, wantErr string) {
+	t.Helper()
+	for _, o := range readPaths(opts) {
+		got, reps, err := LoadSnapshotSeriesWith(dir, idx, o)
+		if e, w := errText(err), strings.ReplaceAll(wantErr, "$DIR", dir); e != w {
+			t.Fatalf("sequential=%v: err = %q, want %q", o.Sequential, e, w)
+		}
+		if r := renderReports(reps...); r != wantReports {
+			t.Fatalf("sequential=%v: reports:\n%s\nwant:\n%s", o.Sequential, r, wantReports)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sequential=%v: loaded series differs from the pinned one", o.Sequential)
+		}
+	}
+}
+
+func TestSnapshotSeriesPipelined(t *testing.T) {
 	dir := t.TempDir()
 	d := bigDataset()
 	t0 := timeutil.Date(2016, time.March, 1)
@@ -353,39 +479,13 @@ func TestSnapshotSeriesPipelinedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := NameIndex(d.Users)
+	// Reports carry the base file name; quarantines keep the logical
+	// snapshot file name.
+	checkSeries(t, dir, idx, ReadOptions{}, snaps, wantSeriesReports, "")
 
-	check := func(opts ReadOptions) ([]*Snapshot, []*ParseReport, error) {
-		t.Helper()
-		pg, pr, perr := LoadSnapshotSeriesWith(dir, idx, opts)
-		sg, sr, serr := LoadSnapshotSeriesWith(dir, idx, seqOpts(opts))
-		sameErr(t, "LoadSnapshotSeriesWith", perr, serr)
-		if !reflect.DeepEqual(pg, sg) {
-			t.Fatal("series snapshots differ between pipelined and sequential")
-		}
-		if !reflect.DeepEqual(pr, sr) {
-			t.Fatalf("series reports differ:\n pipelined:  %+v\n sequential: %+v", pr, sr)
-		}
-		return pg, pr, perr
-	}
-	got, reps, err := check(ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 || len(reps) != 5 {
-		t.Fatalf("loaded %d snapshots, %d reports, want 5/5", len(got), len(reps))
-	}
-	for i, s := range got {
-		if !reflect.DeepEqual(s, snaps[i]) {
-			t.Fatalf("snapshot %d mangled in round trip", i)
-		}
-	}
-	if reps[0].File == SnapshotFile || !strings.HasPrefix(reps[0].File, "snapshot-") {
-		t.Fatalf("series report named %q, want the base file name", reps[0].File)
-	}
-
-	// Truncate the third file: lenient mode salvages a prefix and
-	// flags that report Truncated — the closeFn error is no longer
-	// swallowed — while strict mode refuses the series on both paths.
+	// Truncate the third file: lenient mode salvages a prefix and flags
+	// that report Truncated (the close error is not swallowed), while
+	// strict mode refuses the series.
 	matches, err := filepath.Glob(filepath.Join(dir, "snapshot-*.tsv.gz"))
 	if err != nil {
 		t.Fatal(err)
@@ -400,25 +500,11 @@ func TestSnapshotSeriesPipelinedMatchesSequential(t *testing.T) {
 	if _, err := LoadSnapshotSeries(dir, idx); err == nil {
 		t.Fatal("strict series load accepted truncated gzip")
 	}
-	if _, _, err := check(ReadOptions{}); err == nil {
-		t.Fatal("strict series load accepted truncated gzip")
-	}
-	got, reps, err = check(ReadOptions{Lenient: true})
-	if err != nil {
-		t.Fatalf("lenient series load failed: %v", err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("lenient series load kept %d snapshots, want 5", len(got))
-	}
-	truncated := 0
-	for _, r := range reps {
-		if r.Truncated {
-			truncated++
-		}
-	}
-	if truncated != 1 {
-		t.Fatalf("%d reports flagged Truncated, want exactly 1", truncated)
-	}
+	checkSeries(t, dir, idx, ReadOptions{}, nil, wantSeriesStrictReports, wantSeriesStrictErr)
+	salvaged := append([]*Snapshot{}, snaps...)
+	salvaged[2] = &Snapshot{Taken: snaps[2].Taken,
+		Entries: append(snaps[2].Entries[:wantSeriesSalvaged:wantSeriesSalvaged], wantSeriesSalvagedLast...)}
+	checkSeries(t, dir, idx, ReadOptions{Lenient: true}, salvaged, wantSeriesLenientReports, "")
 }
 
 func TestLoadSnapshotSeriesOrdersByTaken(t *testing.T) {
@@ -510,39 +596,28 @@ func truncateGzip(t *testing.T, path string) {
 // TestFanOutErrorPriority pins the concurrent fan-out's first-error-
 // in-canonical-order rule when two files fail for different reasons in
 // the same load. The fatal error of the canonically earlier file must
-// win — on both paths, with identical text and identically truncated
-// reports — regardless of which error class (MaxErrors cap vs a
-// failed close on a cut-short gzip member) hits which file, and a
-// fatal error on a later file must not erase an earlier file's
-// non-fatal salvage report.
+// win, with the reports truncated at that file, regardless of which
+// error class (MaxErrors cap vs a failed close on a cut-short gzip
+// member) hits which file, and a fatal error on a later file must not
+// erase an earlier file's non-fatal salvage report.
 func TestFanOutErrorPriority(t *testing.T) {
+	garbage := func(lines []string) []string {
+		for i := 0; i < 20; i++ {
+			lines = append(lines, fmt.Sprintf("garbage-%d", i))
+		}
+		return lines
+	}
 	t.Run("MaxErrorsBeforeTruncation", func(t *testing.T) {
 		// jobs trips the quarantine cap; accesses (canonically later)
-		// is cut short. The cap error wins, the accesses report is
-		// dropped exactly where a sequential stop-at-first-error read
-		// would have left it.
+		// is cut short. The cap error wins and the accesses report is
+		// dropped.
 		dir := t.TempDir()
 		if err := WriteDataset(dir, sampleDataset()); err != nil {
 			t.Fatal(err)
 		}
-		rewriteTrace(t, filepath.Join(dir, JobsFile), func(lines []string) []string {
-			for i := 0; i < 20; i++ {
-				lines = append(lines, fmt.Sprintf("garbage-%d", i))
-			}
-			return lines
-		})
+		rewriteTrace(t, filepath.Join(dir, JobsFile), garbage)
 		truncateGzip(t, filepath.Join(dir, AccessesFile))
-		_, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true, MaxErrors: 5})
-		if err == nil {
-			t.Fatal("load survived past MaxErrors")
-		}
-		if !strings.Contains(err.Error(), JobsFile) || !strings.Contains(err.Error(), "more than 5 malformed lines") {
-			t.Fatalf("err = %v, want the jobs quarantine-cap error", err)
-		}
-		last := rep.Reports[len(rep.Reports)-1]
-		if last.File != JobsFile {
-			t.Fatalf("reports end at %s, want %s (later files' reports dropped)", last.File, JobsFile)
-		}
+		checkLoad(t, dir, ReadOptions{Lenient: true, MaxErrors: 5}, nil, wantFanOutCapReports, wantFanOutCapErr)
 	})
 
 	t.Run("TruncationBeforeParseError", func(t *testing.T) {
@@ -557,13 +632,7 @@ func TestFanOutErrorPriority(t *testing.T) {
 		rewriteTrace(t, filepath.Join(dir, AccessesFile), func(lines []string) []string {
 			return append(lines, "garbage")
 		})
-		_, _, err := loadBoth(t, dir, ReadOptions{})
-		if err == nil {
-			t.Fatal("strict load accepted two damaged files")
-		}
-		if strings.Contains(err.Error(), AccessesFile) {
-			t.Fatalf("err = %v, want the jobs close failure, not the later accesses parse error", err)
-		}
+		checkLoad(t, dir, ReadOptions{}, nil, wantFanOutCloseReports, wantFanOutCloseErr)
 	})
 
 	t.Run("LaterFatalKeepsEarlierSalvage", func(t *testing.T) {
@@ -576,28 +645,8 @@ func TestFanOutErrorPriority(t *testing.T) {
 			t.Fatal(err)
 		}
 		truncateGzip(t, filepath.Join(dir, AccessesFile))
-		rewriteTrace(t, filepath.Join(dir, PubsFile), func(lines []string) []string {
-			for i := 0; i < 20; i++ {
-				lines = append(lines, fmt.Sprintf("garbage-%d", i))
-			}
-			return lines
-		})
-		_, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true, MaxErrors: 5})
-		if err == nil {
-			t.Fatal("load survived past MaxErrors")
-		}
-		if !strings.Contains(err.Error(), PubsFile) {
-			t.Fatalf("err = %v, want the publications quarantine-cap error", err)
-		}
-		var accRep *ParseReport
-		for _, r := range rep.Reports {
-			if r.File == AccessesFile {
-				accRep = r
-			}
-		}
-		if accRep == nil || !accRep.Truncated {
-			t.Fatalf("accesses salvage report lost or unflagged: %+v", accRep)
-		}
+		rewriteTrace(t, filepath.Join(dir, PubsFile), garbage)
+		checkLoad(t, dir, ReadOptions{Lenient: true, MaxErrors: 5}, nil, wantFanOutSalvageReports, wantFanOutSalvageErr)
 	})
 }
 
@@ -606,21 +655,23 @@ func TestFanOutErrorPriority(t *testing.T) {
 // deflate streams back to back (the standard output of `cat a.gz b.gz`
 // or a rotated-and-joined log); Go's gzip.Reader splices them into one
 // logical stream by default. Line numbers in ParseReports must be
-// absolute positions in that logical stream — an assembler or scanner
+// absolute positions in that logical stream: an assembler or scanner
 // that restarted its count at a member boundary would report
-// relative-to-member numbers, and nothing before this test would have
-// caught it because every other fixture is a single member.
+// relative-to-member numbers, and every other fixture is a single
+// member.
 func TestPipelinedMultiMemberGzip(t *testing.T) {
 	const perMember = 8000 // ~400KiB decompressed per member, spans pipeline blocks
-	build := func(t *testing.T, members []map[int]string, truncateLast bool) (string, []int, int) {
+	// build writes the members (bad rows keyed by in-member index) and
+	// returns the dataset directory and the valid rows as written.
+	build := func(t *testing.T, members []map[int]string, truncateLast bool) (string, []Access) {
 		t.Helper()
 		dir := t.TempDir()
 		if err := WriteDataset(dir, sampleDataset()); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
+		var rows []Access
 		line := 0
-		var wantBad []int
 		for mi, badAt := range members {
 			start := buf.Len()
 			gz := gzip.NewWriter(&buf)
@@ -628,10 +679,11 @@ func TestPipelinedMultiMemberGzip(t *testing.T) {
 				line++
 				if junk, ok := badAt[i]; ok {
 					fmt.Fprintf(gz, "%s\n", junk)
-					wantBad = append(wantBad, line)
-				} else {
-					fmt.Fprintf(gz, "%d\tu000\t0\t5\t/lustre/atlas/u000/mm%06d.dat\n", line, line)
+					continue
 				}
+				a := Access{TS: timeutil.Time(line), Size: 5, Path: fmt.Sprintf("/lustre/atlas/u000/mm%06d.dat", line)}
+				fmt.Fprintf(gz, "%d\tu000\t0\t5\t%s\n", a.TS, a.Path)
+				rows = append(rows, a)
 			}
 			if err := gz.Close(); err != nil {
 				t.Fatal(err)
@@ -643,95 +695,37 @@ func TestPipelinedMultiMemberGzip(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, AccessesFile), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return dir, wantBad, line
+		return dir, rows
 	}
 
 	t.Run("absolute line numbers", func(t *testing.T) {
 		// Bad lines at a member's first row, its last row, and mid-member,
-		// all in members ≥ 2 so every expected number exceeds perMember —
+		// all in members ≥ 2 so every expected number exceeds perMember:
 		// a per-member reset would be off by a full member's line count.
-		dir, wantBad, total := build(t, []map[int]string{
+		dir, rows := build(t, []map[int]string{
 			{},
 			{0: "garbage-first-of-member-2", 100: "short", perMember - 1: "garbage-last-of-member-2"},
 			{123: "x\tu000\t0\t5\t/p"},
 		}, false)
-		d, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var accRep *ParseReport
-		for _, r := range rep.Reports {
-			if r.File == AccessesFile {
-				accRep = r
-			}
-		}
-		if accRep == nil {
-			t.Fatal("no accesses report")
-		}
-		if accRep.Lines != total {
-			t.Fatalf("Lines = %d, want %d across all members", accRep.Lines, total)
-		}
-		if len(accRep.Errors) != len(wantBad) {
-			t.Fatalf("quarantined %d lines, want %d: %+v", len(accRep.Errors), len(wantBad), accRep.Errors)
-		}
-		for i, e := range accRep.Errors {
-			if e.Line != wantBad[i] {
-				t.Errorf("quarantine %d at line %d, want absolute line %d (member-relative reset?)", i, e.Line, wantBad[i])
-			}
-		}
-		if want := total - len(wantBad); len(d.Accesses) != want {
-			t.Fatalf("salvaged %d accesses, want %d", len(d.Accesses), want)
-		}
-		// Strict mode must abort with the same absolute position: the
-		// first bad line is the first row of member 2.
-		_, _, err = loadBoth(t, dir, ReadOptions{})
-		if err == nil {
-			t.Fatal("strict load accepted multi-member damage")
-		}
-		if want := fmt.Sprintf("line %d:", perMember+1); !strings.Contains(err.Error(), want) {
-			t.Fatalf("strict err = %v, want it positioned at %q", err, want)
-		}
+		want := sampleDataset()
+		want.Accesses = rows
+		checkLoad(t, dir, ReadOptions{Lenient: true}, want, wantMultiMemberReports, "")
+		// Strict mode aborts at the same absolute position: the first
+		// row of member 2.
+		checkLoad(t, dir, ReadOptions{}, nil, wantMultiMemberStrictReports, wantMultiMemberStrictErr)
 	})
 
 	t.Run("truncated final member", func(t *testing.T) {
 		// A cut-short last member must not disturb the absolute numbers
-		// of quarantines in earlier members, and the salvage must keep
-		// every full line that made it through the inflate.
-		dir, wantBad, _ := build(t, []map[int]string{
+		// of quarantines in earlier members, and the salvage keeps every
+		// full line that made it through the inflate.
+		dir, rows := build(t, []map[int]string{
 			{},
 			{4321: "mid-member-2-garbage"},
 			{},
 		}, true)
-		d, rep, err := loadBoth(t, dir, ReadOptions{Lenient: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var accRep *ParseReport
-		for _, r := range rep.Reports {
-			if r.File == AccessesFile {
-				accRep = r
-			}
-		}
-		if accRep == nil || !accRep.Truncated {
-			t.Fatalf("truncated final member not reported: %+v", accRep)
-		}
-		// Exactly the member-2 quarantine at its absolute line, plus at
-		// most one extra: the inflate's final partial line at the cut
-		// point, which the salvage quarantines as malformed before
-		// flagging truncation. That fragment must sit inside the
-		// truncated member — an earlier number would mean the count
-		// reset at a member boundary.
-		if len(accRep.Errors) < 1 || accRep.Errors[0].Line != wantBad[0] {
-			t.Fatalf("quarantines = %+v, want the first at absolute line %d", accRep.Errors, wantBad[0])
-		}
-		if len(accRep.Errors) > 2 {
-			t.Fatalf("quarantines = %+v, want at most the member-2 line and the cut fragment", accRep.Errors)
-		}
-		if len(accRep.Errors) == 2 && accRep.Errors[1].Line <= perMember*2 {
-			t.Fatalf("cut-fragment quarantine at line %d, inside a fully-salvaged member", accRep.Errors[1].Line)
-		}
-		if len(d.Accesses) < perMember*2-1 || len(d.Accesses) >= perMember*3 {
-			t.Fatalf("salvaged %d accesses, want the two full members plus a strict prefix of the third", len(d.Accesses))
-		}
+		want := sampleDataset()
+		want.Accesses = rows[:wantMultiMemberSalvaged]
+		checkLoad(t, dir, ReadOptions{Lenient: true}, want, wantMultiMemberTruncReports, "")
 	})
 }
