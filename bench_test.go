@@ -208,29 +208,17 @@ func ingestDataset(b *testing.B) string {
 	return ingestPath
 }
 
-// benchLoadDataset measures full-dataset ingestion on one read path.
-func benchLoadDataset(b *testing.B, opts trace.ReadOptions) {
+// BenchmarkLoadDataset measures full-dataset ingestion: file fan-out,
+// block-pipelined decoding, zero-allocation row parsing.
+func BenchmarkLoadDataset(b *testing.B) {
 	dir := ingestDataset(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := trace.LoadDatasetWith(dir, opts); err != nil {
+		if _, _, err := trace.LoadDatasetWith(dir, trace.ReadOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkLoadDataset measures the default pipelined ingestion: file
-// fan-out, block-pipelined decoding, zero-allocation row parsing.
-func BenchmarkLoadDataset(b *testing.B) {
-	benchLoadDataset(b, trace.ReadOptions{})
-}
-
-// BenchmarkLoadDatasetSequential is the same load on the
-// single-goroutine fallback path (ReadOptions.Sequential), the A/B
-// baseline for the pipeline speedup.
-func BenchmarkLoadDatasetSequential(b *testing.B) {
-	benchLoadDataset(b, trace.ReadOptions{Sequential: true})
 }
 
 // BenchmarkWriteDataset measures full-dataset persistence: one writer

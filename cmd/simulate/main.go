@@ -74,9 +74,8 @@ type options struct {
 	vfsSnap    string
 	vfsSnapOut string
 
-	lenient    bool
-	maxErrors  int
-	sequential bool
+	lenient   bool
+	maxErrors int
 
 	faultProb  float64
 	faultRead  float64
@@ -116,7 +115,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 
 	fs.BoolVar(&o.lenient, "lenient", false, "quarantine malformed trace lines instead of aborting")
 	fs.IntVar(&o.maxErrors, "max-errors", trace.DefaultMaxErrors, "per-file quarantine cap in -lenient mode")
-	fs.BoolVar(&o.sequential, "sequential", false, "load trace files with the single-goroutine readers instead of the pipelined ones (A/B fallback)")
 
 	fs.Float64Var(&o.faultProb, "faults", 0, "per-victim unlink-failure and per-trigger scan-interrupt probability")
 	fs.Float64Var(&o.faultRead, "fault-read", 0, "per-attempt transient dataset-read failure probability (retried with backoff)")
@@ -517,8 +515,7 @@ func loadDataset(o *options, out io.Writer) (*trace.Dataset, error) {
 				o.vfsSnap, tsv)
 		}
 	}
-	ropts := trace.ReadOptions{Lenient: o.lenient, MaxErrors: o.maxErrors, Sequential: o.sequential,
-		SkipSnapshot: o.vfsSnap != ""}
+	ropts := trace.ReadOptions{Lenient: o.lenient, MaxErrors: o.maxErrors, SkipSnapshot: o.vfsSnap != ""}
 	var inj *faults.Injector
 	if o.faultRead > 0 {
 		cfg := faults.Config{Seed: o.faultSeed, ReadFailProb: o.faultRead}

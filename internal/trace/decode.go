@@ -5,12 +5,11 @@ package trace
 // integers straight from byte slices, materializing strings only for
 // the fields a record retains (names, paths, archetypes) — repeated
 // values are deduplicated through an intern table, the same trick
-// internal/vfs plays with its canonical path strings. Every parser
-// mirrors its strings-based sequential counterpart in io.go/extra.go
-// bit for bit: same field arity checks, same check order, same error
-// text. FuzzDecode proves the tokenizer and the int parser against
-// their strings.Split/strconv.ParseInt oracles, and the pipeline
-// equivalence tests prove whole-file agreement.
+// internal/vfs plays with its canonical path strings. FuzzSplitTabs
+// and FuzzParseIntBytes hold the tokenizer and the int parser to their
+// strings.Split/strconv.ParseInt oracles; TestMalformedLineReasons
+// pins each row parser's field arity checks, check order and error
+// text.
 
 import (
 	"bytes"
@@ -138,10 +137,11 @@ func newDecoder(internPaths bool) *decoder {
 	return dc
 }
 
-// --- per-kind row parsers (byte-slice mirrors of the parse*Line funcs) ---
+// --- per-kind row parsers ---
 
-// decodeUser mirrors the users branch of readUsersSeq. The dense ID
-// is assigned at assembly time so quarantined rows do not consume one.
+// decodeUser parses a users row: name, created[, archetype]. The
+// dense ID is assigned at assembly time so quarantined rows do not
+// consume one.
 func decodeUser(dc *decoder, line []byte) (User, error) {
 	f := splitTabs(line, dc.fields[:0])
 	if len(f) < 2 {
@@ -158,7 +158,7 @@ func decodeUser(dc *decoder, line []byte) (User, error) {
 	return u, nil
 }
 
-// decodeJob mirrors parseJobLine.
+// decodeJob parses a jobs row: user, submit, duration_s, cores.
 func decodeJob(dc *decoder, line []byte, byName map[string]UserID) (Job, error) {
 	f := splitTabs(line, dc.fields[:0])
 	if len(f) != 4 {
@@ -182,7 +182,8 @@ func decodeJob(dc *decoder, line []byte, byName map[string]UserID) (Job, error) 
 	}, nil
 }
 
-// decodeAccess mirrors parseAccessLine.
+// decodeAccess parses an access-log row: ts, user, create, size,
+// path (the path keeps any further tabs).
 func decodeAccess(dc *decoder, line []byte, byName map[string]UserID) (Access, error) {
 	f := splitTabsN(line, dc.fields[:0], 5)
 	if len(f) != 5 {
@@ -210,7 +211,8 @@ func decodeAccess(dc *decoder, line []byte, byName map[string]UserID) (Access, e
 	}, nil
 }
 
-// decodePublication mirrors parsePublicationLine.
+// decodePublication parses a publications row: ts, citations,
+// comma-joined author names.
 func decodePublication(dc *decoder, line []byte, byName map[string]UserID) (Publication, error) {
 	f := splitTabs(line, dc.fields[:0])
 	if len(f) != 3 {
@@ -246,7 +248,8 @@ func decodePublication(dc *decoder, line []byte, byName map[string]UserID) (Publ
 	}, nil
 }
 
-// decodeSnapshotEntry mirrors parseSnapshotLine.
+// decodeSnapshotEntry parses a snapshot row: user, size, stripes,
+// atime, path (the path keeps any further tabs).
 func decodeSnapshotEntry(dc *decoder, line []byte, byName map[string]UserID) (SnapshotEntry, error) {
 	f := splitTabsN(line, dc.fields[:0], 5)
 	if len(f) != 5 {
@@ -274,7 +277,7 @@ func decodeSnapshotEntry(dc *decoder, line []byte, byName map[string]UserID) (Sn
 	}, nil
 }
 
-// decodeLogin mirrors parseLoginLine.
+// decodeLogin parses a logins row: ts, user.
 func decodeLogin(dc *decoder, line []byte, byName map[string]UserID) (Login, error) {
 	f := splitTabs(line, dc.fields[:0])
 	if len(f) != 2 {
@@ -291,7 +294,7 @@ func decodeLogin(dc *decoder, line []byte, byName map[string]UserID) (Login, err
 	return Login{User: uid, TS: timeutil.Time(ts)}, nil
 }
 
-// decodeTransfer mirrors parseTransferLine.
+// decodeTransfer parses a transfers row: ts, user, in|out, bytes.
 func decodeTransfer(dc *decoder, line []byte, byName map[string]UserID) (Transfer, error) {
 	f := splitTabs(line, dc.fields[:0])
 	if len(f) != 4 {

@@ -2,10 +2,8 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"activedr/internal/timeutil"
 )
@@ -92,55 +90,8 @@ func ReadLoginsWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]
 }
 
 func readLoginsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Login, *ParseReport, error) {
-	if opts.Sequential {
-		return readLoginsSeq(r, byName, opts)
-	}
 	logins, _, rep, err := readPipelined(r, byName, opts, hint, loginSpec)
-	if err != nil {
-		return nil, rep, err
-	}
-	return logins, rep, nil
-}
-
-func readLoginsSeq(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Login, *ParseReport, error) {
-	ls := newLineScanner(r, LoginsFile)
-	rep := &ParseReport{File: LoginsFile}
-	var logins []Login
-	for ls.scan() {
-		line := ls.text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		l, perr := parseLoginLine(line, byName)
-		if perr != nil {
-			if err := rep.quarantine(ls, opts, perr); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		logins = append(logins, l)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return logins, rep, nil
-}
-
-func parseLoginLine(line string, byName map[string]UserID) (Login, error) {
-	parts := strings.Split(line, "\t")
-	if len(parts) != 2 {
-		return Login{}, fmt.Errorf("want 2 fields, got %d", len(parts))
-	}
-	ts, err := parseInt(parts[0])
-	if err != nil {
-		return Login{}, fmt.Errorf("bad timestamp %q", parts[0])
-	}
-	uid, ok := byName[parts[1]]
-	if !ok {
-		return Login{}, fmt.Errorf("unknown user %q", parts[1])
-	}
-	return Login{User: uid, TS: timeutil.Time(ts)}, nil
+	return logins, rep, err
 }
 
 // WriteTransfers writes a transfer log as TSV: ts, user, dir, bytes.
@@ -180,66 +131,6 @@ func ReadTransfersWith(r io.Reader, byName map[string]UserID, opts ReadOptions) 
 }
 
 func readTransfersWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Transfer, *ParseReport, error) {
-	if opts.Sequential {
-		return readTransfersSeq(r, byName, opts)
-	}
 	xs, _, rep, err := readPipelined(r, byName, opts, hint, transferSpec)
-	if err != nil {
-		return nil, rep, err
-	}
-	return xs, rep, nil
-}
-
-func readTransfersSeq(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Transfer, *ParseReport, error) {
-	ls := newLineScanner(r, TransfersFile)
-	rep := &ParseReport{File: TransfersFile}
-	var xs []Transfer
-	for ls.scan() {
-		line := ls.text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		t, perr := parseTransferLine(line, byName)
-		if perr != nil {
-			if err := rep.quarantine(ls, opts, perr); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		xs = append(xs, t)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return xs, rep, nil
-}
-
-func parseTransferLine(line string, byName map[string]UserID) (Transfer, error) {
-	parts := strings.Split(line, "\t")
-	if len(parts) != 4 {
-		return Transfer{}, fmt.Errorf("want 4 fields, got %d", len(parts))
-	}
-	ts, err1 := parseInt(parts[0])
-	bytes, err2 := parseInt(parts[3])
-	if err1 != nil || err2 != nil {
-		return Transfer{}, fmt.Errorf("bad numeric field in %q", line)
-	}
-	uid, ok := byName[parts[1]]
-	if !ok {
-		return Transfer{}, fmt.Errorf("unknown user %q", parts[1])
-	}
-	var dir TransferDir
-	switch parts[2] {
-	case "in":
-		dir = TransferIn
-	case "out":
-		dir = TransferOut
-	default:
-		return Transfer{}, fmt.Errorf("bad direction %q", parts[2])
-	}
-	if bytes < 0 {
-		return Transfer{}, fmt.Errorf("negative transfer size")
-	}
-	return Transfer{User: uid, TS: timeutil.Time(ts), Dir: dir, Bytes: bytes}, nil
+	return xs, rep, err
 }

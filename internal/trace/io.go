@@ -118,45 +118,6 @@ func uncompressedSizeHint(path string) int {
 	return int(isize)
 }
 
-// lineScanner wraps bufio.Scanner with a large buffer (snapshot rows
-// carry long paths) and line counting for error messages. Only the
-// sequential readers use it; the pipelined path reproduces its exact
-// semantics (see pipeline.go).
-type lineScanner struct {
-	s    *bufio.Scanner
-	line int
-	name string
-}
-
-func newLineScanner(r io.Reader, name string) *lineScanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	return &lineScanner{s: s, name: name}
-}
-
-func (l *lineScanner) scan() bool {
-	ok := l.s.Scan()
-	if ok {
-		l.line++
-	}
-	return ok
-}
-
-func (l *lineScanner) text() string { return l.s.Text() }
-
-func (l *lineScanner) err() error {
-	if e := l.s.Err(); e != nil {
-		return fmt.Errorf("trace: %s line %d: %w", l.name, l.line+1, e)
-	}
-	return nil
-}
-
-func (l *lineScanner) errorf(format string, args ...any) error {
-	return fmt.Errorf("trace: %s line %d: %s", l.name, l.line, fmt.Sprintf(format, args...))
-}
-
-func parseInt(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
-
 // rowBufPool recycles the per-call row-encoding buffers the writers
 // build lines in, so concurrent dataset writes don't each grow a
 // fresh one.
@@ -203,53 +164,11 @@ func ReadUsersWith(r io.Reader, opts ReadOptions) ([]User, *ParseReport, error) 
 }
 
 func readUsersWithHint(r io.Reader, opts ReadOptions, hint int) ([]User, *ParseReport, error) {
-	if opts.Sequential {
-		return readUsersSeq(r, opts)
-	}
 	users, _, rep, err := readPipelined(r, nil, opts, hint, userSpec)
-	if err != nil {
-		return nil, rep, err
-	}
 	for i := range users {
 		users[i].ID = UserID(i)
 	}
-	return users, rep, nil
-}
-
-func readUsersSeq(r io.Reader, opts ReadOptions) ([]User, *ParseReport, error) {
-	ls := newLineScanner(r, UsersFile)
-	rep := &ParseReport{File: UsersFile}
-	var users []User
-	for ls.scan() {
-		line := ls.text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		parts := strings.Split(line, "\t")
-		if len(parts) < 2 {
-			if err := rep.quarantine(ls, opts, fmt.Errorf("want ≥2 fields, got %d", len(parts))); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		created, err := parseInt(parts[1])
-		if err != nil {
-			if err := rep.quarantine(ls, opts, fmt.Errorf("bad created timestamp %q", parts[1])); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		u := User{ID: UserID(len(users)), Name: parts[0], Created: timeutil.Time(created)}
-		if len(parts) >= 3 {
-			u.Archetype = parts[2]
-		}
-		users = append(users, u)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return users, rep, nil
+	return users, rep, err
 }
 
 // --- jobs ---
@@ -291,62 +210,8 @@ func ReadJobsWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Jo
 }
 
 func readJobsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Job, *ParseReport, error) {
-	if opts.Sequential {
-		return readJobsSeq(r, byName, opts)
-	}
 	jobs, _, rep, err := readPipelined(r, byName, opts, hint, jobSpec)
-	if err != nil {
-		return nil, rep, err
-	}
-	return jobs, rep, nil
-}
-
-func readJobsSeq(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Job, *ParseReport, error) {
-	ls := newLineScanner(r, JobsFile)
-	rep := &ParseReport{File: JobsFile}
-	var jobs []Job
-	for ls.scan() {
-		line := ls.text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		j, perr := parseJobLine(line, byName)
-		if perr != nil {
-			if err := rep.quarantine(ls, opts, perr); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		jobs = append(jobs, j)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return jobs, rep, nil
-}
-
-func parseJobLine(line string, byName map[string]UserID) (Job, error) {
-	parts := strings.Split(line, "\t")
-	if len(parts) != 4 {
-		return Job{}, fmt.Errorf("want 4 fields, got %d", len(parts))
-	}
-	uid, ok := byName[parts[0]]
-	if !ok {
-		return Job{}, fmt.Errorf("unknown user %q", parts[0])
-	}
-	submit, err1 := parseInt(parts[1])
-	dur, err2 := parseInt(parts[2])
-	cores, err3 := parseInt(parts[3])
-	if err1 != nil || err2 != nil || err3 != nil {
-		return Job{}, fmt.Errorf("bad numeric field in %q", line)
-	}
-	return Job{
-		User:     uid,
-		Submit:   timeutil.Time(submit),
-		Duration: timeutil.Duration(dur),
-		Cores:    int(cores),
-	}, nil
+	return jobs, rep, err
 }
 
 // --- accesses ---
@@ -394,66 +259,8 @@ func ReadAccessesWith(r io.Reader, byName map[string]UserID, opts ReadOptions) (
 }
 
 func readAccessesWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Access, *ParseReport, error) {
-	if opts.Sequential {
-		return readAccessesSeq(r, byName, opts)
-	}
 	accs, _, rep, err := readPipelined(r, byName, opts, hint, accessSpec)
-	if err != nil {
-		return nil, rep, err
-	}
-	return accs, rep, nil
-}
-
-func readAccessesSeq(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Access, *ParseReport, error) {
-	ls := newLineScanner(r, AccessesFile)
-	rep := &ParseReport{File: AccessesFile}
-	var accs []Access
-	for ls.scan() {
-		line := ls.text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		a, perr := parseAccessLine(line, byName)
-		if perr != nil {
-			if err := rep.quarantine(ls, opts, perr); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		accs = append(accs, a)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return accs, rep, nil
-}
-
-func parseAccessLine(line string, byName map[string]UserID) (Access, error) {
-	parts := strings.SplitN(line, "\t", 5)
-	if len(parts) != 5 {
-		return Access{}, fmt.Errorf("want 5 fields, got %d", len(parts))
-	}
-	ts, err1 := parseInt(parts[0])
-	uid, ok := byName[parts[1]]
-	create, err2 := parseInt(parts[2])
-	size, err3 := parseInt(parts[3])
-	if err1 != nil || err2 != nil || err3 != nil {
-		return Access{}, fmt.Errorf("bad numeric field in %q", line)
-	}
-	if !ok {
-		return Access{}, fmt.Errorf("unknown user %q", parts[1])
-	}
-	if parts[4] == "" {
-		return Access{}, fmt.Errorf("empty path")
-	}
-	return Access{
-		TS:     timeutil.Time(ts),
-		User:   uid,
-		Create: create != 0,
-		Size:   size,
-		Path:   parts[4],
-	}, nil
+	return accs, rep, err
 }
 
 // --- publications ---
@@ -500,65 +307,8 @@ func ReadPublicationsWith(r io.Reader, byName map[string]UserID, opts ReadOption
 }
 
 func readPublicationsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Publication, *ParseReport, error) {
-	if opts.Sequential {
-		return readPublicationsSeq(r, byName, opts)
-	}
 	pubs, _, rep, err := readPipelined(r, byName, opts, hint, pubSpec)
-	if err != nil {
-		return nil, rep, err
-	}
-	return pubs, rep, nil
-}
-
-func readPublicationsSeq(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Publication, *ParseReport, error) {
-	ls := newLineScanner(r, PubsFile)
-	rep := &ParseReport{File: PubsFile}
-	var pubs []Publication
-	for ls.scan() {
-		line := ls.text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		p, perr := parsePublicationLine(line, byName)
-		if perr != nil {
-			if err := rep.quarantine(ls, opts, perr); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		pubs = append(pubs, p)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return pubs, rep, nil
-}
-
-func parsePublicationLine(line string, byName map[string]UserID) (Publication, error) {
-	parts := strings.Split(line, "\t")
-	if len(parts) != 3 {
-		return Publication{}, fmt.Errorf("want 3 fields, got %d", len(parts))
-	}
-	ts, err1 := parseInt(parts[0])
-	cites, err2 := parseInt(parts[1])
-	if err1 != nil || err2 != nil {
-		return Publication{}, fmt.Errorf("bad numeric field in %q", line)
-	}
-	names := strings.Split(parts[2], ",")
-	authors := make([]UserID, 0, len(names))
-	for _, name := range names {
-		uid, ok := byName[name]
-		if !ok {
-			return Publication{}, fmt.Errorf("unknown author %q", name)
-		}
-		authors = append(authors, uid)
-	}
-	return Publication{
-		TS:        timeutil.Time(ts),
-		Citations: int(cites),
-		Authors:   authors,
-	}, nil
+	return pubs, rep, err
 }
 
 // --- snapshots ---
@@ -612,81 +362,11 @@ func ReadSnapshotWith(r io.Reader, byName map[string]UserID, opts ReadOptions) (
 }
 
 func readSnapshotWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) (*Snapshot, *ParseReport, error) {
-	if opts.Sequential {
-		return readSnapshotSeq(r, byName, opts)
-	}
 	entries, taken, rep, err := readPipelined(r, byName, opts, hint, snapshotSpec)
 	if err != nil {
 		return nil, rep, err
 	}
 	return &Snapshot{Taken: timeutil.Time(taken), Entries: entries}, rep, nil
-}
-
-func readSnapshotSeq(r io.Reader, byName map[string]UserID, opts ReadOptions) (*Snapshot, *ParseReport, error) {
-	ls := newLineScanner(r, SnapshotFile)
-	rep := &ParseReport{File: SnapshotFile}
-	s := &Snapshot{}
-	for ls.scan() {
-		line := ls.text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#taken\t") {
-			ts, err := parseInt(strings.TrimPrefix(line, "#taken\t"))
-			if err != nil {
-				rep.Lines++
-				if err := rep.quarantine(ls, opts, errors.New("bad taken timestamp")); err != nil {
-					return nil, rep, err
-				}
-				continue
-			}
-			s.Taken = timeutil.Time(ts)
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.Lines++
-		e, perr := parseSnapshotLine(line, byName)
-		if perr != nil {
-			if err := rep.quarantine(ls, opts, perr); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		s.Entries = append(s.Entries, e)
-	}
-	if err := rep.finish(ls, opts); err != nil {
-		return nil, rep, err
-	}
-	return s, rep, nil
-}
-
-func parseSnapshotLine(line string, byName map[string]UserID) (SnapshotEntry, error) {
-	parts := strings.SplitN(line, "\t", 5)
-	if len(parts) != 5 {
-		return SnapshotEntry{}, fmt.Errorf("want 5 fields, got %d", len(parts))
-	}
-	uid, ok := byName[parts[0]]
-	if !ok {
-		return SnapshotEntry{}, fmt.Errorf("unknown user %q", parts[0])
-	}
-	size, err1 := parseInt(parts[1])
-	stripes, err2 := parseInt(parts[2])
-	atime, err3 := parseInt(parts[3])
-	if err1 != nil || err2 != nil || err3 != nil {
-		return SnapshotEntry{}, fmt.Errorf("bad numeric field in %q", line)
-	}
-	if parts[4] == "" {
-		return SnapshotEntry{}, fmt.Errorf("empty path")
-	}
-	return SnapshotEntry{
-		Path:    parts[4],
-		User:    uid,
-		Size:    size,
-		Stripes: int(stripes),
-		ATime:   timeutil.Time(atime),
-	}, nil
 }
 
 // WriteSnapshotFile writes one metadata snapshot to path
@@ -755,8 +435,8 @@ func LoadSnapshotSeries(dir string, byName map[string]UserID) ([]*Snapshot, erro
 }
 
 // LoadSnapshotSeriesWith reads every snapshot-*.tsv.gz under dir
-// under the given strictness, decoding one worker per file unless
-// opts.Sequential. The snapshots are ordered by capture time —
+// under the given strictness, decoding one worker per file. The
+// snapshots are ordered by capture time —
 // Snapshot.Taken is the contract, not the file names — with glob
 // order breaking ties, so the result is deterministic under parallel
 // decode. The per-file reports (named by base file name, glob order)
@@ -770,48 +450,36 @@ func LoadSnapshotSeriesWith(dir string, byName map[string]UserID, opts ReadOptio
 		return nil, nil, err
 	}
 	// filepath.Glob returns lexically sorted paths: the deterministic
-	// slot order both decode modes share.
+	// slot order of the per-file results.
 	snaps := make([]*Snapshot, len(matches))
 	reps := make([]*ParseReport, len(matches))
 	errs := make([]error, len(matches))
-	loadOne := func(i int) {
-		path := matches[i]
-		reps[i], errs[i] = loadTraceFileAt(path, opts, func(r io.Reader, hint int) (*ParseReport, error) {
-			s, fr, e := readSnapshotWithHint(r, byName, opts, hint)
-			if e != nil {
-				return fr, e
+	pool := parallel.NewPool(0)
+	if err := pool.RunShards(len(matches), func(rank, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			path := matches[i]
+			reps[i], errs[i] = loadTraceFileAt(path, opts, func(r io.Reader, hint int) (*ParseReport, error) {
+				s, fr, e := readSnapshotWithHint(r, byName, opts, hint)
+				if e != nil {
+					return fr, e
+				}
+				snaps[i] = s
+				return fr, nil
+			})
+			if reps[i] != nil {
+				reps[i].File = filepath.Base(path)
 			}
-			snaps[i] = s
-			return fr, nil
-		})
-		if reps[i] != nil {
-			reps[i].File = filepath.Base(path)
-		}
-		if errs[i] != nil {
-			errs[i] = fmt.Errorf("trace: %s: %w", path, errs[i])
-		}
-	}
-	if opts.Sequential {
-		for i := range matches {
-			loadOne(i)
 			if errs[i] != nil {
-				break
+				errs[i] = fmt.Errorf("trace: %s: %w", path, errs[i])
 			}
 		}
-	} else {
-		pool := parallel.NewPool(0)
-		if err := pool.RunShards(len(matches), func(rank, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				loadOne(i)
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	// First failure in glob order wins; its report (and those of the
-	// files before it) are kept, later files' dropped — matching the
-	// sequential stop-at-first-error shape.
+	// files before it) are kept, later files' dropped, as if the files
+	// had been read one by one up to the first failure.
 	var out []*ParseReport
 	for i := range matches {
 		if reps[i] != nil {
@@ -929,13 +597,11 @@ func loadTraceFileAt(path string, opts ReadOptions, fn func(r io.Reader, hint in
 // LoadDatasetWith reads every trace kind from dir under the given
 // strictness and validates the result. users.tsv loads first (every
 // other reader needs its NameIndex); the remaining files then load
-// concurrently, each through the pipelined decoder, unless
-// opts.Sequential selects the original one-file-at-a-time path. Both
-// paths produce bit-identical results: the DatasetReport lists the
-// per-file reports in canonical file order, and on failure the first
-// error in that order wins, with the reports truncated at the failing
-// file exactly as a sequential stop-at-first-error read would leave
-// them.
+// concurrently, each through the pipelined decoder. The DatasetReport
+// lists the per-file reports in canonical file order, and on failure
+// the first error in that order wins, with the reports truncated at
+// the failing file, as if the files had been read one by one up to
+// the first failure.
 func LoadDatasetWith(dir string, opts ReadOptions) (*Dataset, *DatasetReport, error) {
 	d := &Dataset{}
 	rep := &DatasetReport{}
@@ -1017,29 +683,17 @@ func LoadDatasetWith(dir string, opts ReadOptions) (*Dataset, *DatasetReport, er
 	}
 	reps := make([]*ParseReport, len(files))
 	errs := make([]error, len(files))
-	loadOne := func(i int) {
-		reps[i], errs[i] = loadTraceFileAt(filepath.Join(dir, files[i].name), opts, files[i].fn)
+	tasks := make([]func() error, len(files))
+	for i := range files {
+		i := i
+		tasks[i] = func() error {
+			reps[i], errs[i] = loadTraceFileAt(filepath.Join(dir, files[i].name), opts, files[i].fn)
+			return nil
+		}
 	}
-	if opts.Sequential {
-		for i := range files {
-			loadOne(i)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		tasks := make([]func() error, len(files))
-		for i := range files {
-			i := i
-			tasks[i] = func() error {
-				loadOne(i)
-				return nil
-			}
-		}
-		pool := parallel.NewPool(0)
-		if err := pool.Run(tasks); err != nil {
-			return nil, rep, err
-		}
+	pool := parallel.NewPool(0)
+	if err := pool.Run(tasks); err != nil {
+		return nil, rep, err
 	}
 	for i := range files {
 		if reps[i] != nil {

@@ -29,12 +29,6 @@ type ReadOptions struct {
 	// corrupt, not scuffed). Zero or negative selects
 	// DefaultMaxErrors.
 	MaxErrors int
-	// Sequential selects the original single-goroutine readers
-	// instead of the pipelined ones (pipeline.go). Both paths produce
-	// bit-identical records, reports, and errors — the equivalence
-	// tests enforce it — and the sequential readers serve as the
-	// reference the pipelined decoder is fuzzed against.
-	Sequential bool
 	// SkipSnapshot leaves the metadata snapshot unread: Dataset.Snapshot
 	// stays zero and the caller supplies the initial file-system state
 	// some other way (e.g. a binary snapfile opened through the vfs
@@ -100,18 +94,11 @@ func (r *ParseReport) Summary() string {
 	return s
 }
 
-// quarantine handles one malformed line: strict mode aborts with the
-// reader's positioned error, lenient mode records the bare reason
-// until the cap is hit. A non-nil return means the read must stop.
-func (r *ParseReport) quarantine(ls *lineScanner, opts ReadOptions, reason error) error {
-	return r.quarantineAt(ls.name, ls.line, opts, reason.Error())
-}
-
-// quarantineAt is quarantine positioned by file name and line number
-// instead of a live scanner, so the pipeline assembler (which replays
-// worker events long after the lines were scanned) shares the exact
-// strict-abort and cap-exceeded semantics and messages.
-func (r *ParseReport) quarantineAt(name string, line int, opts ReadOptions, reason string) error {
+// quarantine handles one malformed line, positioned by file name and
+// line number: strict mode aborts with the positioned error, lenient
+// mode records the bare reason until the cap is hit. A non-nil return
+// means the read must stop.
+func (r *ParseReport) quarantine(name string, line int, opts ReadOptions, reason string) error {
 	if !opts.Lenient {
 		return fmt.Errorf("trace: %s line %d: %s", name, line, reason)
 	}
@@ -124,20 +111,11 @@ func (r *ParseReport) quarantineAt(name string, line int, opts ReadOptions, reas
 	return nil
 }
 
-// finish folds the scanner's terminal error into the report: lenient
-// mode converts a truncated stream into ParseReport.Truncated (the
-// records already parsed are kept); everything else stays fatal.
-func (r *ParseReport) finish(ls *lineScanner, opts ReadOptions) error {
-	err := ls.s.Err()
-	if err == nil {
-		return nil
-	}
-	return r.finishAt(ls.name, ls.line, opts, err)
-}
-
-// finishAt is finish positioned by file name and scanned-line count,
-// the assembler-side twin of quarantineAt.
-func (r *ParseReport) finishAt(name string, lines int, opts ReadOptions, err error) error {
+// finish folds the input's terminal error, met after lines lines,
+// into the report: lenient mode converts a truncated stream into
+// ParseReport.Truncated (the records already parsed are kept);
+// everything else stays fatal, positioned at the next line.
+func (r *ParseReport) finish(name string, lines int, opts ReadOptions, err error) error {
 	if opts.Lenient && isTruncation(err) {
 		r.Truncated = true
 		return nil

@@ -1,30 +1,32 @@
 package trace
 
-// Pipelined trace ingestion. The default read path splits every file into
-// three stages — a reader goroutine inflating the stream into pooled
-// line blocks, parser workers decoding blocks concurrently
-// (decode.go), and an in-order assembler — so decode cost overlaps
-// gzip inflation and, across files, other readers. The assembler
-// applies blocks strictly in input order and replays per-line events
-// (quarantines, #taken headers) against the ParseReport, which keeps
-// record order, quarantine line numbers, MaxErrors short-circuiting,
-// and truncated-input salvage bit-identical to the sequential path
-// (ReadOptions.Sequential); the equivalence tests in pipeline_test.go
-// hold both paths to that.
+// Pipelined trace ingestion, the one read path for every trace kind.
+// Each file is split into three stages — a reader goroutine inflating
+// the stream into pooled line blocks, parser workers decoding blocks
+// concurrently (decode.go), and an in-order assembler — so decode cost
+// overlaps gzip inflation and, across files, other readers. The
+// assembler applies blocks strictly in input order and replays
+// per-line events (quarantines, #taken headers) against the
+// ParseReport, which keeps record order, quarantine line numbers,
+// MaxErrors short-circuiting, and truncated-input salvage exactly as
+// a line-by-line read would have them. pipeline_test.go pins those
+// outcomes (expect_test.go holds them).
 //
-// Scanner parity is the load-bearing invariant. bufio.Scanner as
-// configured by lineScanner (a) splits on '\n' and drops one trailing
-// '\r', (b) emits a final unterminated line, (c) on a non-EOF read
-// error emits every buffered complete line plus the trailing partial
-// before surfacing the error at line scanned+1, and (d) fails with
-// bufio.ErrTooLong when a single line reaches maxLineBytes. The
-// reader goroutine reproduces all four: blocks are sealed at the last
-// newline with the partial tail carried into the next block, buffered
-// bytes are flushed as a final block on EOF or read error, and a
-// carry that reaches maxLineBytes without a newline (or a block whose
-// first line does) aborts with ErrTooLong before the read error is
-// ever observed, exactly as the scanner's full-buffer check fires
-// before its next Read.
+// Scanner parity is the load-bearing invariant: lines are framed
+// exactly as bufio.Scanner with a 64 KiB initial buffer capped at
+// maxLineBytes frames them, which FuzzPipelineEquivalence checks
+// against such a scanner. bufio.Scanner (a) splits on '\n' and drops
+// one trailing '\r', (b) emits a final unterminated line, (c) on a
+// non-EOF read error emits every buffered complete line plus the
+// trailing partial before surfacing the error at line scanned+1, and
+// (d) fails with bufio.ErrTooLong when a single line reaches
+// maxLineBytes. The reader goroutine reproduces all four: blocks are
+// sealed at the last newline with the partial tail carried into the
+// next block, buffered bytes are flushed as a final block on EOF or
+// read error, and a carry that reaches maxLineBytes without a newline
+// (or a block whose first line does) aborts with ErrTooLong before the
+// read error is ever observed, exactly as the scanner's full-buffer
+// check fires before its next Read.
 
 import (
 	"bufio"
@@ -40,9 +42,9 @@ const (
 	// per-block channel traffic is noise next to parse cost, small
 	// enough that a handful of in-flight arenas stay cache-friendly.
 	pipeBlockSize = 512 << 10
-	// maxLineBytes mirrors lineScanner's bufio.Scanner buffer cap: a
-	// line whose content reaches this length is an ErrTooLong, on
-	// both paths.
+	// maxLineBytes is the longest line a trace file may hold, the
+	// bufio.Scanner buffer cap the framing reproduces: a line whose
+	// content reaches this length is an ErrTooLong.
 	maxLineBytes = 4 * 1024 * 1024
 )
 
@@ -103,9 +105,8 @@ type blockResult[T any] struct {
 }
 
 // readPipelined runs the three-stage pipeline over r. It returns the
-// decoded records (nil when none, matching the sequential readers'
-// never-appended slices), the last valid #taken timestamp for
-// snapshot specs, and the ParseReport. sizeHint, when positive, is
+// decoded records (nil when none, and on error), the last valid
+// #taken timestamp for snapshot specs, and the ParseReport. sizeHint, when positive, is
 // the uncompressed input size used to presize the record slice.
 func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOptions, sizeHint int, spec rowSpec[T]) ([]T, int64, *ParseReport, error) {
 	pool := parallel.NewPool(0)
@@ -247,7 +248,7 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 	}()
 
 	// Assembler: apply blocks in seq order, replaying events against
-	// the report exactly as the sequential loop would.
+	// the report in input order.
 	rep := &ParseReport{File: spec.name}
 	var out []T
 	if sizeHint > 0 {
@@ -266,7 +267,7 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 				taken = ev.taken
 			case evQuarantine:
 				rep.Lines = base + ev.dataCount
-				if err := rep.quarantineAt(spec.name, totalLines+ev.relLine, opts, ev.reason); err != nil {
+				if err := rep.quarantine(spec.name, totalLines+ev.relLine, opts, ev.reason); err != nil {
 					abortErr = err
 					return
 				}
@@ -321,20 +322,20 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 		return nil, 0, rep, poolErr
 	}
 	if termErr != nil {
-		if err := rep.finishAt(spec.name, totalLines, opts, termErr); err != nil {
+		if err := rep.finish(spec.name, totalLines, opts, termErr); err != nil {
 			return nil, 0, rep, err
 		}
 	}
 	if len(out) == 0 {
-		out = nil // the sequential readers never allocate an empty slice
+		out = nil // an empty read yields no slice at all
 	}
 	return out, taken, rep, nil
 }
 
-// decodeBlock parses one block's lines with the worker's decoder,
-// mirroring the sequential loop: blanks and comments are skipped
-// without counting, #taken headers (snapshot specs only) become
-// events, data lines either decode into records or quarantine events.
+// decodeBlock parses one block's lines with the worker's decoder:
+// blanks and comments are skipped without counting, #taken headers
+// (snapshot specs only) become events, data lines either decode into
+// records or quarantine events.
 func decodeBlock[T any](dc *decoder, pb parseJob, byName map[string]UserID, spec rowSpec[T], recsFree chan []T) blockResult[T] {
 	var recs []T
 	select {

@@ -22,14 +22,6 @@ import (
 // exact error text. Clean fixtures pin their records to what was
 // written; damaged ones to what survives the damage.
 
-// readPaths lists the read paths every pinned outcome is checked on:
-// the pipelined decoder and the single-goroutine readers.
-func readPaths(opts ReadOptions) []ReadOptions {
-	seq := opts
-	seq.Sequential = true
-	return []ReadOptions{opts, seq}
-}
-
 // errText is err's message, or "" for a nil error.
 func errText(err error) string {
 	if err == nil {
@@ -83,17 +75,15 @@ func outcome[T any](recs []T, rep *ParseReport, err error) string {
 // the pinned ones.
 func checkLoad(t *testing.T, dir string, opts ReadOptions, want *Dataset, wantReports, wantErr string) {
 	t.Helper()
-	for _, o := range readPaths(opts) {
-		d, rep, err := LoadDatasetWith(dir, o)
-		if got := errText(err); got != wantErr {
-			t.Fatalf("sequential=%v: err = %q, want %q", o.Sequential, got, wantErr)
-		}
-		if got := renderReports(rep.Reports...); got != wantReports {
-			t.Fatalf("sequential=%v: reports:\n%s\nwant:\n%s", o.Sequential, got, wantReports)
-		}
-		if !reflect.DeepEqual(d, want) {
-			t.Fatalf("sequential=%v: loaded dataset differs from the pinned one", o.Sequential)
-		}
+	d, rep, err := LoadDatasetWith(dir, opts)
+	if got := errText(err); got != wantErr {
+		t.Fatalf("err = %q, want %q", got, wantErr)
+	}
+	if got := renderReports(rep.Reports...); got != wantReports {
+		t.Fatalf("reports:\n%s\nwant:\n%s", got, wantReports)
+	}
+	if !reflect.DeepEqual(d, want) {
+		t.Fatal("loaded dataset differs from the pinned one")
 	}
 }
 
@@ -101,10 +91,8 @@ func checkLoad(t *testing.T, dir string, opts ReadOptions, want *Dataset, wantRe
 // is exactly want.
 func checkRead(t *testing.T, what string, opts ReadOptions, read func(ReadOptions) string, want string) {
 	t.Helper()
-	for _, o := range readPaths(opts) {
-		if got := read(o); got != want {
-			t.Fatalf("%s (sequential=%v):\n%s\nwant:\n%s", what, o.Sequential, got, want)
-		}
+	if got := read(opts); got != want {
+		t.Fatalf("%s:\n%s\nwant:\n%s", what, got, want)
 	}
 }
 
@@ -423,19 +411,15 @@ func TestMalformedLineReasons(t *testing.T) {
 			t.Fatalf("unknown trace kind %q", c.kind)
 		}
 		in := k.good + "\n" + c.line + "\n" + k.good + "\n"
-		for _, o := range readPaths(ReadOptions{Lenient: true}) {
-			n, rep, err := k.read(strings.NewReader(in), o)
-			want := []ParseError{{File: k.file, Line: 2, Reason: c.reason}}
-			if err != nil || n != 2 || rep.Lines != 3 || !reflect.DeepEqual(rep.Errors, want) {
-				t.Errorf("%s %q (sequential=%v): %d records, report %+v, err %v; want 2 records and %+v",
-					c.kind, c.line, o.Sequential, n, rep, err, want)
-			}
+		n, rep, err := k.read(strings.NewReader(in), ReadOptions{Lenient: true})
+		want := []ParseError{{File: k.file, Line: 2, Reason: c.reason}}
+		if err != nil || n != 2 || rep.Lines != 3 || !reflect.DeepEqual(rep.Errors, want) {
+			t.Errorf("%s %q: %d records, report %+v, err %v; want 2 records and %+v",
+				c.kind, c.line, n, rep, err, want)
 		}
-		for _, o := range readPaths(ReadOptions{}) {
-			_, _, err := k.read(strings.NewReader(in), o)
-			if want := fmt.Sprintf("trace: %s line 2: %s", k.file, c.reason); errText(err) != want {
-				t.Errorf("%s %q (sequential=%v): strict err = %v, want %q", c.kind, c.line, o.Sequential, err, want)
-			}
+		_, _, err = k.read(strings.NewReader(in), ReadOptions{})
+		if want := fmt.Sprintf("trace: %s line 2: %s", k.file, c.reason); errText(err) != want {
+			t.Errorf("%s %q: strict err = %v, want %q", c.kind, c.line, err, want)
 		}
 	}
 }
@@ -446,17 +430,15 @@ func TestMalformedLineReasons(t *testing.T) {
 // pinned ones.
 func checkSeries(t *testing.T, dir string, idx map[string]UserID, opts ReadOptions, want []*Snapshot, wantReports, wantErr string) {
 	t.Helper()
-	for _, o := range readPaths(opts) {
-		got, reps, err := LoadSnapshotSeriesWith(dir, idx, o)
-		if e, w := errText(err), strings.ReplaceAll(wantErr, "$DIR", dir); e != w {
-			t.Fatalf("sequential=%v: err = %q, want %q", o.Sequential, e, w)
-		}
-		if r := renderReports(reps...); r != wantReports {
-			t.Fatalf("sequential=%v: reports:\n%s\nwant:\n%s", o.Sequential, r, wantReports)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sequential=%v: loaded series differs from the pinned one", o.Sequential)
-		}
+	got, reps, err := LoadSnapshotSeriesWith(dir, idx, opts)
+	if e, w := errText(err), strings.ReplaceAll(wantErr, "$DIR", dir); e != w {
+		t.Fatalf("err = %q, want %q", e, w)
+	}
+	if r := renderReports(reps...); r != wantReports {
+		t.Fatalf("reports:\n%s\nwant:\n%s", r, wantReports)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("loaded series differs from the pinned one")
 	}
 }
 
@@ -509,7 +491,7 @@ func TestSnapshotSeriesPipelined(t *testing.T) {
 
 func TestLoadSnapshotSeriesOrdersByTaken(t *testing.T) {
 	// File names deliberately disagree with capture times: the result
-	// must be ordered by Snapshot.Taken, the contract, on both paths.
+	// must be ordered by Snapshot.Taken, the contract.
 	dir := t.TempDir()
 	users := []User{{ID: 0, Name: "u000"}}
 	later := &Snapshot{Taken: timeutil.Date(2016, time.June, 1),
@@ -523,16 +505,12 @@ func TestLoadSnapshotSeriesOrdersByTaken(t *testing.T) {
 	if err := WriteSnapshotFile(filepath.Join(dir, "snapshot-99-mislabeled.tsv.gz"), users, earlier); err != nil {
 		t.Fatal(err)
 	}
-	idx := NameIndex(users)
-	for _, opts := range []ReadOptions{{}, {Sequential: true}} {
-		got, _, err := LoadSnapshotSeriesWith(dir, idx, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 2 || got[0].Taken != earlier.Taken || got[1].Taken != later.Taken {
-			t.Fatalf("series not ordered by Taken (sequential=%v): %d, %d",
-				opts.Sequential, got[0].Taken, got[1].Taken)
-		}
+	got, _, err := LoadSnapshotSeriesWith(dir, NameIndex(users), ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Taken != earlier.Taken || got[1].Taken != later.Taken {
+		t.Fatalf("series not ordered by Taken: %d, %d", got[0].Taken, got[1].Taken)
 	}
 }
 
