@@ -13,6 +13,7 @@ package sim
 // every multiplexed run over the same dataset.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -47,33 +48,33 @@ type colFeed struct {
 }
 
 // buildColFeed slices the access log into day/trigger batches under
-// the grid t0+k*interval (t0 = snapshot time). ok is false when the
-// log is not usable columnar-ly — timestamps out of order or events
-// predating the snapshot — in which case the caller falls back to N
-// sequential replays (which also reproduce the predate error).
-func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, bool) {
+// the grid t0+k*interval (t0 = snapshot time). It refuses a log it
+// cannot represent: a first event predating the snapshot (the error
+// Stream.Apply raises), timestamps out of order (Dataset.Validate's
+// check; every loader and generator sorts its log), or more events
+// than its int32 indexes address.
+func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, error) {
 	acc := ds.Accesses
 	f := &colFeed{}
 	if len(acc) == 0 {
-		return f, true
+		return f, nil
 	}
 	t0 := ds.Snapshot.Taken
 	if acc[0].TS < t0 {
-		return nil, false
+		return nil, fmt.Errorf("sim: access at %v predates the snapshot (%v)", acc[0].TS, t0)
 	}
 	// The feed's indexes (event positions in order, path ids, run
 	// offsets) are all int32, and each is bounded by the event count:
 	// distinct paths ≤ events, order holds one entry per event, and a
 	// run's offset is a position in order. One guard here makes every
 	// int32 conversion below exact instead of silently truncating on a
-	// >2^31-event log; such a log falls back to the sequential path,
-	// which has no width assumption.
+	// >2^31-event log.
 	if len(acc) > math.MaxInt32 {
-		return nil, false
+		return nil, fmt.Errorf("sim: %d access events exceed the columnar feed's int32 indexes", len(acc))
 	}
 	for i := 1; i < len(acc); i++ {
 		if acc[i].TS < acc[i-1].TS {
-			return nil, false
+			return nil, fmt.Errorf("sim: access log out of order at record %d", i)
 		}
 	}
 	f.order = make([]int32, 0, len(acc))
@@ -144,5 +145,5 @@ func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, bool
 		}
 	}
 	flush(start, len(acc))
-	return f, true
+	return f, nil
 }

@@ -45,14 +45,6 @@ type LaneSpec struct {
 	Opts   RunOptions
 }
 
-// evalKey identifies the activeness-evaluator inputs a sequential
-// lane needs; lanes with equal keys share one Evaluator.
-type evalKey struct {
-	period    timeutil.Duration
-	logins    bool
-	transfers bool
-}
-
 // dataKey identifies the activity data an evaluator consumes,
 // independent of the period length. Multiplexed lanes with equal data
 // keys share one evaluator and one cursor walk per trigger even when
@@ -65,16 +57,14 @@ type dataKey struct {
 
 // Multiplexer caches the per-dataset artifacts multiplexed runs share:
 // the base file system, the columnar feed per trigger interval, and
-// the activeness evaluator per input signature. Build one per dataset
+// the activeness evaluator per data signature. Build one per dataset
 // and call Run once per lane set; runs are independent.
 type Multiplexer struct {
-	ds      *trace.Dataset
-	base    *vfs.FS
-	feeds   map[timeutil.Duration]*colFeed
-	badFeed bool // set when the log is unusable columnar-ly
-	evals   map[evalKey]*activeness.Evaluator
-	// dataEvals caches evaluators per data signature for multiplexed
-	// passes, which rank all period lengths through one evaluator
+	ds    *trace.Dataset
+	base  *vfs.FS
+	feeds map[timeutil.Duration]*colFeed
+	// dataEvals caches evaluators per data signature: a multiplexed
+	// pass ranks all period lengths through one evaluator
 	// (EvaluateUserMulti ignores the embedded period).
 	dataEvals map[dataKey]*activeness.Evaluator
 }
@@ -98,19 +88,8 @@ func NewMultiplexerWithBase(ds *trace.Dataset, base *vfs.FS) *Multiplexer {
 		ds:        ds,
 		base:      base,
 		feeds:     make(map[timeutil.Duration]*colFeed),
-		evals:     make(map[evalKey]*activeness.Evaluator),
 		dataEvals: make(map[dataKey]*activeness.Evaluator),
 	}
-}
-
-func (m *Multiplexer) evaluator(cfg Config) *activeness.Evaluator {
-	k := evalKey{cfg.PeriodLength, cfg.UseLogins, cfg.UseTransfers}
-	if e, ok := m.evals[k]; ok {
-		return e
-	}
-	e := newEvaluator(m.ds, cfg)
-	m.evals[k] = e
-	return e
 }
 
 // dataEvaluator returns the evaluator shared by every multiplexed
@@ -127,20 +106,16 @@ func (m *Multiplexer) dataEvaluator(cfg Config) *activeness.Evaluator {
 	return e
 }
 
-func (m *Multiplexer) feed(interval timeutil.Duration) (*colFeed, bool) {
-	if m.badFeed {
-		return nil, false
-	}
+func (m *Multiplexer) feed(interval timeutil.Duration) (*colFeed, error) {
 	if f, ok := m.feeds[interval]; ok {
-		return f, true
+		return f, nil
 	}
-	f, ok := buildColFeed(m.ds, interval)
-	if !ok {
-		m.badFeed = true
-		return nil, false
+	f, err := buildColFeed(m.ds, interval)
+	if err != nil {
+		return nil, err
 	}
 	m.feeds[interval] = f
-	return f, true
+	return f, nil
 }
 
 // sharedRanker memoizes rank tables per trigger time for all lanes
@@ -289,9 +264,9 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		}
 		cfgs[i] = cfg
 	}
-	feed, ok := m.feed(cfgs[0].TriggerInterval)
-	if !ok {
-		return m.runSequential(lanes, cfgs)
+	feed, err := m.feed(cfgs[0].TriggerInterval)
+	if err != nil {
+		return nil, err
 	}
 
 	timer := profiling.StartTimer()
@@ -436,27 +411,6 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		st.res.Final = st.fsys
 		st.res.Elapsed = timer.Elapsed()
 		out[i] = st.res
-	}
-	return out, nil
-}
-
-// runSequential is the fallback for access logs the columnar feed
-// cannot represent (out-of-order timestamps, events predating the
-// snapshot): N independent sequential replays, trivially equivalent —
-// and surfacing the same errors a sequential run would.
-func (m *Multiplexer) runSequential(lanes []LaneSpec, cfgs []Config) ([]*Result, error) {
-	out := make([]*Result, len(lanes))
-	for i := range lanes {
-		em := &Emulator{ds: m.ds, cfg: cfgs[i], base: m.base, eval: m.evaluator(cfgs[i]), users: len(m.ds.Users)}
-		policy, err := m.lanePolicy(em, lanes[i].Policy)
-		if err != nil {
-			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
-		}
-		res, err := em.RunWith(policy, lanes[i].Opts)
-		if err != nil {
-			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
-		}
-		out[i] = res
 	}
 	return out, nil
 }

@@ -139,30 +139,38 @@ func TestMultiplexDoesNotShareFaultDraws(t *testing.T) {
 	requireSameResult(t, mixed[0], mixed[2])
 }
 
-// TestMultiplexFallsBackOnNonMonotoneLog exercises the sequential
-// fallback: an access log the columnar feed cannot represent still
-// runs, lane by lane, with sequential semantics.
-func TestMultiplexFallsBackOnNonMonotoneLog(t *testing.T) {
+// TestMultiplexRejectsUnrepresentableLog pins the columnar feed's
+// refusals. An access log out of timestamp order fails the run with
+// Dataset.Validate's wording; a first event predating the snapshot
+// fails it with the error a single-policy replay raises.
+func TestMultiplexRejectsUnrepresentableLog(t *testing.T) {
+	cfg := Config{TargetUtilization: 0.5}
+	lanes := []LaneSpec{{Policy: PolicyFLT, Config: cfg}}
+
 	ds := tinyDataset()
 	n := len(ds.Accesses)
 	ds.Accesses[n-1], ds.Accesses[n-2] = ds.Accesses[n-2], ds.Accesses[n-1]
 	if ds.Accesses[n-1].TS >= ds.Accesses[n-2].TS {
 		t.Fatal("fixture still monotone after swap")
 	}
-	cfg := Config{TargetUtilization: 0.5}
-	got, err := RunMultiplexed(ds, []LaneSpec{{Policy: PolicyFLT, Config: cfg}})
-	if err != nil {
-		t.Fatal(err)
+	want := fmt.Sprintf("sim: access log out of order at record %d", n-1)
+	if _, err := RunMultiplexed(ds, lanes); err == nil || err.Error() != want {
+		t.Fatalf("out-of-order log: err = %v, want %q", err, want)
+	}
+
+	ds = tinyDataset()
+	ds.Accesses[0].TS = ds.Snapshot.Taken - 1
+	want = fmt.Sprintf("sim: access at %v predates the snapshot (%v)", ds.Accesses[0].TS, ds.Snapshot.Taken)
+	if _, err := RunMultiplexed(ds, lanes); err == nil || err.Error() != want {
+		t.Fatalf("predating log: err = %v, want %q", err, want)
 	}
 	em, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := em.Run(em.NewFLT())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := em.Run(em.NewFLT()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("single-policy replay of the predating log: err = %v, want it to carry %q", err, want)
 	}
-	requireSameResult(t, want, got[0])
 }
 
 // TestMultiplexValidation pins the fail-fast surface.
@@ -208,9 +216,9 @@ func TestColFeedBatchInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	interval := timeutil.Days(7)
-	feed, ok := buildColFeed(ds, interval)
-	if !ok {
-		t.Fatal("synthetic log should be columnar-feedable")
+	feed, err := buildColFeed(ds, interval)
+	if err != nil {
+		t.Fatalf("synthetic log should be columnar-feedable: %v", err)
 	}
 	t0 := ds.Snapshot.Taken
 	next := 0
