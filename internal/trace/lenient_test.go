@@ -2,9 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -245,17 +243,7 @@ func TestLenientSalvagesTruncatedGzip(t *testing.T) {
 	// the flate layer reports io.ErrUnexpectedEOF partway through.
 	// Varied lines keep the stream incompressible enough that the cut
 	// lands mid-data with a real salvageable prefix.
-	const total = 2000
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	for i := 0; i < total; i++ {
-		fmt.Fprintf(gz, "%d\tu000\t0\t5\t/lustre/atlas/u000/f%04d-%x\n", i, i, i*2654435761)
-	}
-	gz.Close()
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if err := os.WriteFile(filepath.Join(dir, AccessesFile), trunc, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	total := len(truncatedAccesses(t, dir))
 
 	// Strict load still refuses the truncated stream.
 	if _, err := LoadDataset(dir); err == nil {

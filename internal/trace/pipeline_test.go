@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -50,16 +51,20 @@ func renderReports(reps ...*ParseReport) string {
 }
 
 // outcome renders one reader call: its records (spelled out when a
-// few short ones, otherwise counted and digested), its report and its
-// error.
+// few short ones, otherwise counted and their JSON digested), its
+// report and its error.
 func outcome[T any](recs []T, rep *ParseReport, err error) string {
 	var b strings.Builder
 	for _, r := range recs {
 		fmt.Fprintf(&b, "%+v\n", r)
+		if b.Len() > 512 {
+			break
+		}
 	}
 	if len(recs) > 4 || b.Len() > 512 {
+		js, _ := json.Marshal(recs) // plain record structs always marshal
 		b.Reset()
-		fmt.Fprintf(&b, "%d records, sha256 %x\n", len(recs), sha256.Sum256([]byte(fmt.Sprintf("%+v", recs))))
+		fmt.Fprintf(&b, "%d records, sha256 %x\n", len(recs), sha256.Sum256(js))
 	}
 	if rep != nil {
 		b.WriteString(renderReports(rep))
