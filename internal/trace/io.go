@@ -685,7 +685,6 @@ func LoadDatasetWith(dir string, opts ReadOptions) (*Dataset, *DatasetReport, er
 	errs := make([]error, len(files))
 	tasks := make([]func() error, len(files))
 	for i := range files {
-		i := i
 		tasks[i] = func() error {
 			reps[i], errs[i] = loadTraceFileAt(filepath.Join(dir, files[i].name), opts, files[i].fn)
 			return nil
