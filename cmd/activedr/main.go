@@ -19,6 +19,7 @@ import (
 
 	"activedr/internal/activeness"
 	"activedr/internal/retention"
+	"activedr/internal/sim"
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
 	"activedr/internal/vfs"
@@ -111,11 +112,7 @@ func main() {
 		}
 	}
 
-	ev := activeness.NewEvaluator(timeutil.Days(o.lifetime))
-	jt := ev.AddType("job-submission", activeness.Operation)
-	pt := ev.AddType("publication", activeness.Outcome)
-	ev.RecordJobs(jt, ds.Jobs)
-	ev.RecordPublications(pt, ds.Publications)
+	ev := sim.NewEvaluator(ds, sim.Config{PeriodLength: timeutil.Days(o.lifetime)})
 	if o.explain != "" {
 		uid := ds.UserByName(o.explain)
 		if uid == trace.NoUser {

@@ -56,7 +56,7 @@ func parseFlags() *options {
 	flag.Uint64Var(&o.seed, "seed", 0, "synthetic seed (when -data is empty)")
 	flag.StringVar(&o.fig, "fig", "all", "figure/table to render: all, t1, 1, 5, 6, 7, 8, 9, 10, 11, 12, ablation, workload")
 	flag.StringVar(&o.out, "o", "", "output file (empty = stdout)")
-	flag.IntVar(&o.ranks, "ranks", 4, "parallel ranks for the replay sweep and Figure 12")
+	flag.IntVar(&o.ranks, "ranks", 4, "parallel ranks for Figure 12's per-rank probes")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed trace lines instead of aborting")
 	flag.StringVar(&o.events, "events", "", "render a per-trigger summary of this telemetry stream (from simulate -events-out) instead of figures")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the figure runs to this file")

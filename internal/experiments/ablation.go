@@ -75,18 +75,21 @@ func ablationVariants() []struct {
 	}
 }
 
-// Ablation replays the year once per design variant.
+// Ablation compares the policies under every design variant, all
+// variants in one call.
 func (s *Suite) Ablation() (*AblationResult, error) {
+	variants := ablationVariants()
+	cfgs := make([]sim.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = v.cfg
+	}
+	cmps, err := s.compare(cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ablation: %w", err)
+	}
 	res := &AblationResult{}
-	for _, v := range ablationVariants() {
-		em, err := sim.New(s.ds, v.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
-		}
-		cmp, err := em.RunComparison()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
-		}
+	for i, v := range variants {
+		cmp := cmps[i]
 		reached := 0
 		for _, rep := range cmp.ActiveDR.Reports {
 			if rep.TargetReached {

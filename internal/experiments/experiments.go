@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 
 	"activedr/internal/activeness"
@@ -31,24 +31,18 @@ import (
 // captured on Aug 23rd of 2016 — the state Figures 9–11 examine.
 var CaptureDate = timeutil.Date(2016, time.August, 23)
 
-// Suite prepares and caches the emulation runs the figures share.
-// The caches are mutex-guarded so Precompute can replay the lifetime
-// sweep concurrently; each replay runs on its own emulator with
-// cloned state, so concurrent comparisons never share mutable state.
+// Suite caches the FLT/ActiveDR comparisons the figures share, keyed
+// by replay configuration, and fills them through one multiplexer it
+// builds on first use. A Suite is not safe for concurrent use.
 type Suite struct {
 	ds          *trace.Dataset
-	mu          sync.Mutex
-	comparisons map[timeutil.Duration]*sim.Comparison
-	emulators   map[timeutil.Duration]*sim.Emulator
+	mux         *sim.Multiplexer
+	comparisons map[sim.Config]*sim.Comparison
 }
 
 // NewSuite wraps an existing dataset.
 func NewSuite(ds *trace.Dataset) *Suite {
-	return &Suite{
-		ds:          ds,
-		comparisons: make(map[timeutil.Duration]*sim.Comparison),
-		emulators:   make(map[timeutil.Duration]*sim.Emulator),
-	}
+	return &Suite{ds: ds, comparisons: make(map[sim.Config]*sim.Comparison)}
 }
 
 // NewSyntheticSuite generates the default dataset at the given user
@@ -64,142 +58,93 @@ func NewSyntheticSuite(users int, seed uint64) (*Suite, error) {
 // Dataset exposes the underlying traces.
 func (s *Suite) Dataset() *trace.Dataset { return s.ds }
 
-// emulator builds (and caches) an emulator for one lifetime setting.
-// Construction happens outside the lock (it only reads the shared
-// dataset), so concurrent callers for distinct lifetimes don't
-// serialize on each other; racing callers for the same lifetime both
-// build, and the first store wins.
-func (s *Suite) emulator(d timeutil.Duration) (*sim.Emulator, error) {
-	s.mu.Lock()
-	em, ok := s.emulators[d]
-	s.mu.Unlock()
-	if ok {
-		return em, nil
-	}
-	em, err := sim.New(s.ds, sim.Config{
+// figureConfig is the replay setting the figures compare at lifetime
+// d: the paper's purge target, with the file system captured at the
+// capture date for Figures 9–11.
+func figureConfig(d timeutil.Duration) sim.Config {
+	return sim.Config{
 		Lifetime:          d,
 		TargetUtilization: config.TargetUtilization,
 		CaptureAt:         CaptureDate,
-	})
-	if err != nil {
-		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prior, ok := s.emulators[d]; ok {
-		return prior, nil
-	}
-	s.emulators[d] = em
-	return em, nil
 }
 
-// comparison runs (and caches) the FLT/ActiveDR pair at one lifetime.
-// The replay itself runs unlocked: runs clone the emulator's base
-// state, so comparisons at different lifetimes proceed concurrently.
-func (s *Suite) comparison(d timeutil.Duration) (*sim.Comparison, error) {
-	s.mu.Lock()
-	c, ok := s.comparisons[d]
-	s.mu.Unlock()
-	if ok {
-		return c, nil
+// periodConfigs is figureConfig at every period length of the sweep.
+func periodConfigs() []sim.Config {
+	cfgs := make([]sim.Config, len(config.PeriodLengths))
+	for i, d := range config.PeriodLengths {
+		cfgs[i] = figureConfig(d)
 	}
-	em, err := s.emulator(d)
-	if err != nil {
-		return nil, err
-	}
-	c, err = em.RunComparison()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prior, ok := s.comparisons[d]; ok {
-		return prior, nil
-	}
-	s.comparisons[d] = c
-	return c, nil
+	return cfgs
 }
 
-// Precompute replays the FLT/ActiveDR comparison for every lifetime
-// concurrently on the pool, one independent task per lifetime. Each
-// task runs on its own emulator and cloned file system — replays are
-// deterministic, so the figures read identical results whether they
-// were precomputed in parallel or computed lazily one by one.
-// Checkpointed and fault-injected runs are not driven through here;
-// those stay serial within their run.
-func (s *Suite) Precompute(pool *parallel.Pool, lifetimes []timeutil.Duration) error {
-	seen := make(map[timeutil.Duration]bool, len(lifetimes))
-	tasks := make([]func() error, 0, len(lifetimes))
-	for _, d := range lifetimes {
-		if seen[d] {
-			continue
-		}
-		seen[d] = true
-		tasks = append(tasks, func() error {
-			_, err := s.comparison(d)
-			return err
-		})
-	}
-	return pool.Run(tasks)
-}
-
-// PrecomputeMultiplexed fills the comparison cache for every lifetime
-// with ONE multiplexed replay: each lifetime contributes an FLT and an
-// ActiveDR lane over the shared access stream, so the sweep pays one
-// stream pass plus per-policy decision layers instead of 2×N full
-// replays. Results are bit-identical to the sequential comparisons
-// (the sim equivalence suite pins this), so figures read the cache the
-// same way regardless of which precompute filled it. Lane sets beyond
-// the 64-lane group limit are chunked across passes.
-func (s *Suite) PrecomputeMultiplexed(lifetimes []timeutil.Duration) error {
-	var need []timeutil.Duration
-	seen := make(map[timeutil.Duration]bool, len(lifetimes))
-	s.mu.Lock()
-	for _, d := range lifetimes {
-		if !seen[d] && s.comparisons[d] == nil {
-			seen[d] = true
-			need = append(need, d)
+// compare returns the FLT/ActiveDR comparison of each config, in
+// argument order. The configs not cached yet replay together as lane
+// pairs of the suite's multiplexer (comparePairs); lanes are
+// bit-identical to dedicated replays, so a comparison reads the same
+// whichever call filled it. The cache is only ever looked up, never
+// iterated, so its order cannot reach the output.
+func (s *Suite) compare(cfgs ...sim.Config) ([]*sim.Comparison, error) {
+	var need []sim.Config
+	for _, cfg := range cfgs {
+		if s.comparisons[cfg] == nil && !slices.Contains(need, cfg) {
+			need = append(need, cfg)
 		}
 	}
-	s.mu.Unlock()
-	if len(need) == 0 {
-		return nil
-	}
-	m, err := sim.NewMultiplexer(s.ds)
-	if err != nil {
-		return err
-	}
-	const maxPairs = 32 // 2 lanes per lifetime, 64-lane group limit
-	for len(need) > 0 {
-		chunk := need
-		if len(chunk) > maxPairs {
-			chunk = chunk[:maxPairs]
-		}
-		need = need[len(chunk):]
-		lanes := make([]sim.LaneSpec, 0, 2*len(chunk))
-		for _, d := range chunk {
-			cfg := sim.Config{
-				Lifetime:          d,
-				TargetUtilization: config.TargetUtilization,
-				CaptureAt:         CaptureDate,
+	if len(need) > 0 {
+		if s.mux == nil {
+			m, err := sim.NewMultiplexer(s.ds)
+			if err != nil {
+				return nil, err
 			}
+			s.mux = m
+		}
+		cmps, err := comparePairs(s.mux, need)
+		if err != nil {
+			return nil, err
+		}
+		for i, cfg := range need {
+			s.comparisons[cfg] = cmps[i]
+		}
+	}
+	out := make([]*sim.Comparison, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = s.comparisons[cfg]
+	}
+	return out, nil
+}
+
+// comparison90 is the 90-day comparison Figures 1 and 6–8 plot.
+func (s *Suite) comparison90() (*sim.Comparison, error) {
+	cmps, err := s.compare(figureConfig(timeutil.Days(90)))
+	if err != nil {
+		return nil, err
+	}
+	return cmps[0], nil
+}
+
+// comparePairs replays each config as an FLT lane and an ActiveDR
+// lane on m, one Multiplexer.Run per 32 configs (the 64-lane group
+// limit), and returns the comparisons in argument order.
+func comparePairs(m *sim.Multiplexer, cfgs []sim.Config) ([]*sim.Comparison, error) {
+	const maxPairs = 32
+	out := make([]*sim.Comparison, 0, len(cfgs))
+	for chunk := range slices.Chunk(cfgs, maxPairs) {
+		lanes := make([]sim.LaneSpec, 0, 2*len(chunk))
+		for _, cfg := range chunk {
 			lanes = append(lanes,
 				sim.LaneSpec{Config: cfg, Policy: sim.PolicyFLT},
 				sim.LaneSpec{Config: cfg, Policy: sim.PolicyActiveDR})
 		}
 		res, err := m.Run(lanes)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.mu.Lock()
-		for i, d := range chunk {
-			if s.comparisons[d] == nil {
-				s.comparisons[d] = &sim.Comparison{FLT: res[2*i], ActiveDR: res[2*i+1]}
-			}
+		for i := range chunk {
+			out = append(out, &sim.Comparison{FLT: res[2*i], ActiveDR: res[2*i+1]})
 		}
-		s.mu.Unlock()
 	}
-	return nil
+	return out, nil
 }
 
 // groupNames returns the paper's group labels in scan order.
@@ -245,7 +190,7 @@ type Figure1Result struct {
 // Figure1 replays 2016 under FLT-90 alone and buckets the daily miss
 // ratios, as the paper's motivating emulation does.
 func (s *Suite) Figure1() (*Figure1Result, error) {
-	cmp, err := s.comparison(timeutil.Days(90))
+	cmp, err := s.comparison90()
 	if err != nil {
 		return nil, err
 	}
@@ -318,12 +263,7 @@ type Figure5Result struct{ Cells []Figure5Cell }
 func (s *Suite) Figure5() (*Figure5Result, error) {
 	res := &Figure5Result{}
 	for _, d := range config.PeriodLengths {
-		ev := activeness.NewEvaluator(d)
-		jt := ev.AddType("job-submission", activeness.Operation)
-		pt := ev.AddType("publication", activeness.Outcome)
-		ev.RecordJobs(jt, s.ds.Jobs)
-		ev.RecordPublications(pt, s.ds.Publications)
-		ranks := ev.EvaluateAll(len(s.ds.Users), CaptureDate)
+		ranks := sim.NewEvaluator(s.ds, sim.Config{PeriodLength: d}).EvaluateAll(len(s.ds.Users), CaptureDate)
 		res.Cells = append(res.Cells, Figure5Cell{Period: d, Matrix: activeness.NewMatrix(ranks)})
 	}
 	return res, nil
@@ -358,7 +298,7 @@ type Figure6Result struct {
 
 // Figure6 buckets both policies' daily miss ratios.
 func (s *Suite) Figure6() (*Figure6Result, error) {
-	cmp, err := s.comparison(timeutil.Days(90))
+	cmp, err := s.comparison90()
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +344,7 @@ type Figure7Result struct {
 // Figure7 accumulates per-group misses month by month for both
 // policies.
 func (s *Suite) Figure7() (*Figure7Result, error) {
-	cmp, err := s.comparison(timeutil.Days(90))
+	cmp, err := s.comparison90()
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +403,7 @@ type Figure8Result struct {
 // Figure8 computes, for every replay day with FLT misses in a group,
 // the reduction ratio (FLT−ADR)/FLT and summarizes per group.
 func (s *Suite) Figure8() (*Figure8Result, error) {
-	cmp, err := s.comparison(timeutil.Days(90))
+	cmp, err := s.comparison90()
 	if err != nil {
 		return nil, err
 	}
@@ -516,26 +456,23 @@ type RetentionCell struct {
 // RetentionSweepResult backs Figures 9, 10, 11 and Tables 4, 5, 6.
 type RetentionSweepResult struct{ Cells []RetentionCell }
 
-// RetentionSweep runs the comparison at every period length and pulls
-// the capture-date reports.
+// RetentionSweep compares the policies at every period length, in one
+// call, and pulls the capture-date reports.
 func (s *Suite) RetentionSweep() (*RetentionSweepResult, error) {
+	cmps, err := s.compare(periodConfigs()...)
+	if err != nil {
+		return nil, err
+	}
 	res := &RetentionSweepResult{}
-	for _, d := range config.PeriodLengths {
-		cmp, err := s.comparison(d)
-		if err != nil {
-			return nil, err
-		}
+	for i, d := range config.PeriodLengths {
+		cmp := cmps[i]
 		cell := RetentionCell{Period: d}
 		cell.FLT = reportAt(cmp.FLT.Reports, CaptureDate)
 		cell.ActiveDR = reportAt(cmp.ActiveDR.Reports, CaptureDate)
 		if cell.FLT == nil || cell.ActiveDR == nil {
 			return nil, fmt.Errorf("experiments: no purge report at %v for %v", CaptureDate, d)
 		}
-		em, err := s.emulator(d)
-		if err != nil {
-			return nil, err
-		}
-		ranks := em.Evaluator().EvaluateAll(len(s.ds.Users), CaptureDate)
+		ranks := sim.NewEvaluator(s.ds, sim.Config{PeriodLength: d}).EvaluateAll(len(s.ds.Users), CaptureDate)
 		cell.AffectedFLT = distinctAffected(cmp.FLT.Reports, ranks, CaptureDate)
 		cell.AffectedADR = distinctAffected(cmp.ActiveDR.Reports, ranks, CaptureDate)
 		res.Cells = append(res.Cells, cell)
@@ -653,8 +590,8 @@ type Figure12Result struct {
 func (s *Suite) Figure12(ranks int) (*Figure12Result, error) {
 	res := &Figure12Result{Ranks: ranks}
 
-	// Build a fresh emulator (bypassing the suite cache) so the load
-	// and indexing cost is measured, not a cache hit.
+	// Build a fresh emulator so the load and indexing cost is
+	// measured.
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -759,15 +696,11 @@ func (r *Figure12Result) Render(w io.Writer) {
 }
 
 // RunAll renders every table and figure to w (cmd/report's default).
-// The replay comparisons behind the figures are precomputed with a
-// single multiplexed pass first (one stream walk feeding every
-// lifetime's FLT and ActiveDR lane); the figures then render from the
-// cache in order. The ranks parameter is kept for callers that still
-// size a pool, but the multiplexed sweep replaces the per-lifetime
-// fan-out.
+// It fills the comparisons behind the figures first, every period
+// length in one multiplexed pass, then renders from the cache in
+// order. ranks sizes Figure 12's per-rank probes.
 func (s *Suite) RunAll(w io.Writer, ranks int) error {
-	_ = ranks
-	if err := s.PrecomputeMultiplexed(config.PeriodLengths); err != nil {
+	if _, err := s.compare(periodConfigs()...); err != nil {
 		return err
 	}
 	s.Table1().Render(w)

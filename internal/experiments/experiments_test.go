@@ -257,18 +257,28 @@ func TestNewSyntheticSuiteRejectsBadScale(t *testing.T) {
 	}
 }
 
-func TestEmulatorCaching(t *testing.T) {
-	s := getSuite(t)
-	a, err := s.emulator(timeutil.Days(90))
+// TestCompareCaching checks that compare hands out one comparison per
+// config: a config repeated in one call, or asked for again later,
+// gets the same cached comparison.
+func TestCompareCaching(t *testing.T) {
+	s, err := NewSyntheticSuite(60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.emulator(timeutil.Days(90))
+	cfg := figureConfig(timeutil.Days(90))
+	first, err := s.compare(cfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("emulator not cached")
+	if first[0] != first[1] {
+		t.Fatal("a config repeated in one call got two comparisons")
+	}
+	again, err := s.compare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != first[0] {
+		t.Fatal("comparison not cached")
 	}
 }
 

@@ -67,21 +67,14 @@ type WorkloadTrace struct {
 // WorkloadScenarioResult backs the scenario report.
 type WorkloadScenarioResult struct{ Traces []WorkloadTrace }
 
-// workloadLanes is the two-lane FLT/ActiveDR spec every trace runs.
-func workloadLanes(cfg sim.Config) []sim.LaneSpec {
-	return []sim.LaneSpec{
-		{Config: cfg, Policy: sim.PolicyFLT},
-		{Config: cfg, Policy: sim.PolicyActiveDR},
-	}
-}
-
-// workloadReplay runs the multiplexed two-lane sweep and folds the
+// workloadReplay runs the FLT/ActiveDR lane pair on m and folds the
 // results into per-policy totals.
 func workloadReplay(m *sim.Multiplexer, cfg sim.Config) (purged, misses map[string]int64, err error) {
-	res, err := m.Run(workloadLanes(cfg))
+	cmps, err := comparePairs(m, []sim.Config{cfg})
 	if err != nil {
 		return nil, nil, err
 	}
+	res := []*sim.Result{cmps[0].FLT, cmps[0].ActiveDR}
 	purged = make(map[string]int64, 2)
 	misses = make(map[string]int64, 2)
 	for i, policy := range []string{sim.PolicyFLT, sim.PolicyActiveDR} {

@@ -101,7 +101,7 @@ func (m *Multiplexer) dataEvaluator(cfg Config) *activeness.Evaluator {
 	if e, ok := m.dataEvals[k]; ok {
 		return e
 	}
-	e := newEvaluator(m.ds, cfg)
+	e := NewEvaluator(m.ds, cfg)
 	m.dataEvals[k] = e
 	return e
 }

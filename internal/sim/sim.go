@@ -189,15 +189,17 @@ func NewWithBase(ds *trace.Dataset, base *vfs.FS, cfg Config) (*Emulator, error)
 	if cfg.Capacity == 0 {
 		cfg.Capacity = base.TotalBytes()
 	}
-	eval := newEvaluator(ds, cfg)
+	eval := NewEvaluator(ds, cfg)
 	return &Emulator{ds: ds, cfg: cfg, base: base, eval: eval, users: len(ds.Users)}, nil
 }
 
-// newEvaluator indexes the dataset's activity traces for one
-// configuration. The result depends only on (PeriodLength, UseLogins,
-// UseTransfers), which is what the multiplexed runner keys its
-// evaluator cache by.
-func newEvaluator(ds *trace.Dataset, cfg Config) *activeness.Evaluator {
+// NewEvaluator indexes the dataset's activity traces for one
+// configuration: job submissions as the operation type, publications
+// as the outcome type, plus logins and transfers when cfg asks. The
+// result depends only on (PeriodLength, UseLogins, UseTransfers),
+// which is what the multiplexed runner keys its evaluator cache by;
+// cfg.PeriodLength must be set (Defaults fills it).
+func NewEvaluator(ds *trace.Dataset, cfg Config) *activeness.Evaluator {
 	eval := activeness.NewEvaluator(cfg.PeriodLength)
 	jobT := eval.AddType("job-submission", activeness.Operation)
 	pubT := eval.AddType("publication", activeness.Outcome)
