@@ -8,12 +8,6 @@
 // the latest one up after a kill), and -lenient salvages what it can
 // from damaged trace files instead of aborting.
 //
-// -multiplex replays both policies as lanes of a single multiplexed
-// pass over one shared access stream instead of two dedicated replays.
-// Results are identical (the sim equivalence suite pins this); the
-// pass costs roughly one replay instead of two. Not combinable with
-// -resume or -fault-kill, which need per-policy replay lifecycles.
-//
 // -vfs-snapshot-out writes the initial file system as a compact binary
 // snapfile; -vfs-snapshot reopens one in place of the snapshot TSV,
 // making startup an O(1) open plus one straight decode of the tree and
@@ -32,7 +26,6 @@
 //	simulate -data ./data -checkpoint-dir ./ckpt -resume    # pick up after a kill
 //	simulate -data ./data -faults 0.05 -fault-seed 42       # inject purge faults
 //	simulate -data ./data -lenient                          # salvage damaged traces
-//	simulate -data ./data -multiplex                        # both policies in one pass
 //	simulate -data ./data -metrics-out m.json -events-out e.jsonl -audit-sample 0.01
 //	simulate -data ./data -vfs-snapshot-out fs.snap         # write the binary snapfile
 //	simulate -data ./data -vfs-snapshot fs.snap             # reopen it in place of the TSV
@@ -87,7 +80,6 @@ type options struct {
 	ckptEvery     int
 	ckptFullEvery int
 	resume        bool
-	multiplex     bool
 
 	metricsOut  string
 	eventsOut   string
@@ -126,8 +118,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "checkpoint once every N purge triggers")
 	fs.IntVar(&o.ckptFullEvery, "checkpoint-full-every", 1, "make only every Kth checkpoint a full snapshot; the ones between persist deltas against the previous checkpoint (1 = every checkpoint full)")
 	fs.BoolVar(&o.resume, "resume", false, "resume each policy from its latest checkpoint under -checkpoint-dir")
-
-	fs.BoolVar(&o.multiplex, "multiplex", false, "replay both policies as lanes of one multiplexed pass over a shared access stream (identical results, one stream walk)")
 
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write each policy's metrics registry and phase times to this JSON file")
 	fs.StringVar(&o.eventsOut, "events-out", "", "stream per-trigger/per-miss telemetry to this JSONL file (see cmd/report -events)")
@@ -184,12 +174,6 @@ func (o *options) validate() error {
 	}
 	if o.resume && o.ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
-	}
-	if o.multiplex && o.resume {
-		return errors.New("-resume is not supported with -multiplex; resume the policies with dedicated replays, then drop -resume to go back to multiplexing")
-	}
-	if o.multiplex && o.faultKill != "" {
-		return errors.New("-fault-kill is not supported with -multiplex (a kill tears down the shared pass, leaving the lanes at different trigger depths)")
 	}
 	if o.vfsSnap != "" && o.vfsSnap == o.vfsSnapOut {
 		return errors.New("-vfs-snapshot and -vfs-snapshot-out name the same file; the rewrite would clobber the snapfile being read")
@@ -344,79 +328,49 @@ func run(o *options, out io.Writer) (err error) {
 	}
 
 	cmp := &sim.Comparison{}
-	if o.multiplex {
-		// Both policies ride one multiplexed pass as lanes over a
-		// shared access stream; per-lane options keep checkpoints and
-		// fault draws as independent as two dedicated replays.
-		fltOpts, fltFinish, err := optsFor("flt")
-		if err != nil {
-			return err
-		}
-		adrOpts, adrFinish, err := optsFor("activedr")
-		if err != nil {
-			return err
-		}
-		lanes := []sim.LaneSpec{
-			{Config: cfg, Policy: sim.PolicyFLT, Opts: fltOpts},
-			{Config: cfg, Policy: sim.PolicyActiveDR, Opts: adrOpts},
-		}
-		var res []*sim.Result
-		if baseFS != nil {
-			res, err = sim.NewMultiplexerWithBase(ds, baseFS).Run(lanes)
-		} else {
-			res, err = sim.RunMultiplexed(ds, lanes)
-		}
-		if err != nil {
-			return err
-		}
-		fltFinish()
-		adrFinish()
-		cmp.FLT, cmp.ActiveDR = res[0], res[1]
+	var em *sim.Emulator
+	if baseFS != nil {
+		em, err = sim.NewWithBase(ds, baseFS, cfg)
 	} else {
-		var em *sim.Emulator
-		if baseFS != nil {
-			em, err = sim.NewWithBase(ds, baseFS, cfg)
+		em, err = sim.New(ds, cfg)
+	}
+	if err != nil {
+		return err
+	}
+
+	// Each policy replays independently, with its own checkpoint
+	// subdirectory and its own injector.
+	runPolicy := func(name string, policy retention.Policy) (*sim.Result, error) {
+		opts, finish, err := optsFor(name)
+		if err != nil {
+			return nil, err
+		}
+		defer finish()
+		var res *sim.Result
+		if o.resume && sim.HasCheckpoint(opts.CheckpointDir) {
+			res, err = em.Resume(policy, opts)
+			if err == nil {
+				fmt.Fprintf(out, "%-14s resumed from checkpoint in %s\n", name, opts.CheckpointDir)
+			}
 		} else {
-			em, err = sim.New(ds, cfg)
+			res, err = em.RunWith(policy, opts)
 		}
-		if err != nil {
-			return err
+		if errors.Is(err, sim.ErrInterrupted) {
+			fmt.Fprintf(out, "%-14s killed at %s after %d triggers; rerun with -resume to recover from %s\n",
+				name, o.faultKill, len(res.Reports), opts.CheckpointDir)
 		}
+		return res, err
+	}
 
-		// Each policy replays independently, with its own checkpoint
-		// subdirectory and its own injector.
-		runPolicy := func(name string, policy retention.Policy) (*sim.Result, error) {
-			opts, finish, err := optsFor(name)
-			if err != nil {
-				return nil, err
-			}
-			defer finish()
-			var res *sim.Result
-			if o.resume && sim.HasCheckpoint(opts.CheckpointDir) {
-				res, err = em.Resume(policy, opts)
-				if err == nil {
-					fmt.Fprintf(out, "%-14s resumed from checkpoint in %s\n", name, opts.CheckpointDir)
-				}
-			} else {
-				res, err = em.RunWith(policy, opts)
-			}
-			if errors.Is(err, sim.ErrInterrupted) {
-				fmt.Fprintf(out, "%-14s killed at %s after %d triggers; rerun with -resume to recover from %s\n",
-					name, o.faultKill, len(res.Reports), opts.CheckpointDir)
-			}
-			return res, err
-		}
-
-		adr, err := em.NewActiveDR()
-		if err != nil {
-			return err
-		}
-		if cmp.FLT, err = runPolicy("flt", em.NewFLT()); err != nil {
-			return err
-		}
-		if cmp.ActiveDR, err = runPolicy("activedr", adr); err != nil {
-			return err
-		}
+	adr, err := em.NewActiveDR()
+	if err != nil {
+		return err
+	}
+	if cmp.FLT, err = runPolicy("flt", em.NewFLT()); err != nil {
+		return err
+	}
+	if cmp.ActiveDR, err = runPolicy("activedr", adr); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "replayed %d accesses over %d days (lifetime %dd, trigger %dd, target %.0f%%)\n",
@@ -466,10 +420,6 @@ func run(o *options, out io.Writer) (err error) {
 	return nil
 }
 
-// loadDataset reads the traces, optionally in lenient mode, and — when
-// -fault-read is set — through the injector's transient-error gauntlet
-// with retry/backoff, the way a flaky parallel file system would serve
-// them.
 // openSnapfileBase opens -vfs-snapshot, decodes it into the initial
 // file system, and stamps its capture time onto the dataset (the TSV
 // snapshot was skipped at load time, so ds.Snapshot.Taken is zero
@@ -503,6 +453,10 @@ func openSnapfileBase(o *options, ds *trace.Dataset, out io.Writer) (*vfs.FS, er
 	return base, nil
 }
 
+// loadDataset reads the traces, optionally in lenient mode, and — when
+// -fault-read is set — through the injector's transient-error gauntlet
+// with retry/backoff, the way a flaky parallel file system would serve
+// them.
 func loadDataset(o *options, out io.Writer) (*trace.Dataset, error) {
 	// -vfs-snapshot replaces the dataset's snapshot TSV as the namespace
 	// source. When both exist the snapfile wins — say so out loud rather

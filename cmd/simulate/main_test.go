@@ -25,8 +25,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"delta checkpoints", []string{"-checkpoint-dir", "ck", "-checkpoint-full-every", "4"}, ""},
 		{"boundary sample values", []string{"-events-out", "e", "-audit-sample", "1"}, ""},
 		{"target at one", []string{"-target", "1"}, ""},
-		{"multiplex", []string{"-multiplex"}, ""},
-		{"multiplex with checkpoints", []string{"-multiplex", "-checkpoint-dir", "ck"}, ""},
 
 		{"zero lifetime", []string{"-lifetime", "0"}, "-lifetime must be >= 1"},
 		{"negative lifetime", []string{"-lifetime", "-90"}, "-lifetime must be >= 1"},
@@ -51,8 +49,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"negative sample", []string{"-events-out", "e", "-audit-sample", "-0.2"}, "-audit-sample must be in [0,1]"},
 		{"NaN sample", []string{"-events-out", "e", "-audit-sample", "NaN"}, "-audit-sample must be in [0,1]"},
 		{"sample without events", []string{"-audit-sample", "0.5"}, "-audit-sample requires -events-out"},
-		{"multiplex resume", []string{"-multiplex", "-checkpoint-dir", "ck", "-resume"}, "-resume is not supported with -multiplex"},
-		{"multiplex kill", []string{"-multiplex", "-checkpoint-dir", "ck", "-fault-kill", "sim.checkpoint.published:2"}, "-fault-kill is not supported with -multiplex"},
 		{"snapfile in and out differ", []string{"-vfs-snapshot", "a.snap", "-vfs-snapshot-out", "b.snap"}, ""},
 		{"snapfile out only", []string{"-vfs-snapshot-out", "a.snap"}, ""},
 		{"snapfile in equals out", []string{"-vfs-snapshot", "a.snap", "-vfs-snapshot-out", "a.snap"}, "name the same file"},
@@ -177,58 +173,6 @@ func TestRunEmitsObservability(t *testing.T) {
 	}
 	if !strings.Contains(console.String(), "telemetry events") {
 		t.Fatalf("console output %q does not mention the event stream", console.String())
-	}
-}
-
-// stripWall drops the volatile wall-clock suffixes so two runs'
-// console transcripts can be compared for replay-content equality.
-func stripWall(s string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if i := strings.Index(line, ", wall="); i >= 0 {
-			line = line[:i]
-		}
-		out = append(out, line)
-	}
-	return strings.Join(out, "\n")
-}
-
-// TestRunMultiplexMatchesSequential drives the tool end to end both
-// ways — two dedicated replays vs one -multiplex pass, with fault
-// injection on — and requires identical console transcripts modulo
-// wall-clock times: same misses, same per-group reductions, same
-// fault summaries.
-func TestRunMultiplexMatchesSequential(t *testing.T) {
-	ds, err := synth.Generate(synth.Config{Seed: 5, Users: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	data := filepath.Join(dir, "data")
-	if err := trace.WriteDataset(data, ds); err != nil {
-		t.Fatal(err)
-	}
-	runWith := func(multiplex bool) string {
-		o := &options{
-			data:      data,
-			lifetime:  90,
-			interval:  7,
-			target:    0.5,
-			maxErrors: trace.DefaultMaxErrors,
-			ckptEvery: 1,
-			faultProb: 0.1,
-			faultSeed: 11,
-			multiplex: multiplex,
-		}
-		var console strings.Builder
-		if err := run(o, &console); err != nil {
-			t.Fatal(err)
-		}
-		return stripWall(console.String())
-	}
-	seq, mux := runWith(false), runWith(true)
-	if seq != mux {
-		t.Fatalf("multiplexed transcript diverges from sequential:\n--- sequential\n%s\n--- multiplexed\n%s", seq, mux)
 	}
 }
 
