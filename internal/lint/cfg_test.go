@@ -273,16 +273,8 @@ func TestCFGPartitionRepoWide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide CFG sweep parses the entire module")
 	}
-	loader, err := NewLoader("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
 	bodies := 0
-	for _, pkg := range pkgs {
+	for _, pkg := range loadRepo(t) {
 		funcBodies(pkg.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
 			name := pkg.Path + ".<lit>"
 			if decl != nil {

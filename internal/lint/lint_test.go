@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -195,6 +196,32 @@ func TestAllowlistKnownRules(t *testing.T) {
 	}
 }
 
+// repoOnce guards the one type-check of the whole module that the
+// repo-wide tests share; the loaded packages are read-only after it.
+var (
+	repoOnce sync.Once
+	repoPkgs []*Package
+	repoErr  error
+)
+
+// loadRepo type-checks ./... from source once per test binary and
+// hands every caller the same packages.
+func loadRepo(t *testing.T) []*Package {
+	t.Helper()
+	repoOnce.Do(func() {
+		loader, err := NewLoader("")
+		if err != nil {
+			repoErr = err
+			return
+		}
+		repoPkgs, repoErr = loader.Load("./...")
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repoPkgs
+}
+
 // TestSelfCheck proves vetadr is clean over the whole repository at
 // HEAD: the invariants hold, with every legitimate exception
 // explicitly annotated.
@@ -202,14 +229,7 @@ func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-check type-checks the entire module from source")
 	}
-	loader, err := NewLoader("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadRepo(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("self-check loaded only %d packages; loader lost the tree", len(pkgs))
 	}
