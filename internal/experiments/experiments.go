@@ -590,7 +590,7 @@ type Figure12Result struct {
 func (s *Suite) Figure12(ranks int) (*Figure12Result, error) {
 	res := &Figure12Result{Ranks: ranks}
 
-	// Build a fresh emulator so the load and indexing cost is
+	// Load the snapshot and index the traces afresh so their cost is
 	// measured.
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -284,7 +284,7 @@ func TestReplayGolden(t *testing.T) {
 					Faults: goldenFaults(faultsOn), Obs: observers[i],
 				}
 			}
-			res, err := RunMultiplexed(ds, lanes)
+			res, err := runMultiplexed(ds, lanes)
 			if err != nil {
 				t.Fatal(err)
 			}

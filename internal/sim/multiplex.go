@@ -219,17 +219,6 @@ func (m *Multiplexer) lanePolicy(em *Emulator, name string) (retention.Policy, e
 	return nil, fmt.Errorf("sim: unknown lane policy %q (want %q or %q)", name, PolicyFLT, PolicyActiveDR)
 }
 
-// RunMultiplexed evaluates all lanes in one pass over ds's access log.
-// Results are returned in lane order. See Multiplexer for the cache
-// reuse across repeated calls.
-func RunMultiplexed(ds *trace.Dataset, lanes []LaneSpec) ([]*Result, error) {
-	m, err := NewMultiplexer(ds)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(lanes)
-}
-
 // Run evaluates all lanes in one multiplexed pass. Every lane's
 // Result is bit-identical to a sequential RunWith of the same spec.
 func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {

@@ -10,7 +10,18 @@ import (
 	"activedr/internal/faults"
 	"activedr/internal/synth"
 	"activedr/internal/timeutil"
+	"activedr/internal/trace"
 )
+
+// runMultiplexed runs lanes in one pass on a fresh multiplexer over
+// ds, returning the results in lane order.
+func runMultiplexed(ds *trace.Dataset, lanes []LaneSpec) ([]*Result, error) {
+	m, err := NewMultiplexer(ds)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(lanes)
+}
 
 // multiplexFixtureLanes is the 4-lane sweep the equivalence suite
 // exercises: both policies, two lifetimes, one lane with mid-run
@@ -55,7 +66,7 @@ func TestMultiplexedReplayEquivalence(t *testing.T) {
 				mDirs[i] = t.TempDir()
 				lanes[i].Opts = RunOptions{CheckpointDir: mDirs[i], CheckpointEvery: 20, Faults: newInjector()}
 			}
-			got, err := RunMultiplexed(ds, lanes)
+			got, err := runMultiplexed(ds, lanes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +103,7 @@ func TestMultiplexedReplayEquivalence(t *testing.T) {
 func TestMultiplexSingleLane(t *testing.T) {
 	ds := tinyDataset()
 	cfg := Config{TargetUtilization: 0.5, SnapshotEvery: timeutil.Days(28)}
-	got, err := RunMultiplexed(ds, []LaneSpec{{Policy: PolicyActiveDR, Config: cfg}})
+	got, err := runMultiplexed(ds, []LaneSpec{{Policy: PolicyActiveDR, Config: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +132,11 @@ func TestMultiplexDoesNotShareFaultDraws(t *testing.T) {
 		return LaneSpec{Policy: PolicyActiveDR, Config: Config{TargetUtilization: 0.5},
 			Opts: RunOptions{Faults: faults.New(faults.Config{Seed: 7, UnlinkFailProb: 0.2, ScanInterruptProb: 0.2})}}
 	}
-	solo, err := RunMultiplexed(ds, []LaneSpec{faulty()})
+	solo, err := runMultiplexed(ds, []LaneSpec{faulty()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := RunMultiplexed(ds, []LaneSpec{
+	mixed, err := runMultiplexed(ds, []LaneSpec{
 		faulty(),
 		{Policy: PolicyFLT, Config: Config{Lifetime: timeutil.Days(30)}},
 		faulty(),
@@ -154,14 +165,14 @@ func TestMultiplexRejectsUnrepresentableLog(t *testing.T) {
 		t.Fatal("fixture still monotone after swap")
 	}
 	want := fmt.Sprintf("sim: access log out of order at record %d", n-1)
-	if _, err := RunMultiplexed(ds, lanes); err == nil || err.Error() != want {
+	if _, err := runMultiplexed(ds, lanes); err == nil || err.Error() != want {
 		t.Fatalf("out-of-order log: err = %v, want %q", err, want)
 	}
 
 	ds = tinyDataset()
 	ds.Accesses[0].TS = ds.Snapshot.Taken - 1
 	want = fmt.Sprintf("sim: access at %v predates the snapshot (%v)", ds.Accesses[0].TS, ds.Snapshot.Taken)
-	if _, err := RunMultiplexed(ds, lanes); err == nil || err.Error() != want {
+	if _, err := runMultiplexed(ds, lanes); err == nil || err.Error() != want {
 		t.Fatalf("predating log: err = %v, want %q", err, want)
 	}
 	em, err := New(ds, cfg)
