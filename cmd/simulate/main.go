@@ -285,11 +285,21 @@ func run(o *options, out io.Writer) (err error) {
 	instrumented := o.metricsOut != "" || o.eventsOut != ""
 	var perPolicy []policyMetrics
 
-	// optsFor assembles one policy's run options — its own checkpoint
+	var em *sim.Emulator
+	if baseFS != nil {
+		em, err = sim.NewWithBase(ds, baseFS, cfg)
+	} else {
+		em, err = sim.New(ds, cfg)
+	}
+	if err != nil {
+		return err
+	}
+
+	// runPolicy replays one policy independently: its own checkpoint
 	// subdirectory, its own injector (same seed: comparable fault
-	// streams), and, when instrumented, its own registry. The returned
-	// finish records the registry snapshot once the replay is done.
-	optsFor := func(name string) (sim.RunOptions, func(), error) {
+	// streams), and, when instrumented, its own registry, whose
+	// snapshot it records once the replay is done.
+	runPolicy := func(name string, policy retention.Policy) (*sim.Result, error) {
 		opts := sim.RunOptions{CheckpointEvery: o.ckptEvery, CheckpointFullEvery: o.ckptFullEvery}
 		if o.ckptDir != "" {
 			opts.CheckpointDir = filepath.Join(o.ckptDir, name)
@@ -303,7 +313,6 @@ func run(o *options, out io.Writer) (err error) {
 			}
 			opts.Faults = faults.New(cfg)
 		}
-		finish := func() {}
 		if instrumented {
 			var reg *obs.Registry
 			if o.metricsOut != "" {
@@ -311,42 +320,23 @@ func run(o *options, out io.Writer) (err error) {
 			}
 			ob, err := obs.NewObserver(reg, events, o.auditSample)
 			if err != nil {
-				return opts, nil, err
+				return nil, err
 			}
 			opts.Obs = ob
-			finish = func() {
-				if reg != nil {
+			if reg != nil {
+				defer func() {
 					perPolicy = append(perPolicy, policyMetrics{
 						Policy:  name,
 						Metrics: reg.Snapshot(),
 						Phases:  ob.Phases(),
 					})
-				}
+				}()
 			}
 		}
-		return opts, finish, nil
-	}
-
-	cmp := &sim.Comparison{}
-	var em *sim.Emulator
-	if baseFS != nil {
-		em, err = sim.NewWithBase(ds, baseFS, cfg)
-	} else {
-		em, err = sim.New(ds, cfg)
-	}
-	if err != nil {
-		return err
-	}
-
-	// Each policy replays independently, with its own checkpoint
-	// subdirectory and its own injector.
-	runPolicy := func(name string, policy retention.Policy) (*sim.Result, error) {
-		opts, finish, err := optsFor(name)
-		if err != nil {
-			return nil, err
-		}
-		defer finish()
-		var res *sim.Result
+		var (
+			res *sim.Result
+			err error
+		)
 		if o.resume && sim.HasCheckpoint(opts.CheckpointDir) {
 			res, err = em.Resume(policy, opts)
 			if err == nil {
@@ -366,6 +356,7 @@ func run(o *options, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	cmp := &sim.Comparison{}
 	if cmp.FLT, err = runPolicy("flt", em.NewFLT()); err != nil {
 		return err
 	}
