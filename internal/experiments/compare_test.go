@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"activedr/internal/sim"
+	"activedr/internal/timeutil"
 	"activedr/internal/vfs"
 )
 
@@ -48,25 +49,12 @@ func sameResult(t *testing.T, label string, want, got *sim.Result) {
 	}
 }
 
-// TestCompareMatchesRunComparison pins the suite's one comparison path
-// against dedicated replays: every ablation variant and every period
-// length of the figures, run together through Suite.compare, must give
-// each lane the full Result — captured and final file systems included
-// — that sim.New(ds, cfg).RunComparison gives. The variants cover
-// StrictEq7, the merged scan order, a zero target, one retrospective
-// pass, a 30-day period under a 90-day lifetime and the login/transfer
-// evaluator.
-func TestCompareMatchesRunComparison(t *testing.T) {
-	var names []string
-	var cfgs []sim.Config
-	for _, v := range ablationVariants() {
-		names = append(names, v.name)
-		cfgs = append(cfgs, v.cfg)
-	}
-	for _, cfg := range periodConfigs() {
-		names = append(names, "figures-"+cfg.Lifetime.String())
-		cfgs = append(cfgs, cfg)
-	}
+// matchesRunComparison runs cfgs together through Suite.compare on the
+// 300-user synthetic suites of seeds 7 and 11 and checks each lane's
+// full Result — captured and final file systems included — against the
+// one sim.New(ds, cfg).RunComparison gives.
+func matchesRunComparison(t *testing.T, names []string, cfgs []sim.Config) {
+	t.Helper()
 	for _, seed := range []uint64{7, 11} {
 		s, err := NewSyntheticSuite(300, seed)
 		if err != nil {
@@ -91,5 +79,63 @@ func TestCompareMatchesRunComparison(t *testing.T) {
 			sameResult(t, label+" flt", want.FLT, got[i].FLT)
 			sameResult(t, label+" activedr", want.ActiveDR, got[i].ActiveDR)
 		}
+	}
+}
+
+// TestCompareMatchesRunComparison pins every ablation variant, run
+// together through Suite.compare, against dedicated replays. The
+// variants cover StrictEq7, the merged scan order, a zero target, one
+// retrospective pass, a 30-day period under a 90-day lifetime and the
+// login/transfer evaluator.
+func TestCompareMatchesRunComparison(t *testing.T) {
+	var names []string
+	var cfgs []sim.Config
+	for _, v := range ablationVariants() {
+		names = append(names, v.name)
+		cfgs = append(cfgs, v.cfg)
+	}
+	matchesRunComparison(t, names, cfgs)
+}
+
+// TestPrecomputeMultiplexedMatchesSerial pins the figures' period
+// sweep: one multiplexed pass over every period length, the 90-day
+// config asked for twice, must give each lane the Result a dedicated
+// sequential replay gives.
+func TestPrecomputeMultiplexedMatchesSerial(t *testing.T) {
+	cfgs := append(periodConfigs(), figureConfig(timeutil.Days(90)))
+	names := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		names[i] = "lifetime " + cfg.Lifetime.String()
+	}
+	matchesRunComparison(t, names, cfgs)
+}
+
+// TestPrecomputeMatchesSerial is the batching contract: a sweep
+// precomputed in one compare call, as lanes of one multiplexed pass,
+// must read the same as the same configs computed one call (and so one
+// pass) at a time, since lanes never see each other's state.
+func TestPrecomputeMatchesSerial(t *testing.T) {
+	cfgs := append(periodConfigs(), ablationVariants()[0].cfg)
+
+	batch, err := NewSyntheticSuite(300, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := batch.compare(cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ser := NewSuite(batch.Dataset())
+	for i, cfg := range cfgs {
+		one, err := ser.compare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalizeComparison(all[i])
+		normalizeComparison(one[0])
+		label := fmt.Sprintf("config %d (lifetime %v)", i, cfg.Lifetime)
+		sameResult(t, label+" flt", one[0].FLT, all[i].FLT)
+		sameResult(t, label+" activedr", one[0].ActiveDR, all[i].ActiveDR)
 	}
 }
