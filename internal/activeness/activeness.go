@@ -324,19 +324,6 @@ func typeRankCore(acts []Activity, k int, total float64, tc timeutil.Time, d tim
 	return phi
 }
 
-// CombineTypeRanks multiplies per-type ranks within a class (Eq. 6),
-// clamping overflow.
-func CombineTypeRanks(ranks []float64) float64 {
-	phi := 1.0
-	for _, r := range ranks {
-		phi *= r
-		if math.IsInf(phi, 1) {
-			return math.MaxFloat64
-		}
-	}
-	return phi
-}
-
 // Evaluator accumulates activities per (type, user) and evaluates
 // ranks at arbitrary times. It is built once from traces and then
 // queried at every purge trigger; Record calls may arrive in any
@@ -525,49 +512,12 @@ func (e *Evaluator) NewCursors() *Cursors {
 	return c
 }
 
-// EvaluateUser computes the user's rank at tc, advancing the user's
-// cursors. Evaluation times should be non-decreasing; a backward jump
-// is handled by restarting the cursors (correct, just not memoized).
+// EvaluateUser computes the user's rank at tc under the evaluator's
+// period: EvaluateUserMulti with that one period.
 func (c *Cursors) EvaluateUser(u trace.UserID, tc timeutil.Time) Rank {
-	e := c.e
-	e.ensureSorted()
-	if c.valid && tc < c.lastTC {
-		for t := range c.cuts {
-			c.cuts[t] = make(map[trace.UserID]int, len(c.cuts[t]))
-		}
-	}
-	c.lastTC, c.valid = tc, true
-	for len(c.cuts) < len(e.data) {
-		c.cuts = append(c.cuts, make(map[trace.UserID]int))
-	}
-	r := Rank{Op: 1, Oc: 1}
-	for t := range e.types {
-		acts := e.data[t][u]
-		k := c.cuts[t][u]
-		for k < len(acts) && acts[k].TS <= tc {
-			k++
-		}
-		c.cuts[t][u] = k
-		if k == 0 {
-			continue
-		}
-		phi := typeRankCore(acts, k, e.prefix[t][u][k], tc, e.period, &c.scratch)
-		switch e.types[t].Class {
-		case Operation:
-			r.HasOp = true
-			r.Op *= phi
-		case Outcome:
-			r.HasOc = true
-			r.Oc *= phi
-		}
-	}
-	if math.IsInf(r.Op, 1) {
-		r.Op = math.MaxFloat64
-	}
-	if math.IsInf(r.Oc, 1) {
-		r.Oc = math.MaxFloat64
-	}
-	return r
+	var r [1]Rank
+	c.EvaluateUserMulti(u, tc, []timeutil.Duration{c.e.period}, r[:])
+	return r[0]
 }
 
 // EvaluateAll ranks every user in the population at time tc, indexed
@@ -581,15 +531,17 @@ func (c *Cursors) EvaluateAll(numUsers int, tc timeutil.Time) []Rank {
 }
 
 // EvaluateUserMulti computes the user's rank at tc under each of the
-// given period lengths in one pass, writing the rank for periods[i] to
-// out[i] (out must have len(periods) elements). The per-type cursor
-// advance, history cut and impact total — the parts independent of the
-// period length — are done once and shared across all periods; only
-// the Φ_λ bucketing runs per period. Each out[i] is bit-identical to
-// what a dedicated Cursors over an evaluator with period periods[i]
-// would return from EvaluateUser at the same times: the cut k and the
-// prefix total are period-independent, and the per-type multiply order
-// into the rank is the same.
+// given period lengths in one pass, advancing the user's cursors and
+// writing the rank for periods[i] to out[i] (out must have
+// len(periods) elements). The per-type cursor advance, history cut and
+// impact total — the parts independent of the period length — are
+// done once and shared across all periods; only the Φ_λ bucketing runs
+// per period. Each out[i] is bit-identical to Evaluator.EvaluateUser
+// on an evaluator with period periods[i]: the cut k and the prefix
+// total are period-independent, and the per-type multiply order into
+// the rank is the same. Evaluation times should be non-decreasing; a
+// backward jump is handled by restarting the cursors (correct, just
+// not memoized).
 func (c *Cursors) EvaluateUserMulti(u trace.UserID, tc timeutil.Time, periods []timeutil.Duration, out []Rank) {
 	e := c.e
 	e.ensureSorted()

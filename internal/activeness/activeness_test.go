@@ -199,15 +199,32 @@ func TestTypeRankSinglePeriodAlwaysOne(t *testing.T) {
 	}
 }
 
+// TestCombineTypeRanks pins Eq. 6 where ranks are computed: a class
+// with no recorded type keeps the empty product 1, and a product of
+// type ranks that overflows clamps to MaxFloat64, on the evaluator and
+// on the cursor walk alike. The plain product is
+// TestEvaluatorMultipleTypesMultiply.
 func TestCombineTypeRanks(t *testing.T) {
-	if got := CombineTypeRanks(nil); got != 1 {
-		t.Errorf("empty combine = %v", got)
+	e := NewEvaluator(p7)
+	jobs := e.AddType("job", Operation)
+	logins := e.AddType("login", Operation)
+	e.AddType("pub", Outcome)
+	// Each type alone already clamps (TestTypeRankOverflowClamps), so
+	// their product overflows.
+	for back := 149; back >= 0; back-- {
+		at := tc.Add(-timeutil.Duration(back)*p7 - timeutil.Hour)
+		e.Record(jobs, 0, at, float64(150-back))
+		e.Record(logins, 0, at, float64(150-back))
 	}
-	if got := CombineTypeRanks([]float64{2, 3, 0.5}); got != 3 {
-		t.Errorf("combine = %v, want 3", got)
+	r := e.EvaluateUser(0, tc)
+	if r.Op != math.MaxFloat64 || !r.HasOp {
+		t.Errorf("overflowing Φ_op = %v (has=%v), want MaxFloat64", r.Op, r.HasOp)
 	}
-	if got := CombineTypeRanks([]float64{math.MaxFloat64, 2}); got != math.MaxFloat64 {
-		t.Errorf("combine overflow = %v", got)
+	if r.Oc != 1 || r.HasOc {
+		t.Errorf("empty outcome class Φ_oc = %v (has=%v), want 1", r.Oc, r.HasOc)
+	}
+	if got := e.NewCursors().EvaluateUser(0, tc); got != r {
+		t.Errorf("cursor walk = %+v, evaluator = %+v", got, r)
 	}
 }
 
@@ -313,7 +330,7 @@ func TestEvaluatorRecordJobs(t *testing.T) {
 	e := NewEvaluator(p7)
 	jobT := e.AddType("job", Operation)
 	e.RecordJobs(jobT, []trace.Job{
-		{User: 0, Submit: tc.Add(-timeutil.Days(1)), Duration: timeutil.Hours(2), Cores: 8},
+		{User: 0, Submit: tc.Add(-timeutil.Days(1)), Duration: 2 * timeutil.Hour, Cores: 8},
 	})
 	r := e.EvaluateUser(0, tc)
 	if !r.HasOp || r.Op != 1 {

@@ -54,8 +54,9 @@ func TestCursorsMatchEvaluate(t *testing.T) {
 // TestEvaluateUserMultiMatchesDedicated is the multiplexed-ranking
 // contract: one cursor set answering N periods in a single pass must
 // be bit-identical to N dedicated evaluators (one per period, same
-// histories), across a monotone trigger schedule and one backward
-// jump — the shared ranker in the multiplexed replay depends on it.
+// histories) ranking without cursors, across a monotone trigger
+// schedule and one backward jump — the shared ranker in the
+// multiplexed replay depends on it.
 func TestEvaluateUserMultiMatchesDedicated(t *testing.T) {
 	const users = 40
 	periods := []timeutil.Duration{
@@ -85,9 +86,9 @@ func TestEvaluateUserMultiMatchesDedicated(t *testing.T) {
 	}
 
 	multi := build(periods[0]).NewCursors()
-	dedicated := make([]*Cursors, len(periods))
+	dedicated := make([]*Evaluator, len(periods))
 	for i, d := range periods {
-		dedicated[i] = build(d).NewCursors()
+		dedicated[i] = build(d)
 	}
 
 	year := timeutil.Time(timeutil.Days(365))

@@ -2,11 +2,7 @@
 // paper's Table 1 and shared experiment defaults.
 package config
 
-import (
-	"fmt"
-
-	"activedr/internal/timeutil"
-)
+import "activedr/internal/timeutil"
 
 // Facility is one row of Table 1: an HPC site and its production
 // fixed-lifetime scratch retention policy.
@@ -24,16 +20,6 @@ func Facilities() []Facility {
 		{Name: "TACC", Scratch: "SCRATCH", Lifetime: timeutil.Days(30)},
 		{Name: "NERSC", Scratch: "Lustre scratch", Lifetime: timeutil.Days(12 * 7)},
 	}
-}
-
-// FacilityByName looks a preset up case-sensitively.
-func FacilityByName(name string) (Facility, error) {
-	for _, f := range Facilities() {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return Facility{}, fmt.Errorf("config: unknown facility %q", name)
 }
 
 // Paper-wide experiment constants (§4.1.3).

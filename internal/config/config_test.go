@@ -28,16 +28,6 @@ func TestFacilityPresets(t *testing.T) {
 	}
 }
 
-func TestFacilityByName(t *testing.T) {
-	f, err := FacilityByName("OLCF")
-	if err != nil || f.Lifetime != timeutil.Days(90) {
-		t.Fatalf("OLCF lookup = %+v, %v", f, err)
-	}
-	if _, err := FacilityByName("NOPE"); err == nil {
-		t.Fatal("unknown facility accepted")
-	}
-}
-
 func TestSweepConstants(t *testing.T) {
 	if TargetUtilization != 0.5 || RetroPasses != 5 || RetroDecay != 0.8 {
 		t.Fatal("paper constants drifted")

@@ -36,7 +36,7 @@ func tinyDataset() *trace.Dataset {
 	var jobs []trace.Job
 	for w, t := 0, timeutil.Date(2015, time.June, 1); t < repEnd; w, t = w+1, t.Add(timeutil.Week) {
 		jobs = append(jobs, trace.Job{
-			User: 0, Submit: t, Duration: timeutil.Hours(2), Cores: 16 + w,
+			User: 0, Submit: t, Duration: 2 * timeutil.Hour, Cores: 16 + w,
 		})
 	}
 	var accs []trace.Access

@@ -228,8 +228,8 @@ func buildTagSatisfied(tag string) bool {
 
 // excludedByBuildConstraint reports whether path carries a //go:build
 // line that rules this platform out. Platform-split files (e.g.
-// fsx's mmap_linux.go / mmap_other.go pair) otherwise load into one
-// package and collide on their shared declarations. Only the modern
+// journeybench's sys_linux.go / sys_other.go pair) otherwise load into
+// one package and collide on their shared declarations. Only the modern
 // //go:build form is honored; unparseable or absent constraints keep
 // the file in, matching the loader's permissive posture.
 func excludedByBuildConstraint(path string) bool {

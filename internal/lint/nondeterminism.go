@@ -22,8 +22,9 @@ var deterministicPkgs = []string{
 	"internal/faults",
 	"internal/obs",
 	"internal/wal",
-	// Durable-file and mmap primitives sit under the snapfile decode
-	// path; replay startup must be as replayable as the replay.
+	// Durable-file primitives sit under every checkpoint, WAL and
+	// snapfile write; what they persist must be as replayable as the
+	// replay.
 	"internal/fsx",
 	// The sweep orchestrator replays every figure's comparison through
 	// the multiplexed runner; its tables and figure data must be as
@@ -79,7 +80,7 @@ func runNondeterminism(pass *Pass) {
 				}
 				if fn, ok := obj.(*types.Func); ok {
 					if why, hit := nondetFuncs[fn.FullName()]; hit {
-						pass.Reportf(n.Pos(), "%s %s in deterministic package %s: route timing through internal/profiling or inject a timeutil.Clock", fn.FullName(), why, pass.Path)
+						pass.Reportf(n.Pos(), "%s %s in deterministic package %s: route timing through internal/profiling", fn.FullName(), why, pass.Path)
 						return false
 					}
 				}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"activedr/internal/parallel"
 )
 
 type server struct {
@@ -60,6 +62,14 @@ func (s *server) FileIOUnderLock(f *os.File) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return f.Sync() // want "held lock s.mu spans .*os.File.*Sync"
+}
+
+// WorkersUnderLock drains a pipeline stage with the mutex held: every
+// other holder waits for the slowest worker.
+func (s *server) WorkersUnderLock(pool *parallel.Pool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return pool.Workers(func(int) error { return nil }) // want "held lock s.mu spans parallel.Pool.Workers"
 }
 
 // CopyThenRespond is the clean shape: snapshot under the lock,

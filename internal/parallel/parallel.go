@@ -111,16 +111,6 @@ func (p *Pool) RunShards(n int, fn func(rank, lo, hi int) error) error {
 	return errors.Join(errs...)
 }
 
-// ForEachShard runs fn(rank, lo, hi) concurrently over the shards of
-// n items and blocks until all ranks finish. A panic in any rank is
-// recovered into a *ShardError identifying the shard.
-func (p *Pool) ForEachShard(n int, fn func(rank, lo, hi int)) error {
-	return p.RunShards(n, func(rank, lo, hi int) error {
-		fn(rank, lo, hi)
-		return nil
-	})
-}
-
 // RankTiming records one rank's wall-clock work, the per-rank probe
 // of the paper's Figure 12b–d.
 type RankTiming struct {
@@ -134,9 +124,10 @@ func (t RankTiming) String() string {
 	return fmt.Sprintf("rank %2d: items=%d elapsed=%v", t.Rank, t.Items, t.Elapsed)
 }
 
-// TimedShards is ForEachShard with per-rank timing probes. Panicking
-// ranks still record their timing (up to the panic) and surface as
-// *ShardError in the joined error.
+// TimedShards runs fn(rank, lo, hi) over the shards of n items like
+// RunShards, with per-rank timing probes. Panicking ranks still record
+// their timing (up to the panic) and surface as *ShardError in the
+// joined error.
 func (p *Pool) TimedShards(n int, fn func(rank, lo, hi int)) ([]RankTiming, error) {
 	shards := p.Shards(n)
 	timings := make([]RankTiming, len(shards))

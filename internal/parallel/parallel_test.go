@@ -55,14 +55,18 @@ func TestNewPoolDefaults(t *testing.T) {
 	}
 }
 
+// TestForEachShardVisitsAll checks that the shards of n items cover
+// every item exactly once. ForEachShard, the error-free wrapper it was
+// named for, is gone; RunShards is the one shard runner.
 func TestForEachShardVisitsAll(t *testing.T) {
 	p := NewPool(4)
 	const n = 1000
 	var hits [n]int32
-	err := p.ForEachShard(n, func(rank, lo, hi int) {
+	err := p.RunShards(n, func(rank, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +138,18 @@ func TestRunShardsCollectsErrorsAndPanics(t *testing.T) {
 	}
 }
 
+// TestForEachShardRecoversPanic checks that a panicking rank surfaces
+// as a *ShardError naming its shard while the other ranks finish
+// theirs, through RunShards (ForEachShard was a wrapper over it).
 func TestForEachShardRecoversPanic(t *testing.T) {
 	p := NewPool(3)
 	var visited int32
-	err := p.ForEachShard(90, func(rank, lo, hi int) {
+	err := p.RunShards(90, func(rank, lo, hi int) error {
 		if rank == 0 {
 			panic(errors.New("boom"))
 		}
 		atomic.AddInt32(&visited, int32(hi-lo))
+		return nil
 	})
 	if err == nil {
 		t.Fatal("panic not surfaced as error")

@@ -152,8 +152,9 @@ func TestStressConcurrentPools(t *testing.T) {
 			defer wg.Done()
 			pool := NewPool(3 + p)
 			var count atomic.Int64
-			if err := pool.ForEachShard(2500, func(rank, lo, hi int) {
+			if err := pool.RunShards(2500, func(rank, lo, hi int) error {
 				count.Add(int64(hi - lo))
+				return nil
 			}); err != nil {
 				t.Errorf("pool %d: %v", p, err)
 				return

@@ -1,7 +1,7 @@
 // Package randx provides a deterministic, seedable random source and
 // the heavy-tailed distributions used by the synthetic trace
-// generator: Zipf, log-normal, Pareto, Poisson, exponential, and
-// weighted choice.
+// generator: Zipf, log-normal, Poisson, exponential, and weighted
+// choice.
 //
 // The generator is SplitMix64: tiny state, excellent statistical
 // quality for simulation purposes, and — unlike math/rand's global
@@ -42,9 +42,6 @@ func (s *Source) Uint64() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// Int63 returns a non-negative int64.
-func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Intn returns a uniform integer in [0, n). It panics if n ≤ 0.
 func (s *Source) Intn(n int) int {
@@ -100,17 +97,6 @@ func (s *Source) Exp(mean float64) float64 { return mean * s.ExpFloat64() }
 // LogNormal returns exp(N(mu, sigma²)).
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
-}
-
-// Pareto returns a Pareto(xm, alpha) variate: xm · U^(−1/α).
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	for {
-		u := s.Float64()
-		if u == 0 {
-			continue
-		}
-		return xm * math.Pow(u, -1/alpha)
-	}
 }
 
 // Poisson returns a Poisson(lambda) variate. For small lambda it uses
@@ -221,23 +207,4 @@ func (w *Weighted) Pick(src *Source) int {
 		}
 	}
 	return lo
-}
-
-// Shuffle permutes the first n indices via the provided swap function
-// (Fisher–Yates).
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

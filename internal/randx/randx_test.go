@@ -113,26 +113,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	s := New(6)
-	const n = 100000
-	over := 0
-	for i := 0; i < n; i++ {
-		v := s.Pareto(1, 2)
-		if v < 1 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-		if v > 10 {
-			over++
-		}
-	}
-	// P(X > 10) = (1/10)^2 = 1%.
-	frac := float64(over) / n
-	if frac < 0.005 || frac > 0.02 {
-		t.Errorf("Pareto tail fraction = %v, want ≈0.01", frac)
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	for _, lambda := range []float64{0.5, 3, 25, 100} {
 		s := New(7)
@@ -223,27 +203,6 @@ func TestWeightedPanics(t *testing.T) {
 		}
 	}()
 	NewWeighted([]float64{0, 0})
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(11)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm invalid at value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	s := New(20)
-	for i := 0; i < 10000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
 }
 
 func TestInt64nRange(t *testing.T) {

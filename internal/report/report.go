@@ -30,16 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row built from format/value pairs: each cell is
-// rendered with fmt.Sprintf(formats[i], values[i]).
-func (t *Table) AddRowf(values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		cells[i] = fmt.Sprint(v)
-	}
-	t.AddRow(cells...)
-}
-
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Headers))

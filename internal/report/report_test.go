@@ -10,7 +10,7 @@ import (
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("Demo", "Name", "Value")
 	tbl.AddRow("alpha", "1")
-	tbl.AddRowf("beta-long-name", 42)
+	tbl.AddRow("beta-long-name", "42")
 	out := tbl.String()
 	if !strings.Contains(out, "== Demo ==") {
 		t.Error("title missing")

@@ -39,12 +39,6 @@ type candidateMerge struct {
 	slots []int32           // slots[i] is lists[i]'s position in the input
 }
 
-func newCandidateMerge(lists [][]vfs.Candidate) *candidateMerge {
-	m := &candidateMerge{}
-	m.reset(lists)
-	return m
-}
-
 // reset rebuilds the heap over a fresh set of input lists, reusing the
 // holder's backing arrays so a policy can keep one merge across
 // triggers without re-allocating it.

@@ -675,13 +675,3 @@ func (e *Emulator) Resume(policy retention.Policy, opts RunOptions) (*Result, er
 	}
 	return e.replay(policy, opts, st)
 }
-
-// Resume is the package-level convenience: rebuild an Emulator from
-// the dataset and configuration, then continue the interrupted run.
-func Resume(ds *trace.Dataset, cfg Config, policy retention.Policy, opts RunOptions) (*Result, error) {
-	e, err := New(ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Resume(policy, opts)
-}

@@ -141,8 +141,10 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestResumeViaPackageFunc exercises the convenience entry point that
-// rebuilds the emulator from scratch.
+// TestResumeViaPackageFunc resumes on an emulator rebuilt from the
+// dataset and configuration, as a restarted process does. That is all
+// the package-level sim.Resume it was named for did; nothing called
+// that function, so it is gone and the test builds the emulator.
 func TestResumeViaPackageFunc(t *testing.T) {
 	ds := tinyDataset()
 	cfg := Config{TargetUtilization: 0.5}
@@ -158,7 +160,11 @@ func TestResumeViaPackageFunc(t *testing.T) {
 	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir, StopAfterTriggers: 3}); !errors.Is(err, ErrInterrupted) {
 		t.Fatal(err)
 	}
-	got, err := Resume(ds, cfg, &retention.FLT{Lifetime: timeutil.Days(90)}, RunOptions{CheckpointDir: dir})
+	fresh, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Resume(&retention.FLT{Lifetime: timeutil.Days(90)}, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

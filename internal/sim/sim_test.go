@@ -30,7 +30,7 @@ func tinyDataset() *trace.Dataset {
 	var jobs []trace.Job
 	for w, t := 0, timeutil.Date(2015, time.June, 1); t < repEnd; w, t = w+1, t.Add(timeutil.Week) {
 		jobs = append(jobs, trace.Job{
-			User: 0, Submit: t, Duration: timeutil.Hours(2), Cores: 16 + w,
+			User: 0, Submit: t, Duration: 2 * timeutil.Hour, Cores: 16 + w,
 		})
 	}
 	// Replay accesses: user 0 works on a fresh file weekly, and on
@@ -370,7 +370,7 @@ func TestSnapshotSeriesRoundTrip(t *testing.T) {
 	if err := trace.WriteSnapshotSeries(dir, d.Users, res.Snapshots); err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.LoadSnapshotSeries(dir, trace.NameIndex(d.Users))
+	got, _, err := trace.LoadSnapshotSeriesWith(dir, trace.NameIndex(d.Users), trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,69 +1,29 @@
 // Package stats implements the statistical summaries the paper's
 // figures report: range-bucketed day counts (Figures 1 and 6), box
-// statistics with means (Figure 8), and general running summaries
-// used across the benchmark harness.
+// statistics with means (Figure 8), and the running mean the workload
+// fit uses.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
-// Summary accumulates count/sum/min/max and Welford mean/variance in
-// one pass. The zero value is ready to use.
+// Summary is a running (Welford) mean. The zero value is ready to use.
 type Summary struct {
-	n        int64
-	mean, m2 float64
-	sum      float64
-	min, max float64
+	n    int64
+	mean float64
 }
 
 // Add folds x into the summary.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.n++
-	s.sum += x
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation, or 0 with none.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with none.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the population variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
 // Box holds the five-number summary plus the mean, as drawn in the
 // paper's Figure 8 box plot (the green triangle is the mean).
@@ -236,59 +196,6 @@ func percent(x float64) string {
 		return fmt.Sprintf("%d%%", int(p))
 	}
 	return fmt.Sprintf("%.4g%%", p)
-}
-
-// Counter is a string-keyed tally with deterministic iteration order.
-type Counter struct {
-	m map[string]int64
-}
-
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int64)} }
-
-// Add increments key by delta.
-func (c *Counter) Add(key string, delta int64) { c.m[key] += delta }
-
-// Get returns the tally for key (0 if absent).
-func (c *Counter) Get(key string) int64 { return c.m[key] }
-
-// Keys returns the keys in sorted order.
-func (c *Counter) Keys() []string {
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Total sums all tallies.
-func (c *Counter) Total() int64 {
-	var t int64
-	for _, v := range c.m {
-		t += v
-	}
-	return t
-}
-
-// String renders the counter as "k1=v1 k2=v2 …" in key order.
-func (c *Counter) String() string {
-	var b strings.Builder
-	for i, k := range c.Keys() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", k, c.m[k])
-	}
-	return b.String()
-}
-
-// Ratio safely divides a by b, returning 0 when b is 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // ReductionRatio returns (base − improved)/base, the paper's "file

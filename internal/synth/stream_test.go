@@ -138,9 +138,8 @@ func TestStreamSnapshotValidation(t *testing.T) {
 // TestSpiderStreamScale is the preset's acceptance run: a million
 // users, over ten million files, streamed into a snapfile without
 // materializing the namespace — heap stays bounded — then reopened
-// with O(1) cost and spot-checked by lazy point lookups against
-// regenerated entries. Minutes of work, so it only runs when asked
-// for explicitly: ACTIVEDR_SPIDER_SCALE=1 go test ./internal/synth/
+// with O(1) cost. Minutes of work, so it only runs when asked for
+// explicitly: ACTIVEDR_SPIDER_SCALE=1 go test ./internal/synth/
 // -run SpiderScale.
 func TestSpiderStreamScale(t *testing.T) {
 	if os.Getenv("ACTIVEDR_SPIDER_SCALE") == "" {
@@ -152,11 +151,7 @@ func TestSpiderStreamScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sample []trace.SnapshotEntry
 	n, err := StreamSnapshot(cfg, func(e trace.SnapshotEntry) error {
-		if len(sample) < 4096 && e.User%251 == 0 {
-			sample = append(sample, e)
-		}
 		return w.Add(e.Path, vfs.FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
 	})
 	if err != nil {
@@ -187,14 +182,5 @@ func TestSpiderStreamScale(t *testing.T) {
 	defer sf.Close()
 	if sf.Count() != n {
 		t.Fatalf("snapfile holds %d files, streamed %d", sf.Count(), n)
-	}
-	for _, e := range sample {
-		m, ok, err := sf.Lookup(e.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || m.User != e.User || m.Size != e.Size || m.ATime != e.ATime {
-			t.Fatalf("lookup %q: got %+v ok=%t, want %+v", e.Path, m, ok, e)
-		}
 	}
 }

@@ -31,9 +31,6 @@ const (
 // Days returns a Duration of n days.
 func Days(n int) Duration { return Duration(n) * Day }
 
-// Hours returns a Duration of n hours.
-func Hours(n int) Duration { return Duration(n) * Hour }
-
 // FromGo converts a time.Time to a Time.
 //
 //lint:allow nondeterminism FromGo is the conversion boundary from Go time
@@ -151,37 +148,3 @@ func PeriodIndex(tc, ts Time, m int, p Duration) int {
 	e := m - int(q) + 1
 	return e
 }
-
-// Clock yields the current simulated or real time.
-type Clock interface {
-	Now() Time
-}
-
-// SimClock is a manually advanced clock for simulations. The zero
-// value starts at the epoch.
-type SimClock struct {
-	t Time
-}
-
-// NewSimClock returns a SimClock starting at t.
-func NewSimClock(t Time) *SimClock { return &SimClock{t: t} }
-
-// Now returns the current simulated time.
-func (c *SimClock) Now() Time { return c.t }
-
-// Set jumps the clock to t.
-func (c *SimClock) Set(t Time) { c.t = t }
-
-// Advance moves the clock forward by d and returns the new time.
-func (c *SimClock) Advance(d Duration) Time {
-	c.t = c.t.Add(d)
-	return c.t
-}
-
-// RealClock reads the wall clock.
-type RealClock struct{}
-
-// Now returns the current wall-clock time.
-//
-//lint:allow nondeterminism RealClock is the explicit wall-clock escape hatch
-func (RealClock) Now() Time { return FromGo(time.Now()) }

@@ -78,17 +78,7 @@ func WriteLogins(w io.Writer, users []User, logins []Login) error {
 	return bw.Flush()
 }
 
-// ReadLogins parses a login log.
-func ReadLogins(r io.Reader, byName map[string]UserID) ([]Login, error) {
-	logins, _, err := ReadLoginsWith(r, byName, ReadOptions{})
-	return logins, err
-}
-
-// ReadLoginsWith parses a login log under the given strictness.
-func ReadLoginsWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Login, *ParseReport, error) {
-	return readLoginsWithHint(r, byName, opts, 0)
-}
-
+// readLoginsWithHint parses a login log.
 func readLoginsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Login, *ParseReport, error) {
 	logins, _, rep, err := readPipelined(r, byName, opts, hint, loginSpec)
 	return logins, rep, err
@@ -119,17 +109,7 @@ func WriteTransfers(w io.Writer, users []User, xs []Transfer) error {
 	return bw.Flush()
 }
 
-// ReadTransfers parses a transfer log.
-func ReadTransfers(r io.Reader, byName map[string]UserID) ([]Transfer, error) {
-	xs, _, err := ReadTransfersWith(r, byName, ReadOptions{})
-	return xs, err
-}
-
-// ReadTransfersWith parses a transfer log under the given strictness.
-func ReadTransfersWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Transfer, *ParseReport, error) {
-	return readTransfersWithHint(r, byName, opts, 0)
-}
-
+// readTransfersWithHint parses a transfer log.
 func readTransfersWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Transfer, *ParseReport, error) {
 	xs, _, rep, err := readPipelined(r, byName, opts, hint, transferSpec)
 	return xs, rep, err

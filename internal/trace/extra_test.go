@@ -16,7 +16,7 @@ func extraSample() ([]Login, []Transfer) {
 	t0 := timeutil.Date(2016, time.February, 1)
 	logins := []Login{
 		{User: 0, TS: t0},
-		{User: 2, TS: t0.Add(timeutil.Hours(5))},
+		{User: 2, TS: t0.Add(5 * timeutil.Hour)},
 	}
 	transfers := []Transfer{
 		{User: 0, TS: t0, Dir: TransferIn, Bytes: 64 << 30},
@@ -42,7 +42,7 @@ func TestLoginRoundTrip(t *testing.T) {
 	if err := WriteLogins(&buf, d.Users, logins); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLogins(&buf, NameIndex(d.Users))
+	got, _, err := readLoginsWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTransferRoundTrip(t *testing.T) {
 	if err := WriteTransfers(&buf, d.Users, xs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTransfers(&buf, NameIndex(d.Users))
+	got, _, err := readTransfersWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExtraReadersRejectMalformed(t *testing.T) {
 	idx := map[string]UserID{"u000": 0}
 	badLogins := []string{"1", "x\tu000", "1\tghost"}
 	for _, line := range badLogins {
-		if _, err := ReadLogins(strings.NewReader(line+"\n"), idx); err == nil {
+		if _, _, err := readLoginsWithHint(strings.NewReader(line+"\n"), idx, ReadOptions{}, 0); err == nil {
 			t.Errorf("login line %q accepted", line)
 		}
 	}
@@ -83,7 +83,7 @@ func TestExtraReadersRejectMalformed(t *testing.T) {
 		"x\tu000\tin\t5",       // bad ts
 	}
 	for _, line := range badTransfers {
-		if _, err := ReadTransfers(strings.NewReader(line+"\n"), idx); err == nil {
+		if _, _, err := readTransfersWithHint(strings.NewReader(line+"\n"), idx, ReadOptions{}, 0); err == nil {
 			t.Errorf("transfer line %q accepted", line)
 		}
 	}

@@ -66,32 +66,32 @@ func FuzzReaders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		r := func() *strings.Reader { return strings.NewReader(input) }
 
-		su, serr := ReadUsers(r())
-		lu, urep, lerr := ReadUsersWith(r(), lenient)
+		su, _, serr := readUsersWithHint(r(), ReadOptions{}, 0)
+		lu, urep, lerr := readUsersWithHint(r(), lenient, 0)
 		check(t, "users", su, serr, lu, urep, lerr)
 
-		sj, serr := ReadJobs(r(), idx)
-		lj, jrep, lerr := ReadJobsWith(r(), idx, lenient)
+		sj, _, serr := readJobsWithHint(r(), idx, ReadOptions{}, 0)
+		lj, jrep, lerr := readJobsWithHint(r(), idx, lenient, 0)
 		check(t, "jobs", sj, serr, lj, jrep, lerr)
 
-		sa, serr := ReadAccesses(r(), idx)
-		la, arep, lerr := ReadAccessesWith(r(), idx, lenient)
+		sa, _, serr := readAccessesWithHint(r(), idx, ReadOptions{}, 0)
+		la, arep, lerr := readAccessesWithHint(r(), idx, lenient, 0)
 		check(t, "accesses", sa, serr, la, arep, lerr)
 
-		sp, serr := ReadPublications(r(), idx)
-		lp, prep, lerr := ReadPublicationsWith(r(), idx, lenient)
+		sp, _, serr := readPublicationsWithHint(r(), idx, ReadOptions{}, 0)
+		lp, prep, lerr := readPublicationsWithHint(r(), idx, lenient, 0)
 		check(t, "publications", sp, serr, lp, prep, lerr)
 
 		ss, serr := ReadSnapshot(r(), idx)
 		lsnap, srep, lerr := ReadSnapshotWith(r(), idx, lenient)
 		check(t, "snapshot", ss, serr, lsnap, srep, lerr)
 
-		sl, serr := ReadLogins(r(), idx)
-		ll, lrep, lerr := ReadLoginsWith(r(), idx, lenient)
+		sl, _, serr := readLoginsWithHint(r(), idx, ReadOptions{}, 0)
+		ll, lrep, lerr := readLoginsWithHint(r(), idx, lenient, 0)
 		check(t, "logins", sl, serr, ll, lrep, lerr)
 
-		st, serr := ReadTransfers(r(), idx)
-		lt, trep, lerr := ReadTransfersWith(r(), idx, lenient)
+		st, _, serr := readTransfersWithHint(r(), idx, ReadOptions{}, 0)
+		lt, trep, lerr := readTransfersWithHint(r(), idx, lenient, 0)
 		check(t, "transfers", st, serr, lt, trep, lerr)
 	})
 }

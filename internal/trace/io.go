@@ -151,18 +151,9 @@ func WriteUsers(w io.Writer, users []User) error {
 	return bw.Flush()
 }
 
-// ReadUsers parses a user list, assigning dense IDs in file order.
-func ReadUsers(r io.Reader) ([]User, error) {
-	users, _, err := ReadUsersWith(r, ReadOptions{})
-	return users, err
-}
-
-// ReadUsersWith parses a user list under the given strictness;
-// quarantined lines do not consume an ID.
-func ReadUsersWith(r io.Reader, opts ReadOptions) ([]User, *ParseReport, error) {
-	return readUsersWithHint(r, opts, 0)
-}
-
+// readUsersWithHint parses a user list under the given strictness,
+// assigning dense IDs in file order; quarantined lines do not consume
+// an ID. hint, when positive, presizes the result.
 func readUsersWithHint(r io.Reader, opts ReadOptions, hint int) ([]User, *ParseReport, error) {
 	users, _, rep, err := readPipelined(r, nil, opts, hint, userSpec)
 	for i := range users {
@@ -198,17 +189,7 @@ func WriteJobs(w io.Writer, users []User, jobs []Job) error {
 	return bw.Flush()
 }
 
-// ReadJobs parses a job log using the name→ID index.
-func ReadJobs(r io.Reader, byName map[string]UserID) ([]Job, error) {
-	jobs, _, err := ReadJobsWith(r, byName, ReadOptions{})
-	return jobs, err
-}
-
-// ReadJobsWith parses a job log under the given strictness.
-func ReadJobsWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Job, *ParseReport, error) {
-	return readJobsWithHint(r, byName, opts, 0)
-}
-
+// readJobsWithHint parses a job log using the name→ID index.
 func readJobsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Job, *ParseReport, error) {
 	jobs, _, rep, err := readPipelined(r, byName, opts, hint, jobSpec)
 	return jobs, rep, err
@@ -246,18 +227,7 @@ func WriteAccesses(w io.Writer, users []User, accs []Access) error {
 	return bw.Flush()
 }
 
-// ReadAccesses parses an application log.
-func ReadAccesses(r io.Reader, byName map[string]UserID) ([]Access, error) {
-	accs, _, err := ReadAccessesWith(r, byName, ReadOptions{})
-	return accs, err
-}
-
-// ReadAccessesWith parses an application log under the given
-// strictness.
-func ReadAccessesWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Access, *ParseReport, error) {
-	return readAccessesWithHint(r, byName, opts, 0)
-}
-
+// readAccessesWithHint parses an application log.
 func readAccessesWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Access, *ParseReport, error) {
 	accs, _, rep, err := readPipelined(r, byName, opts, hint, accessSpec)
 	return accs, rep, err
@@ -294,18 +264,7 @@ func WritePublications(w io.Writer, users []User, pubs []Publication) error {
 	return bw.Flush()
 }
 
-// ReadPublications parses a publication list.
-func ReadPublications(r io.Reader, byName map[string]UserID) ([]Publication, error) {
-	pubs, _, err := ReadPublicationsWith(r, byName, ReadOptions{})
-	return pubs, err
-}
-
-// ReadPublicationsWith parses a publication list under the given
-// strictness.
-func ReadPublicationsWith(r io.Reader, byName map[string]UserID, opts ReadOptions) ([]Publication, *ParseReport, error) {
-	return readPublicationsWithHint(r, byName, opts, 0)
-}
-
+// readPublicationsWithHint parses a publication list.
 func readPublicationsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Publication, *ParseReport, error) {
 	pubs, _, rep, err := readPipelined(r, byName, opts, hint, pubSpec)
 	return pubs, rep, err
@@ -425,13 +384,6 @@ func WriteSnapshotSeries(dir string, users []User, snaps []*Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// LoadSnapshotSeries reads every snapshot-*.tsv.gz under dir, sorted
-// by capture time.
-func LoadSnapshotSeries(dir string, byName map[string]UserID) ([]*Snapshot, error) {
-	snaps, _, err := LoadSnapshotSeriesWith(dir, byName, ReadOptions{})
-	return snaps, err
 }
 
 // LoadSnapshotSeriesWith reads every snapshot-*.tsv.gz under dir

@@ -148,19 +148,6 @@ func (d *DatasetReport) Errors() int {
 	return n
 }
 
-// Truncated reports whether any input ended mid-stream.
-func (d *DatasetReport) Truncated() bool {
-	if d == nil {
-		return false
-	}
-	for _, r := range d.Reports {
-		if r.Truncated {
-			return true
-		}
-	}
-	return false
-}
-
 // Clean reports whether every file loaded without quarantines.
 func (d *DatasetReport) Clean() bool {
 	if d == nil {

@@ -76,7 +76,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("users", func(t *testing.T) {
 		in := "u000\t100\tpower\nsolo\nu001\tnotanumber\nu002\t300\n"
-		users, rep, err := ReadUsersWith(strings.NewReader(in), lenient)
+		users, rep, err := readUsersWithHint(strings.NewReader(in), lenient, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,14 +100,14 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 			t.Fatalf("report = %+v", rep)
 		}
 		// The same input aborts a strict read.
-		if _, err := ReadUsers(strings.NewReader(in)); err == nil {
+		if _, _, err := readUsersWithHint(strings.NewReader(in), ReadOptions{}, 0); err == nil {
 			t.Fatal("strict read accepted malformed input")
 		}
 	})
 
 	t.Run("jobs", func(t *testing.T) {
 		in := "u000\t1\t2\t3\nnosuch\t1\t2\t3\nu000\tx\t2\t3\nu000\t9\t9\t9\n"
-		jobs, rep, err := ReadJobsWith(strings.NewReader(in), idx, lenient)
+		jobs, rep, err := readJobsWithHint(strings.NewReader(in), idx, lenient, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("accesses", func(t *testing.T) {
 		in := "1\tu000\t0\t5\t/p\n1\tu000\t0\t5\t\n2\tu000\t1\t7\t/q\n"
-		accs, rep, err := ReadAccessesWith(strings.NewReader(in), idx, lenient)
+		accs, rep, err := readAccessesWithHint(strings.NewReader(in), idx, lenient, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("publications", func(t *testing.T) {
 		in := "1\t2\tu000\n1\t2\tnosuch\n3\t4\tu000\n"
-		pubs, rep, err := ReadPublicationsWith(strings.NewReader(in), idx, lenient)
+		pubs, rep, err := readPublicationsWithHint(strings.NewReader(in), idx, lenient, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("logins", func(t *testing.T) {
 		in := "1\tu000\nbroken\n2\tu000\n"
-		logins, rep, err := ReadLoginsWith(strings.NewReader(in), idx, lenient)
+		logins, rep, err := readLoginsWithHint(strings.NewReader(in), idx, lenient, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("transfers", func(t *testing.T) {
 		in := "1\tu000\tin\t5\n1\tu000\tsideways\t5\n2\tu000\tout\t7\n"
-		xs, rep, err := ReadTransfersWith(strings.NewReader(in), idx, lenient)
+		xs, rep, err := readTransfersWithHint(strings.NewReader(in), idx, lenient, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestLenientMaxErrorsAborts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sb.WriteString("garbage-line\n")
 	}
-	_, rep, err := ReadUsersWith(strings.NewReader(sb.String()), ReadOptions{Lenient: true, MaxErrors: 3})
+	_, rep, err := readUsersWithHint(strings.NewReader(sb.String()), ReadOptions{Lenient: true, MaxErrors: 3}, 0)
 	if err == nil {
 		t.Fatal("lenient read survived past MaxErrors")
 	}
@@ -198,8 +198,8 @@ func TestLenientMaxErrorsAborts(t *testing.T) {
 	}
 
 	// Exactly at the cap still succeeds.
-	users, rep, err := ReadUsersWith(strings.NewReader("bad\nbad\nbad\nu000\t1\n"),
-		ReadOptions{Lenient: true, MaxErrors: 3})
+	users, rep, err := readUsersWithHint(strings.NewReader("bad\nbad\nbad\nu000\t1\n"),
+		ReadOptions{Lenient: true, MaxErrors: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,11 @@ func TestLenientSalvagesTruncatedGzip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lenient load failed: %v", err)
 	}
-	if !rep.Truncated() {
+	truncated := false
+	for _, r := range rep.Reports {
+		truncated = truncated || r.Truncated
+	}
+	if !truncated {
 		t.Fatalf("truncation not reported: %s", rep.Summary())
 	}
 	if len(got.Accesses) == 0 || len(got.Accesses) >= total {

@@ -118,7 +118,7 @@ func bigDataset() *Dataset {
 	}
 	for i := 0; i < 20000; i++ {
 		d.Jobs = append(d.Jobs, Job{User: UserID(i % nUsers), Submit: t0.Add(timeutil.Duration(i) * 60),
-			Duration: timeutil.Hours(1 + i%48), Cores: 16 + i%1024})
+			Duration: timeutil.Duration(1+i%48) * timeutil.Hour, Cores: 16 + i%1024})
 	}
 	for i := 0; i < 40000; i++ {
 		d.Accesses = append(d.Accesses, Access{TS: t0.Add(timeutil.Duration(i) * 30), User: UserID(i % nUsers),
@@ -335,7 +335,7 @@ func TestPipelinedLongLines(t *testing.T) {
 	// line number is exercised too.
 	read := func(in string) func(ReadOptions) string {
 		return func(o ReadOptions) string {
-			users, rep, err := ReadUsersWith(strings.NewReader(in), o)
+			users, rep, err := readUsersWithHint(strings.NewReader(in), o, 0)
 			return outcome(users, rep, err)
 		}
 	}
@@ -351,7 +351,7 @@ func TestPipelinedEdgeInputs(t *testing.T) {
 	idx := map[string]UserID{"u000": 0}
 	for i, c := range wantEdgeInputs {
 		users := func(o ReadOptions) string {
-			u, rep, err := ReadUsersWith(strings.NewReader(c.in), o)
+			u, rep, err := readUsersWithHint(strings.NewReader(c.in), o, 0)
 			return outcome(u, rep, err)
 		}
 		snapshot := func(o ReadOptions) string {
@@ -379,19 +379,19 @@ func TestMalformedLineReasons(t *testing.T) {
 		read       func(io.Reader, ReadOptions) (int, *ParseReport, error)
 	}{
 		"users": {UsersFile, "u000\t1", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadUsersWith(r, o)
+			v, rep, err := readUsersWithHint(r, o, 0)
 			return len(v), rep, err
 		}},
 		"jobs": {JobsFile, "u000\t1\t2\t3", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadJobsWith(r, idx, o)
+			v, rep, err := readJobsWithHint(r, idx, o, 0)
 			return len(v), rep, err
 		}},
 		"accesses": {AccessesFile, "1\tu000\t0\t5\t/p", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadAccessesWith(r, idx, o)
+			v, rep, err := readAccessesWithHint(r, idx, o, 0)
 			return len(v), rep, err
 		}},
 		"publications": {PubsFile, "1\t2\tu000", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadPublicationsWith(r, idx, o)
+			v, rep, err := readPublicationsWithHint(r, idx, o, 0)
 			return len(v), rep, err
 		}},
 		"snapshot": {SnapshotFile, "u000\t1\t2\t3\t/p", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
@@ -402,11 +402,11 @@ func TestMalformedLineReasons(t *testing.T) {
 			return len(v.Entries), rep, err
 		}},
 		"logins": {LoginsFile, "1\tu000", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadLoginsWith(r, idx, o)
+			v, rep, err := readLoginsWithHint(r, idx, o, 0)
 			return len(v), rep, err
 		}},
 		"transfers": {TransfersFile, "1\tu000\tin\t5", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadTransfersWith(r, idx, o)
+			v, rep, err := readTransfersWithHint(r, idx, o, 0)
 			return len(v), rep, err
 		}},
 	}
@@ -483,9 +483,6 @@ func TestSnapshotSeriesPipelined(t *testing.T) {
 	}
 	if err := os.WriteFile(matches[2], raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := LoadSnapshotSeries(dir, idx); err == nil {
-		t.Fatal("strict series load accepted truncated gzip")
 	}
 	checkSeries(t, dir, idx, ReadOptions{}, nil, wantSeriesStrictReports, wantSeriesStrictErr)
 	salvaged := append([]*Snapshot{}, snaps...)

@@ -23,8 +23,8 @@ func sampleDataset() *Dataset {
 	return &Dataset{
 		Users: users,
 		Jobs: []Job{
-			{User: 0, Submit: t0.Add(timeutil.Days(1)), Duration: timeutil.Hours(2), Cores: 32},
-			{User: 2, Submit: t0.Add(timeutil.Days(3)), Duration: timeutil.Hours(10), Cores: 128},
+			{User: 0, Submit: t0.Add(timeutil.Days(1)), Duration: 2 * timeutil.Hour, Cores: 32},
+			{User: 2, Submit: t0.Add(timeutil.Days(3)), Duration: 10 * timeutil.Hour, Cores: 128},
 		},
 		Accesses: []Access{
 			{TS: t0.Add(timeutil.Days(1)), User: 0, Create: true, Size: 4096, Path: "/lustre/atlas/u000/proj0/out.h5"},
@@ -44,7 +44,7 @@ func sampleDataset() *Dataset {
 }
 
 func TestCoreHours(t *testing.T) {
-	j := Job{Cores: 32, Duration: timeutil.Hours(2)}
+	j := Job{Cores: 32, Duration: 2 * timeutil.Hour}
 	if got := j.CoreHours(); got != 64 {
 		t.Fatalf("CoreHours = %v, want 64", got)
 	}
@@ -125,7 +125,7 @@ func TestUserRoundTrip(t *testing.T) {
 	if err := WriteUsers(&buf, d.Users); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadUsers(&buf)
+	got, _, err := readUsersWithHint(&buf, ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if err := WriteJobs(&buf, d.Users, d.Jobs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJobs(&buf, NameIndex(d.Users))
+	got, _, err := readJobsWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAccessRoundTrip(t *testing.T) {
 	if err := WriteAccesses(&buf, d.Users, d.Accesses); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAccesses(&buf, NameIndex(d.Users))
+	got, _, err := readAccessesWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPublicationRoundTrip(t *testing.T) {
 	if err := WritePublications(&buf, d.Users, d.Publications); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPublications(&buf, NameIndex(d.Users))
+	got, _, err := readPublicationsWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,22 @@ func TestReadersRejectMalformedLines(t *testing.T) {
 		name string
 		fn   func(string) error
 	}{
-		{"users bad ts", func(s string) error { _, err := ReadUsers(strings.NewReader(s)); return err }},
-		{"jobs", func(s string) error { _, err := ReadJobs(strings.NewReader(s), idx); return err }},
-		{"accesses", func(s string) error { _, err := ReadAccesses(strings.NewReader(s), idx); return err }},
-		{"pubs", func(s string) error { _, err := ReadPublications(strings.NewReader(s), idx); return err }},
+		{"users bad ts", func(s string) error {
+			_, _, err := readUsersWithHint(strings.NewReader(s), ReadOptions{}, 0)
+			return err
+		}},
+		{"jobs", func(s string) error {
+			_, _, err := readJobsWithHint(strings.NewReader(s), idx, ReadOptions{}, 0)
+			return err
+		}},
+		{"accesses", func(s string) error {
+			_, _, err := readAccessesWithHint(strings.NewReader(s), idx, ReadOptions{}, 0)
+			return err
+		}},
+		{"pubs", func(s string) error {
+			_, _, err := readPublicationsWithHint(strings.NewReader(s), idx, ReadOptions{}, 0)
+			return err
+		}},
 		{"snapshot", func(s string) error { _, err := ReadSnapshot(strings.NewReader(s), idx); return err }},
 	}
 	bad := map[string][]string{
@@ -247,7 +259,7 @@ func TestReadersRejectMalformedLines(t *testing.T) {
 
 func TestReadersSkipCommentsAndBlanks(t *testing.T) {
 	in := "# comment\n\nu000\t100\tpower\n"
-	users, err := ReadUsers(strings.NewReader(in))
+	users, _, err := readUsersWithHint(strings.NewReader(in), ReadOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

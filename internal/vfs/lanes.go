@@ -128,9 +128,6 @@ func NewLaneGroup(base *FS, n, pathCap int) (*LaneGroup, error) {
 	return g, nil
 }
 
-// Lanes returns the lane count.
-func (g *LaneGroup) Lanes() int { return len(g.lanes) }
-
 // Lane returns lane i's FS view.
 func (g *LaneGroup) Lane(i int) *FS { return g.lanes[i] }
 

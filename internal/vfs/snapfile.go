@@ -19,8 +19,8 @@ import (
 
 // Snapfile is the compact serialized snapshot format of the VFS plus
 // its candidate index (DESIGN.md §15). A snapfile is built once —
-// streamed out by tracegen or cmd/simulate — and reopened in O(1) via
-// mmap (or paged reads where mmap is unavailable), so replay startup
+// streamed out by tracegen or cmd/simulate — then opened with an O(1)
+// header check and loaded in one sequential pass, so replay startup
 // stops re-parsing TSV snapshots. Layout, all integers little-endian:
 //
 //	header (144 bytes)
@@ -50,8 +50,8 @@ import (
 // The total-size field makes truncation detectable at open time: any
 // strict prefix of a valid snapfile fails the size check before a
 // single section byte is trusted. Interior corruption is caught by
-// the CRC during eager loads and by bounds checks everywhere else;
-// all decode failures wrap ErrCorruptSnapfile, never panic.
+// the CRC the loader checks before it decodes anything; all decode
+// failures wrap ErrCorruptSnapfile, never panic.
 const (
 	snapMagic   = "ADRVFS1\n"
 	snapVersion = 1

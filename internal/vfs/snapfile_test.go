@@ -55,36 +55,31 @@ func writeFixture(t *testing.T, s *trace.Snapshot) string {
 func TestSnapfileRoundTrip(t *testing.T) {
 	s := snapFixture(7, 11)
 	path := writeFixture(t, s)
-	for _, paged := range []bool{false, true} {
-		sf, err := OpenSnapfileWith(path, SnapfileOpenOptions{PagedReads: paged})
-		if err != nil {
-			t.Fatalf("open (paged=%v): %v", paged, err)
+	sf, err := OpenSnapfile(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if sf.Taken() != s.Taken {
+		t.Fatalf("taken = %d, want %d", sf.Taken(), s.Taken)
+	}
+	if sf.Count() != len(s.Entries) {
+		t.Fatalf("count = %d, want %d", sf.Count(), len(s.Entries))
+	}
+	fs, err := LoadSnapfileFS(sf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if err := sf.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for i, e := range s.Entries {
+		m, ok := fs.Lookup(e.Path)
+		if !ok || m.User != e.User || m.Size != e.Size || m.Stripes != e.Stripes || m.ATime != e.ATime {
+			t.Fatalf("entry %d %q = %+v %v", i, e.Path, m, ok)
 		}
-		if sf.Taken() != s.Taken {
-			t.Fatalf("taken = %d, want %d", sf.Taken(), s.Taken)
-		}
-		if sf.Count() != len(s.Entries) {
-			t.Fatalf("count = %d, want %d", sf.Count(), len(s.Entries))
-		}
-		for i, e := range s.Entries {
-			p, m, err := sf.Entry(i)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			if p != e.Path || m.User != e.User || m.Size != e.Size || m.Stripes != e.Stripes || m.ATime != e.ATime {
-				t.Fatalf("entry %d = %q %+v, want %q", i, p, m, e.Path)
-			}
-			got, ok, err := sf.Lookup(e.Path)
-			if err != nil || !ok || got != m {
-				t.Fatalf("lookup %q = %+v %v %v", e.Path, got, ok, err)
-			}
-		}
-		if _, ok, err := sf.Lookup("/lustre/atlas/nosuch/file"); ok || err != nil {
-			t.Fatalf("lookup miss: ok=%v err=%v", ok, err)
-		}
-		if err := sf.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
+	}
+	if _, ok := fs.Lookup("/lustre/atlas/nosuch/file"); ok {
+		t.Fatal("lookup of a missing path succeeded")
 	}
 }
 
@@ -263,9 +258,6 @@ func TestSnapfileEmpty(t *testing.T) {
 	if sf.Count() != 0 || sf.Taken() != timeutil.Time(42) {
 		t.Fatalf("count=%d taken=%d", sf.Count(), sf.Taken())
 	}
-	if _, ok, err := sf.Lookup("/a"); ok || err != nil {
-		t.Fatalf("lookup on empty: %v %v", ok, err)
-	}
 	fs, err := LoadSnapfileFS(sf)
 	if err != nil {
 		t.Fatal(err)
@@ -300,9 +292,9 @@ func TestSnapfileWriterValidation(t *testing.T) {
 }
 
 // FuzzOpenSnapfile drives arbitrary bytes through the full decode
-// surface: open, random access, and the eager loader. Any failure
-// must surface as an error wrapping ErrCorruptSnapfile — never a
-// panic, never an out-of-bounds read.
+// surface: open and the loader. Any failure must surface as an error
+// wrapping ErrCorruptSnapfile — never a panic, never an out-of-bounds
+// read.
 func FuzzOpenSnapfile(f *testing.F) {
 	s := snapFixture(2, 4)
 	dir := f.TempDir()
@@ -329,30 +321,16 @@ func FuzzOpenSnapfile(f *testing.F) {
 		if err := os.WriteFile(target, data, 0o644); err != nil {
 			t.Skip()
 		}
-		for _, paged := range []bool{false, true} {
-			sf, err := OpenSnapfileWith(target, SnapfileOpenOptions{PagedReads: paged})
-			if err != nil {
-				if !errors.Is(err, ErrCorruptSnapfile) {
-					t.Fatalf("open error %v not typed", err)
-				}
-				continue
+		sf, err := OpenSnapfile(target)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapfile) {
+				t.Fatalf("open error %v not typed", err)
 			}
-			n := sf.Count()
-			if n > 64 {
-				n = 64
-			}
-			for i := 0; i < n; i++ {
-				if _, _, err := sf.Entry(i); err != nil && !errors.Is(err, ErrCorruptSnapfile) {
-					t.Fatalf("entry error %v not typed", err)
-				}
-			}
-			if _, _, err := sf.Lookup("/lustre/atlas/u00000/proj0/out0000.dat"); err != nil && !errors.Is(err, ErrCorruptSnapfile) {
-				t.Fatalf("lookup error %v not typed", err)
-			}
-			if _, err := LoadSnapfileFS(sf); err != nil && !errors.Is(err, ErrCorruptSnapfile) {
-				t.Fatalf("load error %v not typed", err)
-			}
-			sf.Close()
+			return
+		}
+		defer sf.Close()
+		if _, err := LoadSnapfileFS(sf); err != nil && !errors.Is(err, ErrCorruptSnapfile) {
+			t.Fatalf("load error %v not typed", err)
 		}
 	})
 }

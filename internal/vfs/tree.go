@@ -151,16 +151,6 @@ func (t *radix[V]) put(key string, v V) (node *rnode[V], prev V, existed bool) {
 	}
 }
 
-// get returns the value stored at key.
-func (t *radix[V]) get(key string) (V, bool) {
-	var zero V
-	n := t.findNode(key)
-	if n == nil || !n.terminal {
-		return zero, false
-	}
-	return n.value, true
-}
-
 // findNode returns the node exactly matching key, terminal or not.
 func (t *radix[V]) findNode(key string) *rnode[V] {
 	n := t.root
@@ -252,53 +242,6 @@ func (t *radix[V]) delete(key string) (V, bool) {
 		break
 	}
 	return v, true
-}
-
-// walk visits every terminal key under the node reached by prefix, in
-// lexicographic order. fn returning false stops the walk; walk
-// reports whether it ran to completion.
-func (t *radix[V]) walk(prefix string, fn func(key string, v V) bool) bool {
-	// Find the deepest node on the prefix path, tracking the key
-	// accumulated so far. The prefix may end inside an edge label.
-	n := t.root
-	acc := make([]byte, 0, 128)
-	rest := prefix
-	for rest != "" {
-		i, ok := n.childIndex(rest[0])
-		if !ok {
-			return true
-		}
-		child := n.children[i]
-		cp := commonPrefixLen(rest, child.label)
-		if cp == len(rest) {
-			// Prefix ends inside (or exactly at) this edge.
-			acc = append(acc, child.label...)
-			return walkNode(child, acc, fn)
-		}
-		if cp < len(child.label) {
-			return true // diverged: nothing under prefix
-		}
-		acc = append(acc, child.label...)
-		rest = rest[cp:]
-		n = child
-	}
-	return walkNode(n, acc, fn)
-}
-
-func walkNode[V any](n *rnode[V], acc []byte, fn func(key string, v V) bool) bool {
-	if n.terminal {
-		if !fn(string(acc), n.value) {
-			return false
-		}
-	}
-	for _, c := range n.children {
-		acc = append(acc, c.label...)
-		if !walkNode(c, acc, fn) {
-			return false
-		}
-		acc = acc[:len(acc)-len(c.label)]
-	}
-	return true
 }
 
 // countNodes sizes the arena a clone carves its copies from.

@@ -7,9 +7,21 @@ import (
 	"activedr/internal/randx"
 )
 
-// TestRadixArbitraryKeys drives the generic radix tree with random
-// byte-level keys (not just well-formed paths) against a map model:
-// shared prefixes, empty keys, repeated inserts and deletes.
+// valueAt reads key the way FS.Lookup does: find the node, then check
+// that it is terminal.
+func valueAt[V any](t *radix[V], key string) (V, bool) {
+	n := t.findNode(key)
+	if n == nil || !n.terminal {
+		var zero V
+		return zero, false
+	}
+	return n.value, true
+}
+
+// TestRadixArbitraryKeys drives the radix tree with random byte-level
+// keys (not just well-formed paths) against a map model: shared
+// prefixes, empty keys, repeated inserts and deletes. The final walk
+// is the one FS.Walk and the snapfile writer use.
 func TestRadixArbitraryKeys(t *testing.T) {
 	src := randx.New(777)
 	alphabet := []byte("ab/€\x00z")
@@ -21,30 +33,30 @@ func TestRadixArbitraryKeys(t *testing.T) {
 		}
 		return string(b)
 	}
-	tree := newRadix[int]()
-	model := map[string]int{}
+	tree := newRadix[fileRecord]()
+	model := map[string]int64{}
 	for step := 0; step < 30000; step++ {
 		k := randKey()
 		switch src.Intn(3) {
 		case 0:
-			v := src.Intn(1000)
-			_, prev, existed := tree.put(k, v)
+			v := int64(src.Intn(1000))
+			_, prev, existed := tree.put(k, fileRecord{path: k, meta: FileMeta{Size: v}})
 			wantPrev, wantExisted := model[k]
-			if existed != wantExisted || (existed && prev != wantPrev) {
-				t.Fatalf("step %d: put(%q) = (%d,%v), want (%d,%v)", step, k, prev, existed, wantPrev, wantExisted)
+			if existed != wantExisted || (existed && prev.meta.Size != wantPrev) {
+				t.Fatalf("step %d: put(%q) = (%d,%v), want (%d,%v)", step, k, prev.meta.Size, existed, wantPrev, wantExisted)
 			}
 			model[k] = v
 		case 1:
-			v, ok := tree.get(k)
+			v, ok := valueAt(tree, k)
 			wantV, wantOK := model[k]
-			if ok != wantOK || (ok && v != wantV) {
-				t.Fatalf("step %d: get(%q) mismatch", step, k)
+			if ok != wantOK || (ok && v.meta.Size != wantV) {
+				t.Fatalf("step %d: lookup(%q) mismatch", step, k)
 			}
 		case 2:
 			v, ok := tree.delete(k)
 			wantV, wantOK := model[k]
-			if ok != wantOK || (ok && v != wantV) {
-				t.Fatalf("step %d: delete(%q) = (%d,%v), want (%d,%v)", step, k, v, ok, wantV, wantOK)
+			if ok != wantOK || (ok && v.meta.Size != wantV) {
+				t.Fatalf("step %d: delete(%q) = (%d,%v), want (%d,%v)", step, k, v.meta.Size, ok, wantV, wantOK)
 			}
 			delete(model, k)
 		}
@@ -59,9 +71,9 @@ func TestRadixArbitraryKeys(t *testing.T) {
 	}
 	sort.Strings(wantKeys)
 	var gotKeys []string
-	tree.walk("", func(k string, v int) bool {
+	walkRecords(tree.root, func(k string, m FileMeta) bool {
 		gotKeys = append(gotKeys, k)
-		if model[k] != v {
+		if model[k] != m.Size {
 			t.Fatalf("walk value mismatch at %q", k)
 		}
 		return true
@@ -79,11 +91,11 @@ func TestRadixArbitraryKeys(t *testing.T) {
 // TestRadixEmptyKey exercises the root-terminal special case.
 func TestRadixEmptyKey(t *testing.T) {
 	tree := newRadix[string]()
-	if _, ok := tree.get(""); ok {
+	if _, ok := valueAt(tree, ""); ok {
 		t.Fatal("empty tree contains empty key")
 	}
 	tree.put("", "root")
-	if v, ok := tree.get(""); !ok || v != "root" {
+	if v, ok := valueAt(tree, ""); !ok || v != "root" {
 		t.Fatal("empty key lost")
 	}
 	// A root reservation covers everything.
@@ -126,10 +138,10 @@ func TestRadixCompression(t *testing.T) {
 	if after >= before {
 		t.Fatalf("no compaction: %d → %d nodes", before, after)
 	}
-	if v, ok := tree.get("/a/b/c/d"); !ok || v != 1 {
+	if v, ok := valueAt(tree, "/a/b/c/d"); !ok || v != 1 {
 		t.Fatal("sibling lost during compaction")
 	}
-	if v, ok := tree.get("/a/x"); !ok || v != 3 {
+	if v, ok := valueAt(tree, "/a/x"); !ok || v != 3 {
 		t.Fatal("cousin lost during compaction")
 	}
 }

@@ -193,9 +193,6 @@ func Open(dir string, opts Options) (*Log, RecoveryInfo, error) {
 	return l, info, nil
 }
 
-// FirstSeq returns the oldest sequence still present (0 when empty).
-func (l *Log) FirstSeq() uint64 { return l.first }
-
 // LastSeq returns the newest durable-or-pending sequence (0 = none).
 func (l *Log) LastSeq() uint64 { return l.next - 1 }
 

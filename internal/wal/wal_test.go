@@ -109,8 +109,8 @@ func TestSegmentRollAndPrune(t *testing.T) {
 	if err := l.Prune(20); err != nil {
 		t.Fatal(err)
 	}
-	if l.FirstSeq() > 21 {
-		t.Fatalf("prune(20) removed live records: first=%d", l.FirstSeq())
+	if l.first > 21 {
+		t.Fatalf("prune(20) removed live records: first=%d", l.first)
 	}
 	// Everything after the checkpoint is still replayable…
 	seqs, _ := collect(t, l, 20)

@@ -124,15 +124,6 @@ func (u *UserModel) Files() int {
 	return n
 }
 
-// SnapshotBytes returns the user's exact snapshot byte mass.
-func (u *UserModel) SnapshotBytes() int64 {
-	var b int64
-	for _, s := range u.Strata {
-		b += s.Bytes
-	}
-	return b
-}
-
 // Activeness class labels, in increasing-cadence order.
 const (
 	ClassDormant = "dormant"
@@ -183,15 +174,6 @@ func (m *Model) ClassShares() map[string]float64 {
 		shares[k] /= float64(len(m.Users))
 	}
 	return shares
-}
-
-// TotalSnapshotBytes sums the exact snapshot mass across users.
-func (m *Model) TotalSnapshotBytes() int64 {
-	var b int64
-	for i := range m.Users {
-		b += m.Users[i].SnapshotBytes()
-	}
-	return b
 }
 
 // Validate rejects models Regen cannot honor.
