@@ -31,13 +31,17 @@ const (
 // checkpointFullEvery makes every 8th daemon checkpoint a full
 // snapshot of the namespace and the ones between v3 deltas against
 // the checkpoint before, so a weekly trigger writes what the week
-// changed. Over a 2000-user year (ActiveDR-90d, 2 vCPUs) the
-// checkpoint phase took 3.4–3.5 s with every checkpoint full,
-// 1.5–1.6 s at 4, 1.2–1.3 s at 8 and 1.0 s at 16, while resuming
-// through a 4-delta chain took 0.10–0.12 s against 0.05–0.07 s from a
-// full checkpoint, about 12 ms a link: past 8 the saving levels off
-// and the worst-case chain doubles. Batch replays keep the full-only
-// default.
+// changed. Checkpoints are written in the background (sim.Stream), so
+// the cadence sets two costs: the writer's work (the checkpoint
+// phase) and the applier's share (checkpoint_capture: the copy, and
+// any wait for a writer that fell behind). Feeding a 2000-user year
+// over HTTP (ActiveDR-90d, 2 vCPUs, two passes) they were 3.4–3.8 s
+// and 0.77–0.79 s with every checkpoint full, 1.4–1.6 s and 0.10 s at
+// 4, 1.15 s and 0.06–0.07 s at 8, and 0.92–0.97 s and 0.05–0.06 s at
+// 16. Resuming through a 4-delta chain took 0.10–0.12 s against
+// 0.05–0.07 s from a full checkpoint, about 12 ms a link: past 8 the
+// saving levels off and the worst-case chain doubles. Batch replays
+// keep the full-only default.
 const checkpointFullEvery = 8
 
 var (
@@ -277,6 +281,11 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 	d.lastCkpt = d.stream.Applied()
 
 	if err := d.recover(); err != nil {
+		// Checkpoints the replayed tail took still land (or fail)
+		// before New returns: the next incarnation recovers from them.
+		if werr := d.stream.Wait(); werr != nil && !errors.Is(err, werr) {
+			err = errors.Join(err, werr)
+		}
 		if d.log != nil {
 			err = errors.Join(err, d.log.Close())
 		}
@@ -369,9 +378,10 @@ func walHooks(in *faults.Injector) wal.Hooks {
 	return in
 }
 
-// onCheckpoint runs (with d.mu held, from the applier or recovery)
-// after each checkpoint publishes: the WAL prefix the checkpoint
-// covers is garbage.
+// onCheckpoint runs after each checkpoint publishes: the WAL prefix
+// the checkpoint covers is garbage. Checkpoints are written in the
+// background, but the stream calls this only from its own calls —
+// from the applier or recovery, with d.mu held.
 func (d *Daemon) onCheckpoint(applied int) {
 	d.lastCkpt = applied
 	if d.recovering || d.log == nil {
@@ -529,6 +539,14 @@ func (d *Daemon) commitLocked(group []Event) error {
 				d.die(stateKilled, "kill point after checkpoint publish")
 				return fmt.Errorf("%w: %v", ErrKilled, err)
 			}
+			var ce *sim.CheckpointError
+			if errors.As(err, &ce) {
+				// A background checkpoint write failed. Its events are
+				// durable in the WAL, which keeps everything after the
+				// last published checkpoint; no later one publishes.
+				d.die(stateDegraded, fmt.Sprintf("checkpoint %s: %v", ce.Name, ce.Err))
+				return fmt.Errorf("%w: %v", ErrDegraded, err)
+			}
 			// The event is already durable but unappliable — a feed
 			// bug. Degrade loudly instead of diverging quietly.
 			d.die(stateDegraded, fmt.Sprintf("apply event %d: %v", d.stream.Applied()+1, err))
@@ -553,10 +571,13 @@ func (d *Daemon) syncLocked() error {
 }
 
 // die moves the daemon to a terminal ingest state (reads stay up).
+// Checkpoint writes in flight still land or fail first, so the disk
+// a dead daemon leaves behind stops changing.
 func (d *Daemon) die(s state, reason string) {
 	d.st = s
 	d.reason = reason
 	d.m.degraded.Set(1)
+	_ = d.stream.Wait() // a failure only confirms the death
 }
 
 // Applied returns how many events the daemon holds: the position a
@@ -567,10 +588,11 @@ func (d *Daemon) Applied() int {
 	return d.stream.Applied()
 }
 
-// Close drains the ingest queue, takes a final checkpoint, and
-// releases the WAL — the graceful SIGTERM path. The drain checkpoint
-// publishes under a fresh name, so the one LATEST names stays intact
-// until its replacement lands. Safe to call more than once.
+// Close drains the ingest queue, waits for the checkpoint writes in
+// flight, takes a final checkpoint, and releases the WAL — the
+// graceful SIGTERM path. The drain checkpoint publishes under a fresh
+// name, so the one LATEST names stays intact until its replacement
+// lands. Safe to call more than once.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		d.ingestMu.Lock()
@@ -583,14 +605,17 @@ func (d *Daemon) Close() error {
 		defer d.mu.Unlock()
 		var errs []error
 		if d.st == stateRunning {
-			if d.cfg.CheckpointDir != "" && d.stream.Applied() > d.lastCkpt {
+			// A dead daemon already waited in die.
+			err := d.stream.Wait()
+			if err == nil && d.cfg.CheckpointDir != "" && d.stream.Applied() > d.lastCkpt {
 				at := d.lastTS
 				if at == 0 {
 					at = d.stream.NextTrigger() // stamp only; never read back
 				}
-				if err := d.stream.Checkpoint(at); err != nil {
-					errs = append(errs, err)
-				}
+				err = d.stream.Checkpoint(at)
+			}
+			if err != nil {
+				errs = append(errs, err)
 			}
 			d.st = stateClosed
 		}

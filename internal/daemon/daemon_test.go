@@ -102,6 +102,19 @@ func ingestAll(t *testing.T, d *Daemon, evs []Event, batch int) {
 	}
 }
 
+// waitCheckpoints waits, as the applier would, until every checkpoint
+// write the daemon has in flight has published, so LATEST and
+// lastCkpt are settled. Call it between Ingests.
+func waitCheckpoints(t *testing.T, d *Daemon) {
+	t.Helper()
+	d.mu.Lock()
+	err := d.stream.Wait()
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatalf("checkpoint writes: %v", err)
+	}
+}
+
 // strippedReports deep-copies the purge reports with wall-clock
 // fields zeroed, so "bit-identical" can be asserted byte-for-byte.
 func strippedReports(reps []*retention.Report) []retention.Report {
@@ -326,6 +339,7 @@ func TestDrainCheckpointPublishesFreshName(t *testing.T) {
 	cfg := baseConfig(t)
 	d1 := newDaemon(t, tinyDataset(), cfg)
 	ingestAll(t, d1, evs[:10], 10)
+	waitCheckpoints(t, d1)
 	if d1.lastCkpt == 0 || d1.lastCkpt >= d1.stream.Applied() {
 		t.Fatalf("fixture: last trigger checkpoint at event %d of %d, want events after it", d1.lastCkpt, d1.stream.Applied())
 	}
@@ -396,6 +410,108 @@ func TestDiskFullDegrades(t *testing.T) {
 	ingestAll(t, d2, evs[durable:], 7)
 	ref := batchReference(t, ds, nil)
 	requireSameReports(t, "disk-full restart", d2.stream.Result().Reports, ref.Reports)
+}
+
+// TestFailedCheckpointWriteDegrades swaps the checkpoint directory for
+// a regular file mid-feed. The background write that then fails must
+// degrade the daemon with a reason naming that checkpoint, not an
+// event; nothing may publish after it, not even once the directory is
+// back; the WAL must keep every event after the last published
+// checkpoint; and a restart over the restored directory must
+// reconverge to the batch replay.
+func TestFailedCheckpointWriteDegrades(t *testing.T) {
+	ds := tinyDataset()
+	evs := accessEvents(ds)
+	ref := batchReference(t, ds, nil)
+	half := len(evs) / 2
+
+	cfg := baseConfig(t)
+	d1 := newDaemon(t, tinyDataset(), cfg)
+	ingestAll(t, d1, evs[:half], 7)
+	waitCheckpoints(t, d1)
+	published := latestName(t, cfg.CheckpointDir)
+	moved := cfg.CheckpointDir + ".moved"
+	if err := os.Rename(cfg.CheckpointDir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.CheckpointDir, []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	acked := half
+	var ingestErr error
+	for acked < len(evs) {
+		end := min(acked+7, len(evs))
+		if ingestErr = d1.Ingest(evs[acked:end]); ingestErr != nil {
+			break
+		}
+		acked = end
+	}
+	if !errors.Is(ingestErr, ErrDegraded) {
+		t.Fatalf("ingest with the checkpoint directory gone = %v, want ErrDegraded", ingestErr)
+	}
+	st := d1.status()
+	failed, _, ok := strings.Cut(strings.TrimPrefix(st.Reason, "checkpoint "), ":")
+	if !strings.HasPrefix(st.Reason, "checkpoint t") || !ok || failed <= published {
+		t.Fatalf("degraded with reason %q, want it to name a checkpoint after %s", st.Reason, published)
+	}
+	if st.State != "degraded" {
+		t.Fatalf("state %q after a failed checkpoint write, want degraded", st.State)
+	}
+
+	// Put the directory back while the daemon is still up: a write
+	// queued behind the failed one, or a drain checkpoint at Close,
+	// would now succeed, and must not happen.
+	if err := os.Remove(cfg.CheckpointDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(moved, cfg.CheckpointDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := latestName(t, cfg.CheckpointDir); got != published {
+		t.Fatalf("LATEST = %s after the failure, want %s", got, published)
+	}
+	ents, err := os.ReadDir(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if ent.IsDir() && ent.Name() > published {
+			t.Fatalf("%s appeared after the failed write", ent.Name())
+		}
+	}
+
+	blob, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, published, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs struct{ Cursor int }
+	if err := json.Unmarshal(blob, &cs); err != nil {
+		t.Fatal(err)
+	}
+	log, info, err := wal.Open(cfg.WALDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info.FirstSeq > uint64(cs.Cursor)+1 || info.LastSeq < uint64(acked) {
+		t.Fatalf("WAL holds events %d..%d, want every event from %d through at least %d",
+			info.FirstSeq, info.LastSeq, cs.Cursor+1, acked)
+	}
+
+	d2 := newDaemon(t, tinyDataset(), cfg)
+	defer d2.Close()
+	if d2.stream.Applied() < acked {
+		t.Fatalf("restart recovered %d events, %d were acknowledged", d2.stream.Applied(), acked)
+	}
+	ingestAll(t, d2, evs[d2.stream.Applied():], 7)
+	requireSameReports(t, "restart after a failed checkpoint", d2.stream.Result().Reports, ref.Reports)
+	requireSameFS(t, "restart after a failed checkpoint", d2, ref)
 }
 
 // TestBackpressureAndRetryExhaustion wedges the applier in a retry

@@ -192,11 +192,13 @@ func (o *Observer) EmitMiss(e *MissEvent) {
 }
 
 // StartPhase starts a wall-clock timer for one named replay phase
-// (replay, purge, snapshot, checkpoint); the returned stop function
-// accumulates the elapsed time under the name. Timing goes through
-// profiling.StartTimer, the one sanctioned wall-clock seam, and phase
-// times stay out of MetricsSnapshot: they are measurement metadata,
-// never checkpointed, never part of equivalence. Nil-safe.
+// (replay, purge, snapshot, checkpoint, checkpoint_capture); the
+// returned stop function accumulates the elapsed time under the name,
+// and may run on another goroutine (checkpoint writes do). Timing
+// goes through profiling.StartTimer, the one sanctioned wall-clock
+// seam, and phase times stay out of MetricsSnapshot: they are
+// measurement metadata, never checkpointed, never part of
+// equivalence. Nil-safe.
 func (o *Observer) StartPhase(name string) (stop func()) {
 	if o == nil {
 		return func() {}

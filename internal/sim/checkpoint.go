@@ -36,6 +36,14 @@ package sim
 // serialized state is exactly the uninterrupted run's state at that
 // boundary: a resumed run replays bit-for-bit (see
 // TestCheckpointResumeDeterminism, TestDeltaCheckpointResume).
+//
+// A checkpoint is taken in two halves. The capture (saveCheckpoint)
+// runs on the applier at the trigger and only copies state into
+// memory; the vfs hands a delta its dirty window ready-made, so a
+// delta capture does no tree walk. The write (ckptCapture.write)
+// formats, compresses, fsyncs and publishes the capture on the
+// stream's writer, off the replay's path; stream.go keeps at most
+// maxCkptWrites of them in flight and publishes them in order.
 
 import (
 	"bufio"
@@ -46,6 +54,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"activedr/internal/activeness"
@@ -143,73 +152,62 @@ func (c Config) digestAt(version int) string {
 		c.StrictEq7, c.Order)
 }
 
-// saveCheckpoint writes one complete checkpoint for the trigger that
-// just fired at `at`, fsyncs it, then atomically publishes it via
-// LATEST and prunes old ones. A crash at any point leaves either the
-// previous or the new checkpoint intact, never a torn one.
-func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *runState, at timeutil.Time) error {
-	dir := opts.CheckpointDir
-	// The checkpoint sequence number makes every save's name fresh and
-	// sorting after the previous one — also the daemon's drain
-	// checkpoint, taken under a trigger count that already has one.
-	name := fmt.Sprintf("t%06d-%06d", st.triggers, st.ckpts+1)
-	tmp := filepath.Join(dir, name+".tmp")
-	if err := os.RemoveAll(tmp); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
-	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
+// maxCkptWrites bounds the checkpoint writes a stream keeps in
+// flight. A capture that finds this many still running waits for the
+// oldest, so a writer that falls behind slows the replay down instead
+// of queueing captures without limit.
+const maxCkptWrites = 2
+
+// ckptCapture is one checkpoint copied off the replay state at its
+// trigger: everything its write reads, owned by the write once
+// queued.
+type ckptCapture struct {
+	dir, name string
+	users     []trace.User
+	fs        *trace.Snapshot          // full checkpoint: the whole tree
+	dirty     map[string]vfs.DirtyFile // delta checkpoint: the window since its base
+	captured  *trace.Snapshot          // the CaptureAt sidecar, when this checkpoint carries it
+	snaps     []*trace.Snapshot        // series files new to this checkpoint
+	snapsFrom int                      // series index of snaps[0]
+	state     checkpointState
+	// prevStart is the chain start of the checkpoint before this one,
+	// the lower bound of the prune after this one publishes.
+	prevStart string
+}
+
+// saveCheckpoint is the capture half of a checkpoint, run on the
+// applier at the trigger that just fired at `at`. It only copies
+// state into memory: the whole tree for a full checkpoint, the dirty
+// window for a delta. It advances the run's checkpoint bookkeeping as
+// if the checkpoint had already published, so the next capture can
+// base a delta on it; write does the rest.
+func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *runState, at timeutil.Time) *ckptCapture {
+	c := &ckptCapture{
+		dir: opts.CheckpointDir,
+		// The checkpoint sequence number makes every save's name fresh
+		// and sorting after the previous one — also the daemon's drain
+		// checkpoint, taken under a trigger count that already has one.
+		name:      fmt.Sprintf("t%06d-%06d", st.triggers, st.ckpts+1),
+		users:     e.ds.Users,
+		prevStart: st.chainStart,
 	}
 	kind := kindFull
 	if opts.CheckpointFullEvery > 1 && st.ckpts%opts.CheckpointFullEvery != 0 && st.lastCkpt != "" {
 		kind = kindDelta
 	}
 	if kind == kindFull {
-		if err := trace.WriteSnapshotFile(filepath.Join(tmp, fsFile), e.ds.Users, st.fsys.Snapshot(at)); err != nil {
-			return fmt.Errorf("sim: checkpoint fs: %w", err)
-		}
+		c.fs = st.fsys.Snapshot(at)
 		st.fsys.TakeDirty() // a full snapshot resets the delta window
+		st.chainStart = c.name
 	} else {
-		dirty := st.fsys.TakeDirty()
-		upserts := &trace.Snapshot{Taken: at}
-		var deleted []string
-		for _, p := range dirty {
-			if m, ok := st.fsys.Lookup(p); ok {
-				upserts.Entries = append(upserts.Entries, trace.SnapshotEntry{
-					Path: p, User: m.User, Size: m.Size, Stripes: m.Stripes, ATime: m.ATime,
-				})
-			} else {
-				deleted = append(deleted, p)
-			}
-		}
-		if err := trace.WriteSnapshotFile(filepath.Join(tmp, deltaFile), e.ds.Users, upserts); err != nil {
-			return fmt.Errorf("sim: checkpoint delta: %w", err)
-		}
-		if err := writePathList(filepath.Join(tmp, deletedFile), deleted); err != nil {
-			return fmt.Errorf("sim: checkpoint delta: %w", err)
-		}
+		c.dirty = st.fsys.TakeDirty()
+		c.snapsFrom = st.snapsSaved // earlier series files live in the base chain
 	}
 	if st.res.Captured != nil && (kind == kindFull || !st.capturedSaved) {
-		if err := trace.WriteSnapshotFile(filepath.Join(tmp, capturedFile), e.ds.Users, st.res.Captured.Snapshot(e.cfg.CaptureAt)); err != nil {
-			return fmt.Errorf("sim: checkpoint captured: %w", err)
-		}
+		c.captured = st.res.Captured.Snapshot(e.cfg.CaptureAt)
 	}
-	snapsFrom := 0
-	if kind == kindDelta {
-		snapsFrom = st.snapsSaved // earlier series files live in the base chain
-	}
-	if len(st.res.Snapshots) > snapsFrom {
-		sd := filepath.Join(tmp, snapsSubdir)
-		if err := os.MkdirAll(sd, 0o755); err != nil {
-			return fmt.Errorf("sim: checkpoint: %w", err)
-		}
-		for i := snapsFrom; i < len(st.res.Snapshots); i++ {
-			if err := trace.WriteSnapshotFile(filepath.Join(sd, seriesName(i)), e.ds.Users, st.res.Snapshots[i]); err != nil {
-				return fmt.Errorf("sim: checkpoint snapshot %d: %w", i, err)
-			}
-		}
-	}
-	cs := checkpointState{
+	c.snaps = slices.Clone(st.res.Snapshots[c.snapsFrom:])
+	c.state = checkpointState{
 		Version:       checkpointVersion,
 		Policy:        policy.Name(),
 		Config:        e.cfg.digest(),
@@ -227,60 +225,134 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 		RestoredFiles: st.res.RestoredFiles,
 		RestoredBytes: st.res.RestoredBytes,
 		MissesByGroup: st.res.MissesByGroup,
-		Days:          st.res.Days,
-		Reports:       st.res.Reports,
-		HasCaptured:   st.res.Captured != nil,
-		NumSnapshots:  len(st.res.Snapshots),
+		// The replay keeps appending to both slices and counting into
+		// the newest day while the write runs.
+		Days:         slices.Clone(st.res.Days),
+		Reports:      slices.Clone(st.res.Reports),
+		HasCaptured:  st.res.Captured != nil,
+		NumSnapshots: len(st.res.Snapshots),
 	}
 	if kind == kindDelta {
-		cs.Base = st.lastCkpt
+		c.state.Base = st.lastCkpt
 	}
 	if opts.Faults != nil {
 		fs := opts.Faults.State()
-		cs.Faults = &fs
+		c.state.Faults = &fs
 	}
 	if reg := opts.Obs.Registry(); reg != nil {
 		snap := reg.Snapshot()
-		cs.Metrics = &snap
+		c.state.Metrics = &snap
 	}
-	blob, err := json.MarshalIndent(&cs, "", " ")
+	st.ckpts++
+	st.lastCkpt = c.name
+	st.snapsSaved = len(st.res.Snapshots)
+	st.capturedSaved = st.res.Captured != nil
+	return c
+}
+
+// write is the second half of a checkpoint, run on the stream's
+// writer. It formats and compresses the capture into a temporary
+// directory and fsyncs it, then atomically publishes it via LATEST
+// and prunes old checkpoints. A crash at any point leaves either the
+// previous or the new checkpoint intact, never a torn one.
+func (c *ckptCapture) write() error {
+	tmp := filepath.Join(c.dir, c.name+".tmp")
+	if err := os.RemoveAll(tmp); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
+		return err
+	}
+	if c.fs != nil {
+		if err := trace.WriteSnapshotFile(filepath.Join(tmp, fsFile), c.users, c.fs); err != nil {
+			return fmt.Errorf("fs: %w", err)
+		}
+	} else if err := writeDelta(tmp, c.users, timeutil.Time(c.state.At), c.dirty); err != nil {
+		return fmt.Errorf("delta: %w", err)
+	}
+	if c.captured != nil {
+		if err := trace.WriteSnapshotFile(filepath.Join(tmp, capturedFile), c.users, c.captured); err != nil {
+			return fmt.Errorf("captured: %w", err)
+		}
+	}
+	if len(c.snaps) > 0 {
+		sd := filepath.Join(tmp, snapsSubdir)
+		if err := os.MkdirAll(sd, 0o755); err != nil {
+			return err
+		}
+		for i, s := range c.snaps {
+			if err := trace.WriteSnapshotFile(filepath.Join(sd, seriesName(c.snapsFrom+i)), c.users, s); err != nil {
+				return fmt.Errorf("snapshot %d: %w", c.snapsFrom+i, err)
+			}
+		}
+	}
+	blob, err := json.MarshalIndent(&c.state, "", " ")
 	if err != nil {
-		return fmt.Errorf("sim: checkpoint state: %w", err)
+		return fmt.Errorf("state: %w", err)
 	}
 	if err := os.WriteFile(filepath.Join(tmp, stateFile), blob, 0o644); err != nil {
-		return fmt.Errorf("sim: checkpoint state: %w", err)
+		return fmt.Errorf("state: %w", err)
 	}
 	// A durable rename does not make the files under it durable:
 	// without these fsyncs a power cut after LATEST moves, and after
 	// the daemon pruned its WAL up to this checkpoint, could leave its
 	// files empty.
 	if err := syncTree(tmp); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
+		return err
 	}
-	if err := clearStale(dir, name); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
+	if err := clearStale(c.dir, c.name); err != nil {
+		return err
 	}
-	if err := fsx.RenameDurable(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
+	if err := fsx.RenameDurable(tmp, filepath.Join(c.dir, c.name)); err != nil {
+		return err
 	}
 	// LATEST is the durability linchpin: fsx.WriteFileAtomic fsyncs
 	// the pointer file before the rename and the directory after it,
 	// so a crash can never resurrect a stale pointer to a pruned
 	// checkpoint (see TestLatestPointerDurability).
-	if err := fsx.WriteFileAtomic(filepath.Join(dir, latestFile), []byte(name+"\n"), 0o644); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
+	if err := fsx.WriteFileAtomic(filepath.Join(c.dir, latestFile), []byte(c.name+"\n"), 0o644); err != nil {
+		return err
 	}
-	prevStart := st.chainStart
-	if kind == kindFull {
-		st.chainStart = name
-	}
-	st.ckpts++
-	st.lastCkpt = name
-	st.snapsSaved = len(st.res.Snapshots)
-	st.capturedSaved = st.res.Captured != nil
-	pruneCheckpoints(dir, prevStart, name)
+	pruneCheckpoints(c.dir, c.prevStart, c.name)
 	return nil
 }
+
+// writeDelta persists a delta checkpoint's dirty window into dir: the
+// upserts as a snapshot taken at `at`, the removals as a path list,
+// each in path order.
+func writeDelta(dir string, users []trace.User, at timeutil.Time, dirty map[string]vfs.DirtyFile) error {
+	upserts := &trace.Snapshot{Taken: at, Entries: make([]trace.SnapshotEntry, 0, len(dirty))}
+	var deleted []string
+	for p, d := range dirty {
+		if d.Removed {
+			deleted = append(deleted, p)
+			continue
+		}
+		m := d.Meta
+		upserts.Entries = append(upserts.Entries, trace.SnapshotEntry{
+			Path: p, User: m.User, Size: m.Size, Stripes: m.Stripes, ATime: m.ATime,
+		})
+	}
+	slices.SortFunc(upserts.Entries, func(a, b trace.SnapshotEntry) int { return strings.Compare(a.Path, b.Path) })
+	slices.Sort(deleted)
+	if err := trace.WriteSnapshotFile(filepath.Join(dir, deltaFile), users, upserts); err != nil {
+		return err
+	}
+	return writePathList(filepath.Join(dir, deletedFile), deleted)
+}
+
+// CheckpointError reports a checkpoint write that failed. The replay
+// state it captured is intact in memory, but no checkpoint of the
+// stream publishes after it: the chain on disk ends at the last one
+// that did, and every later checkpoint or Wait returns this error.
+type CheckpointError struct {
+	Name string // the checkpoint that failed to publish
+	Err  error
+}
+
+func (e *CheckpointError) Error() string { return fmt.Sprintf("sim: checkpoint %s: %v", e.Name, e.Err) }
+
+func (e *CheckpointError) Unwrap() error { return e.Err }
 
 // syncTree fsyncs every file under root, then every directory
 // bottom-up, root last. The files were written by writers that do not

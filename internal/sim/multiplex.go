@@ -329,6 +329,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		b := &feed.batches[bi]
 		for i, ln := range ml {
 			if err := ln.s.fireTriggers(b.first); err != nil {
+				_ = waitLanes(ml) // the lane's error wins, but no write outlives the run
 				return nil, fmt.Errorf("sim: lane %d: %w", i, err)
 			}
 			ln.day = ln.s.dayFor(b.first)
@@ -391,6 +392,9 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			ln.s.st.cursor = b.end
 		}
 	}
+	if err := waitLanes(ml); err != nil {
+		return nil, err
+	}
 	out := make([]*Result, len(lanes))
 	for i, ln := range ml {
 		st := ln.s.st
@@ -402,4 +406,16 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		out[i] = st.res
 	}
 	return out, nil
+}
+
+// waitLanes waits for every lane's checkpoint writes and returns the
+// first lane's failure.
+func waitLanes(ml []*mlane) error {
+	var first error
+	for i, ln := range ml {
+		if err := ln.s.Wait(); err != nil && first == nil {
+			first = fmt.Errorf("sim: lane %d: %w", i, err)
+		}
+	}
+	return first
 }

@@ -287,6 +287,9 @@ type RunOptions struct {
 	// OnCheckpoint, when set, runs after each checkpoint publishes,
 	// with the number of events the persisted state contains. The
 	// daemon uses it to prune its write-ahead log up to that event.
+	// Checkpoints are written in the background, but OnCheckpoint
+	// always runs on the goroutine driving the replay, from inside a
+	// Stream call, in publish order.
 	OnCheckpoint func(applied int)
 }
 
@@ -460,8 +463,9 @@ func (ro *runObs) noteMiss(policy string, a *trace.Access, g activeness.Group) {
 
 // replay drives the access loop from st to the end of the log (or an
 // interruption point). The per-event semantics live in Stream.Apply;
-// this wrapper only supplies the dataset's access log and finalizes
-// the Result — the daemon drives the identical Stream from its WAL.
+// this wrapper only supplies the dataset's access log, waits for the
+// last checkpoint writes and finalizes the Result — the daemon drives
+// the identical Stream from its WAL.
 func (e *Emulator) replay(policy retention.Policy, opts RunOptions, st *runState) (*Result, error) {
 	timer := profiling.StartTimer()
 	s := e.newStream(policy, opts, st)
@@ -474,10 +478,14 @@ func (e *Emulator) replay(policy retention.Policy, opts RunOptions, st *runState
 		if err := s.Apply(&e.ds.Accesses[st.cursor]); err != nil {
 			if errors.Is(err, ErrInterrupted) {
 				res.Elapsed = timer.Elapsed()
-				return res, err
+				return res, err // the stop already waited for every write
 			}
+			_ = s.Wait() // the replay's error wins, but no write outlives the run
 			return nil, err
 		}
+	}
+	if err := s.Wait(); err != nil {
+		return nil, err
 	}
 	if !st.captured {
 		res.Captured = st.fsys.Clone()

@@ -22,7 +22,8 @@ import (
 
 // Stream applies events to a live replay state. Not safe for
 // concurrent use; the daemon serializes all access through its
-// applier goroutine.
+// applier goroutine. Only checkpoint writes run beside it, on copies
+// of the state (see checkpoint).
 type Stream struct {
 	e      *Emulator
 	policy retention.Policy
@@ -31,6 +32,18 @@ type Stream struct {
 	ro     runObs
 	day    *DayStats
 	every  int // checkpoint cadence in triggers
+	// writes are the checkpoint writes in flight, oldest first, at
+	// most maxCkptWrites; werr is the first write that failed.
+	writes []*ckptWrite
+	werr   error
+}
+
+// ckptWrite is one queued checkpoint write. Its goroutine closes done
+// when the write has finished; err is then its outcome.
+type ckptWrite struct {
+	applied int // events the checkpoint's state contains
+	done    chan struct{}
+	err     error
 }
 
 // newStream wires faults and observability into the state exactly as
@@ -156,38 +169,128 @@ func (s *Stream) trigger(at timeutil.Time) {
 // budgets. ErrInterrupted leaves the current event unapplied, exactly
 // like the historical in-loop checks.
 func (s *Stream) fireTriggers(ts timeutil.Time) error {
+	if len(s.writes) > 0 {
+		// Settle finished writes without waiting, so OnCheckpoint runs
+		// and a failure surfaces at the first event after it.
+		if err := s.settle(maxCkptWrites); err != nil {
+			return err
+		}
+	}
 	st := s.st
 	for ts >= st.nextTrigger {
 		at := st.nextTrigger
 		s.trigger(at)
 		st.nextTrigger = at.Add(s.e.cfg.TriggerInterval)
 		if s.opts.CheckpointDir != "" && st.triggers%s.every == 0 {
-			// The counter increments before the save so the persisted
-			// snapshot counts the checkpoint that carries it; resumed
-			// and uninterrupted runs then agree on the final value.
-			s.ro.ckpts.Inc()
-			stopCkpt := s.opts.Obs.StartPhase("checkpoint")
-			err := s.e.saveCheckpoint(s.opts, s.policy, st, at)
-			stopCkpt()
-			if err != nil {
+			if err := s.checkpoint(at); err != nil {
 				return err
-			}
-			if s.opts.OnCheckpoint != nil {
-				s.opts.OnCheckpoint(st.cursor)
 			}
 			// Crash rehearsal: a configured kill point right after the
 			// publish dies exactly where a real preemption would, with
 			// the just-written checkpoint as the resume source.
 			if s.opts.Faults != nil && s.opts.Faults.ShouldKill(faults.KillSimCheckpointPublished) {
-				return ErrInterrupted
+				return s.interrupt()
 			}
 		}
 		if s.opts.StopAfterTriggers > 0 && st.triggers >= s.opts.StopAfterTriggers {
-			return ErrInterrupted
+			return s.interrupt()
 		}
 	}
 	return nil
 }
+
+// interrupt stops the replay with ErrInterrupted once every checkpoint
+// taken so far has published.
+func (s *Stream) interrupt() error {
+	if err := s.Wait(); err != nil {
+		return err
+	}
+	return ErrInterrupted
+}
+
+// checkpoint takes one checkpoint of the state at `at`. The capture
+// runs here, on the applier; the write runs on the stream's writer —
+// one goroutine per capture, each starting when its predecessor has
+// finished, so writes run one at a time and publish in capture order.
+// A capture that finds maxCkptWrites in flight first waits for the
+// oldest.
+//
+// The checkpoint phase times capture and write, the whole cost of a
+// checkpoint; checkpoint_capture times the applier's share, including
+// any wait for a writer that fell behind.
+func (s *Stream) checkpoint(at timeutil.Time) error {
+	o := s.opts.Obs
+	stopCapture := o.StartPhase("checkpoint_capture")
+	defer stopCapture()
+	if err := s.settle(maxCkptWrites - 1); err != nil {
+		return err
+	}
+	// The counter increments before the capture so the persisted
+	// snapshot counts the checkpoint that carries it; resumed and
+	// uninterrupted runs then agree on the final value.
+	s.ro.ckpts.Inc()
+	stopCopy := o.StartPhase("checkpoint")
+	c := s.e.saveCheckpoint(s.opts, s.policy, s.st, at)
+	stopCopy()
+	w := &ckptWrite{applied: s.st.cursor, done: make(chan struct{})}
+	var prev *ckptWrite
+	if n := len(s.writes); n > 0 {
+		prev = s.writes[n-1]
+	}
+	go func() {
+		defer close(w.done)
+		if prev != nil {
+			<-prev.done
+			if prev.err != nil {
+				w.err = prev.err // nothing publishes after a failure
+				return
+			}
+		}
+		stop := o.StartPhase("checkpoint")
+		defer stop()
+		if err := c.write(); err != nil {
+			w.err = &CheckpointError{Name: c.name, Err: err}
+		}
+	}()
+	s.writes = append(s.writes, w)
+	return nil
+}
+
+// settle reaps finished checkpoint writes in publish order, blocking
+// while more than keep are in flight. OnCheckpoint runs after each
+// write that published. The first failure is kept and returned, by
+// this and every later settle.
+func (s *Stream) settle(keep int) error {
+	for len(s.writes) > 0 {
+		w := s.writes[0]
+		if len(s.writes) > keep {
+			<-w.done
+		} else {
+			select {
+			case <-w.done:
+			default:
+				return s.werr
+			}
+		}
+		s.writes = s.writes[1:]
+		switch {
+		case w.err != nil:
+			if s.werr == nil {
+				s.werr = w.err
+			}
+		case s.opts.OnCheckpoint != nil:
+			s.opts.OnCheckpoint(w.applied)
+		}
+	}
+	return s.werr
+}
+
+// Wait blocks until every checkpoint write in flight has finished,
+// runs OnCheckpoint after each one that published, and returns the
+// first write failure (a *CheckpointError), if any. The batch drivers
+// wait before they return; a caller driving a Stream itself waits
+// before it reads the checkpoint directory or abandons the stream.
+func (s *Stream) Wait() error { return s.settle(0) }
 
 // Apply folds one access event into the state: due triggers fire
 // first, then the access lands as a create, a hit, or a miss (which
@@ -245,20 +348,15 @@ func (s *Stream) Unlink(path string, ts timeutil.Time) (bool, error) {
 
 // Checkpoint persists the state immediately, outside the trigger
 // cadence — the daemon's graceful-drain path. `at` stamps the
-// serialized file-system snapshot (the current event time).
+// serialized file-system snapshot (the current event time). It
+// returns once this checkpoint, and every one before it, has
+// published.
 func (s *Stream) Checkpoint(at timeutil.Time) error {
 	if s.opts.CheckpointDir == "" {
 		return errors.New("sim: Checkpoint requires RunOptions.CheckpointDir")
 	}
-	s.ro.ckpts.Inc()
-	stopCkpt := s.opts.Obs.StartPhase("checkpoint")
-	err := s.e.saveCheckpoint(s.opts, s.policy, s.st, at)
-	stopCkpt()
-	if err != nil {
+	if err := s.checkpoint(at); err != nil {
 		return err
 	}
-	if s.opts.OnCheckpoint != nil {
-		s.opts.OnCheckpoint(s.st.cursor)
-	}
-	return nil
+	return s.Wait()
 }

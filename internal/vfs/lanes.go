@@ -205,7 +205,7 @@ func (f *FS) laneRemoveNode(n *rnode[fileRecord], path string) (FileMeta, bool) 
 	}
 	rec.dropped |= f.laneBit
 	if f.dirty != nil {
-		f.dirty[rec.path] = struct{}{}
+		f.dirty[rec.path] = DirtyFile{Removed: true}
 	}
 	f.probe.Removes.Inc()
 	if rec.dropped == g.allMask {
@@ -263,15 +263,15 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		if pure {
 			rec := &n.value
 			last := evs[len(evs)-1].TS
-			for _, lf := range lanes {
-				lf.probe.Touches.Add(int64(len(evs)))
-				if lf.dirty != nil {
-					lf.dirty[rec.path] = struct{}{}
-				}
-			}
 			if last != rec.meta.ATime {
 				rec.meta.ATime = last
 				lanes[0].indexAdd(rec.meta.User, rec.path, last, n)
+			}
+			for _, lf := range lanes {
+				lf.probe.Touches.Add(int64(len(evs)))
+				if lf.dirty != nil {
+					lf.dirty[rec.path] = DirtyFile{Meta: rec.meta}
+				}
 			}
 			rec.pid1 = pid + 1
 			g.handles[pid] = n
@@ -391,9 +391,11 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 	}
 	rec.pid1 = pid + 1
 	g.handles[pid] = n
+	// Every lane holds the file after a run (its first event re-inserts
+	// it wherever it was dropped), each with its own view of it.
 	for _, lf := range lanes {
 		if lf.dirty != nil {
-			lf.dirty[rec.path] = struct{}{}
+			lf.dirty[rec.path] = DirtyFile{Meta: lf.laneMeta(rec)}
 		}
 	}
 	return missMask

@@ -165,10 +165,11 @@ type FS struct {
 	// zero value is fully inert (nil counters discard increments), so
 	// an unobserved FS pays one predictable branch per operation.
 	probe obs.VFSProbe
-	// dirty, when non-nil, records every path whose state this FS
-	// changed since the last TakeDirty — the working set of a delta
+	// dirty, when non-nil, is the open dirty window: every path whose
+	// state this FS changed since the last TakeDirty, mapped to that
+	// state as of its latest change — the working set of a delta
 	// checkpoint. Keys are the interned record paths.
-	dirty map[string]struct{}
+	dirty map[string]DirtyFile
 
 	// Lane-view state. A private FS leaves all of this zero. A lane
 	// view shares tree and index with its sibling lanes through group
@@ -251,7 +252,7 @@ func (f *FS) Insert(path string, m FileMeta) error {
 		f.indexAdd(m.User, n.value.path, m.ATime, n)
 	}
 	if f.dirty != nil {
-		f.dirty[n.value.path] = struct{}{}
+		f.dirty[n.value.path] = DirtyFile{Meta: m}
 	}
 	f.probe.Inserts.Inc()
 	return nil
@@ -302,14 +303,14 @@ func (f *FS) Touch(path string, at timeutil.Time) bool {
 		return false
 	}
 	f.probe.Touches.Inc()
+	// An unchanged atime keeps the index entry valid.
+	if n.value.meta.ATime != at {
+		n.value.meta.ATime = at
+		f.indexAdd(n.value.meta.User, n.value.path, at, n)
+	}
 	if f.dirty != nil {
-		f.dirty[n.value.path] = struct{}{}
+		f.dirty[n.value.path] = DirtyFile{Meta: n.value.meta}
 	}
-	if n.value.meta.ATime == at {
-		return true // no atime change: the index entry stays valid
-	}
-	n.value.meta.ATime = at
-	f.indexAdd(n.value.meta.User, n.value.path, at, n)
 	return true
 }
 
@@ -331,7 +332,7 @@ func (f *FS) Remove(path string) (FileMeta, bool) {
 	}
 	f.unaccount(r.meta)
 	if f.dirty != nil {
-		f.dirty[r.path] = struct{}{}
+		f.dirty[r.path] = DirtyFile{Removed: true}
 	}
 	f.probe.Removes.Inc()
 	return r.meta, true
@@ -892,29 +893,35 @@ func cloneIndex(index map[trace.UserID]*userIndex) map[trace.UserID]*userIndex {
 	return out
 }
 
-// TrackDirty begins recording the path of every subsequent mutation,
-// the working set a delta checkpoint diffs against its base. Lane
-// views track their own mutations (ApplyRun effects and Removes).
+// DirtyFile is one path's state in a dirty window, as of the path's
+// latest mutation: its metadata, or its removal.
+type DirtyFile struct {
+	Meta    FileMeta
+	Removed bool
+}
+
+// TrackDirty opens a dirty window: from now on every mutation records
+// its path's resulting state, the working set a delta checkpoint
+// diffs against its base. Lane views track their own mutations
+// (ApplyRun effects and Removes).
 func (f *FS) TrackDirty() {
 	if f.dirty == nil {
-		f.dirty = make(map[string]struct{})
+		f.dirty = make(map[string]DirtyFile)
 	}
 }
 
-// TakeDirty returns the paths mutated since tracking began or the
-// last TakeDirty, sorted, and resets the set. Nil when tracking is
-// off.
-func (f *FS) TakeDirty() []string {
-	if f.dirty == nil {
-		return nil
+// TakeDirty hands over the dirty window and opens the next one, empty.
+// The window maps every path mutated since tracking began or the last
+// TakeDirty to its state now — exactly what Lookup reports for it —
+// so the caller needs no tree lookups, and owns the map. It is
+// unordered: a consumer that emits it sorts it first. Nil when
+// tracking is off.
+func (f *FS) TakeDirty() map[string]DirtyFile {
+	w := f.dirty
+	if w != nil {
+		f.dirty = make(map[string]DirtyFile, len(w))
 	}
-	out := make([]string, 0, len(f.dirty))
-	for p := range f.dirty {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	clear(f.dirty)
-	return out
+	return w
 }
 
 // Stats summarizes the index footprint of the prefix tree — the
