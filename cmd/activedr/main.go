@@ -10,8 +10,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -39,19 +41,29 @@ type options struct {
 	dryRun   bool
 }
 
-func parseFlags() *options {
-	o := &options{}
-	flag.StringVar(&o.data, "data", "data", "dataset directory (from tracegen)")
-	flag.StringVar(&o.policy, "policy", "activedr", "policy: activedr or flt")
-	flag.IntVar(&o.lifetime, "lifetime", 90, "initial file lifetime in days")
-	flag.Float64Var(&o.target, "target", 0.5, "purge target utilization (0 disables)")
-	flag.StringVar(&o.atStr, "at", "2016-08-23", "purge trigger date (YYYY-MM-DD)")
-	flag.StringVar(&o.reserve, "reserve", "", "optional file with reserved paths, one per line")
-	flag.BoolVar(&o.strict, "strict-eq7", false, "use the literal Eq. (7) lifetime product")
-	flag.StringVar(&o.explain, "explain", "", "print the activeness audit of one user (login name) and exit")
-	flag.BoolVar(&o.dryRun, "dry-run", false, "plan the purge without applying it and list the victims")
-	flag.Parse()
-	return o
+// parseFlags binds the flag set to an options struct and validates
+// it. Errors come back to the caller (ContinueOnError) so tests can
+// drive the command without exiting the process.
+func parseFlags(args []string, errOut io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("activedr", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	var o options
+	fs.StringVar(&o.data, "data", "data", "dataset directory (from tracegen)")
+	fs.StringVar(&o.policy, "policy", sim.PolicyActiveDR, "policy: activedr or flt")
+	fs.IntVar(&o.lifetime, "lifetime", 90, "initial file lifetime in days")
+	fs.Float64Var(&o.target, "target", 0.5, "purge target utilization (0 disables)")
+	fs.StringVar(&o.atStr, "at", "2016-08-23", "purge trigger date (YYYY-MM-DD)")
+	fs.StringVar(&o.reserve, "reserve", "", "optional file with reserved paths, one per line")
+	fs.BoolVar(&o.strict, "strict-eq7", false, "use the literal Eq. (7) lifetime product")
+	fs.StringVar(&o.explain, "explain", "", "print the activeness audit of one user (login name) and exit")
+	fs.BoolVar(&o.dryRun, "dry-run", false, "plan the purge without applying it and list the victims")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	return &o, nil
 }
 
 func (o *options) validate() error {
@@ -59,7 +71,7 @@ func (o *options) validate() error {
 		return fmt.Errorf("-data must name a dataset directory")
 	}
 	switch strings.ToLower(o.policy) {
-	case "flt", "activedr":
+	case sim.PolicyFLT, sim.PolicyActiveDR:
 	default:
 		return fmt.Errorf("unknown -policy %q (want flt or activedr)", o.policy)
 	}
@@ -86,86 +98,92 @@ func (o *options) validate() error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("activedr: ")
-	o := parseFlags()
-	if err := o.validate(); err != nil {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		log.Fatal(err)
 	}
+	if err := run(o, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run performs the one purge pass with the policy the emulator builds
+// for the same configuration, so a cron-job pass and a replay's
+// trigger decide alike (the lifetime floor included).
+func run(o *options, out io.Writer) error {
 	at, err := time.Parse("2006-01-02", o.atStr)
 	if err != nil {
-		log.Fatalf("bad -at date: %v", err)
+		return fmt.Errorf("bad -at date: %w", err)
 	}
 	tc := timeutil.FromGo(at)
 
 	ds, err := trace.LoadDataset(o.data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fsys, err := vfs.FromSnapshot(&ds.Snapshot)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var reserved *vfs.ReservedSet
 	if o.reserve != "" {
 		reserved, err = loadReserved(o.reserve)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-
-	ev := sim.NewEvaluator(ds, sim.Config{PeriodLength: timeutil.Days(o.lifetime)})
+	// One pass, so the policy purges the emulator's base tree itself.
+	em, err := sim.NewWithBase(ds, fsys, sim.Config{
+		Lifetime:          timeutil.Days(o.lifetime),
+		TargetUtilization: o.target,
+		Reserved:          reserved,
+		StrictEq7:         o.strict,
+	})
+	if err != nil {
+		return err
+	}
+	ev := em.Evaluator()
 	if o.explain != "" {
 		uid := ds.UserByName(o.explain)
 		if uid == trace.NoUser {
-			log.Fatalf("unknown user %q", o.explain)
+			return fmt.Errorf("unknown user %q", o.explain)
 		}
-		fmt.Print(ev.Explain(uid, tc))
-		return
+		fmt.Fprint(out, ev.Explain(uid, tc))
+		return nil
 	}
 	ranks := ev.EvaluateAll(len(ds.Users), tc)
-
-	var p retention.Policy
-	switch strings.ToLower(o.policy) {
-	case "flt":
-		p = &retention.FLT{Lifetime: timeutil.Days(o.lifetime), Reserved: reserved}
-	case "activedr":
-		adr, err := retention.NewActiveDR(retention.Config{
-			Lifetime:          timeutil.Days(o.lifetime),
-			Capacity:          fsys.TotalBytes(),
-			TargetUtilization: o.target,
-			Reserved:          reserved,
-			StrictEq7:         o.strict,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		p = adr
-	default:
-		log.Fatalf("unknown policy %q (want flt or activedr)", o.policy)
+	p, err := em.NewPolicy(strings.ToLower(o.policy))
+	if err != nil {
+		return err
 	}
 
 	var rep *retention.Report
 	if o.dryRun {
 		rep = retention.Plan(p, fsys, ranks, tc)
-		fmt.Printf("DRY RUN — nothing was purged; %d victims:\n", len(rep.Victims))
+		fmt.Fprintf(out, "DRY RUN — nothing was purged; %d victims:\n", len(rep.Victims))
 		for i, v := range rep.Victims {
 			if i == 20 {
-				fmt.Printf("  … %d more\n", len(rep.Victims)-20)
+				fmt.Fprintf(out, "  … %d more\n", len(rep.Victims)-20)
 				break
 			}
-			fmt.Printf("  %s\n", v)
+			fmt.Fprintf(out, "  %s\n", v)
 		}
 	} else {
 		rep = p.Purge(fsys, ranks, tc)
 	}
-	fmt.Println(rep)
-	fmt.Printf("target: %.2f GB, reached: %v, retro passes: %d, exempt skipped: %d\n",
+	fmt.Fprintln(out, rep)
+	fmt.Fprintf(out, "target: %.2f GB, reached: %v, retro passes: %d, exempt skipped: %d\n",
 		float64(rep.TargetBytes)/1e9, rep.TargetReached, rep.RetroPasses, rep.SkippedExempt)
 	for _, g := range activeness.Groups() {
 		gs := rep.Groups[g]
-		fmt.Printf("%-22s users=%5d purged %7d files / %9.2f GB (retained %9.2f GB), affected users=%d\n",
+		fmt.Fprintf(out, "%-22s users=%5d purged %7d files / %9.2f GB (retained %9.2f GB), affected users=%d\n",
 			g, gs.Users, gs.PurgedFiles, float64(gs.PurgedBytes)/1e9,
 			float64(gs.RetainedBytes())/1e9, gs.AffectedUsers)
 	}
+	return nil
 }
 
 func loadReserved(path string) (*vfs.ReservedSet, error) {

@@ -348,7 +348,7 @@ func replayFeed(d *daemon.Daemon, ds *trace.Dataset, o *options, out io.Writer) 
 		if err != nil {
 			return err
 		}
-		evs, err = daemon.ParseFeed(string(body), trace.NameIndex(ds.Users))
+		evs, err = daemon.ParseFeed(body, trace.NameIndex(ds.Users))
 		if err != nil {
 			return fmt.Errorf("%s: %w", o.feed, err)
 		}

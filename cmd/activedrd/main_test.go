@@ -30,6 +30,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"flt policy", append([]string{"-policy", "flt"}, ok...), ""},
 		{"chaos drill", append([]string{"-wal-fault-torn", "0.1", "-wal-fault-kill", daemon.KillWALSynced + ":3"}, ok...), ""},
 		{"oneshot with feed", append([]string{"-feed", "f.tsv", "-oneshot"}, ok...), ""},
+		{"seeded faults", append([]string{"-faults", "0.1", "-fault-seed", "7", "-wal-fault-write", "0.1", "-wal-fault-seed", "9"}, ok...), ""},
+		{"lenient load", append([]string{"-lenient", "-max-errors", "5"}, ok...), ""},
 
 		{"missing wal dir", []string{"-checkpoint-dir", "c"}, "-wal-dir is required"},
 		{"missing checkpoint dir", []string{"-wal-dir", "w"}, "-checkpoint-dir is required"},
@@ -43,6 +45,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"zero checkpoint every", append([]string{"-checkpoint-every", "0"}, ok...), "-checkpoint-every must be >= 1"},
 		{"negative segment bytes", append([]string{"-segment-bytes", "-1"}, ok...), "-segment-bytes must be >= 0"},
 		{"zero retries", append([]string{"-retries", "0"}, ok...), "-retries must be >= 1"},
+		{"zero max errors", append([]string{"-lenient", "-max-errors", "0"}, ok...), "-max-errors must be >= 1"},
 		{"fault prob above one", append([]string{"-faults", "1.2"}, ok...), "-faults probability must be in [0,1]"},
 		{"torn prob above one", append([]string{"-wal-fault-torn", "2"}, ok...), "-wal-fault-torn probability must be in [0,1]"},
 		{"negative write prob", append([]string{"-wal-fault-write", "-0.5"}, ok...), "-wal-fault-write probability must be in [0,1]"},

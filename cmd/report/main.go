@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,7 +22,6 @@ import (
 	"path/filepath"
 
 	"activedr/internal/experiments"
-	"activedr/internal/profiling"
 	"activedr/internal/trace"
 )
 
@@ -44,25 +44,30 @@ type options struct {
 	ranks   int
 	lenient bool
 	events  string
-
-	cpuProfile string
-	memProfile string
 }
 
-func parseFlags() *options {
-	o := &options{}
-	flag.StringVar(&o.data, "data", "", "dataset directory (empty = generate synthetic)")
-	flag.IntVar(&o.users, "users", 2000, "synthetic user count (when -data is empty)")
-	flag.Uint64Var(&o.seed, "seed", 0, "synthetic seed (when -data is empty)")
-	flag.StringVar(&o.fig, "fig", "all", "figure/table to render: all, t1, 1, 5, 6, 7, 8, 9, 10, 11, 12, ablation, workload")
-	flag.StringVar(&o.out, "o", "", "output file (empty = stdout)")
-	flag.IntVar(&o.ranks, "ranks", 4, "parallel ranks for Figure 12's per-rank probes")
-	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed trace lines instead of aborting")
-	flag.StringVar(&o.events, "events", "", "render a per-trigger summary of this telemetry stream (from simulate -events-out) instead of figures")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the figure runs to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
-	return o
+// parseFlags binds the flag set to an options struct and validates
+// it. Errors come back to the caller (ContinueOnError) so tests can
+// drive the flags without exiting the process.
+func parseFlags(args []string, errOut io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	var o options
+	fs.StringVar(&o.data, "data", "", "dataset directory (empty = generate synthetic)")
+	fs.IntVar(&o.users, "users", 2000, "synthetic user count (when -data is empty)")
+	fs.Uint64Var(&o.seed, "seed", 0, "synthetic seed (when -data is empty)")
+	fs.StringVar(&o.fig, "fig", "all", "figure/table to render: all, t1, 1, 5, 6, 7, 8, 9, 10, 11, 12, ablation, workload")
+	fs.StringVar(&o.out, "o", "", "output file (empty = stdout)")
+	fs.IntVar(&o.ranks, "ranks", 4, "parallel ranks for Figure 12's per-rank probes")
+	fs.BoolVar(&o.lenient, "lenient", false, "quarantine malformed trace lines instead of aborting")
+	fs.StringVar(&o.events, "events", "", "render a per-trigger summary of this telemetry stream (from simulate -events-out) instead of figures")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	return &o, nil
 }
 
 func (o *options) validate() error {
@@ -85,17 +90,11 @@ func (o *options) validate() error {
 			return fmt.Errorf("-events: %w", err)
 		}
 	}
-	// Output paths fail fast on a missing parent directory rather
+	// The output path fails fast on a missing parent directory rather
 	// than after the figures have been computed.
-	for _, p := range []struct{ flag, path string }{
-		{"-o", o.out}, {"-cpuprofile", o.cpuProfile}, {"-memprofile", o.memProfile},
-	} {
-		if p.path == "" {
-			continue
-		}
-		dir := filepath.Dir(p.path)
-		if _, err := os.Stat(dir); err != nil {
-			return fmt.Errorf("%s: parent directory: %w", p.flag, err)
+	if o.out != "" {
+		if _, err := os.Stat(filepath.Dir(o.out)); err != nil {
+			return fmt.Errorf("-o: parent directory: %w", err)
 		}
 	}
 	return nil
@@ -104,19 +103,13 @@ func (o *options) validate() error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("report: ")
-	o := parseFlags()
-	if err := o.validate(); err != nil {
-		log.Fatal(err)
-	}
-	stopProfiles, err := profiling.Start(o.cpuProfile, o.memProfile)
+	o, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		log.Fatal(err)
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			log.Fatal(err)
-		}
-	}()
 
 	var w io.Writer = os.Stdout
 	if o.out != "" {

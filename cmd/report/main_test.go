@@ -23,10 +23,14 @@ func TestRenderEveryFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the full year several times")
 	}
+	o, err := parseFlags([]string{"-ranks", "2"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := smallSuite(t)
 	for _, fig := range []string{"t1", "1", "5", "6", "7", "8", "9", "10", "11", "12"} {
 		var b strings.Builder
-		if err := render(s, fig, &b, 2); err != nil {
+		if err := render(s, fig, &b, o.ranks); err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
 		if b.Len() == 0 {
@@ -39,6 +43,11 @@ func TestRenderUnknownFigure(t *testing.T) {
 	s := smallSuite(t)
 	if err := render(s, "99", io.Discard, 2); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	for _, args := range [][]string{{"-fig", "99"}, {"-ranks", "0"}} {
+		if _, err := parseFlags(args, io.Discard); err == nil {
+			t.Errorf("parseFlags(%q) accepted", args)
+		}
 	}
 }
 

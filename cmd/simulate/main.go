@@ -46,7 +46,6 @@ import (
 	"activedr/internal/archive"
 	"activedr/internal/faults"
 	"activedr/internal/obs"
-	"activedr/internal/profiling"
 	"activedr/internal/retention"
 	"activedr/internal/sim"
 	"activedr/internal/stats"
@@ -84,9 +83,6 @@ type options struct {
 	metricsOut  string
 	eventsOut   string
 	auditSample float64
-
-	cpuProfile string
-	memProfile string
 }
 
 // parseFlags binds the flag set to an options struct and validates
@@ -122,9 +118,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write each policy's metrics registry and phase times to this JSON file")
 	fs.StringVar(&o.eventsOut, "events-out", "", "stream per-trigger/per-miss telemetry to this JSONL file (see cmd/report -events)")
 	fs.Float64Var(&o.auditSample, "audit-sample", 0, "fraction of per-file purge decisions to audit on the event stream, in [0,1]")
-
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the replay to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -210,16 +203,6 @@ type policyMetrics struct {
 }
 
 func run(o *options, out io.Writer) (err error) {
-	stopProfiles, err := profiling.Start(o.cpuProfile, o.memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-
 	ds, err := loadDataset(o, out)
 	if err != nil {
 		return err
@@ -474,7 +457,8 @@ func loadDataset(o *options, out io.Writer) (*trace.Dataset, error) {
 		rep *trace.DatasetReport
 	)
 	attempts := 0
-	err := faults.Retry(5, 50*time.Millisecond, func() error {
+	backoff := faults.NewBackoff(o.faultSeed, 50*time.Millisecond, 400*time.Millisecond)
+	err := faults.RetryBackoff(5, backoff, time.Sleep, func() error {
 		attempts++
 		if inj != nil {
 			if err := inj.ReadAttempt(); err != nil {

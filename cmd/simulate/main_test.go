@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,22 +93,28 @@ func TestRunEmitsObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o := &options{
-		data:        data,
-		lifetime:    90,
-		interval:    7,
-		target:      0.5,
-		maxErrors:   trace.DefaultMaxErrors,
-		ckptEvery:   1,
-		faultProb:   0.1,
-		faultSeed:   11,
-		metricsOut:  filepath.Join(dir, "metrics.json"),
-		eventsOut:   filepath.Join(dir, "events.jsonl"),
-		auditSample: 1,
+	snaps := filepath.Join(dir, "snaps")
+	o, err := parseFlags([]string{
+		"-data", data,
+		"-faults", "0.1", "-fault-seed", "11",
+		"-metrics-out", filepath.Join(dir, "metrics.json"),
+		"-events-out", filepath.Join(dir, "events.jsonl"),
+		"-audit-sample", "1",
+		"-snapshots", snaps,
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var console strings.Builder
 	if err := run(o, &console); err != nil {
 		t.Fatal(err)
+	}
+	series, _, err := trace.LoadSnapshotSeriesWith(snaps, trace.NameIndex(ds.Users), trace.ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) == 0 || !strings.Contains(console.String(), fmt.Sprintf("wrote %d weekly snapshots", len(series))) {
+		t.Fatalf("-snapshots wrote %d snapshots; console:\n%s", len(series), console.String())
 	}
 
 	blob, err := os.ReadFile(o.metricsOut)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"activedr/internal/trace"
+	"activedr/internal/workload"
 )
 
 func TestParseFlagsValidation(t *testing.T) {
@@ -78,6 +79,7 @@ func TestRunIN2P3FitRegen(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-out", filepath.Join(dir, "real"),
 		"-from-in2p3", sample,
+		"-in2p3-zone", workload.DefaultZone,
 		"-fit", model,
 		"-seed", "7",
 	}, io.Discard)

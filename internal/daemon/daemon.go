@@ -8,7 +8,6 @@ import (
 
 	"activedr/internal/faults"
 	"activedr/internal/obs"
-	"activedr/internal/retention"
 	"activedr/internal/sim"
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
@@ -66,8 +65,8 @@ type Config struct {
 	// CheckpointDir holds trigger-boundary state checkpoints in the
 	// internal/sim layout (required; recovery = checkpoint + WAL tail).
 	CheckpointDir string
-	// Policy selects the retention policy: "activedr" (default) or
-	// "flt".
+	// Policy names the retention policy (sim.Emulator.NewPolicy):
+	// sim.PolicyActiveDR (default) or sim.PolicyFLT.
 	Policy string
 	// Sim carries the retention parameters (lifetime, trigger
 	// interval, target utilization, ...).
@@ -113,7 +112,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
-		c.Policy = "activedr"
+		c.Policy = sim.PolicyActiveDR
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -251,16 +250,9 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 		m:           newDaemonMetrics(cfg.Obs),
 	}
 
-	var policy retention.Policy
-	switch cfg.Policy {
-	case "flt":
-		policy = em.NewFLT()
-	case "activedr":
-		if policy, err = em.NewActiveDR(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("daemon: unknown policy %q (want activedr or flt)", cfg.Policy)
+	policy, err := em.NewPolicy(cfg.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
 
 	opts := sim.RunOptions{
@@ -344,7 +336,7 @@ func (d *Daemon) recover() error {
 			if d.cfg.WALFaults != nil && d.cfg.WALFaults.ShouldKill(KillRecoverRecord) {
 				return fmt.Errorf("%w: during recovery at record %d", ErrKilled, seq)
 			}
-			ev, perr := ParseEvent(string(payload), d.byName)
+			ev, perr := ParseEvent(payload, d.byName)
 			if perr != nil {
 				return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, seq, perr)
 			}

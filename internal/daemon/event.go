@@ -12,9 +12,8 @@
 package daemon
 
 import (
+	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
@@ -39,75 +38,57 @@ type Event struct {
 	Path string
 }
 
-// Encode renders the event as one WAL payload / feed line, the access
-// log's TSV schema with the op in the create column:
-//
-//	ts \t user \t op \t size \t path
+// Encode renders the event as one WAL payload / feed line: an
+// access-log row (trace.AppendAccessRow) with the op in the create
+// column.
 func (e *Event) Encode(users []trace.User) ([]byte, error) {
 	if int(e.User) >= len(users) {
 		return nil, fmt.Errorf("daemon: event references unknown user id %d", e.User)
 	}
-	var b strings.Builder
-	b.Grow(len(e.Path) + 48)
-	b.WriteString(strconv.FormatInt(int64(e.TS), 10))
-	b.WriteByte('\t')
-	b.WriteString(users[e.User].Name)
-	b.WriteByte('\t')
-	b.WriteString(strconv.Itoa(int(e.Op)))
-	b.WriteByte('\t')
-	b.WriteString(strconv.FormatInt(e.Size, 10))
-	b.WriteByte('\t')
-	b.WriteString(e.Path)
-	return []byte(b.String()), nil
+	name := users[e.User].Name
+	b := make([]byte, 0, len(name)+len(e.Path)+48)
+	return trace.AppendAccessRow(b, e.TS, name, int64(e.Op), e.Size, e.Path), nil
 }
 
-// ParseEvent decodes one feed/WAL line. byName maps user names to IDs
+// ParseEvent decodes one feed line or WAL payload: an access-log row
+// under the access log's rules (trace.ParseAccessRow), whose op column
+// also allows 2 = unlink. byName maps user names to IDs
 // (trace.NameIndex over the dataset's user table).
-func ParseEvent(line string, byName map[string]trace.UserID) (Event, error) {
-	parts := strings.SplitN(line, "\t", 5)
-	if len(parts) != 5 {
-		return Event{}, fmt.Errorf("daemon: want 5 tab-separated fields, got %d", len(parts))
-	}
-	ts, err := strconv.ParseInt(parts[0], 10, 64)
+func ParseEvent(line []byte, byName map[string]trace.UserID) (Event, error) {
+	r, err := trace.ParseAccessRow(line, byName)
 	if err != nil {
-		return Event{}, fmt.Errorf("daemon: bad timestamp %q", parts[0])
+		return Event{}, fmt.Errorf("daemon: %w", err)
 	}
-	uid, ok := byName[parts[1]]
-	if !ok {
-		return Event{}, fmt.Errorf("daemon: unknown user %q", parts[1])
-	}
-	op, err := strconv.Atoi(parts[2])
-	if err != nil || op < 0 || op > int(OpUnlink) {
-		return Event{}, fmt.Errorf("daemon: bad op %q (want 0=access, 1=create, 2=unlink)", parts[2])
-	}
-	size, err := strconv.ParseInt(parts[3], 10, 64)
-	if err != nil || size < 0 {
-		return Event{}, fmt.Errorf("daemon: bad size %q", parts[3])
-	}
-	if parts[4] == "" {
-		return Event{}, fmt.Errorf("daemon: empty path")
+	if r.Op < 0 || r.Op > int64(OpUnlink) {
+		return Event{}, fmt.Errorf("daemon: bad op %d (want 0=access, 1=create, 2=unlink)", r.Op)
 	}
 	return Event{
-		TS:   timeutil.Time(ts),
-		User: uid,
-		Op:   Op(op),
-		Size: size,
-		Path: parts[4],
+		TS:   r.TS,
+		User: r.User,
+		Op:   Op(r.Op),
+		Size: r.Size,
+		Path: string(r.Path),
 	}, nil
 }
 
 // ParseFeed decodes a batch of newline-separated events, skipping
-// blank lines and # comments (the app-log conventions).
-func ParseFeed(body string, byName map[string]trace.UserID) ([]Event, error) {
+// blank lines and # comments (the access log's conventions).
+func ParseFeed(body []byte, byName map[string]trace.UserID) ([]Event, error) {
 	var evs []Event
-	for i, line := range strings.Split(body, "\n") {
-		line = strings.TrimSuffix(line, "\r")
-		if line == "" || strings.HasPrefix(line, "#") {
+	for n := 1; len(body) > 0; n++ {
+		line := body
+		if j := bytes.IndexByte(body, '\n'); j >= 0 {
+			line, body = body[:j], body[j+1:]
+		} else {
+			body = nil
+		}
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		ev, err := ParseEvent(line, byName)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
+			return nil, fmt.Errorf("line %d: %w", n, err)
 		}
 		evs = append(evs, ev)
 	}

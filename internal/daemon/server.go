@@ -166,16 +166,7 @@ func (d *Daemon) handleRanks(w http.ResponseWriter, _ *http.Request) {
 // bit-identical guarantee).
 func (d *Daemon) dryRunPlan() (*retention.Report, error) {
 	ranks, _ := d.stream.Ranks()
-	var (
-		p   retention.Policy
-		err error
-	)
-	switch d.cfg.Policy {
-	case "flt":
-		p = d.em.NewFLT()
-	default:
-		p, err = d.em.NewActiveDR()
-	}
+	p, err := d.em.NewPolicy(d.cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +284,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("ingest body exceeds %d bytes", maxIngestBody))
 		return
 	}
-	events, err := ParseFeed(string(body), d.byName)
+	events, err := ParseFeed(body, d.byName)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

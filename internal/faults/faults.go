@@ -39,7 +39,7 @@ type Config struct {
 	// reports Incomplete and the shortfall is made up next trigger.
 	ScanInterruptProb float64
 	// ReadFailProb is the per-attempt probability that a trace read
-	// fails transiently (see ReadAttempt and Retry).
+	// fails transiently (see ReadAttempt and RetryBackoff).
 	ReadFailProb float64
 	// WriteFailProb is the per-attempt probability that a durable
 	// write fails transiently (see WriteAttempt); transient write
@@ -199,8 +199,8 @@ func (in *Injector) UnlinkFails(path string) bool {
 	return false
 }
 
-// ErrTransient marks injected transient I/O failures; Retry retries
-// exactly these.
+// ErrTransient marks injected transient I/O failures; RetryBackoff
+// retries exactly these.
 var ErrTransient = errors.New("faults: injected transient I/O error")
 
 // IsTransient reports whether err is (or wraps) a transient injected
@@ -342,29 +342,6 @@ func RetryBackoff(attempts int, b *Backoff, sleep func(time.Duration), fn func()
 	for i := 0; i < attempts; i++ {
 		if i > 0 && sleep != nil {
 			sleep(b.Delay(i - 1))
-		}
-		err = fn()
-		if err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return fmt.Errorf("faults: gave up after %d attempts: %w", attempts, err)
-}
-
-// Retry runs fn up to attempts times, sleeping backoff (doubled after
-// each failure) between tries, and retries only transient errors: a
-// permanent error or success returns immediately. When the budget is
-// exhausted the last transient error is returned wrapped.
-func Retry(attempts int, backoff time.Duration, fn func() error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 && backoff > 0 {
-			//lint:allow nondeterminism Retry backoff sleeps in real operations, never during replay
-			time.Sleep(backoff)
-			backoff *= 2
 		}
 		err = fn()
 		if err == nil || !IsTransient(err) {

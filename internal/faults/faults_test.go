@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"activedr/internal/timeutil"
 )
@@ -125,9 +126,10 @@ func TestReadAttemptAndRetry(t *testing.T) {
 		t.Fatalf("ReadAttempt = %v, want transient", err)
 	}
 
+	b := NewBackoff(5, time.Millisecond, 8*time.Millisecond)
 	// Transient failures within budget eventually succeed.
 	calls := 0
-	err := Retry(5, 0, func() error {
+	err := RetryBackoff(5, b, nil, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("wrap: %w", ErrTransient)
@@ -135,19 +137,19 @@ func TestReadAttemptAndRetry(t *testing.T) {
 		return nil
 	})
 	if err != nil || calls != 3 {
-		t.Fatalf("Retry = %v after %d calls", err, calls)
+		t.Fatalf("RetryBackoff = %v after %d calls", err, calls)
 	}
 
 	// Permanent errors are not retried.
 	perm := errors.New("disk on fire")
 	calls = 0
-	if err := Retry(5, 0, func() error { calls++; return perm }); !errors.Is(err, perm) || calls != 1 {
+	if err := RetryBackoff(5, b, nil, func() error { calls++; return perm }); !errors.Is(err, perm) || calls != 1 {
 		t.Fatalf("permanent error retried: err=%v calls=%d", err, calls)
 	}
 
 	// Budget exhaustion surfaces the transient error.
 	calls = 0
-	err = Retry(3, 0, func() error { calls++; return in.ReadAttempt() })
+	err = RetryBackoff(3, b, nil, func() error { calls++; return in.ReadAttempt() })
 	if !IsTransient(err) || calls != 3 {
 		t.Fatalf("exhausted retry: err=%v calls=%d", err, calls)
 	}

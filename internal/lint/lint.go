@@ -83,7 +83,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
 		MapOrderAnalyzer,
-		CopyLocksAnalyzer,
 		UncheckedCloseAnalyzer,
 		RandSplitAnalyzer,
 		LockFlowAnalyzer,

@@ -100,10 +100,6 @@ func TestMapOrderGolden(t *testing.T) {
 	checkGolden(t, "maporder/m", MapOrderAnalyzer)
 }
 
-func TestCopyLocksGolden(t *testing.T) {
-	checkGolden(t, "copylocks/c", CopyLocksAnalyzer)
-}
-
 func TestUncheckedCloseGolden(t *testing.T) {
 	checkGolden(t, "uncheckedclose/internal/trace", UncheckedCloseAnalyzer)
 }

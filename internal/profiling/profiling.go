@@ -1,15 +1,8 @@
-// Package profiling wires the standard -cpuprofile/-memprofile flags
-// into the CLI tools so replay hot spots can be inspected with
-// `go tool pprof` without rebuilding anything.
+// Package profiling holds the wall-clock probe the replay packages
+// time themselves with.
 package profiling
 
-import (
-	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	"time"
-)
+import "time"
 
 // Stopwatch is a wall-clock probe for performance reporting. It
 // exists so the deterministic replay packages never touch time.Now
@@ -25,42 +18,3 @@ func StartTimer() Stopwatch { return Stopwatch{start: time.Now()} }
 
 // Elapsed returns the wall-clock time since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }
-
-// Start begins CPU profiling to cpuPath (when non-empty) and returns
-// a stop function that finishes the CPU profile and writes a heap
-// profile to memPath (when non-empty). Call stop before exit — via
-// defer when the program ends by returning from main, or explicitly
-// before os.Exit.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("profiling: %w", err)
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("profiling: start cpu profile: %w", err)
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return fmt.Errorf("profiling: close cpu profile: %w", err)
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return fmt.Errorf("profiling: %w", err)
-			}
-			defer f.Close()
-			runtime.GC() // capture the settled heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return fmt.Errorf("profiling: write heap profile: %w", err)
-			}
-		}
-		return nil
-	}, nil
-}

@@ -702,7 +702,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 		captured:    cs.Captured,
 		lastSnap:    timeutil.Time(cs.LastSnap),
 		triggers:    cs.Triggers,
-		cursors:     e.eval.NewCursors(),
+		ranker:      e.soloRanker(),
 		// Deltas written after this resume base on the checkpoint we
 		// just loaded, with the sidecars it already accounts for.
 		ckpts:         cs.Ckpts,
@@ -710,9 +710,6 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 		chainStart:    chain[len(chain)-1],
 		snapsSaved:    cs.NumSnapshots,
 		capturedSaved: cs.HasCaptured,
-	}
-	st.ranker = func(at timeutil.Time) []activeness.Rank {
-		return st.cursors.EvaluateAll(e.users, at)
 	}
 	// The rank table is not serialized: it is a pure function of the
 	// (identically rebuilt) activeness evaluator and the evaluation

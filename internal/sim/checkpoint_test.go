@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,26 +40,17 @@ func stripElapsed(r *Result) {
 
 // requireSameResult asserts bit-for-bit equivalence of two runs:
 // misses, per-group series, per-day stats, every purge report, and
-// the final (and captured) file-system state.
+// the final (and captured) file-system state. It only reads its
+// arguments, so parallel subtests can share one expected Result.
 func requireSameResult(t *testing.T, want, got *Result) {
 	t.Helper()
-	stripElapsed(want)
-	stripElapsed(got)
-
-	wf, gf := want.Final, got.Final
-	wc, gc := want.Captured, got.Captured
-	want.Final, got.Final = nil, nil
-	want.Captured, got.Captured = nil, nil
-	defer func() {
-		want.Final, got.Final = wf, gf
-		want.Captured, got.Captured = wc, gc
-	}()
-
-	if !reflect.DeepEqual(want, got) {
-		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(got)
+	if w, g := withoutClock(want), withoutClock(got); !reflect.DeepEqual(w, g) {
+		wb, _ := json.Marshal(w)
+		gb, _ := json.Marshal(g)
 		t.Fatalf("results diverge:\n want %s\n got  %s", wb, gb)
 	}
+	wf, gf := want.Final, got.Final
+	wc, gc := want.Captured, got.Captured
 	if (wf == nil) != (gf == nil) {
 		t.Fatal("one run lacks a final file system")
 	}
@@ -73,6 +65,23 @@ func requireSameResult(t *testing.T, want, got *Result) {
 	}
 }
 
+// withoutClock copies r for comparison: the file systems left out
+// (requireSameResult compares their snapshots) and the wall-clock
+// fields zeroed, on copies of the reports.
+func withoutClock(r *Result) *Result {
+	c := *r
+	c.Final, c.Captured = nil, nil
+	if r.Reports != nil {
+		c.Reports = make([]*retention.Report, len(r.Reports))
+		for i, rep := range r.Reports {
+			cp := *rep
+			c.Reports[i] = &cp
+		}
+	}
+	stripElapsed(&c)
+	return &c
+}
+
 // TestCheckpointResumeDeterminism is the kill-and-resume equivalence
 // check of the acceptance criteria: a run interrupted at a mid-year
 // trigger and resumed from its checkpoint must reproduce the
@@ -84,59 +93,65 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 
 	for _, pol := range []string{"flt", "activedr"} {
 		for _, faulty := range []bool{false, true} {
-			fcfg := faults.Config{Seed: 123, UnlinkFailProb: 0.2, ScanInterruptProb: 0.3}
-			newInjector := func() *faults.Injector {
-				if !faulty {
-					return nil
+			t.Run(fmt.Sprintf("%s-faults=%t", pol, faulty), func(t *testing.T) {
+				t.Parallel()
+				fcfg := faults.Config{Seed: 123, UnlinkFailProb: 0.2, ScanInterruptProb: 0.3}
+				newInjector := func() *faults.Injector {
+					if !faulty {
+						return nil
+					}
+					return faults.New(fcfg)
 				}
-				return faults.New(fcfg)
-			}
 
-			em, err := New(ds, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := em.RunWith(policyFor(t, em, pol), RunOptions{Faults: newInjector()})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, stopAt := range []int{1, 5, 20} {
-				dir := t.TempDir()
-				em1, err := New(ds, cfg)
+				em, err := New(ds, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				partial, err := em1.RunWith(policyFor(t, em1, pol), RunOptions{
-					CheckpointDir:     dir,
-					Faults:            newInjector(),
-					StopAfterTriggers: stopAt,
-				})
-				if !errors.Is(err, ErrInterrupted) {
-					t.Fatalf("stop=%d: err = %v, want ErrInterrupted", stopAt, err)
-				}
-				if partial == nil || len(partial.Reports) != stopAt {
-					t.Fatalf("stop=%d: partial result has %d reports", stopAt, len(partial.Reports))
-				}
-				if !HasCheckpoint(dir) {
-					t.Fatalf("stop=%d: no checkpoint written", stopAt)
-				}
-
-				// A brand-new emulator and policy: nothing survives the
-				// "kill" except the checkpoint directory and the dataset.
-				em2, err := New(ds, cfg)
+				want, err := em.RunWith(policyFor(t, em, pol), RunOptions{Faults: newInjector()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := em2.Resume(policyFor(t, em2, pol), RunOptions{
-					CheckpointDir: dir,
-					Faults:        newInjector(),
-				})
-				if err != nil {
-					t.Fatalf("stop=%d: resume: %v", stopAt, err)
+
+				for _, stopAt := range []int{1, 5, 20} {
+					t.Run(fmt.Sprintf("stop=%d", stopAt), func(t *testing.T) {
+						t.Parallel()
+						dir := t.TempDir()
+						em1, err := New(ds, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						partial, err := em1.RunWith(policyFor(t, em1, pol), RunOptions{
+							CheckpointDir:     dir,
+							Faults:            newInjector(),
+							StopAfterTriggers: stopAt,
+						})
+						if !errors.Is(err, ErrInterrupted) {
+							t.Fatalf("stop=%d: err = %v, want ErrInterrupted", stopAt, err)
+						}
+						if partial == nil || len(partial.Reports) != stopAt {
+							t.Fatalf("stop=%d: partial result has %d reports", stopAt, len(partial.Reports))
+						}
+						if !HasCheckpoint(dir) {
+							t.Fatalf("stop=%d: no checkpoint written", stopAt)
+						}
+
+						// A brand-new emulator and policy: nothing survives the
+						// "kill" except the checkpoint directory and the dataset.
+						em2, err := New(ds, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := em2.Resume(policyFor(t, em2, pol), RunOptions{
+							CheckpointDir: dir,
+							Faults:        newInjector(),
+						})
+						if err != nil {
+							t.Fatalf("stop=%d: resume: %v", stopAt, err)
+						}
+						requireSameResult(t, want, got)
+					})
 				}
-				requireSameResult(t, want, got)
-			}
+			})
 		}
 	}
 }

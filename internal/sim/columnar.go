@@ -51,8 +51,9 @@ type colFeed struct {
 // the grid t0+k*interval (t0 = snapshot time). It refuses a log it
 // cannot represent: a first event predating the snapshot (the error
 // Stream.Apply raises), timestamps out of order (Dataset.Validate's
-// check; every loader and generator sorts its log), or more events
-// than its int32 indexes address.
+// check; every loader and generator sorts its log), a row breaking
+// trace.CheckAccess (Stream.Apply refuses it too), or more events than
+// its int32 indexes address.
 func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, error) {
 	acc := ds.Accesses
 	f := &colFeed{}
@@ -72,9 +73,12 @@ func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, erro
 	if len(acc) > math.MaxInt32 {
 		return nil, fmt.Errorf("sim: %d access events exceed the columnar feed's int32 indexes", len(acc))
 	}
-	for i := 1; i < len(acc); i++ {
-		if acc[i].TS < acc[i-1].TS {
+	for i := range acc {
+		if i > 0 && acc[i].TS < acc[i-1].TS {
 			return nil, fmt.Errorf("sim: access log out of order at record %d", i)
+		}
+		if err := trace.CheckAccess(acc[i].Size, acc[i].Path); err != nil {
+			return nil, fmt.Errorf("sim: access %d: %w", i, err)
 		}
 	}
 	f.order = make([]int32, 0, len(acc))

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,26 +92,29 @@ func TestSnapshotSpacingSurvivesResume(t *testing.T) {
 	// from trigger 3 and re-replay the triggers in between — including,
 	// at stop=5, the snapshot-bearing trigger 4.
 	for _, stopAt := range []int{3, 4, 5, 8} {
-		dir := t.TempDir()
-		em1, err := New(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := em1.RunWith(policyFor(t, em1, "activedr"), RunOptions{
-			CheckpointDir: dir, CheckpointEvery: 3, Faults: newInjector(), StopAfterTriggers: stopAt,
-		}); !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("stop=%d: %v", stopAt, err)
-		}
-		em2, err := New(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := em2.Resume(policyFor(t, em2, "activedr"), RunOptions{
-			CheckpointDir: dir, CheckpointEvery: 3, Faults: newInjector(),
+		t.Run(fmt.Sprintf("stop=%d", stopAt), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			em1, err := New(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := em1.RunWith(policyFor(t, em1, "activedr"), RunOptions{
+				CheckpointDir: dir, CheckpointEvery: 3, Faults: newInjector(), StopAfterTriggers: stopAt,
+			}); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("stop=%d: %v", stopAt, err)
+			}
+			em2, err := New(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := em2.Resume(policyFor(t, em2, "activedr"), RunOptions{
+				CheckpointDir: dir, CheckpointEvery: 3, Faults: newInjector(),
+			})
+			if err != nil {
+				t.Fatalf("stop=%d: resume: %v", stopAt, err)
+			}
+			requireSameResult(t, want, got)
 		})
-		if err != nil {
-			t.Fatalf("stop=%d: resume: %v", stopAt, err)
-		}
-		requireSameResult(t, want, got)
 	}
 }

@@ -26,22 +26,15 @@ import (
 
 	"activedr/internal/activeness"
 	"activedr/internal/profiling"
-	"activedr/internal/retention"
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
 	"activedr/internal/vfs"
 )
 
-// PolicyFLT and PolicyActiveDR name the lane policies.
-const (
-	PolicyFLT      = "flt"
-	PolicyActiveDR = "activedr"
-)
-
 // LaneSpec describes one policy lane of a multiplexed replay.
 type LaneSpec struct {
 	Config Config
-	Policy string // PolicyFLT or PolicyActiveDR
+	Policy string // PolicyFLT or PolicyActiveDR (Emulator.NewPolicy)
 	Opts   RunOptions
 }
 
@@ -209,16 +202,6 @@ type mlane struct {
 	pendMiss []int32   // event indexes that missed in this batch
 }
 
-func (m *Multiplexer) lanePolicy(em *Emulator, name string) (retention.Policy, error) {
-	switch name {
-	case PolicyFLT:
-		return em.NewFLT(), nil
-	case PolicyActiveDR:
-		return em.NewActiveDR()
-	}
-	return nil, fmt.Errorf("sim: unknown lane policy %q (want %q or %q)", name, PolicyFLT, PolicyActiveDR)
-}
-
 // Run evaluates all lanes in one multiplexed pass. Every lane's
 // Result is bit-identical to a sequential RunWith of the same spec.
 func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
@@ -231,12 +214,9 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	cfgs := make([]Config, len(lanes))
 	ckptDirs := make(map[string]int, len(lanes))
 	for i := range lanes {
-		cfg := lanes[i].Config.Defaults()
-		if cfg.TriggerInterval <= 0 || cfg.Lifetime <= 0 || cfg.PeriodLength <= 0 {
-			return nil, fmt.Errorf("sim: lane %d: non-positive durations in config", i)
-		}
-		if cfg.Capacity == 0 {
-			cfg.Capacity = m.base.TotalBytes()
+		cfg, err := lanes[i].Config.normalize(m.base)
+		if err != nil {
+			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
 		}
 		if cfg.TriggerInterval != cfgs[0].TriggerInterval && i > 0 {
 			return nil, fmt.Errorf("sim: lane %d trigger interval %v differs from lane 0's %v; multiplexed lanes share one trigger grid",
@@ -263,10 +243,9 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	t0 := m.ds.Snapshot.Taken
 	// First register every lane's period length with the ranker for its
-	// data signature, so the t0 evaluation below already covers all
-	// periods any sharing lane will read.
+	// data signature, so the evaluation at the snapshot time below
+	// already covers all periods any sharing lane will read.
 	rankers := make(map[dataKey]*sharedRanker)
 	pis := make([]int, len(lanes))
 	for i := range lanes {
@@ -281,21 +260,12 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	ml := make([]*mlane, len(lanes))
 	for i := range lanes {
 		em := &Emulator{ds: m.ds, cfg: cfgs[i], base: m.base, eval: m.dataEvaluator(cfgs[i]), users: len(m.ds.Users)}
-		policy, err := m.lanePolicy(em, lanes[i].Policy)
+		policy, err := em.NewPolicy(lanes[i].Policy)
 		if err != nil {
 			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
 		}
 		r := rankers[dataKey{cfgs[i].UseLogins, cfgs[i].UseTransfers}]
-		ranker := r.laneRanker(pis[i])
-		st := &runState{
-			fsys:        group.Lane(i),
-			res:         &Result{Policy: policy.Name()},
-			nextTrigger: t0.Add(cfgs[i].TriggerInterval),
-			ranks:       ranker(t0),
-			ranksAt:     t0,
-			captured:    cfgs[i].CaptureAt == 0,
-			ranker:      ranker,
-		}
+		st := em.startState(policy.Name(), group.Lane(i), r.laneRanker(pis[i]))
 		s := em.newStream(policy, lanes[i].Opts, st)
 		if s.opts.Obs != nil {
 			stopReplay := s.opts.Obs.StartPhase("replay")

@@ -76,7 +76,7 @@ func TestMultiplexedReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				policy, err := (&Multiplexer{ds: ds}).lanePolicy(em, lanes[i].Policy)
+				policy, err := em.NewPolicy(lanes[i].Policy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func TestMultiplexValidation(t *testing.T) {
 	check("stop-after-triggers", "StopAfterTriggers", []LaneSpec{
 		{Policy: PolicyFLT, Opts: RunOptions{StopAfterTriggers: 2}},
 	})
-	check("unknown policy", "unknown lane policy", []LaneSpec{{Policy: "lru"}})
+	check("unknown policy", `unknown policy "lru"`, []LaneSpec{{Policy: "lru"}})
 	check("dup checkpoint dir", "share checkpoint dir", []LaneSpec{
 		{Policy: PolicyFLT, Opts: RunOptions{CheckpointDir: "/tmp/x"}},
 		{Policy: PolicyActiveDR, Opts: RunOptions{CheckpointDir: "/tmp/x"}},

@@ -182,15 +182,26 @@ func New(ds *trace.Dataset, cfg Config) (*Emulator, error) {
 // predate checks); the snapshot's Entries slice is never consulted
 // and may be empty.
 func NewWithBase(ds *trace.Dataset, base *vfs.FS, cfg Config) (*Emulator, error) {
-	cfg = cfg.Defaults()
-	if cfg.TriggerInterval <= 0 || cfg.Lifetime <= 0 || cfg.PeriodLength <= 0 {
-		return nil, fmt.Errorf("sim: non-positive durations in config")
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = base.TotalBytes()
+	cfg, err := cfg.normalize(base)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	eval := NewEvaluator(ds, cfg)
 	return &Emulator{ds: ds, cfg: cfg, base: base, eval: eval, users: len(ds.Users)}, nil
+}
+
+// normalize is the effective configuration of a replay over base:
+// Defaults filled in, durations checked, and a zero Capacity taken
+// from base's total bytes.
+func (c Config) normalize(base *vfs.FS) (Config, error) {
+	c = c.Defaults()
+	if c.TriggerInterval <= 0 || c.Lifetime <= 0 || c.PeriodLength <= 0 {
+		return c, errors.New("non-positive durations in config")
+	}
+	if c.Capacity == 0 {
+		c.Capacity = base.TotalBytes()
+	}
+	return c, nil
 }
 
 // NewEvaluator indexes the dataset's activity traces for one
@@ -225,6 +236,24 @@ func (e *Emulator) BaseFS() *vfs.FS { return e.base.Clone() }
 // Evaluator exposes the prepared activeness evaluator (shared,
 // read-only after construction).
 func (e *Emulator) Evaluator() *activeness.Evaluator { return e.eval }
+
+// PolicyFLT and PolicyActiveDR name the policies NewPolicy builds.
+const (
+	PolicyFLT      = "flt"
+	PolicyActiveDR = "activedr"
+)
+
+// NewPolicy builds the named policy, PolicyFLT or PolicyActiveDR,
+// matching this emulator's configuration.
+func (e *Emulator) NewPolicy(name string) (retention.Policy, error) {
+	switch name {
+	case PolicyFLT:
+		return e.NewFLT(), nil
+	case PolicyActiveDR:
+		return e.NewActiveDR()
+	}
+	return nil, fmt.Errorf("sim: unknown policy %q (want %q or %q)", name, PolicyFLT, PolicyActiveDR)
+}
 
 // NewActiveDR builds the ActiveDR policy matching this emulator's
 // configuration.
@@ -319,34 +348,42 @@ type runState struct {
 	chainStart    string
 	snapsSaved    int
 	capturedSaved bool
-	// cursors memoizes each user's activity position across the run's
-	// monotone trigger times; it is per-run state (not shared), so
-	// parallel runs off one emulator stay independent.
-	cursors *activeness.Cursors
 	// ranker evaluates every user's activeness rank at a trigger time.
-	// A solo run closes over its own cursors; multiplexed lanes with
-	// identical evaluator inputs share one memoized rank table per
-	// trigger instead of re-ranking per lane.
+	// A solo run closes over cursors of its own (soloRanker), which
+	// memoize each user's activity position across the run's monotone
+	// trigger times, so parallel runs off one emulator stay
+	// independent; multiplexed lanes with identical evaluator inputs
+	// share one memoized rank table per trigger instead of re-ranking
+	// per lane.
 	ranker func(at timeutil.Time) []activeness.Rank
 }
 
-// freshState initializes the replay at the reference snapshot.
-func (e *Emulator) freshState(policy retention.Policy) *runState {
-	t0 := e.ds.Snapshot.Taken
+// soloRanker ranks every user off a fresh set of cursors.
+func (e *Emulator) soloRanker() func(at timeutil.Time) []activeness.Rank {
 	cursors := e.eval.NewCursors()
-	ranker := func(at timeutil.Time) []activeness.Rank {
+	return func(at timeutil.Time) []activeness.Rank {
 		return cursors.EvaluateAll(e.users, at)
 	}
+}
+
+// startState is the replay state at the reference snapshot: fsys holds
+// the snapshot's tree, and ranker ranks the users at each trigger.
+func (e *Emulator) startState(policy string, fsys *vfs.FS, ranker func(at timeutil.Time) []activeness.Rank) *runState {
+	t0 := e.ds.Snapshot.Taken
 	return &runState{
-		fsys:        e.base.Clone(),
-		res:         &Result{Policy: policy.Name()},
+		fsys:        fsys,
+		res:         &Result{Policy: policy},
 		nextTrigger: t0.Add(e.cfg.TriggerInterval),
 		ranks:       ranker(t0),
 		ranksAt:     t0,
 		captured:    e.cfg.CaptureAt == 0,
-		cursors:     cursors,
 		ranker:      ranker,
 	}
+}
+
+// freshState initializes a solo replay at the reference snapshot.
+func (e *Emulator) freshState(policy retention.Policy) *runState {
+	return e.startState(policy.Name(), e.base.Clone(), e.soloRanker())
 }
 
 // Run replays the access log against one policy.
@@ -495,10 +532,10 @@ func (e *Emulator) replay(policy retention.Policy, opts RunOptions, st *runState
 	return res, nil
 }
 
-func insert(fsys *vfs.FS, a *trace.Access) {
+func insert(fsys *vfs.FS, a *trace.Access) error {
 	// Access records carry the file size; stripes are re-derived from
 	// nothing (1) since the policies never read them during replay.
-	_ = fsys.Insert(a.Path, vfs.FileMeta{User: a.User, Size: a.Size, Stripes: 1, ATime: a.TS})
+	return fsys.Insert(a.Path, vfs.FileMeta{User: a.User, Size: a.Size, Stripes: 1, ATime: a.TS})
 }
 
 func rankGroup(ranks []activeness.Rank, u trace.UserID) activeness.Group {

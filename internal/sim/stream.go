@@ -299,6 +299,9 @@ func (s *Stream) Apply(a *trace.Access) error {
 	if a.TS < s.e.ds.Snapshot.Taken {
 		return fmt.Errorf("sim: access at %v predates the snapshot (%v)", a.TS, s.e.ds.Snapshot.Taken)
 	}
+	if err := trace.CheckAccess(a.Size, a.Path); err != nil {
+		return fmt.Errorf("sim: access %d: %w", s.st.cursor, err)
+	}
 	if err := s.fireTriggers(a.TS); err != nil {
 		return err
 	}
@@ -309,10 +312,11 @@ func (s *Stream) Apply(a *trace.Access) error {
 	ds.ByGroup[g].Accesses++
 	res.TotalAccesses++
 	s.ro.accesses.Inc()
+	var err error
 	switch {
 	case a.Create:
 		// Fresh output: insert, no miss possible.
-		insert(st.fsys, a)
+		err = insert(st.fsys, a)
 	case st.fsys.Touch(a.Path, a.TS):
 		// Hit: access time renewed.
 	default:
@@ -325,7 +329,10 @@ func (s *Stream) Apply(a *trace.Access) error {
 		res.RestoredFiles++
 		res.RestoredBytes += a.Size
 		s.ro.noteMiss(res.Policy, a, g)
-		insert(st.fsys, a)
+		err = insert(st.fsys, a)
+	}
+	if err != nil {
+		return fmt.Errorf("sim: access %d: %w", st.cursor, err)
 	}
 	st.cursor++
 	return nil

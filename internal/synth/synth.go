@@ -79,11 +79,12 @@ type Config struct {
 	SnapshotAt timeutil.Time
 	// End closes the trace (the paper replays through 2016).
 	End timeutil.Time
-	// PreFilterLifetime drops snapshot files idle longer than this,
-	// because the real Spider snapshot "is already a result of the
-	// 90-day FLT data retention". Zero disables the filter.
-	PreFilterLifetime timeutil.Duration
 }
+
+// preFilterLifetime drops snapshot files idle longer than this,
+// because the real Spider snapshot "is already a result of the 90-day
+// FLT data retention".
+const preFilterLifetime = 90 * timeutil.Day
 
 // Defaults fills unset fields with the reference scale.
 func (c Config) Defaults() Config {
@@ -112,9 +113,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.End == 0 {
 		c.End = timeutil.Date(2017, time.January, 1)
-	}
-	if c.PreFilterLifetime == 0 {
-		c.PreFilterLifetime = timeutil.Days(90)
 	}
 	return c
 }
@@ -557,7 +555,7 @@ func (st *userState) pickDeepTarget(cfg Config, at timeutil.Time) *fileRec {
 		if f.created > cfg.SnapshotAt {
 			return f
 		}
-		if f.atSnap != 0 && cfg.SnapshotAt.Sub(f.atSnap) <= cfg.PreFilterLifetime {
+		if f.atSnap != 0 && cfg.SnapshotAt.Sub(f.atSnap) <= preFilterLifetime {
 			return f
 		}
 	}
@@ -692,8 +690,8 @@ func generatePublications(states []*userState, academics []trace.UserID, cfg Con
 }
 
 // buildSnapshot captures the reference metadata snapshot at
-// cfg.SnapshotAt, optionally pre-filtered by the facility's FLT
-// retention as the real Spider snapshots were.
+// cfg.SnapshotAt, pre-filtered by the facility's FLT retention as the
+// real Spider snapshots were.
 func buildSnapshot(states []*userState, cfg Config, d *trace.Dataset) {
 	var entries []trace.SnapshotEntry
 	for _, st := range states {
@@ -702,7 +700,7 @@ func buildSnapshot(states []*userState, cfg Config, d *trace.Dataset) {
 			if f.created > cfg.SnapshotAt || f.atSnap == 0 {
 				continue
 			}
-			if cfg.PreFilterLifetime > 0 && cfg.SnapshotAt.Sub(f.atSnap) > cfg.PreFilterLifetime {
+			if cfg.SnapshotAt.Sub(f.atSnap) > preFilterLifetime {
 				continue // already purged by the facility's FLT
 			}
 			entries = append(entries, trace.SnapshotEntry{

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"activedr/internal/timeutil"
 )
@@ -182,33 +183,89 @@ func decodeJob(dc *decoder, line []byte, byName map[string]UserID) (Job, error) 
 	}, nil
 }
 
-// decodeAccess parses an access-log row: ts, user, create, size,
-// path (the path keeps any further tabs).
+// decodeAccess parses an access-log row into a record, interning its
+// path.
 func decodeAccess(dc *decoder, line []byte, byName map[string]UserID) (Access, error) {
-	f := splitTabsN(line, dc.fields[:0], 5)
+	r, err := ParseAccessRow(line, byName)
+	if err != nil {
+		return Access{}, err
+	}
+	return Access{
+		TS:     r.TS,
+		User:   r.User,
+		Create: r.Op != 0,
+		Size:   r.Size,
+		Path:   dc.paths.get(r.Path),
+	}, nil
+}
+
+// AccessRow is one row of the access-log schema,
+//
+//	ts \t user \t op \t size \t path
+//
+// which accesses.tsv.gz, activedrd's ingest body and its WAL payloads
+// all use. Op is the create column: 0 = access, 1 = create; the
+// daemon's feed adds 2 = unlink. The path keeps any further tabs.
+type AccessRow struct {
+	TS   timeutil.Time
+	User UserID
+	Op   int64
+	Size int64
+	Path []byte // aliases the parsed line
+}
+
+// AppendAccessRow appends one access-log row, without its newline.
+func AppendAccessRow(b []byte, ts timeutil.Time, user string, op, size int64, path string) []byte {
+	b = strconv.AppendInt(b, int64(ts), 10)
+	b = append(b, '\t')
+	b = append(b, user...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, op, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, size, 10)
+	b = append(b, '\t')
+	return append(b, path...)
+}
+
+// ParseAccessRow parses one access-log row (no newline). Its checks
+// run in a fixed order, and the first that fails is the error: the
+// field count, the numeric fields, the user, then CheckAccess. Op is
+// returned as written; each format bounds it itself.
+func ParseAccessRow(line []byte, byName map[string]UserID) (AccessRow, error) {
+	var buf [5][]byte
+	f := splitTabsN(line, buf[:0], 5)
 	if len(f) != 5 {
-		return Access{}, fmt.Errorf("want 5 fields, got %d", len(f))
+		return AccessRow{}, fmt.Errorf("want 5 fields, got %d", len(f))
 	}
 	ts, err1 := parseIntBytes(f[0])
 	uid, ok := byName[string(f[1])]
-	create, err2 := parseIntBytes(f[2])
+	op, err2 := parseIntBytes(f[2])
 	size, err3 := parseIntBytes(f[3])
 	if err1 != nil || err2 != nil || err3 != nil {
-		return Access{}, fmt.Errorf("bad numeric field in %q", line)
+		return AccessRow{}, fmt.Errorf("bad numeric field in %q", line)
 	}
 	if !ok {
-		return Access{}, fmt.Errorf("unknown user %q", f[1])
+		return AccessRow{}, fmt.Errorf("unknown user %q", f[1])
 	}
-	if len(f[4]) == 0 {
-		return Access{}, fmt.Errorf("empty path")
+	if err := CheckAccess(size, f[4]); err != nil {
+		return AccessRow{}, err
 	}
-	return Access{
-		TS:     timeutil.Time(ts),
-		User:   uid,
-		Create: create != 0,
-		Size:   size,
-		Path:   dc.paths.get(f[4]),
-	}, nil
+	return AccessRow{TS: timeutil.Time(ts), User: uid, Op: op, Size: size, Path: f[4]}, nil
+}
+
+// CheckAccess is the rule set every access row obeys, however it
+// arrives (the access log, Dataset.Validate, activedrd's feed and WAL,
+// both replay loops): a size ≥ 0 and a non-empty absolute path.
+func CheckAccess[P string | []byte](size int64, path P) error {
+	switch {
+	case len(path) == 0:
+		return errors.New("empty path")
+	case size < 0:
+		return fmt.Errorf("negative size %d", size)
+	case path[0] != '/':
+		return fmt.Errorf("relative path %q", path)
+	}
+	return nil
 }
 
 // decodePublication parses a publications row: ts, citations,

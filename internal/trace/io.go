@@ -206,17 +206,11 @@ func WriteAccesses(w io.Writer, users []User, accs []Access) error {
 	buf := *bp
 	for i := range accs {
 		a := &accs[i]
-		buf = strconv.AppendInt(buf[:0], int64(a.TS), 10)
-		buf = append(buf, '\t')
-		buf = append(buf, users[a.User].Name...)
+		var op int64
 		if a.Create {
-			buf = append(buf, '\t', '1', '\t')
-		} else {
-			buf = append(buf, '\t', '0', '\t')
+			op = 1
 		}
-		buf = strconv.AppendInt(buf, a.Size, 10)
-		buf = append(buf, '\t')
-		buf = append(buf, a.Path...)
+		buf = AppendAccessRow(buf[:0], a.TS, users[a.User].Name, op, a.Size, a.Path)
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {
 			*bp = buf

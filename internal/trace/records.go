@@ -123,7 +123,8 @@ func (d *Dataset) UserByName(name string) UserID {
 }
 
 // Validate checks cross-record invariants: dense user IDs, known
-// users in every record, and chronological sortedness where required.
+// users in every record, chronological sortedness where required, and
+// the access rules (CheckAccess).
 func (d *Dataset) Validate() error {
 	for i := range d.Users {
 		if d.Users[i].ID != UserID(i) {
@@ -142,6 +143,9 @@ func (d *Dataset) Validate() error {
 		}
 		if i > 0 && d.Accesses[i].TS < d.Accesses[i-1].TS {
 			return fmt.Errorf("trace: access log out of order at record %d", i)
+		}
+		if err := CheckAccess(d.Accesses[i].Size, d.Accesses[i].Path); err != nil {
+			return fmt.Errorf("trace: access %d: %w", i, err)
 		}
 	}
 	for i := range d.Publications {
