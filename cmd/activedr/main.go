@@ -186,6 +186,10 @@ func run(o *options, out io.Writer) error {
 	return nil
 }
 
+// loadReserved reads a -reserve file: one absolute path per line,
+// trimmed, with blank lines and '#' comments skipped. A relative entry
+// fails the load, naming the file and line: no file-system path could
+// match it, so it would reserve nothing.
 func loadReserved(path string) (*vfs.ReservedSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -194,10 +198,13 @@ func loadReserved(path string) (*vfs.ReservedSet, error) {
 	defer f.Close()
 	rs := vfs.NewReservedSet()
 	sc := bufio.NewScanner(f)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
+		}
+		if !strings.HasPrefix(line, "/") {
+			return nil, fmt.Errorf("%s line %d: reserved path %q is not absolute", path, n, line)
 		}
 		rs.Add(line)
 	}

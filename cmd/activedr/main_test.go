@@ -43,6 +43,21 @@ func TestLoadReserved(t *testing.T) {
 	}
 }
 
+// TestLoadReservedRejectsRelative: a relative entry can never cover
+// an absolute file-system path, so it fails the load with its file and
+// line instead of silently reserving nothing.
+func TestLoadReservedRejectsRelative(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reserved.txt")
+	if err := os.WriteFile(path, []byte("# keep\n/lustre/atlas/u1/keep\n\n  scratch/proj  \n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadReserved(path)
+	want := path + ` line 4: reserved path "scratch/proj" is not absolute`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 func TestLoadReservedMissingFile(t *testing.T) {
 	if _, err := loadReserved(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
 		t.Fatal("missing file accepted")

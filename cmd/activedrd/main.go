@@ -124,7 +124,9 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.feedBatch, "feed-batch", 256, "events per ingest batch when replaying -feed")
 	fs.BoolVar(&o.oneshot, "oneshot", false, "exit after replaying -feed instead of serving (requires -feed)")
 
+	//lint:allow flagvalidate an output path: any path is valid until the write at shutdown, whose error fails the run
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final metrics registry to this JSON file at shutdown")
+	//lint:allow flagvalidate an output path, created before any event is applied: os.Create's error is the check
 	fs.StringVar(&o.eventsOut, "events-out", "", "stream per-trigger/per-miss telemetry to this JSONL file")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -138,6 +140,12 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 // validate rejects nonsensical flag combinations before any state
 // exists; negated comparisons keep NaN out of the float knobs.
 func (o *options) validate() error {
+	if o.data == "" {
+		return errors.New("-data is required (the dataset directory from tracegen)")
+	}
+	if _, _, err := net.SplitHostPort(o.listen); err != nil {
+		return fmt.Errorf("-listen: %w", err)
+	}
 	if o.walDir == "" {
 		return errors.New("-wal-dir is required (the daemon is only crash-safe with a write-ahead log)")
 	}

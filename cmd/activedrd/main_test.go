@@ -32,7 +32,10 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"oneshot with feed", append([]string{"-feed", "f.tsv", "-oneshot"}, ok...), ""},
 		{"seeded faults", append([]string{"-faults", "0.1", "-fault-seed", "7", "-wal-fault-write", "0.1", "-wal-fault-seed", "9"}, ok...), ""},
 		{"lenient load", append([]string{"-lenient", "-max-errors", "5"}, ok...), ""},
+		{"any port", append([]string{"-listen", ":0"}, ok...), ""},
 
+		{"empty data", append([]string{"-data", ""}, ok...), "-data is required"},
+		{"listen without port", append([]string{"-listen", "localhost"}, ok...), "-listen:"},
 		{"missing wal dir", []string{"-checkpoint-dir", "c"}, "-wal-dir is required"},
 		{"missing checkpoint dir", []string{"-wal-dir", "w"}, "-checkpoint-dir is required"},
 		{"unknown policy", append([]string{"-policy", "lru"}, ok...), "-policy must be activedr or flt"},

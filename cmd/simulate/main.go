@@ -96,6 +96,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.lifetime, "lifetime", 90, "initial file lifetime in days")
 	fs.Float64Var(&o.target, "target", 0.5, "ActiveDR purge target utilization, in (0,1]")
 	fs.IntVar(&o.interval, "interval", 7, "purge trigger interval in days")
+	//lint:allow flagvalidate an output directory, created by the series write after the run; any path is valid until then
 	fs.StringVar(&o.snapDir, "snapshots", "", "write the FLT run's weekly metadata snapshot series to this directory")
 
 	fs.StringVar(&o.vfsSnap, "vfs-snapshot", "", "open the initial file system from this binary snapfile instead of parsing the dataset's snapshot TSV")
@@ -115,6 +116,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.ckptFullEvery, "checkpoint-full-every", 1, "make only every Kth checkpoint a full snapshot; the ones between persist deltas against the previous checkpoint (1 = every checkpoint full)")
 	fs.BoolVar(&o.resume, "resume", false, "resume each policy from its latest checkpoint under -checkpoint-dir")
 
+	//lint:allow flagvalidate an output path: any path is valid until the write after the run, whose error fails it
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write each policy's metrics registry and phase times to this JSON file")
 	fs.StringVar(&o.eventsOut, "events-out", "", "stream per-trigger/per-miss telemetry to this JSONL file (see cmd/report -events)")
 	fs.Float64Var(&o.auditSample, "audit-sample", 0, "fraction of per-file purge decisions to audit on the event stream, in [0,1]")
@@ -130,6 +132,9 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 // validate rejects nonsensical flag combinations before any work
 // happens; negated comparisons keep NaN out of the float knobs.
 func (o *options) validate() error {
+	if o.data == "" {
+		return errors.New("-data is required (the dataset directory from tracegen)")
+	}
 	if o.lifetime < 1 {
 		return fmt.Errorf("-lifetime must be >= 1 day, got %d", o.lifetime)
 	}

@@ -27,6 +27,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"boundary sample values", []string{"-events-out", "e", "-audit-sample", "1"}, ""},
 		{"target at one", []string{"-target", "1"}, ""},
 
+		{"empty data", []string{"-data", ""}, "-data is required"},
 		{"zero lifetime", []string{"-lifetime", "0"}, "-lifetime must be >= 1"},
 		{"negative lifetime", []string{"-lifetime", "-90"}, "-lifetime must be >= 1"},
 		{"zero interval", []string{"-interval", "0"}, "-interval must be >= 1"},

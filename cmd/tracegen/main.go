@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 
 	"activedr/internal/synth"
+	"activedr/internal/timeutil"
 	"activedr/internal/trace"
 	"activedr/internal/vfs"
 	"activedr/internal/workload"
@@ -67,6 +68,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.users, "users", 2000, "number of users")
 	fs.Uint64Var(&o.seed, "seed", 0, "random seed (0 = built-in default)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the summary")
+	//lint:allow flagvalidate an output path: any path is valid until the snapfile write, whose error fails the run
 	fs.StringVar(&o.snapOut, "vfs-snapshot-out", "", "also write the metadata snapshot as a binary snapfile to this path (cmd/simulate reopens it with -vfs-snapshot)")
 	fs.StringVar(&o.preset, "preset", "", "scale preset; \"spider\" streams a Spider II-scale namespace (1M users, 10M+ files) straight into a snapfile, bounded memory, no snapshot TSV")
 	fs.StringVar(&o.fromIN2P3, "from-in2p3", "", "adapt an IN2P3-style job accounting export (CSV/TSV, optionally .gz) into the output dataset")
@@ -119,6 +121,9 @@ func (o *options) validate() error {
 	}
 	if o.lenient && o.fromIN2P3 == "" {
 		return errors.New("-lenient requires -from-in2p3")
+	}
+	if _, err := timeutil.LoadZone(o.zone); err != nil {
+		return fmt.Errorf("-in2p3-zone: %w", err)
 	}
 	return nil
 }

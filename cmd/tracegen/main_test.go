@@ -31,6 +31,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"scale without model", []string{"-scale", "5"}, "-scale requires -model"},
 		{"zero scale", []string{"-model", "m.json", "-scale", "0"}, "-scale must be >= 1"},
 		{"lenient without in2p3", []string{"-lenient"}, "-lenient requires -from-in2p3"},
+		{"in2p3 zone", []string{"-from-in2p3", "j.csv", "-in2p3-zone", "UTC"}, ""},
+		{"unknown in2p3 zone", []string{"-from-in2p3", "j.csv", "-in2p3-zone", "No/Such_Zone"}, "-in2p3-zone:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

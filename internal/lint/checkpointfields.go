@@ -39,7 +39,7 @@ type checkpointCodec struct {
 var checkpointCodecs = []checkpointCodec{
 	{"internal/sim", "checkpointState", "saveCheckpoint", "loadCheckpoint"},
 	{"internal/daemon", "Event", "Encode", "ParseEvent"},
-	{"internal/trace", "SnapshotEntry", "WriteSnapshot", "decodeSnapshotEntry"},
+	{"internal/trace", "SnapshotEntry", "appendSnapshotEntry", "decodeSnapshotEntry"},
 }
 
 func runCheckpointFields(pass *Pass) {

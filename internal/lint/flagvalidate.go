@@ -13,12 +13,12 @@ import (
 // once ran whole sweeps with a mistyped -interval because parsing
 // succeeded and nothing range-checked it.
 //
-// Mechanics: a registration (flag.String, flag.IntVar, ...) binds a
-// target variable — the returned pointer's variable or the *Var
-// pointee, including an options-struct field. The validation closure
-// is every function whose name contains "validate", expanded through
-// package-local calls. The target must be referenced somewhere in
-// that closure.
+// Mechanics: a registration (flag.String, flag.IntVar, ..., or the
+// same method on a *flag.FlagSet) binds a target variable — the
+// returned pointer's variable or the *Var pointee, including an
+// options-struct field. The validation closure is every function
+// whose name contains "validate", expanded through package-local
+// calls. The target must be referenced somewhere in that closure.
 //
 // Exempt kinds, where parse success already implies a usable value:
 //
@@ -32,8 +32,9 @@ var FlagValidateAnalyzer = &Analyzer{
 	Run:  runFlagValidate,
 }
 
-// flagRegFuncs maps flag.* registration functions to the argument
-// index of the bound pointer (-1 = the call's result is the pointer).
+// flagRegFuncs maps flag.* registration functions (and the FlagSet
+// methods of the same names) to the argument index of the bound
+// pointer (-1 = the call's result is the pointer).
 var flagRegFuncs = map[string]int{
 	"String": -1, "Int": -1, "Int64": -1, "Uint": -1,
 	"Float64": -1, "Duration": -1,
@@ -67,17 +68,10 @@ func runFlagValidate(pass *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !isPackageFunc(pass, sel) {
+			if !ok || !isFlagRegistration(pass, sel) {
 				return true
 			}
-			pkg, _ := sel.X.(*ast.Ident)
-			if obj, ok := pass.Info.Uses[pkg].(*types.PkgName); !ok || obj.Imported().Path() != "flag" {
-				return true
-			}
-			argIdx, ok := flagRegFuncs[sel.Sel.Name]
-			if !ok {
-				return true
-			}
+			argIdx := flagRegFuncs[sel.Sel.Name]
 			target, flagName := registrationTarget(pass, call, argIdx)
 			if flagName == "" {
 				flagName = "?"
@@ -98,6 +92,21 @@ func runFlagValidate(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// isFlagRegistration reports whether sel resolves to a registration
+// in flagRegFuncs: a flag package function, or the same-named method
+// of a *flag.FlagSet.
+func isFlagRegistration(pass *Pass, sel *ast.SelectorExpr) bool {
+	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+		return false
+	}
+	if _, ok := flagRegFuncs[fn.Name()]; !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv == nil || types.TypeString(recv.Type(), nil) == "*flag.FlagSet"
 }
 
 // validationClosure returns the package's validation functions — any

@@ -129,24 +129,14 @@ func (t RankTiming) String() string {
 // their timing (up to the panic) and surface as *ShardError in the
 // joined error.
 func (p *Pool) TimedShards(n int, fn func(rank, lo, hi int)) ([]RankTiming, error) {
-	shards := p.Shards(n)
-	timings := make([]RankTiming, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for r, s := range shards {
-		wg.Add(1)
-		go func(rank, lo, hi int) {
-			defer wg.Done()
-			timer := profiling.StartTimer()
-			errs[rank] = callShard(rank, lo, hi, func(rank, lo, hi int) error {
-				fn(rank, lo, hi)
-				return nil
-			})
-			timings[rank] = RankTiming{Rank: rank, Items: hi - lo, Elapsed: timer.Elapsed()}
-		}(r, s[0], s[1])
-	}
-	wg.Wait()
-	return timings, errors.Join(errs...)
+	timings := make([]RankTiming, len(p.Shards(n)))
+	err := p.RunShards(n, func(rank, lo, hi int) error {
+		timer := profiling.StartTimer()
+		defer func() { timings[rank] = RankTiming{Rank: rank, Items: hi - lo, Elapsed: timer.Elapsed()} }()
+		fn(rank, lo, hi)
+		return nil
+	})
+	return timings, err
 }
 
 // Workers runs fn once per rank concurrently — the shape of a

@@ -19,7 +19,7 @@ func stripElapsed(r *Report) Report {
 // TestPlanMatchesPurgeOfClone pins the dry-run view: on randomized
 // namespaces (atime ties, tombstones, a re-owned path, a reserved
 // subtree), Plan's report equals a real Purge of a Clone with victims
-// collected, for FLT with and without a target stop and ActiveDR with
+// collected, for FLT and ActiveDR with
 // a target and retro passes in both scan orders. Plans leave the
 // source's snapshot unchanged, and a real purge of the source after
 // the plans, whose views compacted its index, equals one of a clone
@@ -41,10 +41,6 @@ func TestPlanMatchesPurgeOfClone(t *testing.T) {
 		policies := []func(collect bool) Policy{
 			func(collect bool) Policy {
 				return &FLT{Lifetime: lifetime, Reserved: reserved, CollectVictims: collect}
-			},
-			func(collect bool) Policy {
-				return &FLT{Lifetime: lifetime, Reserved: reserved, CollectVictims: collect,
-					StopAtTarget: true, TargetBytes: func(used int64) int64 { return used / 4 }}
 			},
 		}
 		for _, order := range []ScanOrder{ScanOrderGroups, ScanOrderMergedByOutcome} {

@@ -151,14 +151,11 @@ func groupTotals(fsys *vfs.FS, ranks []activeness.Rank, report *Report, users []
 
 // FLT is the fixed-lifetime baseline: purge every non-reserved file
 // whose age exceeds Lifetime, consuming candidates oldest-first in
-// the global (ATime, Path) selection order. Production FLT purges
-// have no space target — staleness alone decides — but StopAtTarget
-// enables a target-stopped variant for ablation.
+// the global (ATime, Path) selection order. FLT purges have no space
+// target: staleness alone decides.
 type FLT struct {
-	Lifetime     timeutil.Duration
-	Reserved     *vfs.ReservedSet
-	StopAtTarget bool
-	TargetBytes  func(used int64) int64 // optional; used with StopAtTarget
+	Lifetime timeutil.Duration
+	Reserved *vfs.ReservedSet
 	// CollectVictims records every purged path in Report.Victims.
 	CollectVictims bool
 	// Faults, when set, injects deletion failures and scan interrupts.
@@ -201,14 +198,6 @@ func (f *FLT) Purge(fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Re
 		FilesBefore: int64(fsys.Count()),
 		BytesBefore: fsys.TotalBytes(),
 	}
-	var target int64
-	if f.StopAtTarget && f.TargetBytes != nil {
-		target = f.TargetBytes(fsys.TotalBytes())
-		if target < 0 {
-			target = 0
-		}
-		report.TargetBytes = target
-	}
 	users := fsys.Users()
 	groupTotals(fsys, ranks, report, users)
 	budget := int64(-1)
@@ -245,9 +234,6 @@ func (f *FLT) Purge(fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Re
 		}
 		examined++
 		f.Probe.Examined()
-		if f.StopAtTarget && target > 0 && report.PurgedBytes >= target {
-			break
-		}
 		c, slot := merge.pop()
 		g := rankOf(ranks, c.Meta.User).Group()
 		if f.Reserved.Covers(c.Path) {
@@ -290,7 +276,7 @@ func (f *FLT) Purge(fsys *vfs.FS, ranks []activeness.Rank, tc timeutil.Time) *Re
 		}
 	}
 	report.AffectedIDs = ids
-	report.TargetReached = !f.StopAtTarget || target == 0 || report.PurgedBytes >= target
+	report.TargetReached = true
 	report.Elapsed = timer.Elapsed()
 	return report
 }

@@ -99,25 +99,6 @@ func TestFLTGroupAttribution(t *testing.T) {
 	// FLT ignores activeness: both users lose their stale files.
 }
 
-func TestFLTStopAtTarget(t *testing.T) {
-	fsys := vfs.New()
-	for i := 0; i < 10; i++ {
-		addFile(fsys, fmt.Sprintf("/u/a/f%02d", i), 0, 100, 200)
-	}
-	f := &FLT{
-		Lifetime:     timeutil.Days(90),
-		StopAtTarget: true,
-		TargetBytes:  func(used int64) int64 { return 300 },
-	}
-	rep := f.Purge(fsys, nil, tc)
-	if rep.PurgedBytes != 300 || rep.PurgedFiles != 3 {
-		t.Fatalf("purged %d bytes / %d files, want 300/3", rep.PurgedBytes, rep.PurgedFiles)
-	}
-	if !rep.TargetReached {
-		t.Error("target not reported reached")
-	}
-}
-
 func newActiveDR(t *testing.T, cfg Config) *ActiveDR {
 	t.Helper()
 	a, err := NewActiveDR(cfg)

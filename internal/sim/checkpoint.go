@@ -14,7 +14,8 @@ package sim
 //	  state.json      cursor, trigger clock, result-so-far, fault state
 //	  fs.tsv.gz       full vfs snapshot via the trace.Snapshot codec
 //	  delta.tsv.gz    (delta checkpoints) upserts since the base
-//	  deleted.gz      (delta checkpoints) paths removed since the base
+//	  deleted.gz      (delta checkpoints) paths removed since the base,
+//	                  one per line via trace.WritePathsFile
 //	  captured.tsv.gz CaptureAt snapshot, when taken since the base
 //	  snapshots/      SnapshotEvery series files new since the base
 //
@@ -46,8 +47,6 @@ package sim
 // maxCkptWrites of them in flight and publishes them in order.
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -338,7 +337,7 @@ func writeDelta(dir string, users []trace.User, at timeutil.Time, dirty map[stri
 	if err := trace.WriteSnapshotFile(filepath.Join(dir, deltaFile), users, upserts); err != nil {
 		return err
 	}
-	return writePathList(filepath.Join(dir, deletedFile), deleted)
+	return trace.WritePathsFile(filepath.Join(dir, deletedFile), deleted)
 }
 
 // CheckpointError reports a checkpoint write that failed. The replay
@@ -409,56 +408,6 @@ func clearStale(dir, name string) error {
 		}
 	}
 	return os.RemoveAll(final)
-}
-
-// writePathList persists a sorted newline-separated path list, gzip
-// compressed — the deletions side of a delta checkpoint.
-func writePathList(path string, paths []string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	zw := gzip.NewWriter(f)
-	for _, p := range paths {
-		if _, err := zw.Write([]byte(p)); err != nil {
-			return err
-		}
-		if _, err := zw.Write([]byte{'\n'}); err != nil {
-			return err
-		}
-	}
-	return zw.Close()
-}
-
-// readPathList reads a writePathList file.
-func readPathList(path string) (paths []string, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(zr)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		paths = append(paths, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return paths, zr.Close()
 }
 
 // seriesName numbers checkpointed snapshot-series files; an index
@@ -621,7 +570,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	}
 	for i := len(chain) - 2; i >= 0; i-- {
 		dn := chain[i]
-		deleted, err := readPathList(filepath.Join(dir, dn, deletedFile))
+		deleted, err := trace.ReadPathsFile(filepath.Join(dir, dn, deletedFile))
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, dn, err)
 		}

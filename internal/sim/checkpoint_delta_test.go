@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"activedr/internal/timeutil"
+	"activedr/internal/trace"
 )
 
 // latestState parses the newest checkpoint's state.json.
@@ -152,6 +154,71 @@ func TestDeltaCheckpointResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeltaDeletedListParentEncoding: delta checkpoints written before
+// deleted.gz went through trace held the same rows at gzip's default
+// level. A chain whose every deletion list is rewritten that way loads
+// and resumes bit-identically.
+func TestDeltaDeletedListParentEncoding(t *testing.T) {
+	ds := tinyDataset()
+	cfg := Config{TargetUtilization: 0.5}
+	em, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// FLT purges one of busy's weekly files at every trigger from the
+	// 14th on, so each delta of the chain deletes.
+	want, err := em.RunWith(policyFor(t, em, "flt"), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := RunOptions{CheckpointDir: dir, CheckpointEvery: 1, CheckpointFullEvery: 3}
+	stopOpts := opts
+	stopOpts.StopAfterTriggers = 21 // a delta, two links from its full base
+	em1, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em1.RunWith(policyFor(t, em1, "flt"), stopOpts); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	lists, err := filepath.Glob(filepath.Join(dir, "*", deletedFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := 0
+	for _, p := range lists {
+		paths, err := trace.ReadPathsFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleted += len(paths)
+		var b bytes.Buffer
+		zw := gzip.NewWriter(&b)
+		for _, path := range paths {
+			fmt.Fprintf(zw, "%s\n", path)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(lists) < 2 || deleted == 0 {
+		t.Fatalf("chain holds %d deletion lists with %d paths; the test needs deletions across a chain", len(lists), deleted)
+	}
+	em2, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := em2.Resume(policyFor(t, em2, "flt"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, got)
 }
 
 // TestCheckpointV2Migration pins the migration contract of satellite

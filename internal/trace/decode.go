@@ -9,7 +9,9 @@ package trace
 // and FuzzParseIntBytes hold the tokenizer and the int parser to their
 // strings.Split/strconv.ParseInt oracles; TestMalformedLineReasons
 // pins each row parser's field arity checks, check order and error
-// text.
+// text. Each decoder sits beside its row encoder, and the codec table
+// (pipeline.go) pairs them per kind for the one reader and the one
+// writer (io.go).
 
 import (
 	"bytes"
@@ -138,7 +140,7 @@ func newDecoder(internPaths bool) *decoder {
 	return dc
 }
 
-// --- per-kind row parsers ---
+// --- per-kind row codecs: each decoder beside its encoder ---
 
 // decodeUser parses a users row: name, created[, archetype]. The
 // dense ID is assigned at assembly time so quarantined rows do not
@@ -157,6 +159,15 @@ func decodeUser(dc *decoder, line []byte) (User, error) {
 		u.Archetype = dc.archs.get(f[2])
 	}
 	return u, nil
+}
+
+// appendUser appends a users row: name, created, archetype.
+func appendUser(b []byte, u *User, _ []User) []byte {
+	b = append(b, u.Name...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(u.Created), 10)
+	b = append(b, '\t')
+	return append(b, u.Archetype...)
 }
 
 // decodeJob parses a jobs row: user, submit, duration_s, cores.
@@ -183,6 +194,17 @@ func decodeJob(dc *decoder, line []byte, byName map[string]UserID) (Job, error) 
 	}, nil
 }
 
+// appendJob appends a jobs row: user, submit, duration_s, cores.
+func appendJob(b []byte, j *Job, users []User) []byte {
+	b = append(b, users[j.User].Name...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(j.Submit), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(j.Duration), 10)
+	b = append(b, '\t')
+	return strconv.AppendInt(b, int64(j.Cores), 10)
+}
+
 // decodeAccess parses an access-log row into a record, interning its
 // path.
 func decodeAccess(dc *decoder, line []byte, byName map[string]UserID) (Access, error) {
@@ -197,6 +219,15 @@ func decodeAccess(dc *decoder, line []byte, byName map[string]UserID) (Access, e
 		Size:   r.Size,
 		Path:   dc.paths.get(r.Path),
 	}, nil
+}
+
+// appendAccess appends an access-log row; Create is op 1.
+func appendAccess(b []byte, a *Access, users []User) []byte {
+	var op int64
+	if a.Create {
+		op = 1
+	}
+	return AppendAccessRow(b, a.TS, users[a.User].Name, op, a.Size, a.Path)
 }
 
 // AccessRow is one row of the access-log schema,
@@ -305,6 +336,22 @@ func decodePublication(dc *decoder, line []byte, byName map[string]UserID) (Publ
 	}, nil
 }
 
+// appendPublication appends a publications row: ts, citations,
+// comma-joined author names.
+func appendPublication(b []byte, p *Publication, users []User) []byte {
+	b = strconv.AppendInt(b, int64(p.TS), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(p.Citations), 10)
+	b = append(b, '\t')
+	for k, a := range p.Authors {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, users[a].Name...)
+	}
+	return b
+}
+
 // decodeSnapshotEntry parses a snapshot row: user, size, stripes,
 // atime, path (the path keeps any further tabs).
 func decodeSnapshotEntry(dc *decoder, line []byte, byName map[string]UserID) (SnapshotEntry, error) {
@@ -334,6 +381,20 @@ func decodeSnapshotEntry(dc *decoder, line []byte, byName map[string]UserID) (Sn
 	}, nil
 }
 
+// appendSnapshotEntry appends a snapshot row: user, size, stripes,
+// atime, path.
+func appendSnapshotEntry(b []byte, e *SnapshotEntry, users []User) []byte {
+	b = append(b, users[e.User].Name...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, e.Size, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(e.Stripes), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(e.ATime), 10)
+	b = append(b, '\t')
+	return append(b, e.Path...)
+}
+
 // decodeLogin parses a logins row: ts, user.
 func decodeLogin(dc *decoder, line []byte, byName map[string]UserID) (Login, error) {
 	f := splitTabs(line, dc.fields[:0])
@@ -349,6 +410,13 @@ func decodeLogin(dc *decoder, line []byte, byName map[string]UserID) (Login, err
 		return Login{}, fmt.Errorf("unknown user %q", f[1])
 	}
 	return Login{User: uid, TS: timeutil.Time(ts)}, nil
+}
+
+// appendLogin appends a logins row: ts, user.
+func appendLogin(b []byte, l *Login, users []User) []byte {
+	b = strconv.AppendInt(b, int64(l.TS), 10)
+	b = append(b, '\t')
+	return append(b, users[l.User].Name...)
 }
 
 // decodeTransfer parses a transfers row: ts, user, in|out, bytes.
@@ -380,3 +448,26 @@ func decodeTransfer(dc *decoder, line []byte, byName map[string]UserID) (Transfe
 	}
 	return Transfer{User: uid, TS: timeutil.Time(ts), Dir: dir, Bytes: bytes_}, nil
 }
+
+// appendTransfer appends a transfers row: ts, user, in|out, bytes.
+func appendTransfer(b []byte, t *Transfer, users []User) []byte {
+	b = strconv.AppendInt(b, int64(t.TS), 10)
+	b = append(b, '\t')
+	b = append(b, users[t.User].Name...)
+	b = append(b, '\t')
+	b = append(b, t.Dir.String()...)
+	b = append(b, '\t')
+	return strconv.AppendInt(b, t.Bytes, 10)
+}
+
+// decodePath parses a path-list row: one path, which must be absolute
+// (CheckAccess's path rule).
+func decodePath(_ *decoder, line []byte, _ map[string]UserID) (string, error) {
+	if err := CheckAccess(0, line); err != nil {
+		return "", err
+	}
+	return string(line), nil
+}
+
+// appendPath appends a path-list row.
+func appendPath(b []byte, p *string, _ []User) []byte { return append(b, *p...) }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"io"
-	"strconv"
 
 	"activedr/internal/timeutil"
 )
@@ -59,58 +57,10 @@ const (
 
 // WriteLogins writes a login log as TSV: ts, user.
 func WriteLogins(w io.Writer, users []User, logins []Login) error {
-	bw := bufio.NewWriter(w)
-	bp := rowBufPool.Get().(*[]byte)
-	defer rowBufPool.Put(bp)
-	buf := *bp
-	for i := range logins {
-		l := &logins[i]
-		buf = strconv.AppendInt(buf[:0], int64(l.TS), 10)
-		buf = append(buf, '\t')
-		buf = append(buf, users[l.User].Name...)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
-		}
-	}
-	*bp = buf
-	return bw.Flush()
-}
-
-// readLoginsWithHint parses a login log.
-func readLoginsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Login, *ParseReport, error) {
-	logins, _, rep, err := readPipelined(r, byName, opts, hint, loginSpec)
-	return logins, rep, err
+	return writeRows(w, users, logins, loginSpec)
 }
 
 // WriteTransfers writes a transfer log as TSV: ts, user, dir, bytes.
 func WriteTransfers(w io.Writer, users []User, xs []Transfer) error {
-	bw := bufio.NewWriter(w)
-	bp := rowBufPool.Get().(*[]byte)
-	defer rowBufPool.Put(bp)
-	buf := *bp
-	for i := range xs {
-		t := &xs[i]
-		buf = strconv.AppendInt(buf[:0], int64(t.TS), 10)
-		buf = append(buf, '\t')
-		buf = append(buf, users[t.User].Name...)
-		buf = append(buf, '\t')
-		buf = append(buf, t.Dir.String()...)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, t.Bytes, 10)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
-		}
-	}
-	*bp = buf
-	return bw.Flush()
-}
-
-// readTransfersWithHint parses a transfer log.
-func readTransfersWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Transfer, *ParseReport, error) {
-	xs, _, rep, err := readPipelined(r, byName, opts, hint, transferSpec)
-	return xs, rep, err
+	return writeRows(w, users, xs, transferSpec)
 }

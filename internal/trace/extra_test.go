@@ -42,7 +42,7 @@ func TestLoginRoundTrip(t *testing.T) {
 	if err := WriteLogins(&buf, d.Users, logins); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readLoginsWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
+	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, loginSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTransferRoundTrip(t *testing.T) {
 	if err := WriteTransfers(&buf, d.Users, xs); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readTransfersWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
+	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, transferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExtraReadersRejectMalformed(t *testing.T) {
 	idx := map[string]UserID{"u000": 0}
 	badLogins := []string{"1", "x\tu000", "1\tghost"}
 	for _, line := range badLogins {
-		if _, _, err := readLoginsWithHint(strings.NewReader(line+"\n"), idx, ReadOptions{}, 0); err == nil {
+		if _, _, err := readRows(strings.NewReader(line+"\n"), idx, ReadOptions{}, loginSpec); err == nil {
 			t.Errorf("login line %q accepted", line)
 		}
 	}
@@ -83,7 +83,7 @@ func TestExtraReadersRejectMalformed(t *testing.T) {
 		"x\tu000\tin\t5",       // bad ts
 	}
 	for _, line := range badTransfers {
-		if _, _, err := readTransfersWithHint(strings.NewReader(line+"\n"), idx, ReadOptions{}, 0); err == nil {
+		if _, _, err := readRows(strings.NewReader(line+"\n"), idx, ReadOptions{}, transferSpec); err == nil {
 			t.Errorf("transfer line %q accepted", line)
 		}
 	}

@@ -66,32 +66,32 @@ func FuzzReaders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		r := func() *strings.Reader { return strings.NewReader(input) }
 
-		su, _, serr := readUsersWithHint(r(), ReadOptions{}, 0)
-		lu, urep, lerr := readUsersWithHint(r(), lenient, 0)
+		su, _, serr := readRows(r(), nil, ReadOptions{}, userSpec)
+		lu, urep, lerr := readRows(r(), nil, lenient, userSpec)
 		check(t, "users", su, serr, lu, urep, lerr)
 
-		sj, _, serr := readJobsWithHint(r(), idx, ReadOptions{}, 0)
-		lj, jrep, lerr := readJobsWithHint(r(), idx, lenient, 0)
+		sj, _, serr := readRows(r(), idx, ReadOptions{}, jobSpec)
+		lj, jrep, lerr := readRows(r(), idx, lenient, jobSpec)
 		check(t, "jobs", sj, serr, lj, jrep, lerr)
 
-		sa, _, serr := readAccessesWithHint(r(), idx, ReadOptions{}, 0)
-		la, arep, lerr := readAccessesWithHint(r(), idx, lenient, 0)
+		sa, _, serr := readRows(r(), idx, ReadOptions{}, accessSpec)
+		la, arep, lerr := readRows(r(), idx, lenient, accessSpec)
 		check(t, "accesses", sa, serr, la, arep, lerr)
 
-		sp, _, serr := readPublicationsWithHint(r(), idx, ReadOptions{}, 0)
-		lp, prep, lerr := readPublicationsWithHint(r(), idx, lenient, 0)
+		sp, _, serr := readRows(r(), idx, ReadOptions{}, pubSpec)
+		lp, prep, lerr := readRows(r(), idx, lenient, pubSpec)
 		check(t, "publications", sp, serr, lp, prep, lerr)
 
-		ss, serr := ReadSnapshot(r(), idx)
-		lsnap, srep, lerr := ReadSnapshotWith(r(), idx, lenient)
+		ss, _, serr := readSnapshot(r(), idx, ReadOptions{})
+		lsnap, srep, lerr := readSnapshot(r(), idx, lenient)
 		check(t, "snapshot", ss, serr, lsnap, srep, lerr)
 
-		sl, _, serr := readLoginsWithHint(r(), idx, ReadOptions{}, 0)
-		ll, lrep, lerr := readLoginsWithHint(r(), idx, lenient, 0)
+		sl, _, serr := readRows(r(), idx, ReadOptions{}, loginSpec)
+		ll, lrep, lerr := readRows(r(), idx, lenient, loginSpec)
 		check(t, "logins", sl, serr, ll, lrep, lerr)
 
-		st, _, serr := readTransfersWithHint(r(), idx, ReadOptions{}, 0)
-		lt, trep, lerr := readTransfersWithHint(r(), idx, lenient, 0)
+		st, _, serr := readRows(r(), idx, ReadOptions{}, transferSpec)
+		lt, trep, lerr := readRows(r(), idx, lenient, transferSpec)
 		check(t, "transfers", st, serr, lt, trep, lerr)
 	})
 }

@@ -63,21 +63,54 @@ func openReader(path string) (io.Reader, func() error, error) {
 	return gz, closeAll(gz.Close, f.Close), nil
 }
 
+// The writer's layers are pooled: a 1 MiB buffer and a BestSpeed
+// flate compressor cost about 2.2 MB to allocate and zero, more than
+// most checkpoint sidecars hold. Reset makes a reused layer write the
+// same bytes as a new one.
+var (
+	bufWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<20) }}
+	gzWriters  = sync.Pool{New: func() any {
+		gz, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is a valid constant
+		return gz
+	}}
+)
+
 // openWriter creates path, transparently gzipping *.gz. Gzip uses
 // BestSpeed: trace files are intermediate artifacts, and the cheaper
 // deflate roughly doubles tracegen throughput for a few percent of
-// size.
+// size. The closer returns the pooled layers, so the writer must not
+// be used after it.
 func openWriter(path string) (io.Writer, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufWriters.Get().(*bufio.Writer)
+	bw.Reset(f)
+	putBuf := func() error { bufWriters.Put(bw); return nil }
 	if !strings.HasSuffix(path, ".gz") {
-		return bw, closeAll(bw.Flush, f.Close), nil
+		return bw, closeAll(bw.Flush, f.Close, putBuf), nil
 	}
-	gz, _ := gzip.NewWriterLevel(bw, gzip.BestSpeed) // the level is a valid constant
-	return gz, closeAll(gz.Close, bw.Flush, f.Close), nil
+	gz := gzWriters.Get().(*gzip.Writer)
+	gz.Reset(bw)
+	putGz := func() error { gzWriters.Put(gz); return nil }
+	return gz, closeAll(gz.Close, bw.Flush, f.Close, putBuf, putGz), nil
+}
+
+// writeFile creates path (gzipped for .gz names) and writes it with fn.
+func writeFile(path string, fn func(io.Writer) error) error {
+	w, closeFn, err := openWriter(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(w); err != nil {
+		closeFn()
+		return fmt.Errorf("trace: write %s: %w", path, err)
+	}
+	if err := closeFn(); err != nil {
+		return fmt.Errorf("trace: close %s: %w", path, err)
+	}
+	return nil
 }
 
 // uncompressedSizeHint estimates the uncompressed byte size of path
@@ -126,258 +159,188 @@ var rowBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// --- users ---
+// rowFlushBytes is how many encoded bytes writeRows collects before it
+// hands them to its writer.
+const rowFlushBytes = 64 << 10
 
-// WriteUsers writes the user list as TSV: name, created, archetype.
-func WriteUsers(w io.Writer, users []User) error {
-	bw := bufio.NewWriter(w)
+// writeRows is the one row writer: it encodes each record of recs as
+// one spec row and a newline, handing w the rows in chunks of about
+// rowFlushBytes.
+func writeRows[T any](w io.Writer, users []User, recs []T, spec rowSpec[T]) error {
 	bp := rowBufPool.Get().(*[]byte)
 	defer rowBufPool.Put(bp)
-	buf := *bp
-	for i := range users {
-		u := &users[i]
-		buf = append(buf[:0], u.Name...)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(u.Created), 10)
-		buf = append(buf, '\t')
-		buf = append(buf, u.Archetype...)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
+	buf := (*bp)[:0]
+	for i := range recs {
+		buf = append(spec.encode(buf, &recs[i], users), '\n')
+		if len(buf) >= rowFlushBytes || i == len(recs)-1 {
+			if _, err := w.Write(buf); err != nil {
+				*bp = buf
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
 	*bp = buf
-	return bw.Flush()
+	return nil
 }
 
-// readUsersWithHint parses a user list under the given strictness,
-// assigning dense IDs in file order; quarantined lines do not consume
-// an ID. hint, when positive, presizes the result.
-func readUsersWithHint(r io.Reader, opts ReadOptions, hint int) ([]User, *ParseReport, error) {
-	users, _, rep, err := readPipelined(r, nil, opts, hint, userSpec)
-	for i := range users {
-		users[i].ID = UserID(i)
-	}
-	return users, rep, err
-}
-
-// --- jobs ---
+// WriteUsers writes the user list as TSV: name, created, archetype.
+func WriteUsers(w io.Writer, users []User) error { return writeRows(w, users, users, userSpec) }
 
 // WriteJobs writes the job log as TSV: user, submit, duration_s, cores.
 func WriteJobs(w io.Writer, users []User, jobs []Job) error {
-	bw := bufio.NewWriter(w)
-	bp := rowBufPool.Get().(*[]byte)
-	defer rowBufPool.Put(bp)
-	buf := *bp
-	for i := range jobs {
-		j := &jobs[i]
-		buf = append(buf[:0], users[j.User].Name...)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(j.Submit), 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(j.Duration), 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(j.Cores), 10)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
-		}
-	}
-	*bp = buf
-	return bw.Flush()
+	return writeRows(w, users, jobs, jobSpec)
 }
-
-// readJobsWithHint parses a job log using the name→ID index.
-func readJobsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Job, *ParseReport, error) {
-	jobs, _, rep, err := readPipelined(r, byName, opts, hint, jobSpec)
-	return jobs, rep, err
-}
-
-// --- accesses ---
 
 // WriteAccesses writes the application log as TSV:
 // ts, user, create, size, path.
 func WriteAccesses(w io.Writer, users []User, accs []Access) error {
-	bw := bufio.NewWriter(w)
-	bp := rowBufPool.Get().(*[]byte)
-	defer rowBufPool.Put(bp)
-	buf := *bp
-	for i := range accs {
-		a := &accs[i]
-		var op int64
-		if a.Create {
-			op = 1
-		}
-		buf = AppendAccessRow(buf[:0], a.TS, users[a.User].Name, op, a.Size, a.Path)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
-		}
-	}
-	*bp = buf
-	return bw.Flush()
+	return writeRows(w, users, accs, accessSpec)
 }
-
-// readAccessesWithHint parses an application log.
-func readAccessesWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Access, *ParseReport, error) {
-	accs, _, rep, err := readPipelined(r, byName, opts, hint, accessSpec)
-	return accs, rep, err
-}
-
-// --- publications ---
 
 // WritePublications writes the publication list as TSV:
 // ts, citations, comma-joined author names.
 func WritePublications(w io.Writer, users []User, pubs []Publication) error {
-	bw := bufio.NewWriter(w)
-	bp := rowBufPool.Get().(*[]byte)
-	defer rowBufPool.Put(bp)
-	buf := *bp
-	for i := range pubs {
-		p := &pubs[i]
-		buf = strconv.AppendInt(buf[:0], int64(p.TS), 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(p.Citations), 10)
-		buf = append(buf, '\t')
-		for k, a := range p.Authors {
-			if k > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, users[a].Name...)
-		}
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
-		}
-	}
-	*bp = buf
-	return bw.Flush()
+	return writeRows(w, users, pubs, pubSpec)
 }
-
-// readPublicationsWithHint parses a publication list.
-func readPublicationsWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) ([]Publication, *ParseReport, error) {
-	pubs, _, rep, err := readPipelined(r, byName, opts, hint, pubSpec)
-	return pubs, rep, err
-}
-
-// --- snapshots ---
 
 // WriteSnapshot writes a metadata snapshot as TSV with a header
 // comment carrying the capture time: path rows are
 // user, size, stripes, atime, path.
 func WriteSnapshot(w io.Writer, users []User, s *Snapshot) error {
-	bw := bufio.NewWriter(w)
-	bp := rowBufPool.Get().(*[]byte)
-	defer rowBufPool.Put(bp)
-	buf := *bp
-	buf = append(buf[:0], "#taken\t"...)
-	buf = strconv.AppendInt(buf, int64(s.Taken), 10)
-	buf = append(buf, '\n')
-	if _, err := bw.Write(buf); err != nil {
-		*bp = buf
+	head := strconv.AppendInt(append([]byte(nil), takenPrefix...), int64(s.Taken), 10)
+	if _, err := w.Write(append(head, '\n')); err != nil {
 		return err
 	}
-	for i := range s.Entries {
-		e := &s.Entries[i]
-		buf = append(buf[:0], users[e.User].Name...)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, e.Size, 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(e.Stripes), 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(e.ATime), 10)
-		buf = append(buf, '\t')
-		buf = append(buf, e.Path...)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			*bp = buf
-			return err
-		}
-	}
-	*bp = buf
-	return bw.Flush()
-}
-
-// ReadSnapshot parses a metadata snapshot.
-func ReadSnapshot(r io.Reader, byName map[string]UserID) (*Snapshot, error) {
-	s, _, err := ReadSnapshotWith(r, byName, ReadOptions{})
-	return s, err
-}
-
-// ReadSnapshotWith parses a metadata snapshot under the given
-// strictness.
-func ReadSnapshotWith(r io.Reader, byName map[string]UserID, opts ReadOptions) (*Snapshot, *ParseReport, error) {
-	return readSnapshotWithHint(r, byName, opts, 0)
-}
-
-func readSnapshotWithHint(r io.Reader, byName map[string]UserID, opts ReadOptions, hint int) (*Snapshot, *ParseReport, error) {
-	entries, taken, rep, err := readPipelined(r, byName, opts, hint, snapshotSpec)
-	if err != nil {
-		return nil, rep, err
-	}
-	return &Snapshot{Taken: timeutil.Time(taken), Entries: entries}, rep, nil
+	return writeRows(w, users, s.Entries, snapshotSpec)
 }
 
 // WriteSnapshotFile writes one metadata snapshot to path
 // (transparently gzipped for .gz paths).
 func WriteSnapshotFile(path string, users []User, s *Snapshot) error {
-	w, closeFn, err := openWriter(path)
+	return writeFile(path, func(w io.Writer) error { return WriteSnapshot(w, users, s) })
+}
+
+// WritePathsFile writes a path list to path (transparently gzipped
+// for .gz paths), one absolute path per line.
+func WritePathsFile(path string, paths []string) error {
+	return writeFile(path, func(w io.Writer) error { return writeRows(w, nil, paths, pathSpec) })
+}
+
+// loadFile is the one load step: it reads the file at path as spec's
+// rows, presized from its uncompressed size, and folds the close
+// error into the lenient truncation rule. A cut-short gzip member also
+// fails its close, but the salvaged records are already in hand, so
+// lenient mode accepts it when the read itself flagged the truncation.
+// It returns the records, the #taken header of a snapshot and the
+// report.
+func loadFile[T any](path string, byName map[string]UserID, opts ReadOptions, spec rowSpec[T]) ([]T, timeutil.Time, *ParseReport, error) {
+	hint := uncompressedSizeHint(path)
+	r, closeFn, err := openReader(path)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
-	if err := WriteSnapshot(w, users, s); err != nil {
-		closeFn()
-		return fmt.Errorf("trace: write %s: %w", path, err)
+	recs, taken, rep, err := readPipelined(r, byName, opts, hint, spec)
+	if cerr := closeFn(); err == nil && cerr != nil && !(opts.Lenient && rep.Truncated && isTruncation(cerr)) {
+		return nil, 0, rep, cerr
 	}
-	if err := closeFn(); err != nil {
-		return fmt.Errorf("trace: close %s: %w", path, err)
-	}
-	return nil
+	return recs, timeutil.Time(taken), rep, err
 }
 
 // ReadSnapshotFile reads one metadata snapshot from path.
 func ReadSnapshotFile(path string, byName map[string]UserID) (*Snapshot, error) {
-	r, closeFn, err := openReader(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closeFn()
-	s, err := ReadSnapshot(r, byName)
+	entries, taken, _, err := loadFile(path, byName, ReadOptions{}, snapshotSpec)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return s, nil
+	return &Snapshot{Taken: taken, Entries: entries}, nil
+}
+
+// ReadPathsFile reads a WritePathsFile list; a relative path fails it.
+func ReadPathsFile(path string) ([]string, error) {
+	paths, _, _, err := loadFile(path, nil, ReadOptions{}, pathSpec)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return paths, nil
+}
+
+// ReadRows reads the text file at path (transparently gunzipping *.gz)
+// through the trace readers' framing, quarantine and truncation rules,
+// for a format whose first data line is a header. header turns that
+// line into the decoder of every row after it, or fails the read, in
+// lenient mode too. Rows decode on one worker, in file order. The
+// report and its errors carry path's base name.
+func ReadRows[T any](path string, opts ReadOptions, header func(line []byte) (func(line []byte) (T, error), error)) ([]T, *ParseReport, error) {
+	var row func(line []byte) (T, error)
+	spec := rowSpec[T]{name: filepath.Base(path), recBytes: 64, ordered: true,
+		parse: func(_ *decoder, line []byte, _ map[string]UserID) (rec T, err error) {
+			if row != nil {
+				return row(line)
+			}
+			if row, err = header(line); err != nil {
+				return rec, fatalRow{err}
+			}
+			return rec, nil // the header's placeholder, dropped below
+		}}
+	recs, _, rep, err := loadFile(path, nil, opts, spec)
+	if len(recs) > 0 {
+		recs = recs[1:]
+	}
+	return recs, rep, err
+}
+
+// runFiles runs one step per file concurrently, each starting as a
+// pool slot frees up. It returns the reports of the steps up to the
+// first that failed, and its error: the first failure in file order
+// wins, as if the files had been handled one by one up to it. Write
+// steps return no report.
+func runFiles(steps []func() (*ParseReport, error)) ([]*ParseReport, error) {
+	reps := make([]*ParseReport, len(steps))
+	errs := make([]error, len(steps))
+	tasks := make([]func() error, len(steps))
+	for i, step := range steps {
+		tasks[i] = func() error {
+			reps[i], errs[i] = step()
+			return nil
+		}
+	}
+	if err := parallel.NewPool(0).Run(tasks); err != nil {
+		return nil, err
+	}
+	var out []*ParseReport
+	for i := range steps {
+		if reps[i] != nil {
+			out = append(out, reps[i])
+		}
+		if errs[i] != nil {
+			return out, errs[i]
+		}
+	}
+	return out, nil
+}
+
+// writeStep is the runFiles step that writes path with fn.
+func writeStep(path string, fn func(io.Writer) error) func() (*ParseReport, error) {
+	return func() (*ParseReport, error) { return nil, writeFile(path, fn) }
 }
 
 // WriteSnapshotSeries persists a series of weekly metadata snapshots
 // under dir as snapshot-YYYYMMDD.tsv.gz — the artifact shape the
 // paper's Spider II data ships as ("a series of gzipped text files").
-// Files are written concurrently, one worker per snapshot.
+// Files are written concurrently; the first failure in series order
+// wins.
 func WriteSnapshotSeries(dir string, users []User, snaps []*Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	errs := make([]error, len(snaps))
-	pool := parallel.NewPool(0)
-	if err := pool.RunShards(len(snaps), func(rank, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			name := fmt.Sprintf("snapshot-%s.tsv.gz", snaps[i].Taken.Go().Format("20060102"))
-			errs[i] = WriteSnapshotFile(filepath.Join(dir, name), users, snaps[i])
-		}
-		return nil
-	}); err != nil {
-		return err
+	steps := make([]func() (*ParseReport, error), len(snaps))
+	for i, s := range snaps {
+		name := fmt.Sprintf("snapshot-%s.tsv.gz", s.Taken.Go().Format("20060102"))
+		steps[i] = writeStep(filepath.Join(dir, name), func(w io.Writer) error { return WriteSnapshot(w, users, s) })
 	}
-	for _, err := range errs { // first failure in series order wins
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := runFiles(steps)
+	return err
 }
 
 // LoadSnapshotSeriesWith reads every snapshot-*.tsv.gz under dir
@@ -389,7 +352,8 @@ func WriteSnapshotSeries(dir string, users []User, snaps []*Snapshot) error {
 // run through the same lenient/truncation close handling as
 // LoadDatasetWith: a cut-short gzip member surfaces as
 // ParseReport.Truncated in lenient mode and as an error otherwise,
-// instead of being silently dropped.
+// instead of being silently dropped. As there, the first failure in
+// glob order wins, with the reports of the files before it.
 func LoadSnapshotSeriesWith(dir string, byName map[string]UserID, opts ReadOptions) ([]*Snapshot, []*ParseReport, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "snapshot-*.tsv.gz"))
 	if err != nil {
@@ -398,45 +362,27 @@ func LoadSnapshotSeriesWith(dir string, byName map[string]UserID, opts ReadOptio
 	// filepath.Glob returns lexically sorted paths: the deterministic
 	// slot order of the per-file results.
 	snaps := make([]*Snapshot, len(matches))
-	reps := make([]*ParseReport, len(matches))
-	errs := make([]error, len(matches))
-	pool := parallel.NewPool(0)
-	if err := pool.RunShards(len(matches), func(rank, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			path := matches[i]
-			reps[i], errs[i] = loadTraceFileAt(path, opts, func(r io.Reader, hint int) (*ParseReport, error) {
-				s, fr, e := readSnapshotWithHint(r, byName, opts, hint)
-				if e != nil {
-					return fr, e
-				}
-				snaps[i] = s
-				return fr, nil
-			})
-			if reps[i] != nil {
-				reps[i].File = filepath.Base(path)
+	steps := make([]func() (*ParseReport, error), len(matches))
+	for i, path := range matches {
+		steps[i] = func() (rep *ParseReport, err error) {
+			s := &Snapshot{}
+			s.Entries, s.Taken, rep, err = loadFile(path, byName, opts, snapshotSpec)
+			if rep != nil {
+				rep.File = filepath.Base(path)
 			}
-			if errs[i] != nil {
-				errs[i] = fmt.Errorf("trace: %s: %w", path, errs[i])
+			if err != nil {
+				return rep, fmt.Errorf("trace: %s: %w", path, err)
 			}
+			snaps[i] = s
+			return rep, nil
 		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
 	}
-	// First failure in glob order wins; its report (and those of the
-	// files before it) are kept, later files' dropped, as if the files
-	// had been read one by one up to the first failure.
-	var out []*ParseReport
-	for i := range matches {
-		if reps[i] != nil {
-			out = append(out, reps[i])
-		}
-		if errs[i] != nil {
-			return nil, out, errs[i]
-		}
+	reps, err := runFiles(steps)
+	if err != nil {
+		return nil, reps, err
 	}
 	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Taken < snaps[j].Taken })
-	return snaps, out, nil
+	return snaps, reps, nil
 }
 
 // NameIndex builds the login-name → ID map used by the readers.
@@ -456,56 +402,25 @@ func WriteDataset(dir string, d *Dataset) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, fn func(io.Writer) error) error {
-		w, closeFn, err := openWriter(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(w); err != nil {
-			closeFn()
-			return fmt.Errorf("trace: write %s: %w", name, err)
-		}
-		if err := closeFn(); err != nil {
-			return fmt.Errorf("trace: close %s: %w", name, err)
-		}
-		return nil
+	u := d.Users
+	step := func(name string, fn func(io.Writer) error) func() (*ParseReport, error) {
+		return writeStep(filepath.Join(dir, name), fn)
 	}
-	type task struct {
-		name string
-		fn   func(io.Writer) error
-	}
-	tasks := []task{
-		{UsersFile, func(w io.Writer) error { return WriteUsers(w, d.Users) }},
-		{JobsFile, func(w io.Writer) error { return WriteJobs(w, d.Users, d.Jobs) }},
-		{AccessesFile, func(w io.Writer) error { return WriteAccesses(w, d.Users, d.Accesses) }},
-		{PubsFile, func(w io.Writer) error { return WritePublications(w, d.Users, d.Publications) }},
+	steps := []func() (*ParseReport, error){
+		step(UsersFile, func(w io.Writer) error { return WriteUsers(w, u) }),
+		step(JobsFile, func(w io.Writer) error { return WriteJobs(w, u, d.Jobs) }),
+		step(AccessesFile, func(w io.Writer) error { return WriteAccesses(w, u, d.Accesses) }),
+		step(PubsFile, func(w io.Writer) error { return WritePublications(w, u, d.Publications) }),
 	}
 	if len(d.Logins) > 0 {
-		tasks = append(tasks, task{LoginsFile, func(w io.Writer) error { return WriteLogins(w, d.Users, d.Logins) }})
+		steps = append(steps, step(LoginsFile, func(w io.Writer) error { return WriteLogins(w, u, d.Logins) }))
 	}
 	if len(d.Transfers) > 0 {
-		tasks = append(tasks, task{TransfersFile, func(w io.Writer) error { return WriteTransfers(w, d.Users, d.Transfers) }})
+		steps = append(steps, step(TransfersFile, func(w io.Writer) error { return WriteTransfers(w, u, d.Transfers) }))
 	}
-	tasks = append(tasks, task{SnapshotFile, func(w io.Writer) error { return WriteSnapshot(w, d.Users, &d.Snapshot) }})
-	errs := make([]error, len(tasks))
-	run := make([]func() error, len(tasks))
-	for i, t := range tasks {
-		i, t := i, t
-		run[i] = func() error {
-			errs[i] = write(t.name, t.fn)
-			return nil
-		}
-	}
-	pool := parallel.NewPool(0)
-	if err := pool.Run(run); err != nil {
-		return err
-	}
-	for _, err := range errs { // first failure in canonical order wins
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	steps = append(steps, step(SnapshotFile, func(w io.Writer) error { return WriteSnapshot(w, u, &d.Snapshot) }))
+	_, err := runFiles(steps)
+	return err
 }
 
 // LoadDataset reads every trace kind from dir and validates the
@@ -515,29 +430,13 @@ func LoadDataset(dir string) (*Dataset, error) {
 	return d, err
 }
 
-// loadTraceFileAt opens path, runs fn over it with the uncompressed
-// size hint, and folds the close error into the lenient/truncation
-// decision: a cut-short gzip member also fails its close, but the
-// salvaged records are already in hand, so lenient mode accepts it
-// when the read itself flagged the truncation.
-func loadTraceFileAt(path string, opts ReadOptions, fn func(r io.Reader, hint int) (*ParseReport, error)) (*ParseReport, error) {
-	hint := uncompressedSizeHint(path)
-	r, closeFn, err := openReader(path)
-	if err != nil {
-		return nil, err
+// loadStep is the runFiles step that loads dir's file of spec's kind
+// into *dst.
+func loadStep[T any](dir string, byName map[string]UserID, opts ReadOptions, spec rowSpec[T], dst *[]T) func() (*ParseReport, error) {
+	return func() (rep *ParseReport, err error) {
+		*dst, _, rep, err = loadFile(filepath.Join(dir, spec.name), byName, opts, spec)
+		return rep, err
 	}
-	fr, ferr := fn(r, hint)
-	cerr := closeFn()
-	if ferr != nil {
-		return fr, ferr
-	}
-	if cerr != nil {
-		if opts.Lenient && fr != nil && fr.Truncated && isTruncation(cerr) {
-			return fr, nil
-		}
-		return fr, cerr
-	}
-	return fr, nil
 }
 
 // LoadDatasetWith reads every trace kind from dir under the given
@@ -551,14 +450,7 @@ func loadTraceFileAt(path string, opts ReadOptions, fn func(r io.Reader, hint in
 func LoadDatasetWith(dir string, opts ReadOptions) (*Dataset, *DatasetReport, error) {
 	d := &Dataset{}
 	rep := &DatasetReport{}
-	urep, err := loadTraceFileAt(filepath.Join(dir, UsersFile), opts, func(r io.Reader, hint int) (*ParseReport, error) {
-		var (
-			fr *ParseReport
-			e  error
-		)
-		d.Users, fr, e = readUsersWithHint(r, opts, hint)
-		return fr, e
-	})
+	urep, err := loadStep(dir, nil, opts, userSpec, &d.Users)()
 	if urep != nil {
 		rep.Reports = append(rep.Reports, urep)
 	}
@@ -566,87 +458,28 @@ func LoadDatasetWith(dir string, opts ReadOptions) (*Dataset, *DatasetReport, er
 		return nil, rep, err
 	}
 	idx := NameIndex(d.Users)
-	type loadFile struct {
-		name string
-		fn   func(r io.Reader, hint int) (*ParseReport, error)
-	}
-	files := []loadFile{
-		{JobsFile, func(r io.Reader, hint int) (*ParseReport, error) {
-			var (
-				fr *ParseReport
-				e  error
-			)
-			d.Jobs, fr, e = readJobsWithHint(r, idx, opts, hint)
-			return fr, e
-		}},
-		{AccessesFile, func(r io.Reader, hint int) (*ParseReport, error) {
-			var (
-				fr *ParseReport
-				e  error
-			)
-			d.Accesses, fr, e = readAccessesWithHint(r, idx, opts, hint)
-			return fr, e
-		}},
-		{PubsFile, func(r io.Reader, hint int) (*ParseReport, error) {
-			var (
-				fr *ParseReport
-				e  error
-			)
-			d.Publications, fr, e = readPublicationsWithHint(r, idx, opts, hint)
-			return fr, e
-		}},
+	steps := []func() (*ParseReport, error){
+		loadStep(dir, idx, opts, jobSpec, &d.Jobs),
+		loadStep(dir, idx, opts, accessSpec, &d.Accesses),
+		loadStep(dir, idx, opts, pubSpec, &d.Publications),
 	}
 	// Logins and transfers are optional trace kinds.
 	if _, err := os.Stat(filepath.Join(dir, LoginsFile)); err == nil {
-		files = append(files, loadFile{LoginsFile, func(r io.Reader, hint int) (*ParseReport, error) {
-			var (
-				fr *ParseReport
-				e  error
-			)
-			d.Logins, fr, e = readLoginsWithHint(r, idx, opts, hint)
-			return fr, e
-		}})
+		steps = append(steps, loadStep(dir, idx, opts, loginSpec, &d.Logins))
 	}
 	if _, err := os.Stat(filepath.Join(dir, TransfersFile)); err == nil {
-		files = append(files, loadFile{TransfersFile, func(r io.Reader, hint int) (*ParseReport, error) {
-			var (
-				fr *ParseReport
-				e  error
-			)
-			d.Transfers, fr, e = readTransfersWithHint(r, idx, opts, hint)
-			return fr, e
-		}})
+		steps = append(steps, loadStep(dir, idx, opts, transferSpec, &d.Transfers))
 	}
 	if !opts.SkipSnapshot {
-		files = append(files, loadFile{SnapshotFile, func(r io.Reader, hint int) (*ParseReport, error) {
-			s, fr, e := readSnapshotWithHint(r, idx, opts, hint)
-			if e != nil {
-				return fr, e
-			}
-			d.Snapshot = *s
-			return fr, nil
-		}})
+		steps = append(steps, func() (rep *ParseReport, err error) {
+			d.Snapshot.Entries, d.Snapshot.Taken, rep, err = loadFile(filepath.Join(dir, SnapshotFile), idx, opts, snapshotSpec)
+			return rep, err
+		})
 	}
-	reps := make([]*ParseReport, len(files))
-	errs := make([]error, len(files))
-	tasks := make([]func() error, len(files))
-	for i := range files {
-		tasks[i] = func() error {
-			reps[i], errs[i] = loadTraceFileAt(filepath.Join(dir, files[i].name), opts, files[i].fn)
-			return nil
-		}
-	}
-	pool := parallel.NewPool(0)
-	if err := pool.Run(tasks); err != nil {
+	reps, err := runFiles(steps)
+	rep.Reports = append(rep.Reports, reps...)
+	if err != nil {
 		return nil, rep, err
-	}
-	for i := range files {
-		if reps[i] != nil {
-			rep.Reports = append(rep.Reports, reps[i])
-		}
-		if errs[i] != nil {
-			return nil, rep, errs[i]
-		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, rep, err

@@ -76,7 +76,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("users", func(t *testing.T) {
 		in := "u000\t100\tpower\nsolo\nu001\tnotanumber\nu002\t300\n"
-		users, rep, err := readUsersWithHint(strings.NewReader(in), lenient, 0)
+		users, rep, err := readRows(strings.NewReader(in), nil, lenient, userSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,14 +100,14 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 			t.Fatalf("report = %+v", rep)
 		}
 		// The same input aborts a strict read.
-		if _, _, err := readUsersWithHint(strings.NewReader(in), ReadOptions{}, 0); err == nil {
+		if _, _, err := readRows(strings.NewReader(in), nil, ReadOptions{}, userSpec); err == nil {
 			t.Fatal("strict read accepted malformed input")
 		}
 	})
 
 	t.Run("jobs", func(t *testing.T) {
 		in := "u000\t1\t2\t3\nnosuch\t1\t2\t3\nu000\tx\t2\t3\nu000\t9\t9\t9\n"
-		jobs, rep, err := readJobsWithHint(strings.NewReader(in), idx, lenient, 0)
+		jobs, rep, err := readRows(strings.NewReader(in), idx, lenient, jobSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("accesses", func(t *testing.T) {
 		in := "1\tu000\t0\t5\t/p\n1\tu000\t0\t5\t\n2\tu000\t1\t7\t/q\n"
-		accs, rep, err := readAccessesWithHint(strings.NewReader(in), idx, lenient, 0)
+		accs, rep, err := readRows(strings.NewReader(in), idx, lenient, accessSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("publications", func(t *testing.T) {
 		in := "1\t2\tu000\n1\t2\tnosuch\n3\t4\tu000\n"
-		pubs, rep, err := readPublicationsWithHint(strings.NewReader(in), idx, lenient, 0)
+		pubs, rep, err := readRows(strings.NewReader(in), idx, lenient, pubSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("snapshot", func(t *testing.T) {
 		in := "#taken\t99\nu000\t1\t2\t3\t/p\nu000\tx\t2\t3\t/q\n#taken\tzzz\n"
-		s, rep, err := ReadSnapshotWith(strings.NewReader(in), idx, lenient)
+		s, rep, err := readSnapshot(strings.NewReader(in), idx, lenient)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("logins", func(t *testing.T) {
 		in := "1\tu000\nbroken\n2\tu000\n"
-		logins, rep, err := readLoginsWithHint(strings.NewReader(in), idx, lenient, 0)
+		logins, rep, err := readRows(strings.NewReader(in), idx, lenient, loginSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestLenientQuarantinesMalformedLines(t *testing.T) {
 
 	t.Run("transfers", func(t *testing.T) {
 		in := "1\tu000\tin\t5\n1\tu000\tsideways\t5\n2\tu000\tout\t7\n"
-		xs, rep, err := readTransfersWithHint(strings.NewReader(in), idx, lenient, 0)
+		xs, rep, err := readRows(strings.NewReader(in), idx, lenient, transferSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestLenientMaxErrorsAborts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sb.WriteString("garbage-line\n")
 	}
-	_, rep, err := readUsersWithHint(strings.NewReader(sb.String()), ReadOptions{Lenient: true, MaxErrors: 3}, 0)
+	_, rep, err := readRows(strings.NewReader(sb.String()), nil, ReadOptions{Lenient: true, MaxErrors: 3}, userSpec)
 	if err == nil {
 		t.Fatal("lenient read survived past MaxErrors")
 	}
@@ -198,8 +198,8 @@ func TestLenientMaxErrorsAborts(t *testing.T) {
 	}
 
 	// Exactly at the cap still succeeds.
-	users, rep, err := readUsersWithHint(strings.NewReader("bad\nbad\nbad\nu000\t1\n"),
-		ReadOptions{Lenient: true, MaxErrors: 3}, 0)
+	users, rep, err := readRows(strings.NewReader("bad\nbad\nbad\nu000\t1\n"),
+		nil, ReadOptions{Lenient: true, MaxErrors: 3}, userSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,14 +59,21 @@ var arenaPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// rowSpec describes one trace kind to the generic pipeline.
+// rowSpec is one trace kind's entry in the codec table: its row
+// decoder and encoder, and how the pipeline frames and finishes it.
 type rowSpec[T any] struct {
 	name        string // logical file name for reports and errors
 	snapshot    bool   // handle #taken header lines
 	internPaths bool   // deduplicate path strings across rows
+	ordered     bool   // decode on one worker, in file order, so parse may keep state
 	recBytes    int    // rough encoded bytes per record (prealloc hint)
 	parse       func(dc *decoder, line []byte, byName map[string]UserID) (T, error)
+	encode      func(b []byte, rec *T, users []User) []byte // appends one row, no newline
+	number      func(recs []T)                              // optional: numbers the records read, in file order
 }
+
+// fatalRow is a row error that fails the read in lenient mode too.
+type fatalRow struct{ error }
 
 // eventKind tags the per-line anomalies a parser worker cannot apply
 // itself: anything that mutates the ParseReport or the snapshot
@@ -84,6 +91,7 @@ type rowEvent struct {
 	relLine   int    // 1-based physical line within the block
 	dataCount int    // data lines in the block up to and including this one
 	reason    string // quarantine reason, pre-rendered
+	fatal     bool   // evQuarantine: a fatalRow, which fails the read
 	taken     int64  // evTaken: the header timestamp
 }
 
@@ -109,7 +117,11 @@ type blockResult[T any] struct {
 // #taken timestamp for snapshot specs, and the ParseReport. sizeHint, when positive, is
 // the uncompressed input size used to presize the record slice.
 func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOptions, sizeHint int, spec rowSpec[T]) ([]T, int64, *ParseReport, error) {
-	pool := parallel.NewPool(0)
+	ranks := 0
+	if spec.ordered {
+		ranks = 1
+	}
+	pool := parallel.NewPool(ranks)
 	workers := pool.Ranks()
 	nArenas := workers + 2
 
@@ -267,7 +279,9 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 				taken = ev.taken
 			case evQuarantine:
 				rep.Lines = base + ev.dataCount
-				if err := rep.quarantine(spec.name, totalLines+ev.relLine, opts, ev.reason); err != nil {
+				o := opts
+				o.Lenient = o.Lenient && !ev.fatal
+				if err := rep.quarantine(spec.name, totalLines+ev.relLine, o, ev.reason); err != nil {
 					abortErr = err
 					return
 				}
@@ -329,6 +343,9 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 	if len(out) == 0 {
 		out = nil // an empty read yields no slice at all
 	}
+	if spec.number != nil {
+		spec.number(out)
+	}
 	return out, taken, rep, nil
 }
 
@@ -375,8 +392,9 @@ func decodeBlock[T any](dc *decoder, pb parseJob, byName map[string]UserID, spec
 		res.dataLines++
 		rec, err := spec.parse(dc, line, byName)
 		if err != nil {
+			_, fatal := err.(fatalRow)
 			res.events = append(res.events, rowEvent{kind: evQuarantine,
-				relLine: res.lines, dataCount: res.dataLines, reason: err.Error()})
+				relLine: res.lines, dataCount: res.dataLines, reason: err.Error(), fatal: fatal})
 			continue
 		}
 		recs = append(recs, rec)
@@ -385,20 +403,28 @@ func decodeBlock[T any](dc *decoder, pb parseJob, byName map[string]UserID, spec
 	return res
 }
 
-// Per-kind pipeline specs. recBytes slightly undershoots the real
-// encoded row width so the presized record slice errs toward one
-// over-allocation instead of append regrowth.
+// The codec table: one spec per trace kind. recBytes slightly
+// undershoots the real encoded row width so the presized record slice
+// errs toward one over-allocation instead of append regrowth.
 var (
-	userSpec = rowSpec[User]{name: UsersFile, recBytes: 16,
+	userSpec = rowSpec[User]{name: UsersFile, recBytes: 16, encode: appendUser,
 		parse: func(dc *decoder, line []byte, _ map[string]UserID) (User, error) {
 			return decodeUser(dc, line)
+		},
+		number: func(users []User) { // dense IDs; quarantined lines take none
+			for i := range users {
+				users[i].ID = UserID(i)
+			}
 		}}
-	jobSpec    = rowSpec[Job]{name: JobsFile, recBytes: 20, parse: decodeJob}
+	jobSpec    = rowSpec[Job]{name: JobsFile, recBytes: 20, parse: decodeJob, encode: appendJob}
 	accessSpec = rowSpec[Access]{name: AccessesFile, recBytes: 32, internPaths: true,
-		parse: decodeAccess}
-	pubSpec      = rowSpec[Publication]{name: PubsFile, recBytes: 24, parse: decodePublication}
+		parse: decodeAccess, encode: appendAccess}
+	pubSpec      = rowSpec[Publication]{name: PubsFile, recBytes: 24, parse: decodePublication, encode: appendPublication}
 	snapshotSpec = rowSpec[SnapshotEntry]{name: SnapshotFile, recBytes: 40, snapshot: true,
-		parse: decodeSnapshotEntry}
-	loginSpec    = rowSpec[Login]{name: LoginsFile, recBytes: 12, parse: decodeLogin}
-	transferSpec = rowSpec[Transfer]{name: TransfersFile, recBytes: 20, parse: decodeTransfer}
+		parse: decodeSnapshotEntry, encode: appendSnapshotEntry}
+	loginSpec    = rowSpec[Login]{name: LoginsFile, recBytes: 12, parse: decodeLogin, encode: appendLogin}
+	transferSpec = rowSpec[Transfer]{name: TransfersFile, recBytes: 20, parse: decodeTransfer, encode: appendTransfer}
+	// pathSpec is a one-column list of absolute paths (a delta
+	// checkpoint's deletions).
+	pathSpec = rowSpec[string]{name: "paths", recBytes: 24, parse: decodePath, encode: appendPath}
 )

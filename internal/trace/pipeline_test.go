@@ -24,6 +24,21 @@ import (
 // written; damaged ones to what survives the damage.
 
 // errText is err's message, or "" for a nil error.
+// readRows decodes r as spec's rows, as every loader does.
+func readRows[T any](r io.Reader, byName map[string]UserID, opts ReadOptions, spec rowSpec[T]) ([]T, *ParseReport, error) {
+	recs, _, rep, err := readPipelined(r, byName, opts, 0, spec)
+	return recs, rep, err
+}
+
+// readSnapshot decodes r as a metadata snapshot.
+func readSnapshot(r io.Reader, byName map[string]UserID, opts ReadOptions) (*Snapshot, *ParseReport, error) {
+	entries, taken, rep, err := readPipelined(r, byName, opts, 0, snapshotSpec)
+	if err != nil {
+		return nil, rep, err
+	}
+	return &Snapshot{Taken: timeutil.Time(taken), Entries: entries}, rep, nil
+}
+
 func errText(err error) string {
 	if err == nil {
 		return ""
@@ -335,7 +350,7 @@ func TestPipelinedLongLines(t *testing.T) {
 	// line number is exercised too.
 	read := func(in string) func(ReadOptions) string {
 		return func(o ReadOptions) string {
-			users, rep, err := readUsersWithHint(strings.NewReader(in), o, 0)
+			users, rep, err := readRows(strings.NewReader(in), nil, o, userSpec)
 			return outcome(users, rep, err)
 		}
 	}
@@ -351,11 +366,11 @@ func TestPipelinedEdgeInputs(t *testing.T) {
 	idx := map[string]UserID{"u000": 0}
 	for i, c := range wantEdgeInputs {
 		users := func(o ReadOptions) string {
-			u, rep, err := readUsersWithHint(strings.NewReader(c.in), o, 0)
+			u, rep, err := readRows(strings.NewReader(c.in), nil, o, userSpec)
 			return outcome(u, rep, err)
 		}
 		snapshot := func(o ReadOptions) string {
-			s, rep, err := ReadSnapshotWith(strings.NewReader(c.in), idx, o)
+			s, rep, err := readSnapshot(strings.NewReader(c.in), idx, o)
 			if s == nil {
 				return outcome[SnapshotEntry](nil, rep, err)
 			}
@@ -379,34 +394,34 @@ func TestMalformedLineReasons(t *testing.T) {
 		read       func(io.Reader, ReadOptions) (int, *ParseReport, error)
 	}{
 		"users": {UsersFile, "u000\t1", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := readUsersWithHint(r, o, 0)
+			v, rep, err := readRows(r, nil, o, userSpec)
 			return len(v), rep, err
 		}},
 		"jobs": {JobsFile, "u000\t1\t2\t3", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := readJobsWithHint(r, idx, o, 0)
+			v, rep, err := readRows(r, idx, o, jobSpec)
 			return len(v), rep, err
 		}},
 		"accesses": {AccessesFile, "1\tu000\t0\t5\t/p", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := readAccessesWithHint(r, idx, o, 0)
+			v, rep, err := readRows(r, idx, o, accessSpec)
 			return len(v), rep, err
 		}},
 		"publications": {PubsFile, "1\t2\tu000", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := readPublicationsWithHint(r, idx, o, 0)
+			v, rep, err := readRows(r, idx, o, pubSpec)
 			return len(v), rep, err
 		}},
 		"snapshot": {SnapshotFile, "u000\t1\t2\t3\t/p", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := ReadSnapshotWith(r, idx, o)
+			v, rep, err := readSnapshot(r, idx, o)
 			if v == nil {
 				return 0, rep, err
 			}
 			return len(v.Entries), rep, err
 		}},
 		"logins": {LoginsFile, "1\tu000", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := readLoginsWithHint(r, idx, o, 0)
+			v, rep, err := readRows(r, idx, o, loginSpec)
 			return len(v), rep, err
 		}},
 		"transfers": {TransfersFile, "1\tu000\tin\t5", func(r io.Reader, o ReadOptions) (int, *ParseReport, error) {
-			v, rep, err := readTransfersWithHint(r, idx, o, 0)
+			v, rep, err := readRows(r, idx, o, transferSpec)
 			return len(v), rep, err
 		}},
 	}

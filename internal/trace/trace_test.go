@@ -125,7 +125,7 @@ func TestUserRoundTrip(t *testing.T) {
 	if err := WriteUsers(&buf, d.Users); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readUsersWithHint(&buf, ReadOptions{}, 0)
+	got, _, err := readRows(&buf, nil, ReadOptions{}, userSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if err := WriteJobs(&buf, d.Users, d.Jobs); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readJobsWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
+	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, jobSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAccessRoundTrip(t *testing.T) {
 	if err := WriteAccesses(&buf, d.Users, d.Accesses); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readAccessesWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
+	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, accessSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPublicationRoundTrip(t *testing.T) {
 	if err := WritePublications(&buf, d.Users, d.Publications); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readPublicationsWithHint(&buf, NameIndex(d.Users), ReadOptions{}, 0)
+	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, pubSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := WriteSnapshot(&buf, d.Users, &d.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf, NameIndex(d.Users))
+	got, _, err := readSnapshot(&buf, NameIndex(d.Users), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,22 +224,22 @@ func TestReadersRejectMalformedLines(t *testing.T) {
 		fn   func(string) error
 	}{
 		{"users bad ts", func(s string) error {
-			_, _, err := readUsersWithHint(strings.NewReader(s), ReadOptions{}, 0)
+			_, _, err := readRows(strings.NewReader(s), nil, ReadOptions{}, userSpec)
 			return err
 		}},
 		{"jobs", func(s string) error {
-			_, _, err := readJobsWithHint(strings.NewReader(s), idx, ReadOptions{}, 0)
+			_, _, err := readRows(strings.NewReader(s), idx, ReadOptions{}, jobSpec)
 			return err
 		}},
 		{"accesses", func(s string) error {
-			_, _, err := readAccessesWithHint(strings.NewReader(s), idx, ReadOptions{}, 0)
+			_, _, err := readRows(strings.NewReader(s), idx, ReadOptions{}, accessSpec)
 			return err
 		}},
 		{"pubs", func(s string) error {
-			_, _, err := readPublicationsWithHint(strings.NewReader(s), idx, ReadOptions{}, 0)
+			_, _, err := readRows(strings.NewReader(s), idx, ReadOptions{}, pubSpec)
 			return err
 		}},
-		{"snapshot", func(s string) error { _, err := ReadSnapshot(strings.NewReader(s), idx); return err }},
+		{"snapshot", func(s string) error { _, _, err := readSnapshot(strings.NewReader(s), idx, ReadOptions{}); return err }},
 	}
 	bad := map[string][]string{
 		"users bad ts": {"u000\tnotanumber", "solo"},
@@ -259,7 +259,7 @@ func TestReadersRejectMalformedLines(t *testing.T) {
 
 func TestReadersSkipCommentsAndBlanks(t *testing.T) {
 	in := "# comment\n\nu000\t100\tpower\n"
-	users, _, err := readUsersWithHint(strings.NewReader(in), ReadOptions{}, 0)
+	users, _, err := readRows(strings.NewReader(in), nil, ReadOptions{}, userSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@
 //     CSV/TSV with local wall-clock timestamps and facility user
 //     strings — into a trace.Dataset: jobs, logins, a deterministic
 //     file-access synthesis for the I/O the accounting log does not
-//     record, and a reference snapshot to replay against. Parsing is
-//     lenient-capable with the same quarantine reporting contract as
-//     internal/trace.
+//     record, and a reference snapshot to replay against. The file is
+//     read through internal/trace, under its framing, quarantine and
+//     truncation rules.
 //
 //   - The TraceTracker-style reconstructor (fit.go / regen.go) fits
 //     per-user archetype parameters from any loaded dataset and
@@ -25,13 +25,8 @@
 package workload
 
 import (
-	"bufio"
-	"compress/gzip"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,11 +96,9 @@ func sniffDelim(header string) byte {
 	return ','
 }
 
-// splitRecord splits one raw line on delim, trimming a trailing CR.
-// The dataset's fields are plain identifiers and timestamps; there is
-// no quoting to honor.
+// splitRecord splits one line on delim. The dataset's fields are
+// plain identifiers and timestamps; there is no quoting to honor.
 func splitRecord(line string, delim byte) []string {
-	line = strings.TrimSuffix(line, "\r")
 	return strings.Split(line, string(delim))
 }
 
@@ -226,16 +219,14 @@ func parseIN2P3Record(fields []string, cols colMap, loc *timeutil.Zone) (in2p3Re
 
 // LoadIN2P3 reads an IN2P3-format accounting file (CSV/TSV,
 // transparently gunzipped for .gz paths) and adapts it into a
-// replayable trace.Dataset. The returned ParseReport records the
-// consumed line count and any quarantined records, with absolute
-// 1-based line numbers (the header is line 1) — the same contract the
-// trace readers keep.
-func LoadIN2P3(path string, opts IN2P3Options) (ds *trace.Dataset, rep *trace.ParseReport, err error) {
+// replayable trace.Dataset. The file is read through trace.ReadRows,
+// so framing, quarantine and truncation follow the trace readers: the
+// returned ParseReport records the consumed line count and any
+// quarantined records, with absolute 1-based line numbers (the header
+// is line 1), and lenient mode salvages only a cut-short input.
+func LoadIN2P3(path string, opts IN2P3Options) (*trace.Dataset, *trace.ParseReport, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.MaxErrors == 0 {
-		opts.MaxErrors = trace.DefaultMaxErrors
 	}
 	zone := opts.Zone
 	if zone == "" {
@@ -245,96 +236,29 @@ func LoadIN2P3(path string, opts IN2P3Options) (ds *trace.Dataset, rep *trace.Pa
 	if err != nil {
 		return nil, nil, err
 	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
+	// The header picks the delimiter and the columns of every record
+	// after it; a broken one dooms them all, so it fails the read even
+	// in lenient mode.
+	header := func(line []byte) (func([]byte) (in2p3Rec, error), error) {
+		delim := sniffDelim(string(line))
+		cols, err := parseIN2P3Header(splitRecord(string(line), delim))
+		if err != nil {
+			return nil, err
+		}
+		return func(line []byte) (in2p3Rec, error) {
+			return parseIN2P3Record(splitRecord(string(line), delim), cols, loc)
+		}, nil
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, gzErr := gzip.NewReader(f)
-		if gzErr != nil {
-			return nil, nil, fmt.Errorf("workload: %s: %w", path, gzErr)
-		}
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		r = gz
+	recs, rep, err := trace.ReadRows(path, trace.ReadOptions{Lenient: opts.Lenient, MaxErrors: opts.MaxErrors}, header)
+	switch {
+	case err != nil:
+		return nil, rep, err
+	case rep.Lines == 0:
+		return nil, rep, fmt.Errorf("workload: %s: no header line", rep.File)
+	case len(recs) == 0:
+		return nil, rep, fmt.Errorf("workload: %s: no usable records", rep.File)
 	}
-
-	name := filepath.Base(path)
-	rep = &trace.ParseReport{File: name}
-	quarantine := func(line int, reason string) error {
-		if !opts.Lenient {
-			return fmt.Errorf("workload: %s line %d: %s", name, line, reason)
-		}
-		if len(rep.Errors) >= opts.MaxErrors {
-			return fmt.Errorf("workload: %s: more than %d malformed records, giving up (last: line %d: %s)",
-				name, opts.MaxErrors, line, reason)
-		}
-		rep.Errors = append(rep.Errors, trace.ParseError{File: name, Line: line, Reason: reason})
-		return nil
-	}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	var (
-		cols    colMap
-		haveHdr bool
-		delim   byte
-		recs    []in2p3Rec
-	)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			continue
-		}
-		rep.Lines++
-		if !haveHdr {
-			delim = sniffDelim(line)
-			c, hdrErr := parseIN2P3Header(splitRecord(line, delim))
-			if hdrErr != nil {
-				// A broken header dooms every following record; that is an
-				// abort even in lenient mode.
-				return nil, rep, fmt.Errorf("workload: %s line %d: %v", name, lineNo, hdrErr)
-			}
-			cols, haveHdr = c, true
-			continue
-		}
-		rec, recErr := parseIN2P3Record(splitRecord(line, delim), cols, loc)
-		if recErr != nil {
-			if qerr := quarantine(lineNo, recErr.Error()); qerr != nil {
-				return nil, rep, qerr
-			}
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if scErr := sc.Err(); scErr != nil {
-		if opts.Lenient {
-			rep.Truncated = true
-		} else {
-			return nil, rep, fmt.Errorf("workload: %s line %d: %w", name, lineNo+1, scErr)
-		}
-	}
-	if !haveHdr {
-		return nil, rep, fmt.Errorf("workload: %s: no header line", name)
-	}
-	if len(recs) == 0 {
-		return nil, rep, fmt.Errorf("workload: %s: no usable records", name)
-	}
-
-	ds, err = adapt(recs, opts.Seed)
+	ds, err := adapt(recs, opts.Seed)
 	if err != nil {
 		return nil, rep, err
 	}

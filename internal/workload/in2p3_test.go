@@ -197,6 +197,59 @@ func TestLoadIN2P3TSVAndGzip(t *testing.T) {
 	}
 }
 
+// TestLoadIN2P3LenientLongLine: lenient mode salvages only an input
+// cut short; a line past the trace readers' line cap fails the read,
+// as it does for every trace file, instead of passing as a truncation
+// that keeps the records before it.
+func TestLoadIN2P3LenientLongLine(t *testing.T) {
+	raw, err := os.ReadFile(sampleCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	long := strings.Join(lines[:4], "") + strings.Repeat("x", 5<<20) + "\n" + strings.Join(lines[4:], "")
+	path := filepath.Join(t.TempDir(), "long.csv")
+	if err := os.WriteFile(path, []byte(long), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, rep, err := LoadIN2P3(path, IN2P3Options{Lenient: true})
+	if err == nil || !strings.Contains(err.Error(), "long.csv line 5: bufio.Scanner: token too long") {
+		t.Fatalf("err = %v (report %+v, dataset %v), want the line-5 token-too-long error", err, rep, ds != nil)
+	}
+}
+
+// TestLoadIN2P3TruncatedGzip: a gzipped export cut short loads in
+// lenient mode with the records before the cut and Truncated set (the
+// cut row's head is quarantined), and fails a strict load.
+func TestLoadIN2P3TruncatedGzip(t *testing.T) {
+	raw, err := os.ReadFile(sampleCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.csv.gz")
+	if err := writeGzip(path, raw); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadIN2P3(path, IN2P3Options{}); err == nil {
+		t.Fatal("strict load accepted a cut input")
+	}
+	ds, rep, err := LoadIN2P3(path, IN2P3Options{Lenient: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _ := loadSample(t)
+	if !rep.Truncated || len(ds.Jobs) == 0 || len(ds.Jobs) >= len(full.Jobs) {
+		t.Fatalf("salvaged %d of %d jobs, report %+v", len(ds.Jobs), len(full.Jobs), rep)
+	}
+}
+
 // in2p3Golden is the round-trip fingerprint: adapter aggregates plus
 // the per-policy replay outcome on the sample. Refresh with
 // go test ./internal/workload -run TestIN2P3GoldenRoundTrip -update-golden
