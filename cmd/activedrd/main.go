@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -124,7 +125,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.feedBatch, "feed-batch", 256, "events per ingest batch when replaying -feed")
 	fs.BoolVar(&o.oneshot, "oneshot", false, "exit after replaying -feed instead of serving (requires -feed)")
 
-	//lint:allow flagvalidate an output path: any path is valid until the write at shutdown, whose error fails the run
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final metrics registry to this JSON file at shutdown")
 	//lint:allow flagvalidate an output path, created before any event is applied: os.Create's error is the check
 	fs.StringVar(&o.eventsOut, "events-out", "", "stream per-trigger/per-miss telemetry to this JSONL file")
@@ -205,7 +205,16 @@ func (o *options) validate() error {
 	if o.oneshot && o.feed == "" {
 		return errors.New("-oneshot requires -feed (nothing to do and no server to run)")
 	}
+	if dir := filepath.Dir(o.metricsOut); o.metricsOut != "" && !isDir(dir) {
+		return fmt.Errorf("-metrics-out: %s is not an existing directory (the file is written at shutdown)", dir)
+	}
 	return nil
+}
+
+// isDir reports whether path names an existing directory.
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
 }
 
 func main() {

@@ -112,6 +112,20 @@ func writeFixture(t *testing.T) (string, string, int) {
 	return dataDir, feed, len(ds.Accesses)
 }
 
+// TestMetricsOutParentChecked: a -metrics-out whose directory does not
+// exist fails flag validation, before the daemon loads or applies
+// anything, instead of at shutdown.
+func TestMetricsOutParentChecked(t *testing.T) {
+	base := []string{"-wal-dir", "w", "-checkpoint-dir", "c", "-metrics-out"}
+	missing := filepath.Join(t.TempDir(), "missing", "m.json")
+	if _, err := parseFlags(append(base, missing), io.Discard); err == nil || !strings.Contains(err.Error(), "-metrics-out") {
+		t.Fatalf("parseFlags accepted -metrics-out under a missing directory: %v", err)
+	}
+	if _, err := parseFlags(append(base, filepath.Join(t.TempDir(), "m.json")), io.Discard); err != nil {
+		t.Fatalf("parseFlags rejected -metrics-out in an existing directory: %v", err)
+	}
+}
+
 // TestOneshotFeedAndRecovery runs the daemon end to end in -oneshot
 // mode, then restarts it over the same dirs and checks the drained
 // checkpoint carried every acknowledged event across the restart.

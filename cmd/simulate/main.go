@@ -116,7 +116,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.ckptFullEvery, "checkpoint-full-every", 1, "make only every Kth checkpoint a full snapshot; the ones between persist deltas against the previous checkpoint (1 = every checkpoint full)")
 	fs.BoolVar(&o.resume, "resume", false, "resume each policy from its latest checkpoint under -checkpoint-dir")
 
-	//lint:allow flagvalidate an output path: any path is valid until the write after the run, whose error fails it
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write each policy's metrics registry and phase times to this JSON file")
 	fs.StringVar(&o.eventsOut, "events-out", "", "stream per-trigger/per-miss telemetry to this JSONL file (see cmd/report -events)")
 	fs.Float64Var(&o.auditSample, "audit-sample", 0, "fraction of per-file purge decisions to audit on the event stream, in [0,1]")
@@ -179,10 +178,19 @@ func (o *options) validate() error {
 	if !(o.auditSample >= 0 && o.auditSample <= 1) {
 		return fmt.Errorf("-audit-sample must be in [0,1], got %v", o.auditSample)
 	}
+	if dir := filepath.Dir(o.metricsOut); o.metricsOut != "" && !isDir(dir) {
+		return fmt.Errorf("-metrics-out: %s is not an existing directory (the file is written after the replay)", dir)
+	}
 	if o.auditSample > 0 && o.eventsOut == "" {
 		return errors.New("-audit-sample requires -events-out (the audit records ride the event stream)")
 	}
 	return nil
+}
+
+// isDir reports whether path names an existing directory.
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
 }
 
 func main() {

@@ -78,6 +78,19 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 }
 
+// TestMetricsOutParentChecked: a -metrics-out whose directory does not
+// exist fails flag validation, before the dataset loads or the replay
+// prints anything, instead of after the whole run.
+func TestMetricsOutParentChecked(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "m.json")
+	if _, err := parseFlags([]string{"-metrics-out", missing}, io.Discard); err == nil || !strings.Contains(err.Error(), "-metrics-out") {
+		t.Fatalf("parseFlags accepted -metrics-out under a missing directory: %v", err)
+	}
+	if _, err := parseFlags([]string{"-metrics-out", filepath.Join(t.TempDir(), "m.json")}, io.Discard); err != nil {
+		t.Fatalf("parseFlags rejected -metrics-out in an existing directory: %v", err)
+	}
+}
+
 // TestRunEmitsObservability drives the whole tool end to end on a
 // small synthetic dataset and checks the -metrics-out and -events-out
 // artifacts: valid JSON with both policies' registries, and a JSONL

@@ -8,12 +8,11 @@
 //
 //	vetadr [-json|-sarif] [-rules nondeterminism,maporder,...] [patterns]
 //	vetadr -list [-json]
-//	vetadr -suppressions [patterns]
 //
 // Patterns default to ./... resolved against the enclosing module.
-// -suppressions lists every //lint:allow directive in the tree and
-// fails on stale rules or empty reasons. Exit status: 0 clean, 1
-// findings (or bad suppressions), 2 usage or load failure.
+// A //lint:allow directive with no rule, no reason or an unknown rule,
+// or one that suppresses no finding of a rule that ran, is a finding
+// itself. Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
@@ -29,11 +28,10 @@ import (
 // options carries every flag; validate fail-fasts before any package
 // loading starts.
 type options struct {
-	jsonOut      bool
-	sarifOut     bool
-	rules        string
-	list         bool
-	suppressions bool
+	jsonOut  bool
+	sarifOut bool
+	rules    string
+	list     bool
 }
 
 func parseFlags() *options {
@@ -42,7 +40,6 @@ func parseFlags() *options {
 	flag.BoolVar(&o.sarifOut, "sarif", false, "emit findings as SARIF 2.1.0 on stdout (for CI annotation)")
 	flag.StringVar(&o.rules, "rules", "", "comma-separated rule subset (default: all)")
 	flag.BoolVar(&o.list, "list", false, "list available rules and exit")
-	flag.BoolVar(&o.suppressions, "suppressions", false, "audit //lint:allow directives: list all, fail on stale rule or empty reason")
 	flag.Parse()
 	return o
 }
@@ -117,10 +114,6 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	if o.suppressions {
-		os.Exit(auditSuppressions(pkgs, loader.ModuleRoot))
-	}
-
 	var findings []lint.Diagnostic
 	for _, pkg := range pkgs {
 		findings = append(findings, lint.Check(pkg, analyzers)...)
@@ -151,40 +144,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// auditSuppressions lists every //lint:allow directive and returns
-// the exit code: 1 when any directive names a dead rule or carries no
-// reason, 0 otherwise.
-func auditSuppressions(pkgs []*lint.Package, root string) int {
-	bad := 0
-	total := 0
-	for _, pkg := range pkgs {
-		for _, s := range lint.Suppressions(pkg) {
-			total++
-			problem := ""
-			switch {
-			case s.Rule == "":
-				problem = "MISSING RULE"
-			case !s.KnownRule:
-				problem = "STALE RULE"
-			case s.Reason == "":
-				problem = "EMPTY REASON"
-			}
-			loc := fmt.Sprintf("%s:%d", relPath(s.File, root), s.Line)
-			if problem != "" {
-				bad++
-				fmt.Printf("%s\t%s\t%s\t%s\n", loc, s.Rule, problem, s.Reason)
-				continue
-			}
-			fmt.Printf("%s\t%s\tok\t%s\n", loc, s.Rule, s.Reason)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "vetadr: %d suppression(s), %d bad\n", total, bad)
-	if bad > 0 {
-		return 1
-	}
-	return 0
 }
 
 func fatalf(format string, args ...any) {

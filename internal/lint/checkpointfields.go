@@ -85,7 +85,7 @@ func checkCodec(pass *Pass, codec checkpointCodec) {
 
 // lookupStruct finds a struct type by name in the package scope.
 func lookupStruct(pass *Pass, name string) (*types.Struct, token.Pos) {
-	obj := pass.Pkg.Scope().Lookup(name)
+	obj := pass.Types.Scope().Lookup(name)
 	if obj == nil {
 		return nil, 0
 	}

@@ -16,9 +16,11 @@ import (
 // Mechanics: a registration (flag.String, flag.IntVar, ..., or the
 // same method on a *flag.FlagSet) binds a target variable — the
 // returned pointer's variable or the *Var pointee, including an
-// options-struct field. The validation closure is every function
-// whose name contains "validate", expanded through package-local
-// calls. The target must be referenced somewhere in that closure.
+// options-struct field. The validation path is every function of the
+// package whose name contains "validate", and every function the call
+// graph reaches from them through the functions they name (calls,
+// method values and function values alike). The target must be
+// referenced somewhere on that path.
 //
 // Exempt kinds, where parse success already implies a usable value:
 //
@@ -46,20 +48,7 @@ func runFlagValidate(pass *Pass) {
 	if !hasPathSegment(pass.Path, "cmd") {
 		return
 	}
-	closure := validationClosure(pass)
-	validated := make(map[*types.Var]bool)
-	for _, fd := range closure {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if v, ok := pass.Info.Uses[id].(*types.Var); ok {
-				validated[v] = true
-			}
-			return true
-		})
-	}
+	validated, hasPath := validatedVars(pass)
 
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -82,7 +71,7 @@ func runFlagValidate(pass *Pass) {
 				pass.Reportf(call.Pos(), "flag -%s (%s) is bound to no nameable variable, so no validation path can reach it", flagName, sel.Sel.Name)
 				return true
 			}
-			if len(closure) == 0 {
+			if !hasPath {
 				pass.Reportf(call.Pos(), "flag -%s registered but package has no validation function (PR-5 fail-fast contract)", flagName)
 				return true
 			}
@@ -109,57 +98,44 @@ func isFlagRegistration(pass *Pass, sel *ast.SelectorExpr) bool {
 	return recv == nil || types.TypeString(recv.Type(), nil) == "*flag.FlagSet"
 }
 
-// validationClosure returns the package's validation functions — any
-// function whose name contains "validate" (case-insensitive) —
-// expanded transitively through package-local calls.
-func validationClosure(pass *Pass) []*ast.FuncDecl {
-	decls := packageFuncDecls(pass)
-	byObj := make(map[*types.Func]bool)
-	var queue, out []*types.Func
-	// Seed in file order, not map order, so the closure (and any
-	// diagnostics downstream) is deterministic.
+// validatedVars returns the variables the package's validation path
+// references; hasPath is false when the package has no validation
+// function.
+func validatedVars(pass *Pass) (validated map[*types.Var]bool, hasPath bool) {
+	seen := make(map[*funcNode]bool)
+	var queue []*funcNode
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || !strings.Contains(strings.ToLower(fd.Name.Name), "validate") {
 				continue
 			}
-			obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !strings.Contains(strings.ToLower(obj.Name()), "validate") {
-				continue
+			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
+			if n := pass.prog.funcs[fn]; n != nil && !seen[n] {
+				seen[n] = true
+				queue = append(queue, n)
 			}
-			byObj[obj] = true
-			queue = append(queue, obj)
 		}
 	}
-	for len(queue) > 0 {
-		obj := queue[0]
-		queue = queue[1:]
-		out = append(out, obj)
-		ast.Inspect(decls[obj].Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var callee *types.Func
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				callee, _ = pass.Info.Uses[fun].(*types.Func)
-			case *ast.SelectorExpr:
-				callee, _ = pass.Info.Uses[fun.Sel].(*types.Func)
-			}
-			if callee != nil && decls[callee] != nil && !byObj[callee] {
-				byObj[callee] = true
-				queue = append(queue, callee)
+	validated = make(map[*types.Var]bool)
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		ast.Inspect(n.decl.Body, func(m ast.Node) bool {
+			if id, ok := m.(*ast.Ident); ok {
+				if v, ok := n.pass.Info.Uses[id].(*types.Var); ok {
+					validated[v] = true
+				}
 			}
 			return true
 		})
+		for _, c := range n.refs {
+			if !seen[c] {
+				seen[c] = true
+				queue = append(queue, c)
+			}
+		}
 	}
-	fds := make([]*ast.FuncDecl, len(out))
-	for i, obj := range out {
-		fds[i] = decls[obj]
-	}
-	return fds
+	return validated, len(queue) > 0
 }
 
 // registrationTarget resolves the variable a flag registration binds

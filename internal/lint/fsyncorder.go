@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "go/ast"
 
 // FsyncOrderAnalyzer enforces the PR-6 durability contract inside
 // internal/wal and internal/daemon: a function that both writes and
@@ -13,13 +9,16 @@ import (
 // probabilistically; this catches them at push time.
 //
 // Scope is deliberately narrow. Only functions that contain BOTH a
-// write effect (os.File/wal writes, wal.Log.Append) and a sync effect
-// (Sync methods, fsx.SyncFile/SyncDir, package-local sync* helpers)
-// are analyzed: such a function has opted into ordering durability
-// itself, so returning success with the dirty bit set is a bug.
-// Functions that only write leave durability to their caller — that
-// contract (e.g. wal.Append is not durable until Sync) is the
-// documented API shape, not a finding.
+// write effect and a sync effect are analyzed: such a function has
+// opted into ordering durability itself, so returning success with
+// the dirty bit set is a bug. Functions that only write leave
+// durability to their caller — that contract (e.g. wal.Append is not
+// durable until Sync) is the documented API shape, not a finding.
+//
+// A write is an *os.File, bufio.Writer or wal.Log write; a sync is
+// (*os.File).Sync. A call into the module counts by its callee's
+// summary: a write when the callee may return success with writes
+// unsynced, otherwise a sync when the callee may fsync.
 var FsyncOrderAnalyzer = &Analyzer{
 	Name: "fsyncorder",
 	Doc:  "in wal/daemon, success returns must not be reachable with unsynced writes",
@@ -42,13 +41,23 @@ func runFsyncOrder(pass *Pass) {
 		return
 	}
 	funcBodies(pass.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-		checkFsyncOrder(pass, decl, body)
+		for _, ret := range pass.prog.unsyncedReturns(pass, decl, body) {
+			pass.Reportf(ret.Pos(), "success return reachable with unsynced writes: sync before acknowledging (durability contract)")
+		}
 	})
 }
 
-func checkFsyncOrder(pass *Pass, decl *ast.FuncDecl, body *ast.BlockStmt) {
-	if !hasWriteAndSync(pass, body) {
-		return
+// unsyncedReturns runs the dirty-bit dataflow over a body with both
+// write and sync effects and returns its success returns reachable
+// with writes unsynced.
+func (p *program) unsyncedReturns(pass *Pass, decl *ast.FuncDecl, body *ast.BlockStmt) []*ast.ReturnStmt {
+	writes, syncs := false, false
+	forEachCall(body, func(call *ast.CallExpr) {
+		w, s := p.effect(pass, call)
+		writes, syncs = writes || w, syncs || s
+	})
+	if !writes || !syncs {
+		return nil
 	}
 	cfg := NewCFG(body, terminatorFor(pass))
 
@@ -61,10 +70,10 @@ func checkFsyncOrder(pass *Pass, decl *ast.FuncDecl, body *ast.BlockStmt) {
 			}
 			out := in
 			forEachCall(n, func(call *ast.CallExpr) {
-				switch {
-				case isSyncEffect(pass, call):
+				switch w, s := p.effect(pass, call); {
+				case s:
 					out = dirtyClean
-				case isWriteEffect(pass, call):
+				case w:
 					out = dirtyDirty
 				}
 			})
@@ -88,22 +97,53 @@ func checkFsyncOrder(pass *Pass, decl *ast.FuncDecl, body *ast.BlockStmt) {
 	in := Forward(cfg, flow)
 
 	resultsError := funcReturnsError(pass, decl)
+	var rets []*ast.ReturnStmt
 	FactsAt(cfg, flow, in, func(n ast.Node, fact dirtyFact) {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
-		}
 		// The return expression itself may sync ("return l.f.Sync()"):
 		// apply its effects before judging.
-		fact = flow.Transfer(n, fact)
-		if fact != dirtyDirty {
-			return
+		if ret, ok := n.(*ast.ReturnStmt); ok && flow.Transfer(n, fact) == dirtyDirty && isSuccessReturn(ret, resultsError) {
+			rets = append(rets, ret)
 		}
-		if !isSuccessReturn(ret, resultsError) {
-			return
-		}
-		pass.Reportf(ret.Pos(), "success return reachable with unsynced writes: sync before acknowledging (durability contract)")
 	})
+	return rets
+}
+
+// isUnsynced reports whether n may reach a success return with writes
+// unsynced, judging it on first use. A function met again while it is
+// being judged (recursion) counts as not unsynced.
+func (p *program) isUnsynced(n *funcNode) bool {
+	if !n.judged {
+		n.judged = true
+		n.unsynced = n.syncs && len(p.unsyncedReturns(n.pass, n.decl, n.decl.Body)) > 0
+	}
+	return n.unsynced
+}
+
+// effect classifies one call for the dirty bit: a write puts bytes
+// where durable storage has not seen them yet, a sync makes them
+// durable.
+func (p *program) effect(pass *Pass, call *ast.CallExpr) (write, sync bool) {
+	switch {
+	case isFsync(pass, call):
+		return false, true
+	case isWriteEffect(pass, call):
+		return true, false
+	}
+	if c := p.callee(pass, call); c != nil {
+		if p.isUnsynced(c) {
+			return true, false
+		}
+		return false, c.syncs
+	}
+	return false, false
+}
+
+// isFsync reports whether call is (*os.File).Sync, the one sync leaf:
+// the module's sync helpers (fsx.SyncFile, wal.Log.Sync) reach it
+// through the call graph.
+func isFsync(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Sync" && elemTypeName(pass, sel.X) == "os.File"
 }
 
 type dirtyFact int8
@@ -114,21 +154,6 @@ const (
 	dirtyDirty
 )
 
-// hasWriteAndSync gates the analysis on bodies that contain both
-// effect kinds outside nested function literals.
-func hasWriteAndSync(pass *Pass, body *ast.BlockStmt) bool {
-	write, sync := false, false
-	forEachCall(body, func(call *ast.CallExpr) {
-		if isWriteEffect(pass, call) {
-			write = true
-		}
-		if isSyncEffect(pass, call) {
-			sync = true
-		}
-	})
-	return write && sync
-}
-
 // isWriteEffect reports whether call puts bytes somewhere durable
 // storage has not seen yet: *os.File writes, or wal.Log Append/Write.
 func isWriteEffect(pass *Pass, call *ast.CallExpr) bool {
@@ -136,28 +161,19 @@ func isWriteEffect(pass *Pass, call *ast.CallExpr) bool {
 	if !ok || isPackageFunc(pass, sel) {
 		return false
 	}
-	name := sel.Sel.Name
-	tv, ok := pass.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	switch {
-	case typeString(t) == "os.File":
-		switch name {
+	switch recv := elemTypeName(pass, sel.X); {
+	case recv == "os.File":
+		switch sel.Sel.Name {
 		case "Write", "WriteAt", "WriteString", "Truncate":
 			return true
 		}
-	case isWALLog(t):
-		switch name {
+	case pathHasSuffix(recv, "internal/wal.Log"):
+		switch sel.Sel.Name {
 		case "Append", "Write":
 			return true
 		}
-	case typeString(t) == "bufio.Writer":
-		switch name {
+	case recv == "bufio.Writer":
+		switch sel.Sel.Name {
 		case "Write", "WriteString", "WriteByte", "WriteRune", "Flush":
 			// Flush moves bytes to the kernel, not to the platter: it
 			// is still a write effect, never a sync effect.
@@ -165,32 +181,6 @@ func isWriteEffect(pass *Pass, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// isSyncEffect reports whether call makes prior writes durable: any
-// callee whose name starts with "sync" (Sync, SyncFile, SyncDir,
-// syncLocked) — fsync wrappers and package-local sync helpers alike.
-func isSyncEffect(pass *Pass, call *ast.CallExpr) bool {
-	var name string
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	default:
-		return false
-	}
-	return strings.HasPrefix(strings.ToLower(name), "sync")
-}
-
-// isWALLog reports whether t is internal/wal.Log.
-func isWALLog(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Log" && obj.Pkg() != nil && pathHasSuffix(obj.Pkg().Path(), "internal/wal")
 }
 
 // funcReturnsError reports whether the function's last result is an

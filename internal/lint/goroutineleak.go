@@ -15,15 +15,19 @@ import (
 //
 // The check is structural, not a full happens-before proof:
 //
-//   - signal: inside the spawned function (the literal's body, or a
-//     one-level peek into a package-local callee), a WaitGroup.Done,
-//     channel close, or channel send on some object O.
-//   - join: anywhere in the package, a Wait on the same WaitGroup or
-//     a receive/range/select on the same channel object.
+//   - signal: in the spawned function — the literal's body, or the
+//     callee's, and every function either calls outside a go
+//     statement — a WaitGroup.Done, channel close, or channel send on
+//     some object O.
+//   - join: in the spawning package, or in O's own package, a Wait on
+//     the same WaitGroup or a receive/range/select on the same channel
+//     object.
 //
 // Both present → joined. Signal with no consumer, or no signal at
-// all → finding. internal/parallel is exempt (it is the join
-// machinery), as is spawning through a parallel.Pool.
+// all → finding. A callee outside the module, or reached through an
+// interface or a function value, is assumed to own its lifecycle.
+// internal/parallel is exempt (it is the join machinery), as is
+// spawning through a parallel.Pool.
 var GoroutineLeakAnalyzer = &Analyzer{
 	Name: "goroutineleak",
 	Doc:  "every go statement needs a join edge (WaitGroup, channel, or Pool)",
@@ -34,29 +38,22 @@ func runGoroutineLeak(pass *Pass) {
 	if pathHasSuffix(pass.Path, "internal/parallel") {
 		return
 	}
-	decls := packageFuncDecls(pass)
-	consumed := collectJoinWaits(pass)
-
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			body := spawnedBody(pass, g, decls)
-			if body == nil {
-				// Callee outside the package (or dynamic): assume the
-				// callee owns its lifecycle — flagging every
-				// cross-package spawn would drown real findings.
+			signals, known := pass.prog.spawnSignals(pass, g)
+			if !known {
 				return true
 			}
-			signals := joinSignals(pass, body)
 			if len(signals) == 0 {
 				pass.Reportf(g.Pos(), "fire-and-forget goroutine: no join signal (WaitGroup.Done, channel close/send) in the spawned function")
 				return true
 			}
-			for _, obj := range signals {
-				if consumed[obj] {
+			for _, v := range signals {
+				if pass.prog.waited(pass.Types, v) {
 					return true
 				}
 			}
@@ -64,74 +61,6 @@ func runGoroutineLeak(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// packageFuncDecls indexes this package's function declarations by
-// their types.Func object, for the one-level peek.
-func packageFuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-		}
-	}
-	return decls
-}
-
-// spawnedBody resolves the body of the function a go statement runs:
-// the literal itself, or the declaration of a package-local callee.
-func spawnedBody(pass *Pass, g *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl) *ast.BlockStmt {
-	switch fun := g.Call.Fun.(type) {
-	case *ast.FuncLit:
-		return fun.Body
-	case *ast.Ident:
-		if obj, ok := pass.Info.Uses[fun].(*types.Func); ok {
-			if fd := decls[obj]; fd != nil {
-				return fd.Body
-			}
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := pass.Info.Uses[fun.Sel].(*types.Func); ok {
-			if fd := decls[obj]; fd != nil {
-				return fd.Body
-			}
-		}
-	}
-	return nil
-}
-
-// joinSignals collects the WaitGroup/channel objects the spawned body
-// signals on: wg.Done(), close(ch), ch <- v.
-func joinSignals(pass *Pass, body *ast.BlockStmt) []*types.Var {
-	var out []*types.Var
-	seen := make(map[*types.Var]bool)
-	add := func(v *types.Var) {
-		if v != nil && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
-				add(exprVar(pass, n.Args[0]))
-			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && isWaitGroup(pass, sel.X) {
-				add(exprVar(pass, sel.X))
-			}
-		case *ast.SendStmt:
-			add(exprVar(pass, n.Chan))
-		}
-		return true
-	})
-	return out
 }
 
 // collectJoinWaits gathers every object the package waits on:
@@ -147,7 +76,7 @@ func collectJoinWaits(pass *Pass) map[*types.Var]bool {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && isWaitGroup(pass, sel.X) {
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && elemTypeName(pass, sel.X) == "sync.WaitGroup" {
 					add(exprVar(pass, sel.X))
 				}
 			case *ast.UnaryExpr:
@@ -185,17 +114,4 @@ func exprVar(pass *Pass, e ast.Expr) *types.Var {
 		}
 	}
 	return nil
-}
-
-// isWaitGroup reports whether e is a sync.WaitGroup (or pointer).
-func isWaitGroup(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	return typeString(t) == "sync.WaitGroup"
 }

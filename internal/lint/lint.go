@@ -3,9 +3,10 @@
 // plus the analyzers that mechanically enforce the invariants the
 // replayable emulation rests on — no wall clock or global randomness
 // in deterministic packages, no map-iteration order leaking into
-// output, no locks copied by value, no dropped writer errors on
-// persistence paths, and no random source shared across goroutines
-// without a Split. See DESIGN.md §9.
+// output, no dropped writer errors on persistence paths, no random
+// source shared across goroutines without a Split — and the
+// flow-sensitive rules over the module call graph. See DESIGN.md §9
+// and §14.
 //
 // Findings can be suppressed at a specific line with
 //
@@ -13,7 +14,8 @@
 //
 // either trailing the offending line or on the line immediately
 // above it. The reason is mandatory: an inhibition without a written
-// justification is itself reported.
+// justification is itself reported, as is one that suppresses
+// nothing.
 package lint
 
 import (
@@ -52,15 +54,11 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Pass hands one type-checked package to an analyzer.
+// Pass hands one type-checked package to an analyzer. Its Path is
+// the package's import path (or a directory-derived path for fixture
+// packages outside the module's package graph).
 type Pass struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	// Path is the package's import path (or a directory-derived path
-	// for fixture packages outside the module's package graph).
-	Path string
-	Pkg  *types.Package
-	Info *types.Info
+	*Package
 
 	rule string
 	out  *[]Diagnostic
@@ -104,23 +102,43 @@ func AnalyzerNames() []string {
 
 // Check runs the given analyzers over one loaded package, applies
 // //lint:allow suppressions, and returns the surviving diagnostics
-// sorted by position.
+// sorted by position. A directive that suppressed nothing, for a rule
+// that ran, is reported as stale.
 func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	ran := make(map[string]bool)
 	for _, a := range analyzers {
-		pass := &Pass{
-			Fset:  pkg.Fset,
-			Files: pkg.Files,
-			Path:  pkg.Path,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-			rule:  a.Name,
-			out:   &diags,
-		}
-		a.Run(pass)
+		ran[a.Name] = true
+		a.Run(&Pass{Package: pkg, rule: a.Name, out: &diags})
 	}
 	allows, malformed := collectAllows(pkg)
-	diags = append(suppress(diags, allows), malformed...)
+	covered := make(map[allowKey]bool)
+	for _, a := range allows {
+		covered[a.allowKey] = true
+		covered[allowKey{a.file, a.line + 1, a.rule}] = true
+	}
+	hit := make(map[allowKey]bool)
+	kept := malformed
+	for _, d := range diags {
+		key := allowKey{d.File, d.Line, d.Rule}
+		if covered[key] {
+			hit[key] = true
+			continue
+		}
+		kept = append(kept, d)
+	}
+	for _, a := range allows {
+		if ran[a.rule] && !hit[a.allowKey] && !hit[allowKey{a.file, a.line + 1, a.rule}] {
+			kept = append(kept, Diagnostic{
+				Rule: "lint-allow",
+				File: a.file,
+				Line: a.line,
+				Col:  a.col,
+				Msg:  fmt.Sprintf("//lint:allow %s suppresses no finding: delete it", a.rule),
+			})
+		}
+	}
+	diags = kept
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -145,6 +163,12 @@ type allowKey struct {
 	rule string
 }
 
+// allow is one well-formed //lint:allow directive.
+type allow struct {
+	allowKey
+	col int
+}
+
 const allowPrefix = "//lint:allow"
 
 // collectAllows scans every comment in the package for
@@ -154,8 +178,8 @@ const allowPrefix = "//lint:allow"
 // it). Malformed directives — missing rule or missing reason — are
 // returned as diagnostics themselves so an empty justification can
 // never silence a finding.
-func collectAllows(pkg *Package) (map[allowKey]bool, []Diagnostic) {
-	allows := make(map[allowKey]bool)
+func collectAllows(pkg *Package) ([]allow, []Diagnostic) {
+	var allows []allow
 	var malformed []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -165,28 +189,23 @@ func collectAllows(pkg *Package) (map[allowKey]bool, []Diagnostic) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				if rule == "" || reason == "" {
-					malformed = append(malformed, Diagnostic{
-						Rule: "lint-allow",
-						File: pos.Filename,
-						Line: pos.Line,
-						Col:  pos.Column,
-						Msg:  "malformed //lint:allow: need a rule name and a reason",
-					})
+				msg := ""
+				switch {
+				case rule == "" || reason == "":
+					msg = "malformed //lint:allow: need a rule name and a reason"
+				case !knownRule(rule):
+					msg = fmt.Sprintf("//lint:allow names unknown rule %q", rule)
+				default:
+					allows = append(allows, allow{allowKey{pos.Filename, pos.Line, rule}, pos.Column})
 					continue
 				}
-				if !knownRule(rule) {
-					malformed = append(malformed, Diagnostic{
-						Rule: "lint-allow",
-						File: pos.Filename,
-						Line: pos.Line,
-						Col:  pos.Column,
-						Msg:  fmt.Sprintf("//lint:allow names unknown rule %q", rule),
-					})
-					continue
-				}
-				allows[allowKey{pos.Filename, pos.Line, rule}] = true
-				allows[allowKey{pos.Filename, pos.Line + 1, rule}] = true
+				malformed = append(malformed, Diagnostic{
+					Rule: "lint-allow",
+					File: pos.Filename,
+					Line: pos.Line,
+					Col:  pos.Column,
+					Msg:  msg,
+				})
 			}
 		}
 	}
@@ -202,21 +221,6 @@ func knownRule(name string) bool {
 	return false
 }
 
-// suppress drops diagnostics covered by an allow directive.
-func suppress(diags []Diagnostic, allows map[allowKey]bool) []Diagnostic {
-	if len(allows) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if allows[allowKey{d.File, d.Line, d.Rule}] {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
-}
-
 // pathHasSuffix reports whether the import path is exactly suffix or
 // ends with "/"+suffix — the matcher used to scope rules to package
 // families (fixture packages under testdata reproduce the suffix, so
@@ -228,4 +232,18 @@ func pathHasSuffix(path, suffix string) bool {
 // typeString renders t relative to nothing (fully qualified).
 func typeString(t types.Type) string {
 	return types.TypeString(t, nil)
+}
+
+// elemTypeName renders e's type behind at most one pointer, fully
+// qualified ("os.File" for an *os.File), or "" when e has no type.
+func elemTypeName(pass *Pass, e ast.Expr) string {
+	tv, ok := pass.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return ""
+	}
+	t := tv.Type
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return typeString(t)
 }

@@ -10,15 +10,29 @@ import (
 	"testing"
 )
 
+// testLoader is the one loader the fixture loads and loadRepo share,
+// so the standard library and each module package are type-checked
+// once per test binary. Loaded packages are read-only.
+var (
+	loaderOnce sync.Once
+	testLoader *Loader
+	loaderErr  error
+)
+
+func sharedLoader(t *testing.T) *Loader {
+	t.Helper()
+	loaderOnce.Do(func() { testLoader, loaderErr = NewLoader("") })
+	if loaderErr != nil {
+		t.Fatal(loaderErr)
+	}
+	return testLoader
+}
+
 // loadFixture type-checks one fixture package under testdata/src.
 func loadFixture(t *testing.T, rel string) *Package {
 	t.Helper()
-	loader, err := NewLoader("")
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := filepath.Join("internal/lint/testdata/src", rel)
-	pkgs, err := loader.Load(dir)
+	pkgs, err := sharedLoader(t).Load(dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", rel, err)
 	}
@@ -131,7 +145,7 @@ func TestCheckpointFieldsGolden(t *testing.T) {
 // TestSuppression pins the exact surviving diagnostics of the
 // suppress fixture: well-formed directives silence their line,
 // malformed or unknown-rule directives surface themselves and leave
-// the finding alive.
+// the finding alive, and a directive that silences nothing surfaces.
 func TestSuppression(t *testing.T) {
 	pkg := loadFixture(t, "suppress/internal/sim")
 	diags := Check(pkg, []*Analyzer{NondeterminismAnalyzer})
@@ -145,6 +159,7 @@ func TestSuppression(t *testing.T) {
 		"nondeterminism@MissingReason-finding",
 		"lint-allow@UnknownRule-directive",
 		"nondeterminism@UnknownRule-finding",
+		"lint-allow@StaleAllow-directive",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("suppression diagnostics:\n got %v\nwant %v", got, want)
@@ -192,26 +207,20 @@ func TestAllowlistKnownRules(t *testing.T) {
 	}
 }
 
-// repoOnce guards the one type-check of the whole module that the
-// repo-wide tests share; the loaded packages are read-only after it.
+// repoOnce guards the one load of the whole module that the
+// repo-wide tests share.
 var (
 	repoOnce sync.Once
 	repoPkgs []*Package
 	repoErr  error
 )
 
-// loadRepo type-checks ./... from source once per test binary and
-// hands every caller the same packages.
+// loadRepo loads ./... once per test binary and hands every caller
+// the same packages.
 func loadRepo(t *testing.T) []*Package {
 	t.Helper()
-	repoOnce.Do(func() {
-		loader, err := NewLoader("")
-		if err != nil {
-			repoErr = err
-			return
-		}
-		repoPkgs, repoErr = loader.Load("./...")
-	})
+	loader := sharedLoader(t)
+	repoOnce.Do(func() { repoPkgs, repoErr = loader.Load("./...") })
 	if repoErr != nil {
 		t.Fatal(repoErr)
 	}

@@ -1,18 +1,16 @@
 package lint
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -29,24 +27,33 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// prog is the call graph over every package the loader has
+	// type-checked, this one included.
+	prog *program
 }
 
-// Loader parses and type-checks packages with a shared FileSet and a
-// shared source importer, so the (expensive) transitive stdlib
-// type-check is paid once per run, not once per package.
+// Loader parses and type-checks each package exactly once, with one
+// FileSet. It is its own importer for module packages: an import of
+// one loads and type-checks it on demand, so every package sees the
+// same types.Objects and the call graph reaches every module function
+// a loaded package calls. The standard library goes through a shared
+// source importer, so its transitive type-check is paid once per run.
+// Test files are never loaded: tests legitimately reach for wall
+// clocks and dropped errors, and the invariants guard production
+// replay paths.
 type Loader struct {
 	// ModuleRoot is the directory containing go.mod. Patterns are
 	// resolved relative to it.
 	ModuleRoot string
 	// ModulePath is the module's import path from go.mod.
 	ModulePath string
-	// IncludeTests includes _test.go files. Off by default: tests
-	// legitimately reach for wall clocks and dropped errors, and the
-	// invariants guard production replay paths.
-	IncludeTests bool
 
-	fset *token.FileSet
-	imp  types.Importer
+	fset    *token.FileSet
+	std     types.Importer
+	byPath  map[string]*Package // by import path; nil for a directory without Go files
+	loading map[string]bool     // import paths being type-checked
+	order   []*Package          // every loaded package, each after its imports
 }
 
 // NewLoader locates the enclosing module starting from dir (or the
@@ -72,12 +79,32 @@ func NewLoader(dir string) (*Loader, error) {
 		ModuleRoot: root,
 		ModulePath: modPath,
 		fset:       fset,
-		// The "source" compiler importer type-checks dependencies from
-		// source; inside a module it resolves module-local import
-		// paths through the go tool, so vetadr needs no compiled
-		// export data and no dependency beyond the stdlib.
-		imp: importer.ForCompiler(fset, "source", nil),
+		// The "source" compiler importer type-checks the standard
+		// library from source, so vetadr needs no compiled export data
+		// and no dependency beyond the stdlib.
+		std:     importer.ForCompiler(fset, "source", nil),
+		byPath:  make(map[string]*Package),
+		loading: make(map[string]bool),
 	}, nil
+}
+
+// Import makes the Loader the types.Importer of the packages it
+// type-checks: a module import resolves to the loader's own package,
+// loaded on demand; anything else goes to the standard-library
+// importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.ModulePath)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
+	}
+	pkg, err := l.loadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: import %s: no Go files", path)
+	}
+	return pkg.Types, nil
 }
 
 // findModuleRoot walks up from dir to the directory holding go.mod.
@@ -168,137 +195,68 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	prog := newProgram(l.order)
+	for _, pkg := range l.order {
+		pkg.prog = prog
+	}
 	return pkgs, nil
 }
 
-// walkPackageDirs returns every directory under root containing at
-// least one non-test .go file, skipping testdata, vendor, and hidden
-// directories.
+// walkPackageDirs returns every directory under root, skipping
+// testdata, vendor, and hidden or underscore-prefixed directories;
+// loadDir passes over the ones without Go files.
 func walkPackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		name := d.Name()
 		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && isGoSource(e.Name()) {
-				dirs = append(dirs, path)
-				break
-			}
-		}
+		dirs = append(dirs, path)
 		return nil
 	})
 	return dirs, err
 }
 
-func isGoSource(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
-}
-
-// buildTagSatisfied evaluates one //go:build tag against the host
-// platform, the way the loader's single-configuration type-check sees
-// it: GOOS/GOARCH of the running binary, "unix" for unix-like GOOS
-// values, and every go1.N release tag (the toolchain compiling the
-// linter satisfies the module's language version by construction).
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH:
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "aix", "android", "darwin", "dragonfly", "freebsd", "hurd",
-			"illumos", "ios", "linux", "netbsd", "openbsd", "solaris":
-			return true
-		}
-		return false
-	}
-	return strings.HasPrefix(tag, "go1")
-}
-
-// excludedByBuildConstraint reports whether path carries a //go:build
-// line that rules this platform out. Platform-split files (e.g.
-// journeybench's sys_linux.go / sys_other.go pair) otherwise load into
-// one package and collide on their shared declarations. Only the modern
-// //go:build form is honored; unparseable or absent constraints keep
-// the file in, matching the loader's permissive posture.
-func excludedByBuildConstraint(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "package ") {
-			break // constraints must precede the package clause
-		}
-		if !constraint.IsGoBuild(line) {
-			continue
-		}
-		expr, err := constraint.Parse(line)
-		if err != nil {
-			return false
-		}
-		return !expr.Eval(buildTagSatisfied)
-	}
-	return false
-}
-
-// loadDir parses and type-checks the single package in dir. It
-// returns nil (no error) for directories with no matching Go files.
+// loadDir parses and type-checks the single package in dir, once:
+// later calls return the first result. It returns nil (no error) for
+// directories with no matching Go files.
 func (l *Loader) loadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	importPath := l.importPathFor(dir)
+	if pkg, ok := l.byPath[importPath]; ok {
+		return pkg, nil
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !isGoSource(e.Name()) {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		if excludedByBuildConstraint(filepath.Join(dir, e.Name())) {
-			continue
-		}
-		names = append(names, e.Name())
+	if l.loading[importPath] {
+		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
 	}
-	if len(names) == 0 {
+	l.loading[importPath] = true
+	defer delete(l.loading, importPath)
+
+	// go/build picks the files a build on this platform compiles: no
+	// tests, //go:build lines and _GOOS/_GOARCH name suffixes honored,
+	// so platform-split files (journeybench's sys_linux.go and
+	// sys_other.go) do not collide on their shared declarations.
+	bp, err := build.Default.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		l.byPath[importPath] = nil
 		return nil, nil
 	}
-	sort.Strings(names)
-
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
 	var files []*ast.File
-	pkgName := ""
-	for _, name := range names {
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		// A directory can host both "foo" and (black-box) "foo_test"
-		// packages; keep the first (non-test) package's files.
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		}
-		if f.Name.Name == pkgName {
-			files = append(files, f)
-		}
+		files = append(files, f)
 	}
 
-	importPath := l.importPathFor(dir)
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -306,19 +264,22 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", importPath, err)
 	}
-	return &Package{
+	pkg := &Package{
 		Dir:   dir,
 		Path:  importPath,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-	}, nil
+	}
+	l.byPath[importPath] = pkg
+	l.order = append(l.order, pkg)
+	return pkg, nil
 }
 
 // importPathFor derives the import path of dir from the module root.

@@ -3,7 +3,9 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -19,12 +21,13 @@ import (
 //  2. an early return on which the lock is still held and no
 //     deferred Unlock covers it — the classic missed-unlock leak.
 //
-// The analysis is intraprocedural and defer-aware: `defer
+// The lock dataflow is per function and defer-aware: `defer
 // mu.Unlock()` registers an exit-time release on every path after the
 // defer executes. Function literals get their own graphs and do not
-// inherit the enclosing function's held set (a literal handed to
-// another goroutine runs without the spawner's locks; the synchronous
-// -callback case is the accepted blind spot, DESIGN.md §14).
+// inherit the enclosing function's held set. Whether a call blocks
+// comes from the call graph's summaries, so a blocking operation any
+// number of calls deep counts, reported with its call chain; calls
+// through interfaces and function values stay opaque (DESIGN.md §14).
 var LockFlowAnalyzer = &Analyzer{
 	Name: "lockflow",
 	Doc:  "no held mutex spans a blocking call; every path to return releases or defers",
@@ -40,14 +43,7 @@ type lockFact struct {
 }
 
 func (f *lockFact) clone() *lockFact {
-	g := &lockFact{held: make(map[string]bool, len(f.held)), deferred: make(map[string]bool, len(f.deferred))}
-	for k := range f.held {
-		g.held[k] = true
-	}
-	for k := range f.deferred {
-		g.deferred[k] = true
-	}
-	return g
+	return &lockFact{held: maps.Clone(f.held), deferred: maps.Clone(f.deferred)}
 }
 
 func runLockFlow(pass *Pass) {
@@ -62,7 +58,7 @@ func checkLockFlow(pass *Pass, body *ast.BlockStmt) {
 		return
 	}
 	cfg := NewCFG(body, terminatorFor(pass))
-	nonBlockingComm := selectCommsWithDefault(body)
+	nonBlocking := nonBlockingOps(body)
 
 	flow := Flow[*lockFact]{
 		Entry:     &lockFact{held: map[string]bool{}, deferred: map[string]bool{}},
@@ -127,7 +123,7 @@ func checkLockFlow(pass *Pass, body *ast.BlockStmt) {
 			if a == nil {
 				return true
 			}
-			return setsEqual(a.held, b.held) && setsEqual(a.deferred, b.deferred)
+			return maps.Equal(a.held, b.held) && maps.Equal(a.deferred, b.deferred)
 		},
 	}
 	in := Forward(cfg, flow)
@@ -139,14 +135,14 @@ func checkLockFlow(pass *Pass, body *ast.BlockStmt) {
 		// Invariant 1: a blocking operation under any held lock. The
 		// expression of a return statement evaluates with the lock
 		// still held, so returns are checked here too.
-		if why := blockingOp(pass, n, nonBlockingComm); why != "" {
-			for _, key := range sortedKeys(fact.held) {
+		if why := pass.prog.blockingIn(pass, n, nonBlocking); why != "" {
+			for _, key := range slices.Sorted(maps.Keys(fact.held)) {
 				pass.Reportf(n.Pos(), "held %s spans %s: a stall here blocks every other holder", lockName(key), why)
 			}
 		}
 		// Invariant 2: a return on a path with a held, non-deferred lock.
 		if ret, ok := n.(*ast.ReturnStmt); ok {
-			for _, key := range sortedKeys(fact.held) {
+			for _, key := range slices.Sorted(maps.Keys(fact.held)) {
 				if !fact.deferred[key] {
 					pass.Reportf(ret.Pos(), "%s may still be held at this return: unlock before returning or defer the Unlock", lockName(key))
 				}
@@ -214,15 +210,7 @@ func lockOp(pass *Pass, call *ast.CallExpr) (string, lockOpKind) {
 // isSyncLock reports whether e's type is sync.Mutex or sync.RWMutex
 // (possibly behind a pointer).
 func isSyncLock(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	switch typeString(t) {
+	switch elemTypeName(pass, e) {
 	case "sync.Mutex", "sync.RWMutex":
 		return true
 	}
@@ -243,22 +231,8 @@ func exprKey(e ast.Expr) string {
 	case *ast.StarExpr:
 		return exprKey(e.X)
 	default:
-		return "lock@" + itoa(int(e.Pos()))
+		return "lock@" + strconv.Itoa(int(e.Pos()))
 	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }
 
 // lockName renders a lock key for diagnostics.
@@ -267,27 +241,6 @@ func lockName(key string) string {
 		return "read lock " + k
 	}
 	return "lock " + key
-}
-
-func sortedKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func setsEqual(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // forEachCall visits every CallExpr syntactically inside n without
@@ -304,33 +257,6 @@ func forEachCall(n ast.Node, fn func(*ast.CallExpr)) {
 	})
 }
 
-// selectCommsWithDefault collects the comm statements of selects that
-// carry a default clause: those channel operations cannot block.
-func selectCommsWithDefault(body *ast.BlockStmt) map[ast.Node]bool {
-	exempt := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, cc := range sel.Body.List {
-			if cc.(*ast.CommClause).Comm == nil {
-				hasDefault = true
-			}
-		}
-		if hasDefault {
-			for _, cc := range sel.Body.List {
-				if comm := cc.(*ast.CommClause).Comm; comm != nil {
-					exempt[comm] = true
-				}
-			}
-		}
-		return true
-	})
-	return exempt
-}
-
 // osFileBlocking are the *os.File methods that hit the disk.
 var osFileBlocking = map[string]bool{
 	"Read": true, "ReadAt": true, "Write": true, "WriteAt": true,
@@ -343,73 +269,6 @@ var osPkgBlocking = map[string]bool{
 	"ReadFile": true, "WriteFile": true, "Open": true, "Create": true,
 	"OpenFile": true, "ReadDir": true, "Remove": true, "RemoveAll": true,
 	"Rename": true, "Mkdir": true, "MkdirAll": true, "Truncate": true,
-}
-
-// blockingOp classifies a CFG node as a blocking operation, returning
-// a human-readable description ("" = not blocking). nonBlockingComm
-// exempts channel operations inside a select with a default clause.
-func blockingOp(pass *Pass, n ast.Node, nonBlockingComm map[ast.Node]bool) string {
-	if nonBlockingComm[n] {
-		return ""
-	}
-	switch s := n.(type) {
-	case *ast.SendStmt:
-		return "a channel send"
-	case *ast.RangeStmt:
-		if tv, ok := pass.Info.Types[s.X]; ok && tv.Type != nil {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				return "a range over a channel"
-			}
-		}
-		return ""
-	case *ast.UnaryExpr:
-		// A bare receive used as a condition node.
-		if isChanRecv(pass, s) {
-			return "a channel receive"
-		}
-		return ""
-	}
-	var why string
-	forEachCall(n, func(call *ast.CallExpr) {
-		if why != "" {
-			return
-		}
-		why = blockingCall(pass, call)
-	})
-	if why != "" {
-		return why
-	}
-	// Receives buried in assignments/conditions.
-	found := ""
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found != "" {
-			return false
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if nonBlockingComm[m] {
-			return false
-		}
-		if u, ok := m.(*ast.UnaryExpr); ok && isChanRecv(pass, u) {
-			found = "a channel receive"
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func isChanRecv(pass *Pass, u *ast.UnaryExpr) bool {
-	if u.Op.String() != "<-" {
-		return false
-	}
-	tv, ok := pass.Info.Types[u.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
-	return isChan
 }
 
 // blockingCall classifies one call as blocking.
@@ -443,10 +302,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 			return "net." + name + " (network I/O)"
 		case "net/http":
 			return "net/http." + name + " (network I/O)"
-		default:
-			if pathHasSuffix(obj.Imported().Path(), "internal/fsx") {
-				return "fsx." + name + " (fsync I/O)"
-			}
 		}
 		return ""
 	}
@@ -454,32 +309,13 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 	if name == "Sleep" {
 		return "a Sleep call"
 	}
-	tv, ok := pass.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	t := tv.Type
-	if typeString(t) == "net/http.ResponseWriter" {
+	switch recv := elemTypeName(pass, sel.X); {
+	case recv == "net/http.ResponseWriter":
 		return "an HTTP response write"
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	switch {
-	case typeString(t) == "os.File" && osFileBlocking[name]:
+	case recv == "os.File" && osFileBlocking[name]:
 		return "(*os.File)." + name + " (file I/O)"
-	case isParallelPool(t) && poolMethods[name]:
+	case isPoolCall(pass, call):
 		return "parallel.Pool." + name + " (blocks until the workers finish)"
 	}
 	return ""
-}
-
-// isParallelPool reports whether t is internal/parallel.Pool.
-func isParallelPool(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Pool" && obj.Pkg() != nil && pathHasSuffix(obj.Pkg().Path(), "internal/parallel")
 }

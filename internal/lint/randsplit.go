@@ -61,20 +61,7 @@ func isPoolCall(pass *Pass, call *ast.CallExpr) bool {
 	if !ok || !poolMethods[sel.Sel.Name] {
 		return false
 	}
-	tv, ok := pass.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Pool" && obj.Pkg() != nil && pathHasSuffix(obj.Pkg().Path(), "internal/parallel")
+	return pathHasSuffix(elemTypeName(pass, sel.X), "internal/parallel.Pool")
 }
 
 // forEachFuncLit visits every function literal syntactically inside

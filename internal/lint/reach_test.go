@@ -20,16 +20,17 @@ var unreachableAllowlist = map[string]string{
 
 // stdlibInterfaceMethods are the method names through which the
 // standard library calls module types by dynamic dispatch alone
-// (fmt.Stringer, error, errors.Unwrap). Add a name when a module type
-// starts satisfying another standard-library interface that way; a
-// longer list would hide dead methods that happen to share a name.
-var stdlibInterfaceMethods = []string{"String", "Error", "Unwrap"}
+// (fmt.Stringer, error, errors.Unwrap, types.Importer). Add a name when
+// a module type starts satisfying another standard-library interface
+// that way; a longer list would hide dead methods that happen to share
+// a name.
+var stdlibInterfaceMethods = []string{"String", "Error", "Unwrap", "Import"}
 
 // TestNoUnreachableCode walks the module's call graph and fails on
 // every function or method under internal/ that no root reaches. The
-// graph has an edge from each non-test function to every module
-// function its declaration names (calls, method values, function
-// values alike). The roots are:
+// graph is the loader's: an edge runs from each non-test function to
+// every module function its declaration names (calls, method values,
+// function values alike). The roots are:
 //
 //   - main and init functions, and package-level var/const
 //     initializers;
@@ -47,6 +48,7 @@ func TestNoUnreachableCode(t *testing.T) {
 		t.Skip("reachability walk type-checks the entire module from source")
 	}
 	pkgs := loadRepo(t)
+	prog := pkgs[0].prog
 	root, err := findModuleRoot("")
 	if err != nil {
 		t.Fatal(err)
@@ -59,33 +61,13 @@ func TestNoUnreachableCode(t *testing.T) {
 		return obj.Pkg() != nil && (obj.Pkg().Path() == modPath || strings.HasPrefix(obj.Pkg().Path(), modPath+"/"))
 	}
 
-	type decl struct {
-		name   string
-		method bool
-		pos    token.Position
-		pkg    string
-	}
-	decls := map[string]decl{}
-	edges := map[string][]string{}
-	var roots []string
+	var roots []*funcNode
 	ifaceNames := map[string]bool{}
 	for _, name := range stdlibInterfaceMethods {
 		ifaceNames[name] = true
 	}
-	// uses lists the module functions n names.
-	uses := func(pkg *Package, n ast.Node) []string {
-		var out []string
-		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && inModule(fn) {
-					out = append(out, funcKey(fn))
-				}
-			}
-			return true
-		})
-		return out
-	}
 	for _, pkg := range pkgs {
+		pass := &Pass{Package: pkg}
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
@@ -98,24 +80,26 @@ func TestNoUnreachableCode(t *testing.T) {
 				return true
 			})
 			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					key := funcKey(fn)
-					decls[key] = decl{name: d.Name.Name, method: d.Recv != nil, pos: pkg.Fset.Position(d.Pos()), pkg: pkg.Path}
-					edges[key] = append(edges[key], uses(pkg, d)...)
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") {
-						roots = append(roots, key)
-					}
-				case *ast.GenDecl:
-					if d.Tok == token.VAR || d.Tok == token.CONST {
-						roots = append(roots, uses(pkg, d)...)
-					}
+				if d, ok := d.(*ast.GenDecl); ok && (d.Tok == token.VAR || d.Tok == token.CONST) {
+					roots = append(roots, prog.refsIn(pass, d)...)
 				}
 			}
+		}
+	}
+	// The loader's graph also holds the fixture packages other tests
+	// loaded; only the module's own packages count.
+	inRepo := map[*Package]bool{}
+	for _, pkg := range pkgs {
+		inRepo[pkg] = true
+	}
+	for fn, n := range prog.funcs {
+		name := fn.Name()
+		switch {
+		case !inRepo[n.pass.Package]:
+		case n.decl.Recv == nil && (name == "init" || name == "main" && fn.Pkg().Name() == "main"):
+			roots = append(roots, n)
+		case n.decl.Recv != nil && ifaceNames[name]:
+			roots = append(roots, n)
 		}
 	}
 
@@ -132,8 +116,10 @@ func TestNoUnreachableCode(t *testing.T) {
 			seenType[t] = true
 			ms := types.NewMethodSet(types.NewPointer(t))
 			for i := 0; i < ms.Len(); i++ {
-				if m := ms.At(i).Obj(); m.Exported() {
-					roots = append(roots, funcKey(m.(*types.Func)))
+				if m := ms.At(i).Obj().(*types.Func); m.Exported() {
+					if n := prog.funcs[m.Origin()]; n != nil {
+						roots = append(roots, n)
+					}
 					walkType(m.Type())
 				}
 			}
@@ -174,59 +160,53 @@ func TestNoUnreachableCode(t *testing.T) {
 			if !obj.Exported() {
 				continue
 			}
-			if fn, ok := obj.(*types.Func); ok {
-				roots = append(roots, funcKey(fn))
+			if fn, ok := obj.(*types.Func); ok && prog.funcs[fn] != nil {
+				roots = append(roots, prog.funcs[fn])
 			}
 			walkType(obj.Type())
 		}
 	}
 
-	if _, ok := decls[modPath+"/journeybench.main"]; !ok {
+	byName := map[string]*funcNode{}
+	for fn, n := range prog.funcs {
+		byName[fn.FullName()] = n
+	}
+	if byName[modPath+"/journeybench.main"] == nil {
 		t.Fatal("journeybench's main was not loaded; the functions only it calls would read as unreachable")
 	}
-	for key, d := range decls {
-		if d.method && ifaceNames[d.name] {
-			roots = append(roots, key)
-		}
-	}
 
-	reached := map[string]bool{}
+	reached := map[*funcNode]bool{}
 	for len(roots) > 0 {
-		key := roots[len(roots)-1]
+		n := roots[len(roots)-1]
 		roots = roots[:len(roots)-1]
-		if reached[key] {
-			continue
+		if !reached[n] {
+			reached[n] = true
+			roots = append(roots, n.refs...)
 		}
-		reached[key] = true
-		roots = append(roots, edges[key]...)
 	}
 
 	var dead []string
-	for key, d := range decls {
-		if reached[key] || !strings.Contains(d.pkg+"/", "/internal/") {
+	for name, n := range byName {
+		if reached[n] || !inRepo[n.pass.Package] || !strings.Contains(n.pass.Path+"/", "/internal/") {
 			continue
 		}
-		if _, ok := unreachableAllowlist[key]; ok {
+		if _, ok := unreachableAllowlist[name]; ok {
 			continue
 		}
-		file, err := filepath.Rel(root, d.pos.Filename)
+		pos := n.pass.Fset.Position(n.decl.Pos())
+		file, err := filepath.Rel(root, pos.Filename)
 		if err != nil {
-			file = d.pos.Filename
+			file = pos.Filename
 		}
-		dead = append(dead, fmt.Sprintf("%s:%d: %s", file, d.pos.Line, key))
+		dead = append(dead, fmt.Sprintf("%s:%d: %s", file, pos.Line, name))
 	}
 	sort.Strings(dead)
 	for _, line := range dead {
 		t.Errorf("unreachable: %s", line)
 	}
-	for key := range unreachableAllowlist {
-		if _, ok := decls[key]; !ok || reached[key] {
-			t.Errorf("allowlisted %s is gone or reachable; drop it from unreachableAllowlist", key)
+	for name := range unreachableAllowlist {
+		if n := byName[name]; n == nil || reached[n] {
+			t.Errorf("allowlisted %s is gone or reachable; drop it from unreachableAllowlist", name)
 		}
 	}
 }
-
-// funcKey names a function or method by its generic origin, so every
-// package's view of it (the loaded package's own objects, and the
-// importer's copy other packages see) maps to one graph node.
-func funcKey(fn *types.Func) string { return fn.Origin().FullName() }

@@ -6,9 +6,8 @@ import "strings"
 // ok is false when the comment is not an allow directive at all
 // (including "//lint:allowx", which is some other marker, not a
 // sloppy allow). For a directive, rule is the first token after the
-// marker and reason the rest; either may be empty — the caller
-// decides whether an incomplete directive is malformed or merely
-// listed.
+// marker and reason the rest; either may be empty, which makes the
+// directive malformed.
 func parseAllow(text string) (rule, reason string, ok bool) {
 	rest, found := strings.CutPrefix(text, allowPrefix)
 	if !found {
@@ -25,41 +24,4 @@ func parseAllow(text string) (rule, reason string, ok bool) {
 		return "", "", true
 	}
 	return fields[0], strings.Join(fields[1:], " "), true
-}
-
-// Suppression is one //lint:allow directive found in a package,
-// well-formed or not — the audit mode lists and judges them all.
-type Suppression struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Rule   string `json:"rule"`
-	Reason string `json:"reason"`
-	// KnownRule is false when Rule names no registered analyzer — a
-	// stale directive that silences nothing and must not survive.
-	KnownRule bool `json:"known_rule"`
-}
-
-// Suppressions scans every comment in pkg for //lint:allow
-// directives. Results are in file order.
-func Suppressions(pkg *Package) []Suppression {
-	var out []Suppression
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rule, reason, ok := parseAllow(c.Text)
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				out = append(out, Suppression{
-					File:      pos.Filename,
-					Line:      pos.Line,
-					Rule:      rule,
-					Reason:    reason,
-					KnownRule: knownRule(rule),
-				})
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Package wal is the fsyncorder fixture: its path suffix puts it
-// under the durability contract, and every function here contains
-// both write and sync effects so the gate admits it.
+// under the durability contract, and every exported function here
+// contains both write and sync effects so the gate admits it.
 package wal
 
 import (
@@ -72,3 +72,43 @@ func ErrorPathsMayStayDirty(f *os.File, b []byte) error {
 	}
 	return f.Sync()
 }
+
+// SyncMetaIsNoSync fsyncs the directory, writes, and then trusts a
+// helper whose name says sync but whose body never fsyncs: the bytes
+// are not durable at the success return.
+func SyncMetaIsNoSync(dir, f *os.File, b []byte) error {
+	if err := dir.Sync(); err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		return err
+	}
+	if err := syncMeta(f); err != nil {
+		return err
+	}
+	return nil // want "success return reachable with unsynced writes"
+}
+
+func syncMeta(f *os.File) error {
+	if f.Name() == "" {
+		return os.ErrInvalid
+	}
+	return nil
+}
+
+// LandThroughHelper fsyncs the directory, writes, and lands the bytes
+// through a helper that fsyncs: the success return is durable.
+func LandThroughHelper(dir, f *os.File, b []byte) error {
+	if err := dir.Sync(); err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		return err
+	}
+	if err := land(f); err != nil {
+		return err
+	}
+	return nil
+}
+
+func land(f *os.File) error { return f.Sync() }

@@ -1,8 +1,13 @@
 // Package g is the goroutineleak fixture: spawns with and without
-// join edges, through literals, local functions, and methods.
+// join edges, through literals, local functions, methods, and
+// functions of another package.
 package g
 
-import "sync"
+import (
+	"sync"
+
+	"activedr/internal/lint/testdata/src/goroutineleak/worker"
+)
 
 type svc struct {
 	done chan struct{}
@@ -20,7 +25,7 @@ func FireAndForget() {
 }
 
 // SpawnLocalNoSignal spawns a package-local function with no signal
-// in its body (one-level peek).
+// in its body.
 func SpawnLocalNoSignal() {
 	go backgroundScan() // want "fire-and-forget goroutine: no join signal"
 }
@@ -75,4 +80,18 @@ func (s *svc) run() {
 func (s *svc) Stop() {
 	close(s.out)
 	<-s.done
+}
+
+// SpawnOtherPackageNoSignal spawns a function of another package that
+// signals nothing: the call graph sees its body.
+func SpawnOtherPackageNoSignal() {
+	go worker.Scan() // want "fire-and-forget goroutine: no join signal"
+}
+
+// SpawnOtherPackageJoined spawns a method of another package whose
+// close signal that package's own Wait consumes.
+func SpawnOtherPackageJoined() {
+	l := worker.New()
+	go l.Run()
+	l.Wait()
 }

@@ -72,6 +72,33 @@ func (s *server) WorkersUnderLock(pool *parallel.Pool) error {
 	return pool.Workers(func(int) error { return nil }) // want "held lock s.mu spans parallel.Pool.Workers"
 }
 
+// PersistUnderLock holds the mutex across a helper whose helper
+// fsyncs: the blocking call sits two calls below the lock.
+func (s *server) PersistUnderLock(f *os.File) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.persist(f) // want "held lock s.mu spans l.server.persist → l.land → .*os.File.*Sync"
+}
+
+func (s *server) persist(f *os.File) error { return land(f) }
+
+func land(f *os.File) error { return f.Sync() }
+
+// TotalUnderLock holds the mutex across a helper that only computes.
+func (s *server) TotalUnderLock() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.total()
+}
+
+func (s *server) total() int {
+	n := 0
+	for _, v := range s.state {
+		n += v
+	}
+	return n
+}
+
 // CopyThenRespond is the clean shape: snapshot under the lock,
 // release, then do the slow write.
 func (s *server) CopyThenRespond(w http.ResponseWriter) {

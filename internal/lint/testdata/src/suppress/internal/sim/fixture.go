@@ -30,3 +30,10 @@ func UnknownRule() int64 {
 	//lint:allow nosuchrule because reasons
 	return time.Now().UnixNano()
 }
+
+// StaleAllow carries a well-formed directive over a line with no
+// finding: the directive itself surfaces.
+func StaleAllow() int64 {
+	//lint:allow nondeterminism the clock read this excused is gone
+	return 42
+}

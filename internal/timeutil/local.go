@@ -40,8 +40,6 @@ var localLayouts = []string{
 // Location resolves an IANA zone name (e.g. "Europe/Paris"). It is a
 // thin wrapper over the Go runtime's tzdata lookup so callers outside
 // this package never import time directly for zone handling.
-//
-//lint:allow nondeterminism Location is the zone-database edge; lookups are pure given tzdata
 func Location(name string) (*time.Location, error) {
 	loc, err := time.LoadLocation(name)
 	if err != nil {
@@ -83,8 +81,6 @@ func (z *Zone) Parse(s string) (Time, error) {
 // and normalizes it to UTC Unix seconds. Accepted layouts are
 // "2006-01-02 15:04:05", the T-separated variant, minute precision,
 // and a bare date (midnight). A nil loc means UTC.
-//
-//lint:allow nondeterminism ParseLocal is the local-time conversion boundary
 func ParseLocal(s string, loc *time.Location) (Time, error) {
 	if loc == nil {
 		loc = time.UTC

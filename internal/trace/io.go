@@ -43,10 +43,20 @@ func closeAll(closers ...func() error) func() error {
 	}
 }
 
+// The reader's layers are pooled as the writer's are: a 256 KiB read
+// buffer and a flate decompressor cost about 300 KB to allocate, more
+// than a small checkpoint sidecar holds. Reset makes a reused layer
+// read like a new one.
+var (
+	bufReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 256<<10) }}
+	gzReaders  = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
 // openReader opens path, transparently ungzipping *.gz. Gzipped
 // inputs read the file through a large bufio layer so the flate
 // decoder issues few syscalls. The returned closer closes both
-// layers.
+// layers and returns the pooled ones, so the reader must not be used
+// after it.
 func openReader(path string) (io.Reader, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -55,12 +65,16 @@ func openReader(path string) (io.Reader, func() error, error) {
 	if !strings.HasSuffix(path, ".gz") {
 		return f, f.Close, nil
 	}
-	gz, err := gzip.NewReader(bufio.NewReaderSize(f, 256<<10))
-	if err != nil {
+	br := bufReaders.Get().(*bufio.Reader)
+	br.Reset(f)
+	gz := gzReaders.Get().(*gzip.Reader)
+	put := func() error { gzReaders.Put(gz); bufReaders.Put(br); return nil }
+	if err := gz.Reset(br); err != nil {
 		f.Close() //lint:allow unchecked-close the gzip open error wins; nothing was written
+		put()
 		return nil, nil, fmt.Errorf("trace: open %s: %w", path, err)
 	}
-	return gz, closeAll(gz.Close, f.Close), nil
+	return gz, closeAll(gz.Close, f.Close, put), nil
 }
 
 // The writer's layers are pooled: a 1 MiB buffer and a BestSpeed

@@ -7,11 +7,11 @@
 #   1. gofmt over every tracked .go file    (exit 1 listing unformatted files)
 #   2. go vet
 #   3. go build
-#   4. vetadr, all rules, whole tree        (exit 1 on any finding)
-#   5. vetadr -suppressions                 (stale rule / empty reason)
-#   6. README rule catalogue in sync        (scripts/update-rule-catalogue.sh -check)
-#   7. go test -race                        (-quick: go test -short, no race)
-#   8. workload smoke: IN2P3 adapt + fit + 2x upscale replay, scenario
+#   4. vetadr, all rules, whole tree        (exit 1 on any finding,
+#      malformed or stale //lint:allow directives included)
+#   5. README rule catalogue in sync        (scripts/update-rule-catalogue.sh -check)
+#   6. go test -race                        (-quick: go test -short, no race)
+#   7. workload smoke: IN2P3 adapt + fit + 2x upscale replay, scenario
 #      report into out/workload-report.txt
 #
 # Usage:
@@ -46,9 +46,6 @@ go build ./...
 
 step "static analysis (vetadr, all rules)"
 go run ./cmd/vetadr ./...
-
-step "suppression audit (vetadr -suppressions)"
-go run ./cmd/vetadr -suppressions ./...
 
 step "rule catalogue in sync with the analyzer registry"
 "$ROOT/scripts/update-rule-catalogue.sh" -check
