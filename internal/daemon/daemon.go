@@ -189,7 +189,8 @@ type Daemon struct {
 	lastCkpt   int           // Applied() at the last checkpoint
 	recovered  int           // events replayed from the WAL at startup
 	walInfo    wal.RecoveryInfo
-	recovering bool // suppress WAL pruning while Replay iterates
+	recovering bool   // suppress WAL pruning while Replay iterates
+	enc        []byte // the applier's event encoding buffer
 
 	closeOnce sync.Once
 	closeErr  error
@@ -460,7 +461,7 @@ func (d *Daemon) applyBatch(events []Event) error {
 		group := events[:min(len(events), d.cfg.SyncEvery)]
 		events = events[len(group):]
 		for i := range group {
-			payload, err := group[i].Encode(d.users)
+			payload, err := group[i].appendTo(d.enc[:0], d.users)
 			if err != nil {
 				// Nothing appended for this event; the batch aborts
 				// after committing the events before it, so the WAL
@@ -475,6 +476,7 @@ func (d *Daemon) applyBatch(events []Event) error {
 			if err := d.appendLocked(payload); err != nil {
 				return err
 			}
+			d.enc = payload // the WAL copied it; the next event reuses the buffer
 		}
 		//lint:allow lockflow the WAL fsync runs under d.mu until ROADMAP "activedrd: the WAL off the lock" moves it out
 		if err := d.commitLocked(group); err != nil {

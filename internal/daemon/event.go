@@ -14,6 +14,7 @@ package daemon
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
@@ -42,11 +43,17 @@ type Event struct {
 // access-log row (trace.AppendAccessRow) with the op in the create
 // column.
 func (e *Event) Encode(users []trace.User) ([]byte, error) {
+	return e.appendTo(nil, users)
+}
+
+// appendTo appends the event's encoding to b: the daemon's applier
+// encodes every event into one reused buffer this way.
+func (e *Event) appendTo(b []byte, users []trace.User) ([]byte, error) {
 	if int(e.User) >= len(users) {
 		return nil, fmt.Errorf("daemon: event references unknown user id %d", e.User)
 	}
 	name := users[e.User].Name
-	b := make([]byte, 0, len(name)+len(e.Path)+48)
+	b = slices.Grow(b, len(name)+len(e.Path)+48)
 	return trace.AppendAccessRow(b, e.TS, name, int64(e.Op), e.Size, e.Path), nil
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,8 @@ import (
 // maxIngestBody bounds an ingest request: 8 MiB of TSV is ~100k
 // events, far past any sane batch.
 const maxIngestBody = 8 << 20
+
+var errIngestTooLarge = fmt.Errorf("ingest body exceeds %d bytes", maxIngestBody)
 
 // Handler returns the daemon's HTTP API:
 //
@@ -274,14 +277,13 @@ func (d *Daemon) handleVictims(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody+1))
+	body, err := readIngestBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > maxIngestBody {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("ingest body exceeds %d bytes", maxIngestBody))
+		status := http.StatusBadRequest
+		if errors.Is(err, errIngestTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	events, err := ParseFeed(body, d.byName)
@@ -302,4 +304,24 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ingested": len(events)})
+}
+
+// readIngestBody reads an ingest request's body into one buffer. A
+// body that declares its length is read into a buffer of that size
+// (plus the bytes.MinRead a final read needs), one of unknown length
+// grows as io.ReadAll's does; either is refused past maxIngestBody.
+// Nothing keeps the buffer past the request: ParseEvent copies each
+// path out of it.
+func readIngestBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxIngestBody {
+		return nil, errIngestTooLarge
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxIngestBody+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > maxIngestBody {
+		return nil, errIngestTooLarge
+	}
+	return buf.Bytes(), nil
 }

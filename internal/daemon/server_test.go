@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"activedr/internal/faults"
 	"activedr/internal/obs"
+	"activedr/internal/timeutil"
 )
 
 func getJSON(t *testing.T, srv *httptest.Server, path string, status int, out any) {
@@ -265,5 +267,83 @@ func TestPlanDoesNotPerturbReplay(t *testing.T) {
 	got, want := dObs.Registry().Snapshot().Counters, twinObs.Registry().Snapshot().Counters
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("counters of the daemon serving plans diverge from its twin's:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestIngestAllocations bounds what one 256-event ingest allocates,
+// through the HTTP handler and the applier: the body lands in one
+// buffer sized from its Content-Length, and the applier encodes every
+// WAL record into one reused buffer. The one allocation left per event
+// is the path string ParseEvent copies out of the body, and the bytes
+// stay under six times the body's size (5.2 here; reading the body
+// with io.ReadAll and encoding each event into a fresh row took 9.7).
+func TestIngestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds hold without the race detector")
+	}
+	const events, runs = 256, 20
+	d := newDaemon(t, tinyDataset(), baseConfig(t))
+	defer d.Close()
+	h := d.Handler()
+	// Every run ingests accesses to one snapshot file, each a second
+	// after the last: no trigger fires, so no purge or checkpoint runs.
+	reqs := make([]*http.Request, runs+1) // AllocsPerRun warms up once
+	ts := snapAt.Add(timeutil.Hour)
+	bodyLen := 0
+	for r := range reqs {
+		evs := make([]Event, events)
+		for i := range evs {
+			evs[i] = Event{TS: ts, User: 0, Op: OpAccess, Size: 1 << 30, Path: "/lustre/atlas/busy/old/data.dat"}
+			ts++
+		}
+		body := feedLines(t, d, evs)
+		bodyLen = len(body)
+		reqs[r] = httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body))
+	}
+	next := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, reqs[next])
+		next++
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	allocBytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("one %d-event ingest (%d-byte body): %.0f allocations, %.0f bytes", events, bodyLen, allocs, allocBytes)
+	if allocs > events+64 {
+		t.Errorf("one %d-event ingest allocates %.0f times, want at most %d: one path per event and a fixed overhead",
+			events, allocs, events+64)
+	}
+	if allocBytes > 6*float64(bodyLen) {
+		t.Errorf("one %d-event ingest allocates %.0f bytes, want at most 6× its %d-byte body", events, allocBytes, bodyLen)
+	}
+}
+
+// TestIngestRefusesOversizedBody pins the ingest body cap on both read
+// paths: a body whose Content-Length passes maxIngestBody is refused
+// unread, and one sent without a length is refused once the read
+// passes the cap. Both get 413.
+func TestIngestRefusesOversizedBody(t *testing.T) {
+	d := newDaemon(t, tinyDataset(), baseConfig(t))
+	defer d.Close()
+	h := d.Handler()
+	body := strings.Repeat("#\n", maxIngestBody/2+1) // comments only
+	for _, declared := range []bool{true, false} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body))
+		if !declared {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds") {
+			t.Errorf("declared length %t: ingest = %d %s, want 413", declared, rec.Code, rec.Body)
+		}
 	}
 }

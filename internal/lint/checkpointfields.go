@@ -38,7 +38,7 @@ type checkpointCodec struct {
 // row here as part of the PR that introduces them.
 var checkpointCodecs = []checkpointCodec{
 	{"internal/sim", "checkpointState", "saveCheckpoint", "loadCheckpoint"},
-	{"internal/daemon", "Event", "Encode", "ParseEvent"},
+	{"internal/daemon", "Event", "appendTo", "ParseEvent"}, // Encode wraps appendTo
 	{"internal/trace", "SnapshotEntry", "appendSnapshotEntry", "decodeSnapshotEntry"},
 }
 

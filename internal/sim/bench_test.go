@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"activedr/internal/obs"
+	"activedr/internal/synth"
+	"activedr/internal/timeutil"
 )
 
 // The pair below is the observability overhead contract: with no
@@ -58,3 +60,24 @@ func BenchmarkReplayObserved(b *testing.B) {
 		return o
 	})
 }
+
+// BenchmarkBuildColFeed times the columnar feed build alone: the fixed
+// cost a fresh Multiplexer pays before its first event applies.
+//
+//	go test -run '^$' -bench BuildColFeed -benchmem ./internal/sim/
+func BenchmarkBuildColFeed(b *testing.B) {
+	ds, err := synth.Generate(synth.Config{Seed: 9, Users: 400})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchFeed, err = buildColFeed(ds, timeutil.Week); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchFeed keeps BenchmarkBuildColFeed's result live.
+var benchFeed *colFeed

@@ -15,7 +15,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
@@ -81,17 +81,20 @@ func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, erro
 			return nil, fmt.Errorf("sim: access %d: %w", i, err)
 		}
 	}
-	f.order = make([]int32, 0, len(acc))
+	// Batches tile the log in order, so batch [start,end) owns
+	// order[start:end].
+	f.order = make([]int32, len(acc))
 	pids := make(map[string]int32, 1024)
 	var (
 		pidSeen []int32 // batch number a pid last appeared in
 		pidRun  []int32 // its run index within that batch
+		evRun   []int32 // run index of each event of the batch
 		batchNo int32   = -1
 		runs    []colRun
 	)
 	flush := func(start, end int) {
 		batchNo++
-		runs = runs[:0]
+		runs, evRun = runs[:0], evRun[:0]
 		for i := start; i < end; i++ {
 			p := acc[i].Path
 			pid, ok := pids[p]
@@ -107,26 +110,25 @@ func buildColFeed(ds *trace.Dataset, interval timeutil.Duration) (*colFeed, erro
 				pidRun[pid] = int32(len(runs))
 				runs = append(runs, colRun{pid: pid})
 			}
-			runs[pidRun[pid]].n++
+			r := pidRun[pid]
+			runs[r].n++
+			evRun = append(evRun, r)
 		}
-		off := int32(len(f.order))
+		off := int32(start)
 		for r := range runs {
 			runs[r].off = off
 			off += runs[r].n
 			runs[r].n = 0 // reused as the fill cursor below
 		}
-		f.order = append(f.order, make([]int32, int(off)-len(f.order))...)
-		for i := start; i < end; i++ {
-			r := &runs[pidRun[pids[acc[i].Path]]]
-			f.order[r.off+r.n] = int32(i)
-			r.n++
+		for j, r := range evRun {
+			run := &runs[r]
+			f.order[run.off+run.n] = int32(start + j)
+			run.n++
 		}
-		b := colBatch{start: start, end: end, first: acc[start].TS, runs: make([]colRun, len(runs))}
-		copy(b.runs, runs)
-		// Runs apply in path order — deterministic regardless of how the
-		// day's events interleave, and friendly to the shared tree.
-		sort.Slice(b.runs, func(a, c int) bool { return f.paths[b.runs[a].pid] < f.paths[b.runs[c].pid] })
-		f.batches = append(f.batches, b)
+		// Runs stay in order of first appearance in the batch. That
+		// order reaches no output: no trigger fires inside a batch and
+		// runs touch distinct paths, so they commute (DESIGN.md §13).
+		f.batches = append(f.batches, colBatch{start: start, end: end, first: acc[start].TS, runs: slices.Clone(runs)})
 	}
 	// nextGrid tracks the lowest trigger-grid point strictly after every
 	// event seen so far: an event at-or-past it must fire triggers first

@@ -111,27 +111,36 @@ func (m *Multiplexer) feed(interval timeutil.Duration) (*colFeed, error) {
 	return f, nil
 }
 
-// sharedRanker memoizes rank tables per trigger time for all lanes
-// sharing one activity-data signature. Lanes fire triggers in lockstep
-// at the same monotone times, so the first lane's evaluation serves
-// the rest: one cursor walk per (trigger, user) ranks every registered
+// sharedRanker serves rank tables to all lanes sharing one
+// activity-data signature. Lanes fire triggers in lockstep at the
+// same grid times, so the first lane's request at a time serves the
+// rest: one cursor walk per (trigger, user) ranks every registered
 // period length at once, and each lane reads the table for its own
-// period index. groups additionally precomputes each table's per-user
-// classification as a flat byte table, so the per-event hot path costs
-// one indexed load instead of re-classifying a Rank per access.
+// period index. A worker goroutine owns the cursors and computes each
+// table one trigger ahead of the lanes (start), taking ranking off the
+// replay's critical path.
 type sharedRanker struct {
-	cursors *activeness.Cursors
+	cursors *activeness.Cursors // the worker's, once started
 	users   int
 	periods []timeutil.Duration // registered period lengths, deduplicated
-	valid   bool
-	at      timeutil.Time
-	ranks   [][]activeness.Rank // [period index][user]
-	groups  [][]uint8           // [period index][user] → activeness.Group
-	scratch []activeness.Rank
+	cur     *rankTable          // the table lanes read now
+	next    chan *rankTable     // the worker's tables, in time order
+	stop    chan struct{}       // closed to end the worker early
+	done    chan struct{}       // closed when the worker has returned
+}
+
+// rankTable is one evaluation of every registered period. groups holds
+// each rank's classification as a flat byte table, so the per-event
+// hot path costs one indexed load instead of re-classifying a Rank per
+// access.
+type rankTable struct {
+	at     timeutil.Time
+	ranks  [][]activeness.Rank // [period index][user]
+	groups [][]uint8           // [period index][user] → activeness.Group
 }
 
 // period registers a period length and returns its table index. All
-// registrations happen before the first evaluation.
+// registrations happen before start.
 func (r *sharedRanker) period(d timeutil.Duration) int {
 	for i, p := range r.periods {
 		if p == d {
@@ -142,35 +151,77 @@ func (r *sharedRanker) period(d timeutil.Duration) int {
 	return len(r.periods) - 1
 }
 
-// evalAll (re)computes the rank and group tables for every registered
-// period at time at. The tables are allocated once and overwritten in
-// place at each trigger: every consumer re-reads them at or after the
-// trigger that computed them — runState re-fetches through the ranker
-// closure each trigger, per-batch group reads always fetch the current
-// table, and checkpoints persist only the evaluation time (ranks are
-// recomputed on resume) — so no stale reference outlives an overwrite.
+// start launches the worker. It evaluates the tables at t0 and at
+// every trigger-grid point t0+k·interval up to end, in order, and
+// hands each over on next, which it closes after the last. The
+// handover is unbuffered, so the worker runs at most one table ahead
+// of the lanes and at most two tables per ranker are alive: the one
+// lanes read and the one computed ahead. The worker uses the cursors
+// alone, on the same sequence of times a synchronous ranker would, so
+// every table is bit-identical. The caller ends it with halt on every
+// return path.
+func (r *sharedRanker) start(t0, end timeutil.Time, interval timeutil.Duration) {
+	r.next = make(chan *rankTable)
+	r.stop = make(chan struct{})
+	r.done = make(chan struct{})
+	go func() {
+		defer close(r.done)
+		defer close(r.next)
+		for at := t0; at <= end; at = at.Add(interval) {
+			select {
+			case r.next <- r.eval(at):
+			case <-r.stop:
+				return
+			}
+		}
+	}()
+}
+
+// halt stops the worker and waits for it to return.
+func (r *sharedRanker) halt() {
+	close(r.stop)
+	<-r.done
+}
+
+// eval computes the rank and group tables for every registered period
+// at time at.
+func (r *sharedRanker) eval(at timeutil.Time) *rankTable {
+	np := len(r.periods)
+	t := &rankTable{at: at, ranks: make([][]activeness.Rank, np), groups: make([][]uint8, np)}
+	for pi := range t.ranks {
+		t.ranks[pi] = make([]activeness.Rank, r.users)
+		t.groups[pi] = make([]uint8, r.users)
+	}
+	scratch := make([]activeness.Rank, np)
+	for u := 0; u < r.users; u++ {
+		r.cursors.EvaluateUserMulti(trace.UserID(u), at, r.periods, scratch)
+		for pi, rk := range scratch {
+			t.ranks[pi][u] = rk
+			t.groups[pi][u] = uint8(rk.Group())
+		}
+	}
+	return t
+}
+
+// evalAll makes the table for time at current. The first lane to ask
+// for a new time takes the worker's next table; the lanes after it
+// find it current. Lanes ask for the snapshot time and then for each
+// grid point in order (Run fires triggers in lockstep), which is the
+// sequence the worker computes. Every consumer re-reads the table at
+// or after the trigger that made it current — runState re-fetches
+// through the ranker closure each trigger, per-batch group reads
+// always fetch the current table, and checkpoints persist only the
+// evaluation time (ranks are recomputed on resume) — so no stale
+// table is read.
 func (r *sharedRanker) evalAll(at timeutil.Time) {
-	if r.valid && at == r.at {
+	if r.cur != nil && r.cur.at == at {
 		return
 	}
-	np := len(r.periods)
-	if r.ranks == nil {
-		r.scratch = make([]activeness.Rank, np)
-		r.ranks = make([][]activeness.Rank, np)
-		r.groups = make([][]uint8, np)
-		for pi := range r.ranks {
-			r.ranks[pi] = make([]activeness.Rank, r.users)
-			r.groups[pi] = make([]uint8, r.users)
-		}
+	t, ok := <-r.next
+	if !ok || t.at != at {
+		panic(fmt.Sprintf("sim: rank table at %v requested out of trigger order", at))
 	}
-	for u := 0; u < r.users; u++ {
-		r.cursors.EvaluateUserMulti(trace.UserID(u), at, r.periods, r.scratch)
-		for pi, rk := range r.scratch {
-			r.ranks[pi][u] = rk
-			r.groups[pi][u] = uint8(rk.Group())
-		}
-	}
-	r.at, r.valid = at, true
+	r.cur = t
 }
 
 // laneRanker returns the runState ranker closure serving period index
@@ -178,7 +229,7 @@ func (r *sharedRanker) evalAll(at timeutil.Time) {
 func (r *sharedRanker) laneRanker(pi int) func(timeutil.Time) []activeness.Rank {
 	return func(at timeutil.Time) []activeness.Rank {
 		r.evalAll(at)
-		return r.ranks[pi]
+		return r.cur.ranks[pi]
 	}
 }
 
@@ -233,6 +284,34 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		}
 		cfgs[i] = cfg
 	}
+	// Register every lane's period length with the ranker for its data
+	// signature before the rankers start, so each table already covers
+	// all periods any sharing lane will read.
+	rankers := make([]*sharedRanker, len(lanes)) // by lane
+	byKey := make(map[dataKey]*sharedRanker)
+	pis := make([]int, len(lanes))
+	for i := range lanes {
+		k := dataKey{cfgs[i].UseLogins, cfgs[i].UseTransfers}
+		r := byKey[k]
+		if r == nil {
+			r = &sharedRanker{cursors: m.dataEvaluator(cfgs[i]).NewCursors(), users: len(m.ds.Users)}
+			byKey[k] = r
+		}
+		rankers[i], pis[i] = r, r.period(cfgs[i].PeriodLength)
+	}
+	// The rankers work while the feed and the lane group are built; the
+	// replay fires triggers up to its last event.
+	t0 := m.ds.Snapshot.Taken
+	end := t0
+	if n := len(m.ds.Accesses); n > 0 {
+		end = m.ds.Accesses[n-1].TS
+	}
+	for _, r := range rankers {
+		if r.next == nil { // not yet started by an earlier lane
+			r.start(t0, end, cfgs[0].TriggerInterval)
+			defer r.halt()
+		}
+	}
 	feed, err := m.feed(cfgs[0].TriggerInterval)
 	if err != nil {
 		return nil, err
@@ -243,20 +322,6 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// First register every lane's period length with the ranker for its
-	// data signature, so the evaluation at the snapshot time below
-	// already covers all periods any sharing lane will read.
-	rankers := make(map[dataKey]*sharedRanker)
-	pis := make([]int, len(lanes))
-	for i := range lanes {
-		k := dataKey{cfgs[i].UseLogins, cfgs[i].UseTransfers}
-		r := rankers[k]
-		if r == nil {
-			r = &sharedRanker{cursors: m.dataEvaluator(cfgs[i]).NewCursors(), users: len(m.ds.Users)}
-			rankers[k] = r
-		}
-		pis[i] = r.period(cfgs[i].PeriodLength)
-	}
 	ml := make([]*mlane, len(lanes))
 	for i := range lanes {
 		em := &Emulator{ds: m.ds, cfg: cfgs[i], base: m.base, eval: m.dataEvaluator(cfgs[i]), users: len(m.ds.Users)}
@@ -264,7 +329,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
 		}
-		r := rankers[dataKey{cfgs[i].UseLogins, cfgs[i].UseTransfers}]
+		r := rankers[i]
 		st := em.startState(policy.Name(), group.Lane(i), r.laneRanker(pis[i]))
 		s := em.newStream(policy, lanes[i].Opts, st)
 		if s.opts.Obs != nil {
@@ -297,15 +362,28 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	var evs []vfs.RunEvent
 	for bi := range feed.batches {
 		b := &feed.batches[bi]
-		for i, ln := range ml {
-			if err := ln.s.fireTriggers(b.first); err != nil {
-				_ = waitLanes(ml) // the lane's error wins, but no write outlives the run
-				return nil, fmt.Errorf("sim: lane %d: %w", i, err)
+		// Lanes fire due triggers in lockstep, one grid point at a time,
+		// so a gap in the log that makes several triggers due at once
+		// still takes each ranker's tables in time order. All lanes
+		// share the grid, so lane 0's next trigger is every lane's.
+		for {
+			at := min(ml[0].s.st.nextTrigger, b.first)
+			for i, ln := range ml {
+				if err := ln.s.fireTriggers(at); err != nil {
+					_ = waitLanes(ml) // the lane's error wins, but no write outlives the run
+					return nil, fmt.Errorf("sim: lane %d: %w", i, err)
+				}
 			}
+			if at == b.first {
+				break
+			}
+		}
+		for _, ln := range ml {
 			ln.day = ln.s.dayFor(b.first)
 		}
-		// Runs apply in the batch's path order; accounting is pure sums
-		// until the event-ordered miss flush below.
+		// Runs apply in the batch's order of first appearance;
+		// accounting is pure sums until the event-ordered miss flush
+		// below.
 		for ri := range b.runs {
 			run := &b.runs[ri]
 			seg := feed.order[run.off : run.off+run.n]
@@ -317,7 +395,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			miss := group.ApplyRun(run.pid, feed.paths[run.pid], evs)
 			for _, rg := range rGroups {
 				ln0 := ml[rg[0]]
-				gt := ln0.ranker.groups[ln0.pi]
+				gt := ln0.ranker.cur.groups[ln0.pi]
 				for _, idx := range seg {
 					g := groupAt(gt, acc[idx].User)
 					for _, li := range rg {
@@ -340,13 +418,13 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			}
 		}
 		for _, ln := range ml {
-			// Runs apply path-sorted, so batch misses are re-sorted into
-			// event order before recording: the miss event stream (and
-			// its interleaving with trigger events, which only fire at
-			// batch boundaries) matches a sequential replay's exactly.
+			// Batch misses are recorded in event order, whatever order
+			// the runs applied in: the miss event stream (and its
+			// interleaving with trigger events, which only fire at batch
+			// boundaries) matches a sequential replay's exactly.
 			slices.Sort(ln.pendMiss)
 			st, d := ln.s.st, ln.day
-			gt := ln.ranker.groups[ln.pi]
+			gt := ln.ranker.cur.groups[ln.pi]
 			for _, idx := range ln.pendMiss {
 				a := &acc[idx]
 				g := groupAt(gt, a.User)

@@ -3,9 +3,13 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"activedr/internal/faults"
 	"activedr/internal/synth"
@@ -101,21 +105,158 @@ func TestMultiplexedReplayEquivalence(t *testing.T) {
 // TestMultiplexSingleLane covers the one-lane columnar path (a lane
 // group of one still goes through ApplyRun, not Touch/Insert).
 func TestMultiplexSingleLane(t *testing.T) {
-	ds := tinyDataset()
-	cfg := Config{TargetUtilization: 0.5, SnapshotEvery: timeutil.Days(28)}
-	got, err := runMultiplexed(ds, []LaneSpec{{Policy: PolicyActiveDR, Config: cfg}})
+	requireLanesMatchSequential(t, tinyDataset(), []LaneSpec{{Policy: PolicyActiveDR,
+		Config: Config{TargetUtilization: 0.5, SnapshotEvery: timeutil.Days(28)}}})
+}
+
+// requireLanesMatchSequential runs lanes in one multiplexed pass over
+// ds and checks every lane's Result against a sequential RunWith of
+// its spec.
+func requireLanesMatchSequential(t *testing.T, ds *trace.Dataset, lanes []LaneSpec) {
+	t.Helper()
+	got, err := runMultiplexed(ds, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := New(ds, cfg)
+	for i := range lanes {
+		em, err := New(ds, lanes[i].Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := em.RunWith(policyFor(t, em, lanes[i].Policy), lanes[i].Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, want, got[i])
+	}
+}
+
+// withoutAccesses returns ds with the accesses drop reports removed.
+func withoutAccesses(ds *trace.Dataset, drop func(a *trace.Access) bool) *trace.Dataset {
+	kept := make([]trace.Access, 0, len(ds.Accesses))
+	for i := range ds.Accesses {
+		if !drop(&ds.Accesses[i]) {
+			kept = append(kept, ds.Accesses[i])
+		}
+	}
+	ds.Accesses = kept
+	return ds
+}
+
+// TestMultiplexTriggerGap replays a log with a five-week hole, so the
+// batch after it has several triggers due at once. Lanes fire them in
+// lockstep, and the ranker hands out its tables in time order.
+func TestMultiplexTriggerGap(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Seed: 11, Users: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := em.Run(policyFor(t, em, "activedr"))
+	from, to := timeutil.Date(2016, time.March, 1), timeutil.Date(2016, time.April, 5)
+	ds = withoutAccesses(ds, func(a *trace.Access) bool { return a.TS >= from && a.TS < to })
+	// Guard the fixture: count the grid points due at the first batch
+	// after the hole.
+	feed, err := buildColFeed(ds, timeutil.Week)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, want, got[0])
+	due := 0
+	for bi := 1; bi < len(feed.batches); bi++ {
+		if feed.batches[bi].first < to {
+			continue
+		}
+		before, after := feed.batches[bi-1].first, feed.batches[bi].first
+		for g := ds.Snapshot.Taken; g <= after; g = g.Add(timeutil.Week) {
+			if g > before {
+				due++
+			}
+		}
+		break
+	}
+	if due < 4 {
+		t.Fatalf("the batch after the hole has %d triggers due, want at least 4", due)
+	}
+	requireLanesMatchSequential(t, ds, multiplexFixtureLanes())
+}
+
+// TestMultiplexShortLog replays logs that end before the first trigger
+// (one with no events at all): the rankers compute the snapshot-time
+// table alone, and every lane still matches its sequential replay.
+func TestMultiplexShortLog(t *testing.T) {
+	for _, days := range []int{0, 3} {
+		t.Run(fmt.Sprintf("days=%d", days), func(t *testing.T) {
+			ds := tinyDataset()
+			end := ds.Snapshot.Taken.Add(timeutil.Days(days))
+			ds = withoutAccesses(ds, func(a *trace.Access) bool { return a.TS >= end })
+			if (len(ds.Accesses) == 0) != (days == 0) {
+				t.Fatalf("%d accesses left in the first %d days", len(ds.Accesses), days)
+			}
+			requireLanesMatchSequential(t, ds, multiplexFixtureLanes())
+		})
+	}
+}
+
+// TestMultiplexTwoRankers gives the lanes two activity-data signatures
+// (logins on and off), so two rankers, each with its own worker and
+// period set, serve one pass.
+func TestMultiplexTwoRankers(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Seed: 11, Users: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLanesMatchSequential(t, ds, []LaneSpec{
+		{Policy: PolicyActiveDR, Config: Config{TargetUtilization: 0.5, UseLogins: true}},
+		{Policy: PolicyFLT, Config: Config{Lifetime: timeutil.Days(30)}},
+		{Policy: PolicyActiveDR, Config: Config{TargetUtilization: 0.5, PeriodLength: timeutil.Days(30), UseLogins: true}},
+		{Policy: PolicyActiveDR, Config: Config{TargetUtilization: 0.5}},
+	})
+}
+
+// TestMultiplexLaneFailureStopsRankers fails one lane mid-run (its
+// checkpoint dir is a file): Run returns that lane's error, and no
+// ranker goroutine outlives it. Nor does one outlive a lane set
+// refused after the rankers started (an unknown policy).
+func TestMultiplexLaneFailureStopsRankers(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Seed: 11, Users: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = runMultiplexed(ds, []LaneSpec{
+		{Policy: PolicyFLT, Config: Config{Lifetime: timeutil.Days(30)}},
+		{Policy: PolicyActiveDR, Config: Config{TargetUtilization: 0.5, UseLogins: true}, Opts: RunOptions{CheckpointDir: file}},
+		{Policy: PolicyActiveDR, Config: Config{TargetUtilization: 0.5}},
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: lane 1: ") {
+		t.Fatalf("err = %v, want lane 1's checkpoint failure", err)
+	}
+	requireNoRankers(t)
+	_, err = runMultiplexed(ds, []LaneSpec{{Policy: PolicyFLT}, {Policy: "lru", Config: Config{UseLogins: true}}})
+	if err == nil || !strings.Contains(err.Error(), `unknown policy "lru"`) {
+		t.Fatalf("err = %v, want the unknown policy refused", err)
+	}
+	requireNoRankers(t)
+}
+
+// requireNoRankers fails unless every ranker worker has returned. A
+// worker halt has waited for may still be unwinding, so it gets a
+// moment; one blocked for good does not get past the deadline.
+func requireNoRankers(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "(*sharedRanker).start") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a ranker goroutine outlived Run:\n%s", stacks)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestMultiplexDoesNotShareFaultDraws pins satellite independence:
@@ -220,7 +361,10 @@ func TestMultiplexValidation(t *testing.T) {
 // TestColFeedBatchInvariants checks the feed builder's contract on a
 // real synthetic year: batches tile the log in order, no batch
 // interior crosses a day boundary or a trigger-grid point, and each
-// batch's runs partition its events by path.
+// batch's runs partition its events by path: every event is in exactly
+// one run, events ascend within a run, and runs are in order of first
+// appearance. Path ids are dense and in first-appearance order, and
+// the build is deterministic.
 func TestColFeedBatchInvariants(t *testing.T) {
 	ds, err := synth.Generate(synth.Config{Seed: 3, Users: 80})
 	if err != nil {
@@ -230,6 +374,35 @@ func TestColFeedBatchInvariants(t *testing.T) {
 	feed, err := buildColFeed(ds, interval)
 	if err != nil {
 		t.Fatalf("synthetic log should be columnar-feedable: %v", err)
+	}
+	again, err := buildColFeed(ds, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(feed, again) {
+		t.Fatal("two builds of the feed differ")
+	}
+	pidOf := make(map[string]int32, len(feed.paths))
+	for pid, p := range feed.paths {
+		if _, dup := pidOf[p]; dup {
+			t.Fatalf("path %q interned twice", p)
+		}
+		pidOf[p] = int32(pid)
+	}
+	var seen int32 // distinct paths so far, in log order
+	for i := range ds.Accesses {
+		pid, ok := pidOf[ds.Accesses[i].Path]
+		switch {
+		case !ok:
+			t.Fatalf("event %d: path %q not interned", i, ds.Accesses[i].Path)
+		case pid > seen:
+			t.Fatalf("event %d: pid %d appears before pid %d", i, pid, seen)
+		case pid == seen:
+			seen++
+		}
+	}
+	if int(seen) != len(feed.paths) {
+		t.Fatalf("%d pids for %d distinct paths", len(feed.paths), seen)
 	}
 	t0 := ds.Snapshot.Taken
 	next := 0
@@ -249,18 +422,34 @@ func TestColFeedBatchInvariants(t *testing.T) {
 		for grid <= ds.Accesses[b.start].TS {
 			grid = grid.Add(interval)
 		}
-		seen := make(map[int32]bool)
-		var evCount int
-		for _, r := range b.runs {
-			if seen[r.pid] {
+		inRun := make(map[int32]bool)
+		covered := make([]bool, b.end-b.start)
+		firstOfPrev := int32(-1)
+		for ri, r := range b.runs {
+			if inRun[r.pid] {
 				t.Fatalf("batch %d: path %q split across runs", bi, feed.paths[r.pid])
 			}
-			seen[r.pid] = true
-			evCount += int(r.n)
-			for _, idx := range feed.order[r.off : r.off+r.n] {
+			inRun[r.pid] = true
+			seg := feed.order[r.off : r.off+r.n]
+			if len(seg) == 0 {
+				t.Fatalf("batch %d: run %d is empty", bi, ri)
+			}
+			if seg[0] <= firstOfPrev {
+				t.Fatalf("batch %d: run %d (first event %d) precedes run %d's first appearance (event %d)",
+					bi, ri, seg[0], ri-1, firstOfPrev)
+			}
+			firstOfPrev = seg[0]
+			for k, idx := range seg {
 				a := &ds.Accesses[idx]
 				if int(idx) < b.start || int(idx) >= b.end {
 					t.Fatalf("batch %d: event %d outside [%d,%d)", bi, idx, b.start, b.end)
+				}
+				if covered[int(idx)-b.start] {
+					t.Fatalf("batch %d: event %d in two runs", bi, idx)
+				}
+				covered[int(idx)-b.start] = true
+				if k > 0 && idx <= seg[k-1] {
+					t.Fatalf("batch %d: run %d events out of order (%d after %d)", bi, ri, idx, seg[k-1])
 				}
 				if a.Path != feed.paths[r.pid] {
 					t.Fatalf("batch %d: event %d path mismatch", bi, idx)
@@ -273,8 +462,10 @@ func TestColFeedBatchInvariants(t *testing.T) {
 				}
 			}
 		}
-		if evCount != b.end-b.start {
-			t.Fatalf("batch %d runs cover %d events, want %d", bi, evCount, b.end-b.start)
+		for k, ok := range covered {
+			if !ok {
+				t.Fatalf("batch %d: event %d in no run", bi, b.start+k)
+			}
 		}
 	}
 	if next != len(ds.Accesses) {

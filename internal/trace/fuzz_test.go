@@ -99,7 +99,7 @@ func FuzzReaders(f *testing.F) {
 // framingSpec is a trace kind that rejects every data line with the
 // line itself as the reason, so a lenient read's quarantine list is
 // exactly the (line number, line) sequence the pipeline framed.
-var framingSpec = rowSpec[string]{name: "framing", recBytes: 16,
+var framingSpec = rowSpec[string]{name: "framing",
 	parse: func(_ *decoder, line []byte, _ map[string]UserID) (string, error) {
 		return "", errors.New(string(line))
 	}}

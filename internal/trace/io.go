@@ -287,7 +287,7 @@ func ReadPathsFile(path string) ([]string, error) {
 // report and its errors carry path's base name.
 func ReadRows[T any](path string, opts ReadOptions, header func(line []byte) (func(line []byte) (T, error), error)) ([]T, *ParseReport, error) {
 	var row func(line []byte) (T, error)
-	spec := rowSpec[T]{name: filepath.Base(path), recBytes: 64, ordered: true,
+	spec := rowSpec[T]{name: filepath.Base(path), ordered: true,
 		parse: func(_ *decoder, line []byte, _ map[string]UserID) (rec T, err error) {
 			if row != nil {
 				return row(line)

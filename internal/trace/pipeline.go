@@ -32,6 +32,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"sync"
 
 	"activedr/internal/parallel"
@@ -66,7 +67,6 @@ type rowSpec[T any] struct {
 	snapshot    bool   // handle #taken header lines
 	internPaths bool   // deduplicate path strings across rows
 	ordered     bool   // decode on one worker, in file order, so parse may keep state
-	recBytes    int    // rough encoded bytes per record (prealloc hint)
 	parse       func(dc *decoder, line []byte, byName map[string]UserID) (T, error)
 	encode      func(b []byte, rec *T, users []User) []byte // appends one row, no newline
 	number      func(recs []T)                              // optional: numbers the records read, in file order
@@ -109,13 +109,15 @@ type blockResult[T any] struct {
 	events    []rowEvent
 	lines     int // physical lines in the block
 	dataLines int // ParseReport.Lines increments in the block
+	bytes     int // input bytes in the block
 	arena     []byte
 }
 
 // readPipelined runs the three-stage pipeline over r. It returns the
 // decoded records (nil when none, and on error), the last valid
-// #taken timestamp for snapshot specs, and the ParseReport. sizeHint, when positive, is
-// the uncompressed input size used to presize the record slice.
+// #taken timestamp for snapshot specs, and the ParseReport. sizeHint,
+// when positive, is the uncompressed input size used to size the
+// record slice (growRecords).
 func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOptions, sizeHint int, spec rowSpec[T]) ([]T, int64, *ParseReport, error) {
 	ranks := 0
 	if spec.ordered {
@@ -263,9 +265,7 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 	// the report in input order.
 	rep := &ParseReport{File: spec.name}
 	var out []T
-	if sizeHint > 0 {
-		out = make([]T, 0, sizeHint/spec.recBytes+1)
-	}
+	bytesIn := 0 // input bytes of the blocks applied so far
 	var taken int64
 	var abortErr error
 	totalLines := 0
@@ -289,6 +289,8 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 		}
 		rep.Lines = base + res.dataLines
 		totalLines += res.lines
+		bytesIn += res.bytes
+		out = growRecords(out, len(res.recs), bytesIn, sizeHint)
 		out = append(out, res.recs...)
 		select {
 		case recsFree <- res.recs[:0]:
@@ -349,6 +351,23 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 	return out, taken, rep, nil
 }
 
+// growRecords returns out with room for n more records. While the
+// input's size is known, the room is the record count the blocks read
+// so far project over the whole input (their records per byte times
+// sizeHint), plus 1/32 slack, so a load ends with little spare
+// capacity and is never copied to trim it. Past sizeHint, append's own
+// growth takes over.
+func growRecords[T any](out []T, n, bytesIn, sizeHint int) []T {
+	need := len(out) + n
+	if need <= cap(out) || sizeHint <= bytesIn {
+		return out
+	}
+	proj := int(int64(need) * int64(sizeHint) / int64(bytesIn))
+	grown := make([]T, len(out), proj+proj/32+1)
+	copy(grown, out)
+	return grown
+}
+
 // decodeBlock parses one block's lines with the worker's decoder:
 // blanks and comments are skipped without counting, #taken headers
 // (snapshot specs only) become events, data lines either decode into
@@ -358,9 +377,11 @@ func decodeBlock[T any](dc *decoder, pb parseJob, byName map[string]UserID, spec
 	select {
 	case recs = <-recsFree:
 	default:
-		recs = make([]T, 0, len(pb.data)/spec.recBytes+1)
 	}
-	res := blockResult[T]{seq: pb.seq, arena: pb.arena}
+	// A block holds at most one record per line, so its slice never
+	// regrows while it decodes.
+	recs = slices.Grow(recs, bytes.Count(pb.data, []byte{'\n'})+1)
+	res := blockResult[T]{seq: pb.seq, bytes: len(pb.data), arena: pb.arena}
 	data := pb.data
 	for len(data) > 0 {
 		var line []byte
@@ -403,11 +424,9 @@ func decodeBlock[T any](dc *decoder, pb parseJob, byName map[string]UserID, spec
 	return res
 }
 
-// The codec table: one spec per trace kind. recBytes slightly
-// undershoots the real encoded row width so the presized record slice
-// errs toward one over-allocation instead of append regrowth.
+// The codec table: one spec per trace kind.
 var (
-	userSpec = rowSpec[User]{name: UsersFile, recBytes: 16, encode: appendUser,
+	userSpec = rowSpec[User]{name: UsersFile, encode: appendUser,
 		parse: func(dc *decoder, line []byte, _ map[string]UserID) (User, error) {
 			return decodeUser(dc, line)
 		},
@@ -416,15 +435,15 @@ var (
 				users[i].ID = UserID(i)
 			}
 		}}
-	jobSpec    = rowSpec[Job]{name: JobsFile, recBytes: 20, parse: decodeJob, encode: appendJob}
-	accessSpec = rowSpec[Access]{name: AccessesFile, recBytes: 32, internPaths: true,
+	jobSpec    = rowSpec[Job]{name: JobsFile, parse: decodeJob, encode: appendJob}
+	accessSpec = rowSpec[Access]{name: AccessesFile, internPaths: true,
 		parse: decodeAccess, encode: appendAccess}
-	pubSpec      = rowSpec[Publication]{name: PubsFile, recBytes: 24, parse: decodePublication, encode: appendPublication}
-	snapshotSpec = rowSpec[SnapshotEntry]{name: SnapshotFile, recBytes: 40, snapshot: true,
+	pubSpec      = rowSpec[Publication]{name: PubsFile, parse: decodePublication, encode: appendPublication}
+	snapshotSpec = rowSpec[SnapshotEntry]{name: SnapshotFile, snapshot: true,
 		parse: decodeSnapshotEntry, encode: appendSnapshotEntry}
-	loginSpec    = rowSpec[Login]{name: LoginsFile, recBytes: 12, parse: decodeLogin, encode: appendLogin}
-	transferSpec = rowSpec[Transfer]{name: TransfersFile, recBytes: 20, parse: decodeTransfer, encode: appendTransfer}
+	loginSpec    = rowSpec[Login]{name: LoginsFile, parse: decodeLogin, encode: appendLogin}
+	transferSpec = rowSpec[Transfer]{name: TransfersFile, parse: decodeTransfer, encode: appendTransfer}
 	// pathSpec is a one-column list of absolute paths (a delta
 	// checkpoint's deletions).
-	pathSpec = rowSpec[string]{name: "paths", recBytes: 24, parse: decodePath, encode: appendPath}
+	pathSpec = rowSpec[string]{name: "paths", parse: decodePath, encode: appendPath}
 )

@@ -309,6 +309,53 @@ func TestPipelinedClean(t *testing.T) {
 	}
 }
 
+// TestLoadedSlicesFitTheirRecords pins how loads size their record
+// slices: every slice a load returns has at most len/8 spare capacity,
+// so a loaded dataset's heap holds its records, not a guess at their
+// count. Most of bigDataset's files span several pipeline blocks, so
+// their slices are sized from a projection of the blocks read so far.
+func TestLoadedSlicesFitTheirRecords(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteDataset(dir, bigDataset()); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := LoadDatasetWith(dir, ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathsFile := filepath.Join(dir, "paths.tsv.gz")
+	paths := make([]string, len(d.Accesses))
+	for i := range d.Accesses {
+		paths[i] = d.Accesses[i].Path
+	}
+	if err := WritePathsFile(pathsFile, paths); err != nil {
+		t.Fatal(err)
+	}
+	if paths, err = ReadPathsFile(pathsFile); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file          string
+		length, capac int
+	}{
+		{UsersFile, len(d.Users), cap(d.Users)},
+		{JobsFile, len(d.Jobs), cap(d.Jobs)},
+		{AccessesFile, len(d.Accesses), cap(d.Accesses)},
+		{PubsFile, len(d.Publications), cap(d.Publications)},
+		{LoginsFile, len(d.Logins), cap(d.Logins)},
+		{TransfersFile, len(d.Transfers), cap(d.Transfers)},
+		{SnapshotFile, len(d.Snapshot.Entries), cap(d.Snapshot.Entries)},
+		{"paths", len(paths), cap(paths)},
+	} {
+		if c.length == 0 {
+			t.Errorf("%s: loaded no records", c.file)
+		} else if spare := c.capac - c.length; spare > c.length/8 {
+			t.Errorf("%s: %d records in a slice of capacity %d: spare %.2f×len, want at most 1/8",
+				c.file, c.length, c.capac, float64(spare)/float64(c.length))
+		}
+	}
+}
+
 func TestPipelinedMessy(t *testing.T) {
 	dir := t.TempDir()
 	messyDataset(t, dir)
