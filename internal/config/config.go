@@ -22,18 +22,11 @@ func Facilities() []Facility {
 	}
 }
 
-// Paper-wide experiment constants (§4.1.3).
-const (
-	// TargetUtilization is the purge target: usage is brought down to
-	// this fraction of capacity.
-	TargetUtilization = 0.5
-	// RetroPasses and RetroDecay configure the retrospective scans.
-	RetroPasses = 5
-	RetroDecay  = 0.8
-)
-
-// TriggerInterval is the purge trigger cadence (7 days at OLCF).
-var TriggerInterval = timeutil.Days(7)
+// TargetUtilization is the paper's purge target (§4.1.3): usage is
+// brought down to this fraction of capacity. The replay defaults
+// (trigger cadence, retrospective passes and decay) live in
+// sim.Config.Defaults and retention.Config.Defaults.
+const TargetUtilization = 0.5
 
 // PeriodLengths are the lifetime/period sweep of Figures 5 and 9–11.
 var PeriodLengths = []timeutil.Duration{

@@ -29,13 +29,10 @@ func TestFacilityPresets(t *testing.T) {
 }
 
 func TestSweepConstants(t *testing.T) {
-	if TargetUtilization != 0.5 || RetroPasses != 5 || RetroDecay != 0.8 {
+	if TargetUtilization != 0.5 {
 		t.Fatal("paper constants drifted")
 	}
 	if len(PeriodLengths) != 4 || PeriodLengths[0] != timeutil.Days(7) || PeriodLengths[3] != timeutil.Days(90) {
 		t.Fatalf("period sweep = %v", PeriodLengths)
-	}
-	if TriggerInterval != timeutil.Days(7) {
-		t.Fatal("trigger interval drifted")
 	}
 }

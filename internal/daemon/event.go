@@ -79,9 +79,10 @@ func ParseEvent(line []byte, byName map[string]trace.UserID) (Event, error) {
 }
 
 // ParseFeed decodes a batch of newline-separated events, skipping
-// blank lines and # comments (the access log's conventions).
+// blank lines and # comments (the access log's conventions). The
+// event slice is sized once, from the body's line count.
 func ParseFeed(body []byte, byName map[string]trace.UserID) ([]Event, error) {
-	var evs []Event
+	evs := make([]Event, 0, bytes.Count(body, []byte{'\n'})+1)
 	for n := 1; len(body) > 0; n++ {
 		line := body
 		if j := bytes.IndexByte(body, '\n'); j >= 0 {

@@ -127,3 +127,35 @@ func TestMalformedAccessRowsRejectedEverywhere(t *testing.T) {
 		})
 	}
 }
+
+// TestParseFeedAllocations bounds what decoding a feed allocates: the
+// event slice, sized once from the body's line count, and the path
+// string each event copies out of the body.
+func TestParseFeedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds hold without the race detector")
+	}
+	const lines = 256
+	users := tinyDataset().Users
+	var body []byte
+	for i := 0; i < lines; i++ {
+		ev := Event{TS: timeutil.Time(i), User: 0, Op: OpAccess, Size: 1, Path: "/lustre/atlas/busy/old/data.dat"}
+		row, err := ev.Encode(users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(append(body, row...), '\n')
+	}
+	byName := trace.NameIndex(users)
+	allocs := testing.AllocsPerRun(20, func() {
+		evs, err := ParseFeed(body, byName)
+		if err != nil || len(evs) != lines {
+			t.Fatalf("ParseFeed = %d events, %v; want %d", len(evs), err, lines)
+		}
+	})
+	t.Logf("ParseFeed of a %d-line body: %.0f allocations", lines, allocs)
+	if allocs > lines+1 {
+		t.Errorf("ParseFeed of a %d-line body allocates %.0f times, want at most %d: one slice and one path per event",
+			lines, allocs, lines+1)
+	}
+}

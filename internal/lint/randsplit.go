@@ -22,7 +22,7 @@ var RandSplitAnalyzer = &Analyzer{
 // poolMethods are the parallel.Pool entry points that run their
 // function arguments on other goroutines.
 var poolMethods = map[string]bool{
-	"RunShards": true, "TimedShards": true, "Workers": true, "Run": true,
+	"RunShards": true, "TimedShards": true, "Run": true,
 }
 
 func runRandSplit(pass *Pass) {

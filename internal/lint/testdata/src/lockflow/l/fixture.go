@@ -64,12 +64,12 @@ func (s *server) FileIOUnderLock(f *os.File) error {
 	return f.Sync() // want "held lock s.mu spans .*os.File.*Sync"
 }
 
-// WorkersUnderLock drains a pipeline stage with the mutex held: every
-// other holder waits for the slowest worker.
-func (s *server) WorkersUnderLock(pool *parallel.Pool) error {
+// RunUnderLock runs a pool's tasks with the mutex held: every other
+// holder waits for the slowest task.
+func (s *server) RunUnderLock(pool *parallel.Pool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return pool.Workers(func(int) error { return nil }) // want "held lock s.mu spans parallel.Pool.Workers"
+	return pool.Run(nil) // want "held lock s.mu spans parallel.Pool.Run"
 }
 
 // PersistUnderLock holds the mutex across a helper whose helper

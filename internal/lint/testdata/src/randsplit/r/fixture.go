@@ -55,15 +55,6 @@ func PoolTasks(pool *parallel.Pool) error {
 	})
 }
 
-// PoolWorkers leaks one source into every worker of a pipeline stage.
-func PoolWorkers(pool *parallel.Pool) error {
-	src := randx.New(1)
-	return pool.Workers(func(rank int) error {
-		_ = src.Uint64() // want "parallel.Pool callback captures shared \*randx.Source \"src\""
-		return nil
-	})
-}
-
 // PoolSplit seeds each rank with an independent child.
 func PoolSplit(pool *parallel.Pool, n int) error {
 	src := randx.New(1)

@@ -30,11 +30,8 @@ func NewPool(ranks int) *Pool {
 	return &Pool{ranks: ranks}
 }
 
-// Ranks returns the pool width.
-func (p *Pool) Ranks() int { return p.ranks }
-
-// Shards splits n items into at most Ranks() contiguous [lo, hi)
-// ranges of near-equal size.
+// Shards splits n items into at most the pool's rank count of
+// contiguous [lo, hi) ranges of near-equal size.
 func (p *Pool) Shards(n int) [][2]int {
 	if n <= 0 {
 		return nil
@@ -137,19 +134,6 @@ func (p *Pool) TimedShards(n int, fn func(rank, lo, hi int)) ([]RankTiming, erro
 		return nil
 	})
 	return timings, err
-}
-
-// Workers runs fn once per rank concurrently — the shape of a
-// worker-pool stage draining a shared channel, as the trace ingestion
-// pipeline does — and blocks until every rank returns, joining errors
-// and recovered panics.
-func (p *Pool) Workers(fn func(rank int) error) error {
-	tasks := make([]func() error, p.ranks)
-	for r := range tasks {
-		r := r
-		tasks[r] = func() error { return fn(r) }
-	}
-	return p.Run(tasks)
 }
 
 // Run executes the tasks across the pool, collecting every error

@@ -47,10 +47,10 @@ func TestShardsCoverExactly(t *testing.T) {
 }
 
 func TestNewPoolDefaults(t *testing.T) {
-	if NewPool(0).Ranks() <= 0 {
+	if NewPool(0).ranks <= 0 {
 		t.Fatal("default pool has no ranks")
 	}
-	if NewPool(7).Ranks() != 7 {
+	if NewPool(7).ranks != 7 {
 		t.Fatal("explicit rank count ignored")
 	}
 }

@@ -108,7 +108,7 @@ func TestStressSharedAccumulators(t *testing.T) {
 
 	for round := 0; round < 5; round++ {
 		var sum atomic.Int64
-		perRank := make([]int64, pool.Ranks())
+		perRank := make([]int64, pool.ranks)
 		timings, err := pool.TimedShards(n, func(rank, lo, hi int) {
 			local := int64(0)
 			for i := lo; i < hi; i++ {

@@ -1,11 +1,11 @@
 package trace
 
-// Zero-allocation TSV row decoding. The pipelined readers (pipeline.go)
-// tokenize raw line bytes with a hand-rolled tab splitter and parse
+// Zero-allocation TSV row decoding. The pipelined reader (pipeline.go)
+// tokenizes raw line bytes with a hand-rolled tab splitter and parses
 // integers straight from byte slices, materializing strings only for
 // the fields a record retains (names, paths, archetypes) — repeated
-// values are deduplicated through an intern table, the same trick
-// internal/vfs plays with its canonical path strings. FuzzSplitTabs
+// values are deduplicated through a per-file intern table, the same
+// trick internal/vfs plays with its canonical path strings. FuzzSplitTabs
 // and FuzzParseIntBytes hold the tokenizer and the int parser to their
 // strings.Split/strconv.ParseInt oracles; TestMalformedLineReasons
 // pins each row parser's field arity checks, check order and error
@@ -123,9 +123,10 @@ func (t strIntern) get(b []byte) string {
 	return s
 }
 
-// decoder is one parser worker's scratch state: the reusable field
-// slice and the intern tables. Each worker owns one, so no locks are
-// needed on the hot path.
+// decoder is one file's decode state: the reusable field slice and
+// the intern tables. Each file's read owns one, so a path repeated
+// anywhere in the file shares one string, and no locks are needed on
+// the hot path.
 type decoder struct {
 	fields [][]byte
 	paths  strIntern // access/snapshot paths

@@ -283,11 +283,12 @@ func ReadPathsFile(path string) ([]string, error) {
 // through the trace readers' framing, quarantine and truncation rules,
 // for a format whose first data line is a header. header turns that
 // line into the decoder of every row after it, or fails the read, in
-// lenient mode too. Rows decode on one worker, in file order. The
-// report and its errors carry path's base name.
+// lenient mode too. Rows decode in file order, on one decoder, so the
+// row decoder that header returns may keep state. The report and its
+// errors carry path's base name.
 func ReadRows[T any](path string, opts ReadOptions, header func(line []byte) (func(line []byte) (T, error), error)) ([]T, *ParseReport, error) {
 	var row func(line []byte) (T, error)
-	spec := rowSpec[T]{name: filepath.Base(path), ordered: true,
+	spec := rowSpec[T]{name: filepath.Base(path),
 		parse: func(_ *decoder, line []byte, _ map[string]UserID) (rec T, err error) {
 			if row != nil {
 				return row(line)
@@ -358,11 +359,11 @@ func WriteSnapshotSeries(dir string, users []User, snaps []*Snapshot) error {
 }
 
 // LoadSnapshotSeriesWith reads every snapshot-*.tsv.gz under dir
-// under the given strictness, decoding one worker per file. The
-// snapshots are ordered by capture time —
-// Snapshot.Taken is the contract, not the file names — with glob
-// order breaking ties, so the result is deterministic under parallel
-// decode. The per-file reports (named by base file name, glob order)
+// under the given strictness, the files side by side with one decoder
+// each. The snapshots are ordered by capture time — Snapshot.Taken is
+// the contract, not the file names — with glob order breaking ties, so
+// the result is deterministic under concurrent loads. The per-file
+// reports (named by base file name, glob order)
 // run through the same lenient/truncation close handling as
 // LoadDatasetWith: a cut-short gzip member surfaces as
 // ParseReport.Truncated in lenient mode and as an error otherwise,

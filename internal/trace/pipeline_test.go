@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"activedr/internal/timeutil"
 )
@@ -353,6 +355,44 @@ func TestLoadedSlicesFitTheirRecords(t *testing.T) {
 			t.Errorf("%s: %d records in a slice of capacity %d: spare %.2f×len, want at most 1/8",
 				c.file, c.length, c.capac, float64(spare)/float64(c.length))
 		}
+	}
+}
+
+// TestPathsInternedPerFile pins per-file interning: in an access log
+// that spans many pipeline blocks, every row holding a path shares that
+// path's one string, wherever the blocks fall. It runs at GOMAXPROCS 2,
+// where decoders that each interned their own blocks would hold a path
+// once per decoder.
+func TestPathsInternedPerFile(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	users := []User{{ID: 0, Name: "u000"}}
+	var accs []Access
+	for i := 0; i < 60000; i++ { // 14,000 paths, each 4 or 5 times, 14,000 rows apart
+		accs = append(accs, Access{TS: timeutil.Time(i), Size: 1,
+			Path: fmt.Sprintf("/lustre/atlas/u000/proj%d/out-%04d.h5", i%7, i%2000)})
+	}
+	path := filepath.Join(t.TempDir(), AccessesFile)
+	if err := writeFile(path, func(w io.Writer) error { return WriteAccesses(w, users, accs) }); err != nil {
+		t.Fatal(err)
+	}
+	if size := uncompressedSizeHint(path); size < 4*pipeBlockSize {
+		t.Fatalf("access log holds %d bytes, want at least 4 blocks", size)
+	}
+	got, _, _, err := loadFile(path, NameIndex(users), ReadOptions{}, accessSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(accs) {
+		t.Fatalf("loaded %d accesses, want %d", len(got), len(accs))
+	}
+	paths := map[string]bool{}
+	backings := map[*byte]bool{}
+	for i := range got {
+		paths[got[i].Path] = true
+		backings[unsafe.StringData(got[i].Path)] = true
+	}
+	if len(backings) != len(paths) {
+		t.Fatalf("%d distinct paths held in %d string backings, want one each", len(paths), len(backings))
 	}
 }
 
@@ -697,7 +737,7 @@ func TestFanOutErrorPriority(t *testing.T) {
 // deflate streams back to back (the standard output of `cat a.gz b.gz`
 // or a rotated-and-joined log); Go's gzip.Reader splices them into one
 // logical stream by default. Line numbers in ParseReports must be
-// absolute positions in that logical stream: an assembler or scanner
+// absolute positions in that logical stream: a decoder or scanner
 // that restarted its count at a member boundary would report
 // relative-to-member numbers, and every other fixture is a single
 // member.
