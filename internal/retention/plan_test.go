@@ -20,10 +20,11 @@ func stripElapsed(r *Report) Report {
 // namespaces (atime ties, tombstones, a re-owned path, a reserved
 // subtree), Plan's report equals a real Purge of a Clone with victims
 // collected, for FLT and ActiveDR with
-// a target and retro passes in both scan orders. Plans leave the
-// source's snapshot unchanged, and a real purge of the source after
-// the plans, whose views compacted its index, equals one of a clone
-// taken before them.
+// a target and retro passes in both scan orders. A plan on a one-lane
+// view of the same namespace, a stream's, reports the same. Plans
+// leave their sources' snapshots unchanged, and a real purge of the
+// source after the plans, whose views compacted its index, equals one
+// of a clone taken before them.
 func TestPlanMatchesPurgeOfClone(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
@@ -59,6 +60,11 @@ func TestPlanMatchesPurgeOfClone(t *testing.T) {
 
 		before := base.Snapshot(tc)
 		pristine := base.Clone()
+		group, err := vfs.NewLaneGroup(base, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane := group.Lane(0)
 		for i, mk := range policies {
 			got := stripElapsed(Plan(mk(false), base, ranks, tc))
 			want := stripElapsed(mk(true).Purge(base.Clone(), ranks, tc))
@@ -66,12 +72,19 @@ func TestPlanMatchesPurgeOfClone(t *testing.T) {
 				t.Fatalf("seed %d policy %d: plan diverges from a purge of a clone\n got %+v\nwant %+v",
 					seed, i, got, want)
 			}
+			if onLane := stripElapsed(Plan(mk(false), lane, ranks, tc)); !reflect.DeepEqual(onLane, got) {
+				t.Fatalf("seed %d policy %d: plan on a one-lane view diverges\n got %+v\nwant %+v",
+					seed, i, onLane, got)
+			}
 			retro += got.RetroPasses
 			exempt += int(got.SkippedExempt)
 			purged += int(got.PurgedFiles)
 		}
 		if after := base.Snapshot(tc); !reflect.DeepEqual(after.Entries, before.Entries) {
 			t.Fatalf("seed %d: plans changed the source: %d files, want %d", seed, len(after.Entries), len(before.Entries))
+		}
+		if after := lane.Snapshot(tc); !reflect.DeepEqual(after.Entries, before.Entries) {
+			t.Fatalf("seed %d: plans changed the one-lane view: %d files, want %d", seed, len(after.Entries), len(before.Entries))
 		}
 		mk := policies[rng.Intn(len(policies))]
 		real := mk(true).Purge(base, ranks, tc)

@@ -603,7 +603,8 @@ phaseLoop:
 // (vfs.FS.DryRun) and returns the purge report with the victim list
 // populated — a dry run: the purge hides its victims from the view,
 // and the input file system's contents and totals are left untouched.
-// fsys must be a private FS, not a lane view. Like a purge, the plan
+// fsys must be a private FS or a one-lane view (a stream's
+// namespace); a multi-lane view panics. Like a purge, the plan
 // compacts fsys's candidate index, so it needs the same exclusive
 // access to fsys as any other query. The policy's own
 // CollectVictims knob is not required; Plan forces collection via the

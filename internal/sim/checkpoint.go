@@ -215,7 +215,7 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 		At:            int64(at),
 		Cursor:        st.cursor,
 		NextTrigger:   int64(st.nextTrigger),
-		RanksAt:       int64(st.ranksAt),
+		RanksAt:       int64(st.ranking.cur.at),
 		Captured:      st.captured,
 		LastSnap:      int64(st.lastSnap),
 		Triggers:      st.triggers,
@@ -642,16 +642,17 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// cs.Ckpts is 0 for v2 checkpoints, which don't carry the cadence
 	// counter; that makes the resumed run's next checkpoint full,
 	// which is always safe.
+	group := vfs.AdoptLaneGroup(tree, 1, 0)
 	st := &runState{
-		fsys:        tree,
+		group:       group,
+		fsys:        group.Lane(0),
 		res:         res,
 		cursor:      cs.Cursor,
 		nextTrigger: timeutil.Time(cs.NextTrigger),
-		ranksAt:     timeutil.Time(cs.RanksAt),
 		captured:    cs.Captured,
 		lastSnap:    timeutil.Time(cs.LastSnap),
 		triggers:    cs.Triggers,
-		ranker:      e.soloRanker(),
+		ranking:     e.newRanker(),
 		// Deltas written after this resume base on the checkpoint we
 		// just loaded, with the sidecars it already accounts for.
 		ckpts:         cs.Ckpts,
@@ -663,8 +664,8 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// The rank table is not serialized: it is a pure function of the
 	// (identically rebuilt) activeness evaluator and the evaluation
 	// time recorded in the checkpoint. The fresh cursors fast-forward
-	// to ranksAt here and advance with the resumed triggers.
-	st.ranks = st.ranker(st.ranksAt)
+	// to RanksAt here and advance with the resumed triggers.
+	st.ranking.evalAll(timeutil.Time(cs.RanksAt))
 	return st, nil
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
+	"activedr/internal/vfs"
 )
 
 // latestState parses the newest checkpoint's state.json.
@@ -377,6 +378,71 @@ func TestDeltaPruneProtectsBaseChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := em2.Resume(policyFor(t, em2, "activedr"), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, got)
+}
+
+// TestSplitPointPathsResume replays a touch and a create of paths that
+// are split points of the namespace: tree nodes kept over files the
+// snapshot holds, holding no file themselves. The touch must miss, the
+// create must add a file to its owner's account, and a delta
+// checkpoint taken after them must resume to the uninterrupted run.
+func TestSplitPointPathsResume(t *testing.T) {
+	ds := tinyDataset()
+	for _, p := range []string{"/lustre/atlas/gone/keep/x1.dat", "/lustre/atlas/gone/keep/x2.dat"} {
+		ds.Snapshot.Entries = append(ds.Snapshot.Entries,
+			trace.SnapshotEntry{Path: p, User: 1, Size: 1 << 20, Stripes: 1, ATime: snapAt})
+	}
+	touchAt := snapAt.Add(timeutil.Days(3))
+	ds.Accesses = append(ds.Accesses,
+		trace.Access{TS: touchAt, User: 1, Size: 1 << 20, Path: "/lustre/atlas/gone/park"},
+		trace.Access{TS: touchAt.Add(timeutil.Day), User: 0, Size: 1 << 20, Create: true, Path: "/lustre/atlas/gone/keep/x"})
+	ds.SortAccesses()
+	cfg := Config{TargetUtilization: 0.5}
+	opts := func(dir string) RunOptions {
+		return RunOptions{CheckpointDir: dir, CheckpointEvery: 1, CheckpointFullEvery: 3}
+	}
+
+	em, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := em.RunWith(policyFor(t, em, "activedr"), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range want.Days {
+		if d.Day == touchAt.StartOfDay() && (d.Accesses != 1 || d.Misses != 1) {
+			t.Fatalf("day of the split-point touch: %d accesses, %d misses, want 1 each", d.Accesses, d.Misses)
+		}
+	}
+	files, sizes := map[trace.UserID]int64{}, map[trace.UserID]int64{}
+	want.Final.Walk(func(_ string, m vfs.FileMeta) bool {
+		files[m.User]++
+		sizes[m.User] += m.Size
+		return true
+	})
+	for _, u := range ds.Users {
+		if f, b := want.Final.UserFiles(u.ID), want.Final.UserBytes(u.ID); f != files[u.ID] || b != sizes[u.ID] {
+			t.Errorf("user %d accounts (%d files, %d bytes), the final namespace holds (%d, %d)",
+				u.ID, f, b, files[u.ID], sizes[u.ID])
+		}
+	}
+
+	// The first trigger fires after both accesses; checkpoint 2 is a
+	// delta over it.
+	dir := t.TempDir()
+	stopOpts := opts(dir)
+	stopOpts.StopAfterTriggers = 2
+	if _, err := em.RunWith(policyFor(t, em, "activedr"), stopOpts); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	if _, cs := latestState(t, dir); cs.Kind != kindDelta {
+		t.Fatalf("checkpoint kind = %q, want %q", cs.Kind, kindDelta)
+	}
+	got, err := em.Resume(policyFor(t, em, "activedr"), opts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,11 +116,12 @@ func (m *Multiplexer) feed(interval timeutil.Duration) (*colFeed, error) {
 // same grid times, so the first lane's request at a time serves the
 // rest: one cursor walk per (trigger, user) ranks every registered
 // period length at once, and each lane reads the table for its own
-// period index. A worker goroutine owns the cursors and computes each
-// table one trigger ahead of the lanes (start), taking ranking off the
-// replay's critical path.
+// period index. In a multiplexed pass a worker goroutine owns the
+// cursors and computes each table one trigger ahead of the lanes
+// (start), taking ranking off the replay's critical path; a stream's
+// one-period ranker has no worker (Emulator.newRanker).
 type sharedRanker struct {
-	cursors *activeness.Cursors // the worker's, once started
+	cursors *activeness.Cursors // the worker's once started, else evalAll's
 	users   int
 	periods []timeutil.Duration // registered period lengths, deduplicated
 	cur     *rankTable          // the table lanes read now
@@ -203,18 +204,22 @@ func (r *sharedRanker) eval(at timeutil.Time) *rankTable {
 	return t
 }
 
-// evalAll makes the table for time at current. The first lane to ask
-// for a new time takes the worker's next table; the lanes after it
-// find it current. Lanes ask for the snapshot time and then for each
-// grid point in order (Run fires triggers in lockstep), which is the
-// sequence the worker computes. Every consumer re-reads the table at
-// or after the trigger that made it current — runState re-fetches
-// through the ranker closure each trigger, per-batch group reads
-// always fetch the current table, and checkpoints persist only the
-// evaluation time (ranks are recomputed on resume) — so no stale
-// table is read.
+// evalAll makes the table for time at current. Without a worker it
+// computes the table itself: a stream's live feed has no last trigger
+// to run ahead to. With one, the first lane to ask for a new time
+// takes the worker's next table; the lanes after it find it current.
+// Lanes ask for the snapshot time and then for each grid point in
+// order (Run fires triggers in lockstep), which is the sequence the
+// worker computes. Every consumer reads the table current at or after
+// the trigger that made it so — a trigger's purge, each event's group,
+// a checkpoint's RanksAt (ranks are recomputed on resume) — so no
+// stale table is read.
 func (r *sharedRanker) evalAll(at timeutil.Time) {
 	if r.cur != nil && r.cur.at == at {
+		return
+	}
+	if r.next == nil {
+		r.cur = r.eval(at)
 		return
 	}
 	t, ok := <-r.next
@@ -224,19 +229,9 @@ func (r *sharedRanker) evalAll(at timeutil.Time) {
 	r.cur = t
 }
 
-// laneRanker returns the runState ranker closure serving period index
-// pi off the shared tables.
-func (r *sharedRanker) laneRanker(pi int) func(timeutil.Time) []activeness.Rank {
-	return func(at timeutil.Time) []activeness.Rank {
-		r.evalAll(at)
-		return r.cur.ranks[pi]
-	}
-}
-
 // groupAt reads a precomputed group table, defaulting users beyond the
-// ranked population to the new-user classification — Rank{Op:1, Oc:1}
-// with no recorded activity classifies BothInactive — exactly as
-// rankGroup does on the Rank table.
+// ranked population to the new-user classification: Rank{Op:1, Oc:1}
+// with no recorded activity classifies BothInactive.
 func groupAt(gt []uint8, u trace.UserID) activeness.Group {
 	if int(u) < len(gt) {
 		return activeness.Group(gt[u])
@@ -247,10 +242,7 @@ func groupAt(gt []uint8, u trace.UserID) activeness.Group {
 // mlane is one lane's live replay machinery.
 type mlane struct {
 	s        *Stream
-	ranker   *sharedRanker
-	pi       int       // the lane's period index into ranker's tables
-	day      *DayStats // current batch's day bucket
-	pendMiss []int32   // event indexes that missed in this batch
+	pendMiss []int32 // event indexes that missed in this batch
 }
 
 // Run evaluates all lanes in one multiplexed pass. Every lane's
@@ -329,14 +321,13 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
 		}
-		r := rankers[i]
-		st := em.startState(policy.Name(), group.Lane(i), r.laneRanker(pis[i]))
+		st := em.startState(policy.Name(), group, i, rankers[i], pis[i])
 		s := em.newStream(policy, lanes[i].Opts, st)
 		if s.opts.Obs != nil {
 			stopReplay := s.opts.Obs.StartPhase("replay")
 			defer stopReplay()
 		}
-		ml[i] = &mlane{s: s, ranker: r, pi: pis[i]}
+		ml[i] = &mlane{s: s}
 	}
 	// Lanes sharing both a ranker and a period length see the same rank
 	// table, so every event's group classification is computed once per
@@ -348,7 +339,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	rGroups := make([][]int, 0, len(lanes))
 	rIndex := make(map[rgKey]int, len(lanes))
 	for i := range ml {
-		k := rgKey{ml[i].ranker, ml[i].pi}
+		k := rgKey{rankers[i], pis[i]}
 		gi, ok := rIndex[k]
 		if !ok {
 			gi = len(rGroups)
@@ -379,7 +370,7 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			}
 		}
 		for _, ln := range ml {
-			ln.day = ln.s.dayFor(b.first)
+			ln.s.dayFor(b.first) // sets ln.s.day, which the runs below fill
 		}
 		// Runs apply in the batch's order of first appearance;
 		// accounting is pure sums until the event-ordered miss flush
@@ -394,12 +385,12 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			}
 			miss := group.ApplyRun(run.pid, feed.paths[run.pid], evs)
 			for _, rg := range rGroups {
-				ln0 := ml[rg[0]]
-				gt := ln0.ranker.cur.groups[ln0.pi]
+				st0 := ml[rg[0]].s.st
+				gt := st0.ranking.cur.groups[st0.period]
 				for _, idx := range seg {
 					g := groupAt(gt, acc[idx].User)
 					for _, li := range rg {
-						d := ml[li].day
+						d := ml[li].s.day
 						d.Accesses++
 						d.ByGroup[g].Accesses++
 					}
@@ -423,21 +414,14 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 			// interleaving with trigger events, which only fire at batch
 			// boundaries) matches a sequential replay's exactly.
 			slices.Sort(ln.pendMiss)
-			st, d := ln.s.st, ln.day
-			gt := ln.ranker.cur.groups[ln.pi]
+			st := ln.s.st
+			gt := st.ranking.cur.groups[st.period]
 			for _, idx := range ln.pendMiss {
 				a := &acc[idx]
-				g := groupAt(gt, a.User)
-				d.Misses++
-				d.ByGroup[g].Misses++
-				st.res.TotalMisses++
-				st.res.MissesByGroup[g]++
-				st.res.RestoredFiles++
-				st.res.RestoredBytes += a.Size
-				ln.s.ro.noteMiss(st.res.Policy, a, g)
+				ln.s.countMiss(a, groupAt(gt, a.User))
 			}
 			ln.pendMiss = ln.pendMiss[:0]
-			ln.s.st.cursor = b.end
+			st.cursor = b.end
 		}
 	}
 	if err := waitLanes(ml); err != nil {

@@ -127,7 +127,8 @@ type Result struct {
 	// triggers, after the purge ran — exactly what a post-retention
 	// metadata scan would record.
 	Snapshots []*trace.Snapshot
-	// Final is the file-system state at the end of the replay.
+	// Final is the file-system state at the end of the replay: the
+	// run's lane view, read-only.
 	Final *vfs.FS
 	// Elapsed is the wall-clock emulation time.
 	Elapsed time.Duration
@@ -329,12 +330,11 @@ var ErrInterrupted = errors.New("sim: run interrupted")
 // runState is the mutable replay state between accesses; checkpoints
 // serialize it and Resume reconstructs it mid-year.
 type runState struct {
+	group       *vfs.LaneGroup // the namespace; fsys is the run's lane of it
 	fsys        *vfs.FS
 	res         *Result
 	cursor      int // index of the next unreplayed access
 	nextTrigger timeutil.Time
-	ranks       []activeness.Rank
-	ranksAt     timeutil.Time // when ranks were last evaluated
 	captured    bool
 	lastSnap    timeutil.Time
 	triggers    int // purge triggers fired so far
@@ -348,42 +348,39 @@ type runState struct {
 	chainStart    string
 	snapsSaved    int
 	capturedSaved bool
-	// ranker evaluates every user's activeness rank at a trigger time.
-	// A solo run closes over cursors of its own (soloRanker), which
-	// memoize each user's activity position across the run's monotone
-	// trigger times, so parallel runs off one emulator stay
-	// independent; multiplexed lanes with identical evaluator inputs
-	// share one memoized rank table per trigger instead of re-ranking
-	// per lane.
-	ranker func(at timeutil.Time) []activeness.Rank
+	// ranking's current table ranks the users as of the latest trigger,
+	// at the run's period index. A stream's ranker is its own, so runs
+	// off one emulator stay independent; multiplexed lanes with
+	// identical evaluator inputs share one.
+	ranking *sharedRanker
+	period  int
 }
 
-// soloRanker ranks every user off a fresh set of cursors.
-func (e *Emulator) soloRanker() func(at timeutil.Time) []activeness.Rank {
-	cursors := e.eval.NewCursors()
-	return func(at timeutil.Time) []activeness.Rank {
-		return cursors.EvaluateAll(e.users, at)
-	}
+// newRanker returns a stream's ranker: one period, cursors of its own
+// and no worker, so each table is computed when a trigger asks for it.
+func (e *Emulator) newRanker() *sharedRanker {
+	return &sharedRanker{cursors: e.eval.NewCursors(), users: e.users, periods: []timeutil.Duration{e.cfg.PeriodLength}}
 }
 
-// startState is the replay state at the reference snapshot: fsys holds
-// the snapshot's tree, and ranker ranks the users at each trigger.
-func (e *Emulator) startState(policy string, fsys *vfs.FS, ranker func(at timeutil.Time) []activeness.Rank) *runState {
+// startState is the replay state at the reference snapshot on lane
+// lane of group, ranked at each trigger by period pi of r.
+func (e *Emulator) startState(policy string, group *vfs.LaneGroup, lane int, r *sharedRanker, pi int) *runState {
 	t0 := e.ds.Snapshot.Taken
+	r.evalAll(t0)
 	return &runState{
-		fsys:        fsys,
+		group:       group,
+		fsys:        group.Lane(lane),
 		res:         &Result{Policy: policy},
 		nextTrigger: t0.Add(e.cfg.TriggerInterval),
-		ranks:       ranker(t0),
-		ranksAt:     t0,
 		captured:    e.cfg.CaptureAt == 0,
-		ranker:      ranker,
+		ranking:     r,
+		period:      pi,
 	}
 }
 
-// freshState initializes a solo replay at the reference snapshot.
+// freshState initializes a stream at the reference snapshot.
 func (e *Emulator) freshState(policy retention.Policy) *runState {
-	return e.startState(policy.Name(), e.base.Clone(), e.soloRanker())
+	return e.startState(policy.Name(), vfs.AdoptLaneGroup(e.base.Clone(), 1, 0), 0, e.newRanker(), 0)
 }
 
 // Run replays the access log against one policy.
@@ -530,19 +527,6 @@ func (e *Emulator) replay(policy retention.Policy, opts RunOptions, st *runState
 	res.Final = st.fsys
 	res.Elapsed = timer.Elapsed()
 	return res, nil
-}
-
-func insert(fsys *vfs.FS, a *trace.Access) error {
-	// Access records carry the file size; stripes are re-derived from
-	// nothing (1) since the policies never read them during replay.
-	return fsys.Insert(a.Path, vfs.FileMeta{User: a.User, Size: a.Size, Stripes: 1, ATime: a.TS})
-}
-
-func rankGroup(ranks []activeness.Rank, u trace.UserID) activeness.Group {
-	if int(u) < len(ranks) {
-		return ranks[u].Group()
-	}
-	return activeness.BothInactive
 }
 
 // Comparison bundles an FLT and an ActiveDR run over identical input.

@@ -7,6 +7,11 @@ package sim
 // one over ds.Accesses — the SAME code path, which is what makes the
 // daemon's purge plans provably bit-identical to a batch replay of
 // the same event sequence.
+//
+// A Stream runs on the multiplexer's machinery: its namespace is a
+// one-lane vfs.LaneGroup, its groups come from a one-period ranker's
+// tables, and its misses go through countMiss, so each exists once
+// whichever driver feeds the events.
 
 import (
 	"errors"
@@ -113,10 +118,13 @@ func (s *Stream) NextTrigger() timeutil.Time { return s.st.nextTrigger }
 
 // Ranks returns the current activeness rank table (read-only; indexed
 // by user ID) and the trigger time it was evaluated at.
-func (s *Stream) Ranks() ([]activeness.Rank, timeutil.Time) { return s.st.ranks, s.st.ranksAt }
+func (s *Stream) Ranks() ([]activeness.Rank, timeutil.Time) {
+	t := s.st.ranking.cur
+	return t.ranks[s.st.period], t.at
+}
 
-// FS returns the live virtual file system. Callers must not mutate it
-// and must not retain it across Apply calls.
+// FS returns the live namespace, the one lane of the stream's group.
+// Callers must not mutate it and must not retain it across Apply calls.
 func (s *Stream) FS() *vfs.FS { return s.st.fsys }
 
 // Policy returns the policy the stream purges with.
@@ -140,8 +148,7 @@ func (s *Stream) dayFor(ts timeutil.Time) *DayStats {
 // trigger fires one purge trigger at its scheduled time.
 func (s *Stream) trigger(at timeutil.Time) {
 	e, st, res := s.e, s.st, s.st.res
-	st.ranks = st.ranker(at)
-	st.ranksAt = at
+	st.ranking.evalAll(at)
 	if !st.captured && at >= e.cfg.CaptureAt {
 		res.Captured = st.fsys.Clone()
 		st.captured = true
@@ -149,7 +156,7 @@ func (s *Stream) trigger(at timeutil.Time) {
 	seq := int64(st.triggers) + 1 // 1-based, stable across resumes
 	s.opts.Obs.BeginTrigger(s.policy.Name(), seq)
 	stopPurge := s.opts.Obs.StartPhase("purge")
-	rep := s.policy.Purge(st.fsys, st.ranks, at)
+	rep := s.policy.Purge(st.fsys, st.ranking.cur.ranks[st.period], at)
 	stopPurge()
 	res.Reports = append(res.Reports, rep)
 	s.ro.triggers.Inc()
@@ -307,35 +314,34 @@ func (s *Stream) Apply(a *trace.Access) error {
 	}
 	st, res := s.st, s.st.res
 	ds := s.dayFor(a.TS)
-	g := rankGroup(st.ranks, a.User)
+	g := groupAt(st.ranking.cur.groups[st.period], a.User)
 	ds.Accesses++
 	ds.ByGroup[g].Accesses++
 	res.TotalAccesses++
 	s.ro.accesses.Inc()
-	var err error
-	switch {
-	case a.Create:
-		// Fresh output: insert, no miss possible.
-		err = insert(st.fsys, a)
-	case st.fsys.Touch(a.Path, a.TS):
-		// Hit: access time renewed.
-	default:
-		// Miss: the retention policy purged a file the user came
-		// back for; the user restores it from the archive.
-		ds.Misses++
-		ds.ByGroup[g].Misses++
-		res.TotalMisses++
-		res.MissesByGroup[g]++
-		res.RestoredFiles++
-		res.RestoredBytes += a.Size
-		s.ro.noteMiss(res.Policy, a, g)
-		err = insert(st.fsys, a)
-	}
-	if err != nil {
-		return fmt.Errorf("sim: access %d: %w", st.cursor, err)
+	// A one-event run on the stream's lane; path id 0 makes the group's
+	// handle slot 0 a one-entry cache.
+	ev := [1]vfs.RunEvent{{User: a.User, Size: a.Size, TS: a.TS, Create: a.Create}}
+	if st.group.ApplyRun(0, a.Path, ev[:]) != 0 {
+		s.countMiss(a, g)
 	}
 	st.cursor++
 	return nil
+}
+
+// countMiss counts a miss of access a by a user in group g, in the
+// current day and the run's totals: the user came back for a purged
+// file and restores it from the archive. Stream.Apply and
+// Multiplexer.Run's event-ordered flush both call it.
+func (s *Stream) countMiss(a *trace.Access, g activeness.Group) {
+	d, res := s.day, s.st.res
+	d.Misses++
+	d.ByGroup[g].Misses++
+	res.TotalMisses++
+	res.MissesByGroup[g]++
+	res.RestoredFiles++
+	res.RestoredBytes += a.Size
+	s.ro.noteMiss(res.Policy, a, g)
 }
 
 // Unlink folds one deletion event into the state: due triggers fire

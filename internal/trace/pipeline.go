@@ -132,8 +132,11 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 			if arena == nil {
 				return
 			}
-			if need := len(carry) + pipeBlockSize; cap(arena) < need {
-				arena = make([]byte, need)
+			// The carry moves to the arena's head and the read fills the
+			// rest. Only a carry that would leave less than half a block
+			// free, a long line, takes a bigger arena.
+			if cap(arena)-len(carry) < pipeBlockSize/2 {
+				arena = make([]byte, len(carry)+pipeBlockSize)
 			}
 			arena = arena[:cap(arena)]
 			n := copy(arena, carry)

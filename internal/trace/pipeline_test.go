@@ -396,6 +396,34 @@ func TestPathsInternedPerFile(t *testing.T) {
 	}
 }
 
+// TestCarriedLinesReuseArenas bounds what the reader allocates for its
+// blocks. A block that ends mid-line carries its tail into the next
+// arena it takes, so a read whose every block ends mid-line allocates
+// at most its pipeArenas arenas, even from an empty pool. Two
+// collections empty the pool first, so the bound depends neither on
+// what earlier reads left there nor on when the collector runs. A
+// reader that grows a new arena for each carried tail allocates about
+// a block per block.
+func TestCarriedLinesReuseArenas(t *testing.T) {
+	const blocks = 16
+	line := append(bytes.Repeat([]byte("#"), 999), '\n') // 1,000 bytes: no block ends on a line
+	in := bytes.Repeat(line, blocks*pipeBlockSize/len(line))
+	runtime.GC()
+	runtime.GC() // the pool's primary and victim caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := readRows(bytes.NewReader(in), nil, ReadOptions{}, pathSpec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(pipeArenas+1)*pipeBlockSize
+	t.Logf("a %d-block read of carried lines allocated %d bytes", blocks, got)
+	if got > limit {
+		t.Fatalf("a %d-block read of carried lines allocated %d bytes, want at most %d: its %d arenas and change",
+			blocks, got, limit, pipeArenas)
+	}
+}
+
 func TestPipelinedMessy(t *testing.T) {
 	dir := t.TempDir()
 	messyDataset(t, dir)

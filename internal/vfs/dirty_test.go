@@ -49,149 +49,105 @@ func dirtyPaths(n, users int) []string {
 	return out
 }
 
-// TestDirtyWindowPrivateFS runs random Insert/Touch/Remove sequences,
-// purges through StaleFiles + RemoveCandidate included, on a private
-// FS and checks every window TakeDirty hands over against Lookup.
-func TestDirtyWindowPrivateFS(t *testing.T) {
-	const users = 4
-	src := randx.New(1801)
-	day := timeutil.Time(daySeconds)
-	paths := dirtyPaths(40, users)
-	fs := New()
-	for i, p := range paths {
-		if i%2 == 0 {
-			if err := fs.Insert(p, FileMeta{User: trace.UserID(i % users), Size: 10, Stripes: 1, ATime: day}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fs.TrackDirty()
-	mutated := make(map[string]bool)
-	ts := 2 * day
-	for step := 0; step < 3000; step++ {
-		ts += timeutil.Time(1 + src.Int64n(int64(day)/8))
-		p := paths[src.Intn(len(paths))]
-		switch op := src.Intn(10); {
-		case op < 4:
-			m := FileMeta{
-				User:    trace.UserID(src.Intn(users)),
-				Size:    src.Int64n(1000),
-				Stripes: 1 + src.Intn(4),
-				// Sometimes keep the stored atime: an insert that changes
-				// neither owner nor atime keeps its index entry.
-				ATime: ts,
-			}
-			if old, ok := fs.Lookup(p); ok && src.Intn(3) == 0 {
-				m.ATime = old.ATime
-			}
-			if err := fs.Insert(p, m); err != nil {
-				t.Fatal(err)
-			}
-			mutated[p] = true
-		case op < 7:
-			at := ts
-			if old, ok := fs.Lookup(p); ok && src.Intn(4) == 0 {
-				at = old.ATime // a touch that leaves the atime as it is
-			}
-			if fs.Touch(p, at) {
-				mutated[p] = true
-			}
-		case op < 9:
-			if _, ok := fs.Remove(p); ok {
-				mutated[p] = true
-			}
-		default:
-			u := trace.UserID(src.Intn(users))
-			for _, c := range fs.StaleFiles(u, ts-2*day) {
-				if src.Intn(2) == 0 {
-					if _, ok := fs.RemoveCandidate(c); ok {
-						mutated[c.Path] = true
-					}
-				}
-			}
-		}
-		if src.Intn(25) == 0 {
-			requireWindow(t, fmt.Sprintf("step %d", step), fs, fs.TakeDirty(), mutated)
-		}
-	}
-	requireWindow(t, "final", fs, fs.TakeDirty(), mutated)
-}
-
 // TestDirtyWindowLaneViews runs random ApplyRun sequences and per-lane
-// Removes on a lane group whose lanes all track dirty windows, and
+// Removes on lane groups whose lanes all track dirty windows, and
 // checks each lane's windows against that lane's Lookup: a run
 // re-inserts a purged file for the lanes that dropped it, and a miss
 // re-insert that diverges from the shared record leaves an override.
+// The one-lane group is a stream's namespace: one-event runs, all
+// under path id 0 as Stream.Apply issues them, and Removes, which is
+// what the daemon's delta checkpoints see.
 func TestDirtyWindowLaneViews(t *testing.T) {
-	const (
-		lanes = 3
-		users = 4
-	)
-	src := randx.New(2604)
-	day := timeutil.Time(daySeconds)
-	paths := dirtyPaths(30, users)
-	base := New()
-	for i, p := range paths {
-		if i%3 != 0 {
-			if err := base.Insert(p, FileMeta{User: trace.UserID(i % users), Size: 10, Stripes: 4, ATime: day}); err != nil {
-				t.Fatal(err)
+	const users = 4
+	for _, lanes := range []int{3, 1} {
+		src := randx.New(2604)
+		day := timeutil.Time(daySeconds)
+		paths := dirtyPaths(30, users)
+		base := New()
+		for i, p := range paths {
+			if i%3 != 0 {
+				if err := base.Insert(p, FileMeta{User: trace.UserID(i % users), Size: 10, Stripes: 4, ATime: day}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	group, err := NewLaneGroup(base, lanes, len(paths))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := make([]map[string]bool, lanes)
-	for i := range mutated {
-		group.Lane(i).TrackDirty()
-		mutated[i] = make(map[string]bool)
-	}
-	ts := 2 * day
-	for step := 0; step < 2000; step++ {
-		pid := src.Intn(len(paths))
-		p := paths[pid]
-		if src.Intn(3) == 0 {
-			// A purge-time removal in one lane, by path or through a
-			// stale candidate as the policies do.
-			i := src.Intn(lanes)
-			lane := group.Lane(i)
-			if src.Intn(2) == 0 {
-				if _, ok := lane.Remove(p); ok {
-					mutated[i][p] = true
-				}
-			} else {
-				for _, c := range lane.StaleFiles(trace.UserID(src.Intn(users)), ts-day) {
-					if _, ok := lane.RemoveCandidate(c); ok {
-						mutated[i][c.Path] = true
+		group, err := NewLaneGroup(base, lanes, len(paths))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutated := make([]map[string]bool, lanes)
+		for i := range mutated {
+			group.Lane(i).TrackDirty()
+			mutated[i] = make(map[string]bool)
+		}
+		ts := 2 * day
+		for step := 0; step < 2000; step++ {
+			pid := src.Intn(len(paths))
+			p := paths[pid]
+			if src.Intn(3) == 0 {
+				// A purge-time removal in one lane, by path or through a
+				// stale candidate as the policies do.
+				i := src.Intn(lanes)
+				lane := group.Lane(i)
+				if src.Intn(2) == 0 {
+					if _, ok := lane.Remove(p); ok {
+						mutated[i][p] = true
+					}
+				} else {
+					for _, c := range lane.StaleFiles(trace.UserID(src.Intn(users)), ts-day) {
+						if _, ok := lane.RemoveCandidate(c); ok {
+							mutated[i][c.Path] = true
+						}
 					}
 				}
-			}
-		} else {
-			evs := make([]RunEvent, 1+src.Intn(3))
-			for ei := range evs {
-				ts += timeutil.Time(1 + src.Int64n(int64(day)/16))
-				evs[ei] = RunEvent{
-					User:   trace.UserID(src.Intn(users)),
-					Size:   src.Int64n(1000),
-					TS:     ts,
-					Create: src.Intn(4) == 0,
+			} else {
+				n := 1 // a stream's run is one event
+				if lanes > 1 {
+					n += src.Intn(3)
+				} else {
+					pid = 0
+				}
+				evs := make([]RunEvent, n)
+				for ei := range evs {
+					ts += timeutil.Time(1 + src.Int64n(int64(day)/16))
+					evs[ei] = RunEvent{
+						User:   trace.UserID(src.Intn(users)),
+						Size:   src.Int64n(1000),
+						TS:     ts,
+						Create: src.Intn(4) == 0,
+					}
+				}
+				group.ApplyRun(int32(pid), p, evs)
+				for i := range mutated {
+					mutated[i][p] = true
 				}
 			}
-			group.ApplyRun(int32(pid), p, evs)
-			for i := range mutated {
-				mutated[i][p] = true
+			if src.Intn(20) == 0 {
+				for i := 0; i < lanes; i++ {
+					lane := group.Lane(i)
+					requireWindow(t, fmt.Sprintf("%d lanes, step %d lane %d", lanes, step, i), lane, lane.TakeDirty(), mutated[i])
+				}
 			}
 		}
-		if src.Intn(20) == 0 {
-			for i := 0; i < lanes; i++ {
-				lane := group.Lane(i)
-				requireWindow(t, fmt.Sprintf("step %d lane %d", step, i), lane, lane.TakeDirty(), mutated[i])
-			}
+		for i := 0; i < lanes; i++ {
+			lane := group.Lane(i)
+			requireWindow(t, fmt.Sprintf("%d lanes, final lane %d", lanes, i), lane, lane.TakeDirty(), mutated[i])
 		}
 	}
-	for i := 0; i < lanes; i++ {
-		lane := group.Lane(i)
-		requireWindow(t, fmt.Sprintf("final lane %d", i), lane, lane.TakeDirty(), mutated[i])
+}
+
+// TestTrackDirtyRefusesPrivateFS pins the guard: a private FS and a
+// dry-run view record no dirty window, so opening one panics instead of
+// handing a delta checkpoint a window that stayed empty.
+func TestTrackDirtyRefusesPrivateFS(t *testing.T) {
+	for name, fs := range map[string]*FS{"private FS": New(), "dry-run view": New().DryRun()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("TrackDirty on a %s did not panic", name)
+				}
+			}()
+			fs.TrackDirty()
+		}()
 	}
 }

@@ -72,14 +72,23 @@ func NewLaneGroup(base *FS, n, pathCap int) (*LaneGroup, error) {
 	if base.group != nil {
 		return nil, fmt.Errorf("vfs: cannot build a lane group over a lane view")
 	}
-	if pathCap < 0 {
-		pathCap = 0
+	return AdoptLaneGroup(base.Clone(), n, pathCap), nil
+}
+
+// AdoptLaneGroup is NewLaneGroup without the copy: the group takes
+// over the tree and index of base, a private FS, and leaves base empty
+// (a private index carries no compaction marks or skip masks). Streams
+// adopt a clone of their base or a restored checkpoint. It panics where
+// NewLaneGroup returns an error, and on a dry-run view.
+func AdoptLaneGroup(base *FS, n, pathCap int) *LaneGroup {
+	if n < 1 || n > 64 || base.group != nil || base.hidden != nil {
+		panic("vfs: AdoptLaneGroup needs 1 to 64 lanes over a private FS")
 	}
 	g := &LaneGroup{
 		lanes:   make([]*FS, n),
-		tree:    base.tree.clone(),
-		index:   cloneIndex(base.index),
-		handles: make([]*rnode[fileRecord], pathCap),
+		tree:    base.tree,
+		index:   base.index,
+		handles: make([]*rnode[fileRecord], max(pathCap, 0)),
 	}
 	g.byPtr = make(map[*byte]*rnode[fileRecord], base.tree.size())
 	var fill func(n *rnode[fileRecord])
@@ -125,7 +134,8 @@ func NewLaneGroup(base *FS, n, pathCap int) (*LaneGroup, error) {
 		}
 		g.lanes[i] = lf
 	}
-	return g, nil
+	*base = FS{}
+	return g
 }
 
 // Lane returns lane i's FS view.
@@ -247,6 +257,9 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		// rec.path: one descent resolves it, and the handle table
 		// carries it from here.
 		n = g.tree.findNode(path)
+	}
+	if n != nil && !n.terminal {
+		n = nil // a split point holds no file; put below makes it one
 	}
 	lanes := g.lanes
 

@@ -228,3 +228,54 @@ func TestRemoveCandidateStaleHint(t *testing.T) {
 		t.Fatal("RemoveCandidate succeeded on an absent file")
 	}
 }
+
+// TestApplyRunAtSplitNode applies runs to paths whose tree nodes hold
+// no file: /u/ab, the split point over /u/abc and /u/abd, and /u/x, a
+// purged file whose node stays on as the split over /u/x1 and /u/x2.
+// Each must act as an absent file, as the private Touch and Insert
+// treat it: a touch misses and re-inserts, a create adds a file, and
+// the lane's accounting matches the files a walk finds.
+func TestApplyRunAtSplitNode(t *testing.T) {
+	base := New()
+	for _, p := range []string{"/u/abc", "/u/abd", "/u/x", "/u/x1", "/u/x2"} {
+		if err := base.Insert(p, FileMeta{User: 1, Size: 10, Stripes: 1, ATime: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group := AdoptLaneGroup(base, 1, 0)
+	if base.tree != nil || base.index != nil {
+		t.Fatal("AdoptLaneGroup left the base holding the group's tree")
+	}
+	lane := group.Lane(0)
+	if _, ok := lane.Remove("/u/x"); !ok {
+		t.Fatal("Remove(/u/x) failed")
+	}
+	if mask := group.ApplyRun(0, "/u/ab", []RunEvent{{User: 2, Size: 7, TS: 9}}); mask != 1 {
+		t.Fatalf("touch of /u/ab: miss mask %b, want 1", mask)
+	}
+	if m, ok := lane.Lookup("/u/ab"); !ok || m.User != 2 || m.Size != 7 {
+		t.Fatalf("Lookup(/u/ab) = (%+v, %v), want user 2's 7-byte file", m, ok)
+	}
+	if mask := group.ApplyRun(0, "/u/x", []RunEvent{{User: 0, Size: 3, TS: 11, Create: true}}); mask != 0 {
+		t.Fatalf("create of /u/x: miss mask %b, want 0", mask)
+	}
+	files, bytes, n := map[trace.UserID]int64{}, map[trace.UserID]int64{}, 0
+	lane.Walk(func(_ string, m FileMeta) bool {
+		files[m.User]++
+		bytes[m.User] += m.Size
+		n++
+		return true
+	})
+	if n != 6 || lane.Count() != n {
+		t.Fatalf("walk found %d files, Count() = %d, want 6 each", n, lane.Count())
+	}
+	for u := trace.UserID(0); u < 3; u++ {
+		if lane.UserFiles(u) != files[u] || lane.UserBytes(u) != bytes[u] {
+			t.Errorf("user %d accounts (%d files, %d bytes), walk finds (%d, %d)",
+				u, lane.UserFiles(u), lane.UserBytes(u), files[u], bytes[u])
+		}
+	}
+	if c := lane.StaleFiles(0, 12); len(c) != 1 || c[0].Path != "/u/x" {
+		t.Fatalf("StaleFiles(0) = %v, want /u/x", c)
+	}
+}

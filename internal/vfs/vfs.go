@@ -3,7 +3,6 @@ package vfs
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -165,10 +164,10 @@ type FS struct {
 	// zero value is fully inert (nil counters discard increments), so
 	// an unobserved FS pays one predictable branch per operation.
 	probe obs.VFSProbe
-	// dirty, when non-nil, is the open dirty window: every path whose
-	// state this FS changed since the last TakeDirty, mapped to that
-	// state as of its latest change — the working set of a delta
-	// checkpoint. Keys are the interned record paths.
+	// dirty, when non-nil, is a lane view's open dirty window: every
+	// path whose state this lane changed since the last TakeDirty,
+	// mapped to that state as of its latest change — the working set of
+	// a delta checkpoint. Keys are the interned record paths.
 	dirty map[string]DirtyFile
 
 	// Lane-view state. A private FS leaves all of this zero. A lane
@@ -194,10 +193,10 @@ type FS struct {
 	hidden map[*rnode[fileRecord]]struct{}
 }
 
-// SetProbe installs observability counters for this FS's mutating hot
-// paths. Clones and dry-run views do not inherit the probe: captured
-// states and plans stay unobserved so instrumentation never
-// double-counts.
+// SetProbe installs observability counters for a lane view's
+// mutations and any FS's stale-file queries. Clones and dry-run views
+// do not inherit the probe: captured states and plans stay unobserved
+// so instrumentation never double-counts.
 func (f *FS) SetProbe(p obs.VFSProbe) { f.probe = p }
 
 // New returns an empty FS.
@@ -251,10 +250,6 @@ func (f *FS) Insert(path string, m FileMeta) error {
 	if !existed || prev.meta.User != m.User || prev.meta.ATime != m.ATime {
 		f.indexAdd(m.User, n.value.path, m.ATime, n)
 	}
-	if f.dirty != nil {
-		f.dirty[n.value.path] = DirtyFile{Meta: m}
-	}
-	f.probe.Inserts.Inc()
 	return nil
 }
 
@@ -299,17 +294,12 @@ func (f *FS) Touch(path string, at timeutil.Time) bool {
 	}
 	n := f.tree.findNode(path)
 	if n == nil || !n.terminal {
-		f.probe.TouchMisses.Inc()
 		return false
 	}
-	f.probe.Touches.Inc()
 	// An unchanged atime keeps the index entry valid.
 	if n.value.meta.ATime != at {
 		n.value.meta.ATime = at
 		f.indexAdd(n.value.meta.User, n.value.path, at, n)
-	}
-	if f.dirty != nil {
-		f.dirty[n.value.path] = DirtyFile{Meta: n.value.meta}
 	}
 	return true
 }
@@ -331,10 +321,6 @@ func (f *FS) Remove(path string) (FileMeta, bool) {
 		return FileMeta{}, false
 	}
 	f.unaccount(r.meta)
-	if f.dirty != nil {
-		f.dirty[r.path] = DirtyFile{Removed: true}
-	}
-	f.probe.Removes.Inc()
 	return r.meta, true
 }
 
@@ -832,29 +818,37 @@ func (f *FS) Clone() *FS {
 	return c
 }
 
-// DryRun returns a copy-free view of a private FS for planning a
-// purge against it. The view shares f's tree and candidate index and
-// copies only the per-user totals, O(users). Remove and
-// RemoveCandidate hide a file from the view; Count, Lookup, Walk,
+// DryRun returns a copy-free view of a private FS or of a one-lane
+// view, for planning a purge against it. The view shares f's tree and
+// candidate index and copies only the per-user totals, O(users): a
+// one-lane group deletes a record once its lane drops it and never
+// holds an override, so its tree is exactly the lane's files. Remove
+// and RemoveCandidate hide a file from the view; Count, Lookup, Walk,
 // the totals and the stale-file queries all answer for what is left,
 // while f itself is not changed. The view's queries compact f's index
-// buckets, as a query on f would, which changes no query's answer.
-// Insert and Touch panic, and the view has no probe and no dirty set.
-// A view is valid until f's next mutation and is not safe to use
-// concurrently with f.
+// buckets as a private FS's do, which changes no query's answer (on a
+// lane group they clear compaction marks and set no skip mask). Insert
+// and Touch panic, and the view has no probe and no dirty set. A view
+// is valid until f's next mutation and is not safe to use concurrently
+// with f. DryRun panics on a multi-lane or dry-run view.
 func (f *FS) DryRun() *FS {
-	if f.group != nil || f.hidden != nil {
-		panic("vfs: DryRun needs a private FS, not a lane or dry-run view")
+	if f.hidden != nil || f.group != nil && len(f.group.lanes) > 1 {
+		panic("vfs: DryRun needs a private FS or a one-lane view")
 	}
-	return &FS{
+	users := f.Users()
+	v := &FS{
 		tree:      f.tree,
 		bytes:     f.bytes,
-		userBytes: maps.Clone(f.userBytes),
-		userFiles: maps.Clone(f.userFiles),
+		userBytes: make(map[trace.UserID]int64, len(users)),
+		userFiles: make(map[trace.UserID]int64, len(users)),
 		index:     f.index,
 		scratch:   f.scratch,
 		hidden:    make(map[*rnode[fileRecord]]struct{}),
 	}
+	for _, u := range users {
+		v.userBytes[u], v.userFiles[u] = f.UserBytes(u), f.UserFiles(u)
+	}
+	return v
 }
 
 // cloneIndex deep-copies a candidate index. Cached node pointers are
@@ -900,11 +894,15 @@ type DirtyFile struct {
 	Removed bool
 }
 
-// TrackDirty opens a dirty window: from now on every mutation records
-// its path's resulting state, the working set a delta checkpoint
-// diffs against its base. Lane views track their own mutations
-// (ApplyRun effects and Removes).
+// TrackDirty opens a dirty window on a lane view: from now on every
+// mutation of the lane (ApplyRun effects and Removes) records its
+// path's resulting state, the working set a delta checkpoint diffs
+// against its base. A private FS records nothing, so it panics: a
+// window that silently stayed empty would drop paths from a delta.
 func (f *FS) TrackDirty() {
+	if f.group == nil {
+		panic("vfs: only a lane view records a dirty window")
+	}
 	if f.dirty == nil {
 		f.dirty = make(map[string]DirtyFile)
 	}
