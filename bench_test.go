@@ -356,10 +356,13 @@ func sweep4Lanes() []sim.LaneSpec {
 	return lanes
 }
 
-// BenchmarkSweep4Sequential replays the 4-policy sweep the historical
-// way: four independent full-year replays. Emulators (snapshot load,
-// activity indexing) are prebuilt, so the timer sees only the replay
-// loops — the quantity the multiplexed runner collapses.
+// BenchmarkSweep4Sequential replays the 4-policy sweep as four
+// independent full-year Emulator.Run replays, each a one-lane run of
+// the day-batch runner BenchmarkSweep4Multiplexed runs with four
+// lanes. Emulators (snapshot load, activity indexing, the columnar
+// feed their first run builds) are prebuilt and warmed, so the timer
+// sees only the replay loops — the quantity the multiplexed runner
+// collapses.
 func BenchmarkSweep4Sequential(b *testing.B) {
 	ds := benchDataset(b)
 	lanes := sweep4Lanes()
@@ -367,6 +370,9 @@ func BenchmarkSweep4Sequential(b *testing.B) {
 	for i, l := range lanes {
 		em, err := sim.New(ds, l.Config)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := em.Run(em.NewFLT()); err != nil {
 			b.Fatal(err)
 		}
 		ems[i] = em
@@ -396,8 +402,8 @@ func BenchmarkSweep4Multiplexed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the per-dataset caches (columnar feed, evaluators) the
-	// sequential side gets for free via its prebuilt emulators.
+	// Warm the per-dataset caches (columnar feed, evaluators), as the
+	// sequential side warms its emulators.
 	if _, err := m.Run(sweep4Lanes()); err != nil {
 		b.Fatal(err)
 	}

@@ -62,7 +62,8 @@ func BenchmarkReplayObserved(b *testing.B) {
 }
 
 // BenchmarkBuildColFeed times the columnar feed build alone: the fixed
-// cost a fresh Multiplexer pays before its first event applies.
+// cost a fresh Multiplexer or Emulator pays before the first event of
+// its first batch replay applies.
 //
 //	go test -run '^$' -bench BuildColFeed -benchmem ./internal/sim/
 func BenchmarkBuildColFeed(b *testing.B) {

@@ -475,8 +475,10 @@ func readLatest(dir string) (string, error) {
 
 // loadCheckpoint reconstructs the runState recorded in the latest
 // checkpoint under opts.CheckpointDir, validating that the policy and
-// emulator configuration match the ones that wrote it.
-func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*runState, error) {
+// emulator configuration match the ones that wrote it. The restored
+// namespace is the one lane of a group with handle slots for pathCap
+// path ids.
+func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions, pathCap int) (*runState, error) {
 	dir := opts.CheckpointDir
 	name, err := readLatest(dir)
 	if err != nil {
@@ -517,6 +519,12 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// checkpoint already accounted for.
 	if cs.At > cs.NextTrigger {
 		return nil, fmt.Errorf("sim: checkpoint %s is internally inconsistent: taken at t=%d but next trigger t=%d is earlier", name, cs.At, cs.NextTrigger)
+	}
+	// Likewise the ranks are those of the last trigger (or the
+	// snapshot), strictly before the next one; the resumed ranker
+	// evaluates forward from there.
+	if cs.RanksAt >= cs.NextTrigger {
+		return nil, fmt.Errorf("sim: checkpoint %s is internally inconsistent: ranked at t=%d but next trigger t=%d is not later", name, cs.RanksAt, cs.NextTrigger)
 	}
 	if cs.Faults != nil && opts.Faults == nil {
 		return nil, fmt.Errorf("sim: checkpoint %s carries fault-injector state but no injector was provided", name)
@@ -642,7 +650,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// cs.Ckpts is 0 for v2 checkpoints, which don't carry the cadence
 	// counter; that makes the resumed run's next checkpoint full,
 	// which is always safe.
-	group := vfs.AdoptLaneGroup(tree, 1, 0)
+	group := vfs.AdoptLaneGroup(tree, 1, pathCap)
 	st := &runState{
 		group:       group,
 		fsys:        group.Lane(0),
@@ -664,7 +672,8 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// The rank table is not serialized: it is a pure function of the
 	// (identically rebuilt) activeness evaluator and the evaluation
 	// time recorded in the checkpoint. The fresh cursors fast-forward
-	// to RanksAt here and advance with the resumed triggers.
+	// to RanksAt here, without a worker, and advance with the resumed
+	// triggers: a batch replay's worker starts at the next one.
 	st.ranking.evalAll(timeutil.Time(cs.RanksAt))
 	return st, nil
 }
@@ -684,13 +693,22 @@ func findInChain(dir string, chain []string, rel string) (string, error) {
 // under opts.CheckpointDir. The emulator must be built over the same
 // dataset and configuration, and policy must match the interrupted
 // run; the result is bit-for-bit identical to the uninterrupted run.
+// The checkpoint's cursor may fall inside a day batch (a drain
+// checkpoint, Stream.Checkpoint); the replay then starts with the
+// rest of that batch.
 func (e *Emulator) Resume(policy retention.Policy, opts RunOptions) (*Result, error) {
 	if opts.CheckpointDir == "" {
 		return nil, errors.New("sim: Resume requires RunOptions.CheckpointDir")
 	}
-	st, err := e.loadCheckpoint(policy, opts)
+	feed, err := e.columnar()
 	if err != nil {
 		return nil, err
 	}
-	return e.replay(policy, opts, st)
+	st, err := e.loadCheckpoint(policy, opts, len(feed.paths))
+	if err != nil {
+		return nil, err
+	}
+	st.ranking.start(st.nextTrigger, lastEvent(e.ds), e.cfg.TriggerInterval)
+	defer st.ranking.halt()
+	return e.runLane(policy, opts, st, feed)
 }

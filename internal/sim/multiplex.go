@@ -13,16 +13,19 @@ package sim
 // where the ≥3× single-core speedup over N sequential replays comes
 // from.
 //
+// The batch loop itself is replayFeed (columnar.go), which
+// Emulator.RunWith and Resume run with one lane.
+//
 // Equivalence contract: every lane's Result — reports, day series,
 // captured and final file systems, checkpoints on disk — is
 // bit-identical to what a sequential Emulator.RunWith of the same
-// (Config, Policy, RunOptions) would produce. The test suite proves
-// this with and without fault injection (multiplex_test.go).
+// (Config, Policy, RunOptions) would produce, and to a per-event
+// Stream replay of the log. The test suite proves this with and
+// without fault injection (multiplex_test.go, perevent_test.go).
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"activedr/internal/activeness"
 	"activedr/internal/profiling"
@@ -116,10 +119,10 @@ func (m *Multiplexer) feed(interval timeutil.Duration) (*colFeed, error) {
 // same grid times, so the first lane's request at a time serves the
 // rest: one cursor walk per (trigger, user) ranks every registered
 // period length at once, and each lane reads the table for its own
-// period index. In a multiplexed pass a worker goroutine owns the
-// cursors and computes each table one trigger ahead of the lanes
-// (start), taking ranking off the replay's critical path; a stream's
-// one-period ranker has no worker (Emulator.newRanker).
+// period index. In a batch replay (replayFeed) a worker goroutine owns
+// the cursors and computes each table one trigger ahead of the lanes
+// (start), taking ranking off the replay's critical path; the ranker
+// of a Stream fed through Apply has no worker (Emulator.newRanker).
 type sharedRanker struct {
 	cursors *activeness.Cursors // the worker's once started, else evalAll's
 	users   int
@@ -152,23 +155,25 @@ func (r *sharedRanker) period(d timeutil.Duration) int {
 	return len(r.periods) - 1
 }
 
-// start launches the worker. It evaluates the tables at t0 and at
-// every trigger-grid point t0+k·interval up to end, in order, and
-// hands each over on next, which it closes after the last. The
+// start launches the worker. It evaluates the tables at from and at
+// every grid point from+k·interval up to end, in order, and hands each
+// over on next, which it closes after the last. from is the snapshot
+// time for a fresh replay and the next trigger for a resumed one, whose
+// current table loadCheckpoint computed without a worker. The
 // handover is unbuffered, so the worker runs at most one table ahead
 // of the lanes and at most two tables per ranker are alive: the one
 // lanes read and the one computed ahead. The worker uses the cursors
 // alone, on the same sequence of times a synchronous ranker would, so
 // every table is bit-identical. The caller ends it with halt on every
 // return path.
-func (r *sharedRanker) start(t0, end timeutil.Time, interval timeutil.Duration) {
+func (r *sharedRanker) start(from, end timeutil.Time, interval timeutil.Duration) {
 	r.next = make(chan *rankTable)
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
 	go func() {
 		defer close(r.done)
 		defer close(r.next)
-		for at := t0; at <= end; at = at.Add(interval) {
+		for at := from; at <= end; at = at.Add(interval) {
 			select {
 			case r.next <- r.eval(at):
 			case <-r.stop:
@@ -176,6 +181,15 @@ func (r *sharedRanker) start(t0, end timeutil.Time, interval timeutil.Duration) 
 			}
 		}
 	}()
+}
+
+// lastEvent is the time of ds's last access (the snapshot time for an
+// empty log): a batch replay fires no trigger after it.
+func lastEvent(ds *trace.Dataset) timeutil.Time {
+	if n := len(ds.Accesses); n > 0 {
+		return ds.Accesses[n-1].TS
+	}
+	return ds.Snapshot.Taken
 }
 
 // halt stops the worker and waits for it to return.
@@ -208,12 +222,12 @@ func (r *sharedRanker) eval(at timeutil.Time) *rankTable {
 // computes the table itself: a stream's live feed has no last trigger
 // to run ahead to. With one, the first lane to ask for a new time
 // takes the worker's next table; the lanes after it find it current.
-// Lanes ask for the snapshot time and then for each grid point in
-// order (Run fires triggers in lockstep), which is the sequence the
-// worker computes. Every consumer reads the table current at or after
-// the trigger that made it so — a trigger's purge, each event's group,
-// a checkpoint's RanksAt (ranks are recomputed on resume) — so no
-// stale table is read.
+// Lanes ask for each grid point in order (replayFeed fires triggers in
+// lockstep), after the snapshot time for a fresh replay, which is the
+// sequence the worker computes. Every consumer reads the table current
+// at or after the trigger that made it so — a trigger's purge, each
+// event's group, a checkpoint's RanksAt (ranks are recomputed on
+// resume) — so no stale table is read.
 func (r *sharedRanker) evalAll(at timeutil.Time) {
 	if r.cur != nil && r.cur.at == at {
 		return
@@ -237,12 +251,6 @@ func groupAt(gt []uint8, u trace.UserID) activeness.Group {
 		return activeness.Group(gt[u])
 	}
 	return activeness.BothInactive
-}
-
-// mlane is one lane's live replay machinery.
-type mlane struct {
-	s        *Stream
-	pendMiss []int32 // event indexes that missed in this batch
 }
 
 // Run evaluates all lanes in one multiplexed pass. Every lane's
@@ -291,16 +299,10 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 		}
 		rankers[i], pis[i] = r, r.period(cfgs[i].PeriodLength)
 	}
-	// The rankers work while the feed and the lane group are built; the
-	// replay fires triggers up to its last event.
-	t0 := m.ds.Snapshot.Taken
-	end := t0
-	if n := len(m.ds.Accesses); n > 0 {
-		end = m.ds.Accesses[n-1].TS
-	}
+	// The rankers work while the feed and the lane group are built.
 	for _, r := range rankers {
 		if r.next == nil { // not yet started by an earlier lane
-			r.start(t0, end, cfgs[0].TriggerInterval)
+			r.start(m.ds.Snapshot.Taken, lastEvent(m.ds), cfgs[0].TriggerInterval)
 			defer r.halt()
 		}
 	}
@@ -314,140 +316,21 @@ func (m *Multiplexer) Run(lanes []LaneSpec) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ml := make([]*mlane, len(lanes))
+	ls := make([]*Stream, len(lanes))
 	for i := range lanes {
 		em := &Emulator{ds: m.ds, cfg: cfgs[i], base: m.base, eval: m.dataEvaluator(cfgs[i]), users: len(m.ds.Users)}
 		policy, err := em.NewPolicy(lanes[i].Policy)
 		if err != nil {
 			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
 		}
-		st := em.startState(policy.Name(), group, i, rankers[i], pis[i])
-		s := em.newStream(policy, lanes[i].Opts, st)
-		if s.opts.Obs != nil {
-			stopReplay := s.opts.Obs.StartPhase("replay")
-			defer stopReplay()
-		}
-		ml[i] = &mlane{s: s}
+		ls[i] = em.newStream(policy, lanes[i].Opts, em.startState(policy.Name(), group, i, rankers[i], pis[i]))
 	}
-	// Lanes sharing both a ranker and a period length see the same rank
-	// table, so every event's group classification is computed once per
-	// (ranker, period index) and fanned out.
-	type rgKey struct {
-		r  *sharedRanker
-		pi int
-	}
-	rGroups := make([][]int, 0, len(lanes))
-	rIndex := make(map[rgKey]int, len(lanes))
-	for i := range ml {
-		k := rgKey{rankers[i], pis[i]}
-		gi, ok := rIndex[k]
-		if !ok {
-			gi = len(rGroups)
-			rIndex[k] = gi
-			rGroups = append(rGroups, nil)
-		}
-		rGroups[gi] = append(rGroups[gi], i)
-	}
-
-	acc := m.ds.Accesses
-	var evs []vfs.RunEvent
-	for bi := range feed.batches {
-		b := &feed.batches[bi]
-		// Lanes fire due triggers in lockstep, one grid point at a time,
-		// so a gap in the log that makes several triggers due at once
-		// still takes each ranker's tables in time order. All lanes
-		// share the grid, so lane 0's next trigger is every lane's.
-		for {
-			at := min(ml[0].s.st.nextTrigger, b.first)
-			for i, ln := range ml {
-				if err := ln.s.fireTriggers(at); err != nil {
-					_ = waitLanes(ml) // the lane's error wins, but no write outlives the run
-					return nil, fmt.Errorf("sim: lane %d: %w", i, err)
-				}
-			}
-			if at == b.first {
-				break
-			}
-		}
-		for _, ln := range ml {
-			ln.s.dayFor(b.first) // sets ln.s.day, which the runs below fill
-		}
-		// Runs apply in the batch's order of first appearance;
-		// accounting is pure sums until the event-ordered miss flush
-		// below.
-		for ri := range b.runs {
-			run := &b.runs[ri]
-			seg := feed.order[run.off : run.off+run.n]
-			evs = evs[:0]
-			for _, idx := range seg {
-				a := &acc[idx]
-				evs = append(evs, vfs.RunEvent{User: a.User, Size: a.Size, TS: a.TS, Create: a.Create})
-			}
-			miss := group.ApplyRun(run.pid, feed.paths[run.pid], evs)
-			for _, rg := range rGroups {
-				st0 := ml[rg[0]].s.st
-				gt := st0.ranking.cur.groups[st0.period]
-				for _, idx := range seg {
-					g := groupAt(gt, acc[idx].User)
-					for _, li := range rg {
-						d := ml[li].s.day
-						d.Accesses++
-						d.ByGroup[g].Accesses++
-					}
-				}
-				for _, li := range rg {
-					ml[li].s.st.res.TotalAccesses += int64(len(seg))
-					ml[li].s.ro.accesses.Add(int64(len(seg)))
-				}
-			}
-			if miss != 0 {
-				for li, ln := range ml {
-					if miss&(uint64(1)<<uint(li)) != 0 {
-						ln.pendMiss = append(ln.pendMiss, seg[0])
-					}
-				}
-			}
-		}
-		for _, ln := range ml {
-			// Batch misses are recorded in event order, whatever order
-			// the runs applied in: the miss event stream (and its
-			// interleaving with trigger events, which only fire at batch
-			// boundaries) matches a sequential replay's exactly.
-			slices.Sort(ln.pendMiss)
-			st := ln.s.st
-			gt := st.ranking.cur.groups[st.period]
-			for _, idx := range ln.pendMiss {
-				a := &acc[idx]
-				ln.s.countMiss(a, groupAt(gt, a.User))
-			}
-			ln.pendMiss = ln.pendMiss[:0]
-			st.cursor = b.end
-		}
-	}
-	if err := waitLanes(ml); err != nil {
-		return nil, err
+	if lane, err := replayFeed(m.ds.Accesses, feed, ls); err != nil {
+		return nil, fmt.Errorf("sim: lane %d: %w", lane, err)
 	}
 	out := make([]*Result, len(lanes))
-	for i, ln := range ml {
-		st := ln.s.st
-		if !st.captured {
-			st.res.Captured = st.fsys.Clone()
-		}
-		st.res.Final = st.fsys
-		st.res.Elapsed = timer.Elapsed()
-		out[i] = st.res
+	for i, s := range ls {
+		out[i] = s.finish(timer.Elapsed())
 	}
 	return out, nil
-}
-
-// waitLanes waits for every lane's checkpoint writes and returns the
-// first lane's failure.
-func waitLanes(ml []*mlane) error {
-	var first error
-	for i, ln := range ml {
-		if err := ln.s.Wait(); err != nil && first == nil {
-			first = fmt.Errorf("sim: lane %d: %w", i, err)
-		}
-	}
-	return first
 }

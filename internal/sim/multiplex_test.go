@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,16 +103,17 @@ func TestMultiplexedReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultiplexSingleLane covers the one-lane columnar path (a lane
-// group of one still goes through ApplyRun, not Touch/Insert).
+// TestMultiplexSingleLane covers the one-lane columnar path against
+// the per-event loop: a lane group of one still applies whole runs,
+// one ApplyRun per (day, path).
 func TestMultiplexSingleLane(t *testing.T) {
 	requireLanesMatchSequential(t, tinyDataset(), []LaneSpec{{Policy: PolicyActiveDR,
 		Config: Config{TargetUtilization: 0.5, SnapshotEvery: timeutil.Days(28)}}})
 }
 
 // requireLanesMatchSequential runs lanes in one multiplexed pass over
-// ds and checks every lane's Result against a sequential RunWith of
-// its spec.
+// ds and checks every lane's Result against a per-event replay of its
+// spec (perEventRun), which shares no batch loop with the pass.
 func requireLanesMatchSequential(t *testing.T, ds *trace.Dataset, lanes []LaneSpec) {
 	t.Helper()
 	got, err := runMultiplexed(ds, lanes)
@@ -123,7 +125,7 @@ func requireLanesMatchSequential(t *testing.T, ds *trace.Dataset, lanes []LaneSp
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := em.RunWith(policyFor(t, em, lanes[i].Policy), lanes[i].Opts)
+		want, err := perEventRun(em, policyFor(t, em, lanes[i].Policy), lanes[i].Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,10 +163,10 @@ func TestMultiplexTriggerGap(t *testing.T) {
 	}
 	due := 0
 	for bi := 1; bi < len(feed.batches); bi++ {
-		if feed.batches[bi].first < to {
+		before, after := ds.Accesses[feed.batches[bi-1].start].TS, ds.Accesses[feed.batches[bi].start].TS
+		if after < to {
 			continue
 		}
-		before, after := feed.batches[bi-1].first, feed.batches[bi].first
 		for g := ds.Snapshot.Taken; g <= after; g = g.Add(timeutil.Week) {
 			if g > before {
 				due++
@@ -214,7 +216,10 @@ func TestMultiplexTwoRankers(t *testing.T) {
 // TestMultiplexLaneFailureStopsRankers fails one lane mid-run (its
 // checkpoint dir is a file): Run returns that lane's error, and no
 // ranker goroutine outlives it. Nor does one outlive a lane set
-// refused after the rankers started (an unknown policy).
+// refused after the rankers started (an unknown policy), nor any
+// return path of a one-lane RunWith or Resume: a trigger budget, a
+// kill point, a checkpoint dir that is a file, a log the feed refuses
+// and a completed run.
 func TestMultiplexLaneFailureStopsRankers(t *testing.T) {
 	ds, err := synth.Generate(synth.Config{Seed: 11, Users: 120})
 	if err != nil {
@@ -236,6 +241,45 @@ func TestMultiplexLaneFailureStopsRankers(t *testing.T) {
 	_, err = runMultiplexed(ds, []LaneSpec{{Policy: PolicyFLT}, {Policy: "lru", Config: Config{UseLogins: true}}})
 	if err == nil || !strings.Contains(err.Error(), `unknown policy "lru"`) {
 		t.Fatalf("err = %v, want the unknown policy refused", err)
+	}
+	requireNoRankers(t)
+
+	cfg := Config{TargetUtilization: 0.5}
+	em, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir, StopAfterTriggers: 3}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("RunWith with a trigger budget: err = %v, want ErrInterrupted", err)
+	}
+	requireNoRankers(t)
+	if _, err := em.Resume(em.NewFLT(), RunOptions{CheckpointDir: dir, StopAfterTriggers: 6}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Resume with a trigger budget: err = %v, want ErrInterrupted", err)
+	}
+	requireNoRankers(t)
+	if _, err := em.Resume(em.NewFLT(), RunOptions{CheckpointDir: dir}); err != nil {
+		t.Fatalf("Resume to the end: %v", err)
+	}
+	requireNoRankers(t)
+	kill := faults.New(faults.Config{Seed: 5, KillSpec: faults.KillSimCheckpointPublished + ":2"})
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: t.TempDir(), Faults: kill}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("RunWith at a kill point: err = %v, want ErrInterrupted", err)
+	}
+	requireNoRankers(t)
+	var ce *CheckpointError
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: file}); !errors.As(err, &ce) {
+		t.Fatalf("RunWith into a file: err = %v, want a *CheckpointError", err)
+	}
+	requireNoRankers(t)
+	n := len(ds.Accesses)
+	ds.Accesses[n-1], ds.Accesses[n-2] = ds.Accesses[n-2], ds.Accesses[n-1]
+	unordered, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unordered.Run(unordered.NewFLT()); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("Run of an unordered log: err = %v, want it refused", err)
 	}
 	requireNoRankers(t)
 }
@@ -292,9 +336,10 @@ func TestMultiplexDoesNotShareFaultDraws(t *testing.T) {
 }
 
 // TestMultiplexRejectsUnrepresentableLog pins the columnar feed's
-// refusals. An access log out of timestamp order fails the run with
-// Dataset.Validate's wording; a first event predating the snapshot
-// fails it with the error a single-policy replay raises.
+// refusals, which a multiplexed pass and a single-policy replay share
+// word for word. An access log out of timestamp order fails the run
+// with Dataset.Validate's wording; a first event predating the
+// snapshot fails it with the error Stream.Apply raises.
 func TestMultiplexRejectsUnrepresentableLog(t *testing.T) {
 	cfg := Config{TargetUtilization: 0.5}
 	lanes := []LaneSpec{{Policy: PolicyFLT, Config: cfg}}
@@ -309,6 +354,13 @@ func TestMultiplexRejectsUnrepresentableLog(t *testing.T) {
 	if _, err := runMultiplexed(ds, lanes); err == nil || err.Error() != want {
 		t.Fatalf("out-of-order log: err = %v, want %q", err, want)
 	}
+	em, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em.Run(em.NewFLT()); err == nil || err.Error() != want {
+		t.Fatalf("single-policy replay of the out-of-order log: err = %v, want %q", err, want)
+	}
 
 	ds = tinyDataset()
 	ds.Accesses[0].TS = ds.Snapshot.Taken - 1
@@ -316,12 +368,11 @@ func TestMultiplexRejectsUnrepresentableLog(t *testing.T) {
 	if _, err := runMultiplexed(ds, lanes); err == nil || err.Error() != want {
 		t.Fatalf("predating log: err = %v, want %q", err, want)
 	}
-	em, err := New(ds, cfg)
-	if err != nil {
+	if em, err = New(ds, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := em.Run(em.NewFLT()); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("single-policy replay of the predating log: err = %v, want it to carry %q", err, want)
+	if _, err := em.Run(em.NewFLT()); err == nil || err.Error() != want {
+		t.Fatalf("single-policy replay of the predating log: err = %v, want %q", err, want)
 	}
 }
 
@@ -412,9 +463,6 @@ func TestColFeedBatchInvariants(t *testing.T) {
 			t.Fatalf("batch %d starts at %d, want %d", bi, b.start, next)
 		}
 		next = b.end
-		if b.first != ds.Accesses[b.start].TS {
-			t.Fatalf("batch %d first time mismatch", bi)
-		}
 		day := ds.Accesses[b.start].TS.StartOfDay()
 		// The lowest grid point strictly after the batch's first event
 		// must clear the whole batch.

@@ -12,6 +12,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"activedr/internal/activeness"
@@ -162,6 +163,12 @@ type Emulator struct {
 	base  *vfs.FS
 	eval  *activeness.Evaluator
 	users int
+	// feed is the columnar view of the access log on the trigger grid.
+	// The first batch replay builds it and the later ones reuse it; an
+	// emulator that only streams (activedrd) never builds it.
+	feedOnce sync.Once
+	feed     *colFeed
+	feedErr  error
 }
 
 // New prepares an emulator: loads the snapshot and indexes the
@@ -356,8 +363,9 @@ type runState struct {
 	period  int
 }
 
-// newRanker returns a stream's ranker: one period, cursors of its own
-// and no worker, so each table is computed when a trigger asks for it.
+// newRanker returns a lane's ranker: one period and cursors of its
+// own, so runs off one emulator stay independent. Until start launches
+// its worker, each table is computed when a trigger asks for it.
 func (e *Emulator) newRanker() *sharedRanker {
 	return &sharedRanker{cursors: e.eval.NewCursors(), users: e.users, periods: []timeutil.Duration{e.cfg.PeriodLength}}
 }
@@ -378,9 +386,18 @@ func (e *Emulator) startState(policy string, group *vfs.LaneGroup, lane int, r *
 	}
 }
 
-// freshState initializes a stream at the reference snapshot.
-func (e *Emulator) freshState(policy retention.Policy) *runState {
-	return e.startState(policy.Name(), vfs.AdoptLaneGroup(e.base.Clone(), 1, 0), 0, e.newRanker(), 0)
+// freshState initializes a lane at the reference snapshot: the one
+// lane of a group over a clone of the base with handle slots for
+// pathCap path ids, ranked by r.
+func (e *Emulator) freshState(policy retention.Policy, pathCap int, r *sharedRanker) *runState {
+	return e.startState(policy.Name(), vfs.AdoptLaneGroup(e.base.Clone(), 1, pathCap), 0, r, 0)
+}
+
+// columnar returns the emulator's columnar feed, building it on the
+// first call. It is safe for concurrent use.
+func (e *Emulator) columnar() (*colFeed, error) {
+	e.feedOnce.Do(func() { e.feed, e.feedErr = buildColFeed(e.ds, e.cfg.TriggerInterval) })
+	return e.feed, e.feedErr
 }
 
 // Run replays the access log against one policy.
@@ -389,9 +406,36 @@ func (e *Emulator) Run(policy retention.Policy) (*Result, error) {
 }
 
 // RunWith replays the access log against one policy with fault
-// injection and checkpointing options.
+// injection and checkpointing options: a one-lane batch replay over
+// the emulator's columnar feed (replayFeed). A log the feed refuses
+// fails before anything is applied.
 func (e *Emulator) RunWith(policy retention.Policy, opts RunOptions) (*Result, error) {
-	return e.replay(policy, opts, e.freshState(policy))
+	// The ranker works while the feed and the namespace are built.
+	r := e.newRanker()
+	r.start(e.ds.Snapshot.Taken, lastEvent(e.ds), e.cfg.TriggerInterval)
+	defer r.halt()
+	feed, err := e.columnar()
+	if err != nil {
+		return nil, err
+	}
+	return e.runLane(policy, opts, e.freshState(policy, len(feed.paths), r), feed)
+}
+
+// runLane replays st, the one lane of its group, from its cursor to
+// the end of the log and completes its Result. A replay stopped by
+// RunOptions.StopAfterTriggers or a kill point returns its partial
+// Result with ErrInterrupted, once every checkpoint has published.
+func (e *Emulator) runLane(policy retention.Policy, opts RunOptions, st *runState, feed *colFeed) (*Result, error) {
+	timer := profiling.StartTimer()
+	s := e.newStream(policy, opts, st)
+	if _, err := replayFeed(e.ds.Accesses, feed, []*Stream{s}); err != nil {
+		if !errors.Is(err, ErrInterrupted) {
+			return nil, err
+		}
+		st.res.Elapsed = timer.Elapsed()
+		return st.res, err
+	}
+	return s.finish(timer.Elapsed()), nil
 }
 
 // runObs caches the replay's metric handles so the per-access hot
@@ -493,40 +537,6 @@ func (ro *runObs) noteMiss(policy string, a *trace.Access, g activeness.Group) {
 			Bytes:  a.Size,
 		})
 	}
-}
-
-// replay drives the access loop from st to the end of the log (or an
-// interruption point). The per-event semantics live in Stream.Apply;
-// this wrapper only supplies the dataset's access log, waits for the
-// last checkpoint writes and finalizes the Result — the daemon drives
-// the identical Stream from its WAL.
-func (e *Emulator) replay(policy retention.Policy, opts RunOptions, st *runState) (*Result, error) {
-	timer := profiling.StartTimer()
-	s := e.newStream(policy, opts, st)
-	if opts.Obs != nil {
-		stopReplay := opts.Obs.StartPhase("replay")
-		defer stopReplay()
-	}
-	res := st.res
-	for st.cursor < len(e.ds.Accesses) {
-		if err := s.Apply(&e.ds.Accesses[st.cursor]); err != nil {
-			if errors.Is(err, ErrInterrupted) {
-				res.Elapsed = timer.Elapsed()
-				return res, err // the stop already waited for every write
-			}
-			_ = s.Wait() // the replay's error wins, but no write outlives the run
-			return nil, err
-		}
-	}
-	if err := s.Wait(); err != nil {
-		return nil, err
-	}
-	if !st.captured {
-		res.Captured = st.fsys.Clone()
-	}
-	res.Final = st.fsys
-	res.Elapsed = timer.Elapsed()
-	return res, nil
 }
 
 // Comparison bundles an FLT and an ActiveDR run over identical input.

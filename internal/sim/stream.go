@@ -1,21 +1,23 @@
 package sim
 
-// Stream is the incremental form of the replay loop: instead of
-// consuming the dataset's access log in one call, the caller feeds
-// one event at a time. The retention daemon (internal/daemon) drives
-// a Stream from its write-ahead log, and the batch replay() drives
-// one over ds.Accesses — the SAME code path, which is what makes the
-// daemon's purge plans provably bit-identical to a batch replay of
-// the same event sequence.
-//
-// A Stream runs on the multiplexer's machinery: its namespace is a
-// one-lane vfs.LaneGroup, its groups come from a one-period ranker's
-// tables, and its misses go through countMiss, so each exists once
-// whichever driver feeds the events.
+// Stream is one lane of a replay: its state, its policy and its
+// checkpoint writer. Two loops feed it. The retention daemon
+// (internal/daemon) calls Apply for each event of its write-ahead log.
+// Batch replays (Emulator.RunWith and Resume on one lane,
+// Multiplexer.Run on N) feed whole day batches through replayFeed
+// (columnar.go). Both loops fire triggers, checkpoint and
+// stop through fireTriggers, bucket days through dayFor, mutate the
+// namespace (a one-lane vfs.LaneGroup for a Stream of its own) only
+// through ApplyRun, classify owners from the ranker's tables and count
+// misses through countMiss, so each of these exists once.
+// TestBatchReplayMatchesPerEvent holds a batch replay bit-identical to
+// Apply over the same log, and the daemon's TestDaemonMatchesBatchReplay
+// holds its purge plans to a batch replay's.
 
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"activedr/internal/activeness"
 	"activedr/internal/faults"
@@ -51,8 +53,8 @@ type ckptWrite struct {
 	err     error
 }
 
-// newStream wires faults and observability into the state exactly as
-// replay() always has, so batch and streamed runs stay equivalent.
+// newStream wires faults and observability into the state the same way
+// for both loops, so batch and streamed runs stay equivalent.
 func (e *Emulator) newStream(policy retention.Policy, opts RunOptions, st *runState) *Stream {
 	if opts.Faults != nil {
 		if sink, ok := policy.(retention.FaultSink); ok {
@@ -88,7 +90,7 @@ func (e *Emulator) newStream(policy retention.Policy, opts RunOptions, st *runSt
 
 // NewStream starts a stream at the reference snapshot.
 func (e *Emulator) NewStream(policy retention.Policy, opts RunOptions) *Stream {
-	return e.newStream(policy, opts, e.freshState(policy))
+	return e.newStream(policy, opts, e.freshState(policy, 0, e.newRanker()))
 }
 
 // ResumeStream reconstructs a stream from the latest checkpoint under
@@ -98,7 +100,7 @@ func (e *Emulator) ResumeStream(policy retention.Policy, opts RunOptions) (*Stre
 	if opts.CheckpointDir == "" {
 		return nil, errors.New("sim: ResumeStream requires RunOptions.CheckpointDir")
 	}
-	st, err := e.loadCheckpoint(policy, opts)
+	st, err := e.loadCheckpoint(policy, opts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +133,21 @@ func (s *Stream) FS() *vfs.FS { return s.st.fsys }
 func (s *Stream) Policy() retention.Policy { return s.policy }
 
 // Result returns the accumulating run result (live; Final and Elapsed
-// are only set by the batch replay wrapper).
+// are only set by the batch replays).
 func (s *Stream) Result() *Result { return s.st.res }
+
+// finish completes the Result of a replay that reached the end of the
+// log: the CaptureAt state if no trigger reached it, the final lane
+// view and the wall-clock time.
+func (s *Stream) finish(elapsed time.Duration) *Result {
+	st := s.st
+	if !st.captured {
+		st.res.Captured = st.fsys.Clone()
+	}
+	st.res.Final = st.fsys
+	st.res.Elapsed = elapsed
+	return st.res
+}
 
 // dayFor returns the per-day stats bucket for ts, starting a new day
 // when the timestamp crosses midnight.
@@ -294,7 +309,7 @@ func (s *Stream) settle(keep int) error {
 
 // Wait blocks until every checkpoint write in flight has finished,
 // runs OnCheckpoint after each one that published, and returns the
-// first write failure (a *CheckpointError), if any. The batch drivers
+// first write failure (a *CheckpointError), if any. Batch replays
 // wait before they return; a caller driving a Stream itself waits
 // before it reads the checkpoint directory or abandons the stream.
 func (s *Stream) Wait() error { return s.settle(0) }
@@ -332,7 +347,7 @@ func (s *Stream) Apply(a *trace.Access) error {
 // countMiss counts a miss of access a by a user in group g, in the
 // current day and the run's totals: the user came back for a purged
 // file and restores it from the archive. Stream.Apply and
-// Multiplexer.Run's event-ordered flush both call it.
+// replayFeed's event-ordered flush both call it.
 func (s *Stream) countMiss(a *trace.Access, g activeness.Group) {
 	d, res := s.day, s.st.res
 	d.Misses++
