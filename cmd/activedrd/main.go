@@ -4,12 +4,13 @@
 // tail, and then serves a local HTTP/JSON API while ingesting
 // create/access/unlink events through the WAL.
 //
-// Durability contract: an event is acknowledged only after it is
-// fsynced into the WAL and applied; killed at any instant, the next
-// incarnation recovers to purge plans bit-identical to a batch replay
-// of every acknowledged event (internal/daemon's chaos harness
-// enforces this). Feeders resume from /v1/status's applied_events, as
-// -feed does on a restart.
+// Durability contract: an event is acknowledged once it is fsynced
+// into the WAL, and applied after that; a read that starts after the
+// acknowledgment sees it. Killed at any instant, the next incarnation
+// recovers to purge plans bit-identical to a batch replay of every
+// acknowledged event (internal/daemon's chaos harness enforces this).
+// Feeders resume from /v1/status's applied_events, as -feed does on a
+// restart.
 //
 // Usage:
 //

@@ -287,12 +287,16 @@ func TestCheckpointKillPointKillsDaemon(t *testing.T) {
 	cfg.Faults = faults.New(faults.Config{Seed: 3, KillSpec: faults.KillSimCheckpointPublished + ":4"})
 	d1 := newDaemon(t, tinyDataset(), cfg)
 	var killed error
-	applied := 0
 	for i := range evs {
 		if killed = d1.Ingest(evs[i : i+1]); killed != nil {
 			break
 		}
-		applied++
+	}
+	if killed == nil {
+		// Every event was acknowledged at durability before the apply
+		// stage reached the kill: the next Ingest reports it.
+		d1.settled()
+		killed = d1.Ingest(evs[len(evs)-1:])
 	}
 	if !errors.Is(killed, ErrKilled) {
 		t.Fatalf("ingest error = %v, want ErrKilled at the 4th checkpoint", killed)
@@ -305,7 +309,8 @@ func TestCheckpointKillPointKillsDaemon(t *testing.T) {
 	cfg2.Faults = faults.New(faults.Config{Seed: 3}) // same stream, no kill
 	d2 := newDaemon(t, tinyDataset(), cfg2)
 	defer d2.Close()
-	// The killed event never acked, so the feeder resends from there.
+	// The feeder resends from what the restart holds: every event
+	// acknowledged, and any durable one past the acknowledgments.
 	ingestAll(t, d2, evs[d2.stream.Applied():], 7)
 	requireSameReports(t, "checkpoint kill", d2.stream.Result().Reports, ref.Reports)
 }
@@ -408,9 +413,12 @@ func freeze(t *testing.T, cfg Config) crashImage {
 	return im
 }
 
-// ingestUntilKilled feeds evs from event from in batches until the
-// daemon dies, failing the test on any other error or if it never
-// dies. It returns how many events were acknowledged.
+// ingestUntilKilled feeds evs from event from in batches until an
+// Ingest reports the daemon dead, failing the test on any other error
+// or if it never dies. A death in the apply stage shows at an Ingest
+// after the batch that carried it was acknowledged; if the feed runs
+// out first, one more Ingest observes it. It returns how many events
+// were acknowledged.
 func ingestUntilKilled(t *testing.T, d *Daemon, evs []Event, from, batch int) int {
 	t.Helper()
 	for i := from; i < len(evs); i += batch {
@@ -422,8 +430,11 @@ func ingestUntilKilled(t *testing.T, d *Daemon, evs []Event, from, batch int) in
 			return i
 		}
 	}
-	t.Fatal("the daemon was never killed")
-	return 0
+	d.settled()
+	if err := d.Ingest(evs[len(evs)-1:]); !errors.Is(err, ErrKilled) {
+		t.Fatalf("the daemon was never killed: Ingest after the feed = %v", err)
+	}
+	return len(evs)
 }
 
 // requireLogMatchesStream asserts a recovered daemon's WAL ends

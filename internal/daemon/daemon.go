@@ -3,7 +3,9 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"activedr/internal/faults"
@@ -32,8 +34,8 @@ const (
 // the checkpoint before, so a weekly trigger writes what the week
 // changed. Checkpoints are written in the background (sim.Stream), so
 // the cadence sets two costs: the writer's work (the checkpoint
-// phase) and the applier's share (checkpoint_capture: the copy, and
-// any wait for a writer that fell behind). Feeding a 2000-user year
+// phase) and the apply stage's share (checkpoint_capture: the copy,
+// and any wait for a writer that fell behind). Feeding a 2000-user year
 // over HTTP (ActiveDR-90d, 2 vCPUs, two passes) they were 3.4–3.8 s
 // and 0.77–0.79 s with every checkpoint full, 1.4–1.6 s and 0.10 s at
 // 4, 1.15 s and 0.06–0.07 s at 8, and 0.92–0.97 s and 0.05–0.06 s at
@@ -74,9 +76,9 @@ type Config struct {
 	// QueueDepth bounds the ingest queue in batches (default 64);
 	// a full queue surfaces ErrBackpressure to the feeder.
 	QueueDepth int
-	// SyncEvery sizes the WAL's group commits: a batch is appended,
-	// landed with one write and one fsync, and then applied in groups
-	// of at most this many events (default 256).
+	// SyncEvery sizes the WAL's group commits: a batch is logged in
+	// groups of at most this many events (default 256), each landed
+	// with one write and one fsync before the apply stage gets it.
 	SyncEvery int
 	// CheckpointEvery spaces checkpoints to one every N purge
 	// triggers (default 1).
@@ -166,31 +168,58 @@ type batch struct {
 	done   chan error
 }
 
-// Daemon is the retention service core. One applier goroutine owns
-// all mutations; HTTP handlers read under the same mutex.
+// applyDepth bounds the durable groups the WAL stage has handed to the
+// apply stage and the apply stage has not taken up yet. When the apply
+// stage falls that far behind, the WAL stage waits for it, the ingest
+// queue fills, and feeders get ErrBackpressure, as they would from one
+// stage.
+const applyDepth = 4
+
+// Daemon is the retention service core. Ingest runs through two
+// stages (DESIGN.md §12). The WAL stage, the only user of the log
+// after recovery, makes each group of events durable without d.mu and
+// acknowledges a batch once its last group is durable. The apply stage
+// applies the durable groups in order under d.mu, which HTTP reads
+// take too, after waiting for the events that were durable when they
+// arrived.
 type Daemon struct {
-	cfg         Config
-	em          *sim.Emulator
-	users       []trace.User
-	byName      map[string]trace.UserID
-	backoff     *faults.Backoff
-	queue       chan batch
-	applierDone chan struct{}
+	cfg       Config
+	em        *sim.Emulator
+	users     []trace.User
+	byName    map[string]trace.UserID
+	queue     chan batch
+	applyq    chan []Event // durable groups, WAL stage → apply stage; closed when the WAL stage exits
+	applyDone chan struct{}
 
 	ingestMu sync.RWMutex // guards queue against close-vs-send races
 	closing  bool
 
-	mu         sync.Mutex // guards everything below
+	// The WAL stage's own state. Recovery uses the log before the stage
+	// starts, and Close after it has exited.
+	log     *wal.Log
+	backoff *faults.Backoff
+	enc     []byte // the event encoding buffer, reused per record
+	pruned  uint64 // the log is pruned up to this event
+
+	durable atomic.Int64  // events the WAL holds durable
+	pruneTo atomic.Uint64 // the newest published checkpoint's event
+
+	mu         sync.Mutex // guards the stream and everything below
 	stream     *sim.Stream
-	log        *wal.Log
-	st         state
-	reason     string        // why degraded/killed
+	stopped    bool          // the stream takes no more events: the daemon died or closed
+	haltRanker func()        // stops the stream's ranker worker; called once, when stopped is set
 	lastTS     timeutil.Time // newest event timestamp applied
 	lastCkpt   int           // Applied() at the last checkpoint
 	recovered  int           // events replayed from the WAL at startup
 	walInfo    wal.RecoveryInfo
-	recovering bool   // suppress WAL pruning while Replay iterates
-	enc        []byte // the applier's event encoding buffer
+
+	// The read watermark and the lifecycle state. wmu is held across
+	// nothing that blocks but wcond.Wait, and never while taking d.mu.
+	wmu     sync.Mutex
+	wcond   sync.Cond
+	applied int64 // events the apply stage has applied
+	st      state
+	reason  string // why degraded/killed
 
 	closeOnce sync.Once
 	closeErr  error
@@ -228,9 +257,9 @@ func newDaemonMetrics(o *obs.Observer) daemonMetrics {
 
 // New builds the daemon over a dataset (metadata snapshot + activity
 // logs), recovers its state — latest durable checkpoint plus the WAL
-// tail — and starts the applier. The returned daemon is ready to
-// serve; a chaos kill point armed on Config.WALFaults can abort
-// recovery with ErrKilled.
+// tail — and starts the two ingest stages. The returned daemon is
+// ready to serve; a chaos kill point armed on Config.WALFaults can
+// abort recovery with ErrKilled.
 func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if cfg.WALDir == "" || cfg.CheckpointDir == "" {
@@ -241,15 +270,17 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:         cfg,
-		em:          em,
-		users:       ds.Users,
-		byName:      trace.NameIndex(ds.Users),
-		backoff:     faults.NewBackoff(cfg.BackoffSeed, cfg.RetryBase, cfg.RetryMax),
-		queue:       make(chan batch, cfg.QueueDepth),
-		applierDone: make(chan struct{}),
-		m:           newDaemonMetrics(cfg.Obs),
+		cfg:       cfg,
+		em:        em,
+		users:     ds.Users,
+		byName:    trace.NameIndex(ds.Users),
+		backoff:   faults.NewBackoff(cfg.BackoffSeed, cfg.RetryBase, cfg.RetryMax),
+		queue:     make(chan batch, cfg.QueueDepth),
+		applyq:    make(chan []Event, applyDepth),
+		applyDone: make(chan struct{}),
+		m:         newDaemonMetrics(cfg.Obs),
 	}
+	d.wcond.L = &d.wmu
 
 	policy, err := em.NewPolicy(cfg.Policy)
 	if err != nil {
@@ -272,6 +303,9 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 		d.stream = em.NewStream(policy, opts)
 	}
 	d.lastCkpt = d.stream.Applied()
+	// Each trigger's rank table is computed one trigger ahead, from
+	// recovery on.
+	d.haltRanker = d.stream.RankAhead()
 
 	if err := d.recover(); err != nil {
 		// Checkpoints the replayed tail took still land (or fail)
@@ -279,13 +313,18 @@ func New(ds *trace.Dataset, cfg Config) (*Daemon, error) {
 		if werr := d.stream.Wait(); werr != nil && !errors.Is(err, werr) {
 			err = errors.Join(err, werr)
 		}
+		d.haltRanker()
 		if d.log != nil {
 			err = errors.Join(err, d.log.Close())
 		}
 		return nil, err
 	}
-	d.m.lastSeq.Set(int64(d.stream.Applied()))
-	go d.applier()
+	// Recovery leaves the log ending at the stream's cursor.
+	d.applied = int64(d.stream.Applied())
+	d.durable.Store(d.applied)
+	d.m.lastSeq.Set(d.applied)
+	go d.walStage()
+	go d.applyStage()
 	return d, nil
 }
 
@@ -331,8 +370,6 @@ func (d *Daemon) recover() error {
 			wal.ErrCorrupt, applied, info.LastSeq)
 	}
 	if info.LastSeq > applied {
-		d.recovering = true
-		defer func() { d.recovering = false }()
 		err := log.Replay(applied, func(seq uint64, payload []byte) error {
 			if d.cfg.WALFaults != nil && d.cfg.WALFaults.ShouldKill(KillRecoverRecord) {
 				return fmt.Errorf("%w: during recovery at record %d", ErrKilled, seq)
@@ -358,6 +395,7 @@ func (d *Daemon) recover() error {
 		if err := log.Prune(uint64(d.lastCkpt)); err != nil {
 			return err
 		}
+		d.pruned = uint64(d.lastCkpt)
 	}
 	return nil
 }
@@ -371,17 +409,24 @@ func walHooks(in *faults.Injector) wal.Hooks {
 	return in
 }
 
-// onCheckpoint runs after each checkpoint publishes: the WAL prefix
-// the checkpoint covers is garbage. Checkpoints are written in the
-// background, but the stream calls this only from its own calls —
-// from the applier or recovery, with d.mu held.
+// onCheckpoint runs after each checkpoint publishes, from inside a
+// Stream call (d.mu held, or recovery's exclusive access): the WAL
+// prefix the checkpoint covers is garbage. Only the WAL stage uses the
+// log, so the position is handed to it (prune).
 func (d *Daemon) onCheckpoint(applied int) {
 	d.lastCkpt = applied
-	if d.recovering || d.log == nil {
-		return
+	d.pruneTo.Store(uint64(applied))
+}
+
+// prune drops the WAL segments the newest published checkpoint covers.
+// The log's owner calls it: the WAL stage before each group, Close once
+// the stage has exited. Best-effort: a failed prune costs disk, not
+// correctness.
+func (d *Daemon) prune() {
+	if p := d.pruneTo.Load(); p > d.pruned {
+		_ = d.log.Prune(p)
+		d.pruned = p
 	}
-	// Best-effort: a failed prune costs disk, not correctness.
-	_ = d.log.Prune(uint64(applied))
 }
 
 // apply folds one event into the stream (caller holds d.mu or has
@@ -403,11 +448,16 @@ func (d *Daemon) apply(ev *Event) error {
 	return nil
 }
 
-// Ingest appends events to the WAL and applies them, returning once
-// the batch is durable (fsynced) and applied. A full queue returns
-// ErrBackpressure immediately — explicit backpressure, never an
-// unbounded buffer. Events must be time-ordered within and across
-// batches (the feed is a log).
+// Ingest appends events to the WAL and returns once the batch is
+// durable: every event appended and fsynced. The apply stage applies
+// the events after that, in order, and every read that starts after
+// Ingest returns waits for them, so it sees the batch. A full queue
+// returns ErrBackpressure immediately — explicit backpressure, never
+// an unbounded buffer. An event that fails to apply ends the daemon
+// after its batch was acknowledged (it is durable, and recovery applies
+// it): the Ingests after that return ErrDegraded or ErrKilled. Events
+// must be time-ordered within and across batches (the feed is a log).
+// Ingest keeps no reference to events once it returns.
 func (d *Daemon) Ingest(events []Event) error {
 	if len(events) == 0 {
 		return nil
@@ -430,34 +480,30 @@ func (d *Daemon) Ingest(events []Event) error {
 	return <-b.done
 }
 
-// applier is the single goroutine that owns all mutations.
-func (d *Daemon) applier() {
-	defer close(d.applierDone)
+// walStage logs the queued batches in order and acknowledges each once
+// it is durable. When the queue closes it closes the hand-off, so the
+// apply stage drains and exits.
+func (d *Daemon) walStage() {
+	defer close(d.applyq)
 	for b := range d.queue {
 		d.m.queueLen.Set(int64(len(d.queue)))
-		b.done <- d.applyBatch(b.events)
+		b.done <- d.logBatch(b.events)
 	}
 }
 
-// applyBatch runs one ingest batch as a sequence of group commits of
-// at most SyncEvery events each: append the group to the WAL (with
+// logBatch runs one ingest batch as a sequence of group commits of at
+// most SyncEvery events each: append the group to the WAL (with
 // deterministic jittered-backoff retries), land and fsync it with one
-// write and one fsync, and only then apply it. Applying after the
-// fsync keeps every checkpoint a trigger writes inside the batch
-// behind the durable WAL, so recovery never finds the log ending
-// before the checkpoint's cursor.
-func (d *Daemon) applyBatch(events []Event) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch d.st {
-	case stateDegraded:
-		return fmt.Errorf("%w (%s)", ErrDegraded, d.reason)
-	case stateKilled:
-		return fmt.Errorf("%w (%s)", ErrKilled, d.reason)
-	case stateClosed:
-		return ErrClosed
+// write and one fsync, and only then hand it to the apply stage.
+// Applying after the fsync keeps every checkpoint a trigger writes
+// behind the durable WAL, so recovery never finds the log ending before
+// the checkpoint's cursor.
+func (d *Daemon) logBatch(events []Event) error {
+	if st, reason := d.state(); st != stateRunning {
+		return stateErr(st, reason)
 	}
 	for len(events) > 0 {
+		d.prune()
 		group := events[:min(len(events), d.cfg.SyncEvery)]
 		events = events[len(group):]
 		for i := range group {
@@ -465,36 +511,32 @@ func (d *Daemon) applyBatch(events []Event) error {
 			if err != nil {
 				// Nothing appended for this event; the batch aborts
 				// after committing the events before it, so the WAL
-				// holds no record the stream has not applied.
-				//lint:allow lockflow the WAL fsync runs under d.mu until ROADMAP "activedrd: the WAL off the lock" moves it out
-				if cerr := d.commitLocked(group[:i]); cerr != nil {
+				// holds no record the stream will not apply.
+				if cerr := d.commit(group[:i]); cerr != nil {
 					return cerr
 				}
 				return err
 			}
-			//lint:allow lockflow the WAL append runs under d.mu until ROADMAP "activedrd: the WAL off the lock" moves it out
-			if err := d.appendLocked(payload); err != nil {
+			if err := d.appendRecord(payload); err != nil {
 				return err
 			}
 			d.enc = payload // the WAL copied it; the next event reuses the buffer
 		}
-		//lint:allow lockflow the WAL fsync runs under d.mu until ROADMAP "activedrd: the WAL off the lock" moves it out
-		if err := d.commitLocked(group); err != nil {
+		if err := d.commit(group); err != nil {
 			return err
 		}
 	}
 	if d.cfg.WALFaults != nil && d.cfg.WALFaults.ShouldKill(KillWALSynced) {
-		//lint:allow lockflow dying waits for in-flight checkpoint writes under d.mu, as the applier does until ROADMAP "activedrd: the WAL off the lock"
-		d.die(stateKilled, "kill point after batch fsync")
+		d.fail(stateKilled, "kill point after batch fsync")
 		return ErrKilled
 	}
 	return nil
 }
 
-// appendLocked appends one event's record to the WAL (d.mu held),
-// retrying transient failures, and moves the daemon to its terminal
-// state when the append fails for good.
-func (d *Daemon) appendLocked(payload []byte) error {
+// appendRecord appends one event's record to the WAL, retrying
+// transient failures, and ends the daemon when the append fails for
+// good.
+func (d *Daemon) appendRecord(payload []byte) error {
 	attempt := 0
 	err := faults.RetryBackoff(d.cfg.RetryAttempts, d.backoff, func(t time.Duration) {
 		d.m.retries.Inc()
@@ -509,117 +551,213 @@ func (d *Daemon) appendLocked(payload []byte) error {
 		d.m.walRecords.Inc()
 		return nil
 	case errors.Is(err, wal.ErrTorn):
-		d.die(stateKilled, fmt.Sprintf("torn write: %v", err))
+		d.fail(stateKilled, fmt.Sprintf("torn write: %v", err))
 		return fmt.Errorf("%w: %v", ErrKilled, err)
 	case faults.IsDiskFull(err):
-		d.die(stateDegraded, fmt.Sprintf("disk full: %v", err))
+		d.fail(stateDegraded, fmt.Sprintf("disk full: %v", err))
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	default:
-		d.die(stateDegraded, fmt.Sprintf("write failed after %d attempts: %v", attempt, err))
+		d.fail(stateDegraded, fmt.Sprintf("write failed after %d attempts: %v", attempt, err))
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
 }
 
-// commitLocked makes a group of appended events durable with one WAL
-// write and fsync, then applies them (d.mu held).
-func (d *Daemon) commitLocked(group []Event) error {
+// commit makes a group of appended events durable with one WAL write
+// and fsync, then hands a copy of it to the apply stage: the caller's
+// slice is the caller's again once the batch is acknowledged. Every
+// call has records to sync, so the sync counter counts fsyncs.
+func (d *Daemon) commit(group []Event) error {
 	if len(group) == 0 {
 		return nil
 	}
-	if err := d.syncLocked(); err != nil {
-		return err
+	if err := d.log.Sync(); err != nil {
+		d.fail(stateDegraded, fmt.Sprintf("wal fsync: %v", err))
+		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
+	d.m.walSyncs.Inc()
+	d.durable.Store(int64(d.log.LastSeq()))
+	d.applyq <- slices.Clone(group)
+	return nil
+}
+
+// fail ends the daemon from the WAL stage. The groups already durable
+// are applied first, as they would have been had the failure come
+// later, then the daemon dies.
+func (d *Daemon) fail(s state, reason string) {
+	d.awaitApplied(d.durable.Load())
+	d.die(s, reason)
+}
+
+// applyStage applies the durable groups in order, each under d.mu,
+// and moves the read watermark past it. Once the daemon has died or
+// closed, the groups still in flight are dropped: they are durable,
+// and the next incarnation's recovery applies them.
+func (d *Daemon) applyStage() {
+	defer close(d.applyDone)
+	for group := range d.applyq {
+		st, reason := stateRunning, ""
+		d.mu.Lock()
+		if !d.stopped {
+			//lint:allow lockflow applying waits under d.mu only for the stream's own workers: a checkpoint writer maxCkptWrites behind, the designed backpressure, or the ranker's next table
+			st, reason = d.applyGroup(group)
+		}
+		applied := int64(d.stream.Applied())
+		d.mu.Unlock()
+		if st != stateRunning {
+			d.die(st, reason)
+		}
+		d.wmu.Lock()
+		d.applied = applied
+		d.wcond.Broadcast()
+		d.wmu.Unlock()
+	}
+}
+
+// applyGroup applies one durable group (d.mu held). An event that fails
+// to apply stops the group there, and applyGroup returns the terminal
+// state and the reason the daemon dies with.
+func (d *Daemon) applyGroup(group []Event) (state, string) {
 	for i := range group {
 		if err := d.apply(&group[i]); err != nil {
-			if errors.Is(err, sim.ErrInterrupted) {
+			var ce *sim.CheckpointError
+			switch {
+			case errors.Is(err, sim.ErrInterrupted):
 				// A replay-level kill point (checkpoint published)
 				// fired: simulated process death.
-				d.die(stateKilled, "kill point after checkpoint publish")
-				return fmt.Errorf("%w: %v", ErrKilled, err)
-			}
-			var ce *sim.CheckpointError
-			if errors.As(err, &ce) {
+				return stateKilled, "kill point after checkpoint publish"
+			case errors.As(err, &ce):
 				// A background checkpoint write failed. Its events are
 				// durable in the WAL, which keeps everything after the
 				// last published checkpoint; no later one publishes.
-				d.die(stateDegraded, fmt.Sprintf("checkpoint %s: %v", ce.Name, ce.Err))
-				return fmt.Errorf("%w: %v", ErrDegraded, err)
+				return stateDegraded, fmt.Sprintf("checkpoint %s: %v", ce.Name, ce.Err)
+			default:
+				// The event is durable but unappliable — a feed bug.
+				// Degrade loudly instead of diverging quietly.
+				return stateDegraded, fmt.Sprintf("apply event %d: %v", d.stream.Applied()+1, err)
 			}
-			// The event is already durable but unappliable — a feed
-			// bug. Degrade loudly instead of diverging quietly.
-			d.die(stateDegraded, fmt.Sprintf("apply event %d: %v", d.stream.Applied()+1, err))
-			return fmt.Errorf("%w: %v", ErrDegraded, err)
 		}
 		d.m.lastSeq.Set(int64(d.stream.Applied()))
 		d.m.ingested.Inc()
 	}
-	return nil
+	return stateRunning, ""
 }
 
-// syncLocked lands and fsyncs the WAL's pending records (d.mu held),
-// degrading on failure. Every call has records to sync, so the sync
-// counter counts fsyncs.
-func (d *Daemon) syncLocked() error {
-	if err := d.log.Sync(); err != nil {
-		d.die(stateDegraded, fmt.Sprintf("wal fsync: %v", err))
-		return fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	d.m.walSyncs.Inc()
-	return nil
-}
-
-// die moves the daemon to a terminal ingest state (reads stay up).
-// Checkpoint writes in flight still land or fail first, so the disk
-// a dead daemon leaves behind stops changing.
+// die moves the daemon to a terminal ingest state; reads stay up. It
+// stops the stream first: checkpoint writes in flight land or fail, so
+// the disk a dead daemon leaves behind stops changing, and the ranker
+// worker exits. Only then does the state show, to the WAL stage and to
+// the reads' watermark. The first death wins. The caller does not hold
+// d.mu.
 func (d *Daemon) die(s state, reason string) {
-	d.st = s
-	d.reason = reason
-	d.m.degraded.Set(1)
+	d.mu.Lock()
+	if d.stopped {
+		d.mu.Unlock()
+		return
+	}
+	d.stopped = true
+	//lint:allow lockflow dying waits under d.mu for the checkpoint writes in flight, which report to the stream d.mu guards
 	_ = d.stream.Wait() // a failure only confirms the death
+	d.mu.Unlock()
+	d.haltRanker()
+	d.m.degraded.Set(1)
+	d.setState(s, reason)
 }
+
+// state returns the lifecycle state and why the daemon left running.
+func (d *Daemon) state() (state, string) {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	return d.st, d.reason
+}
+
+// setState moves the lifecycle state and wakes the reads waiting on
+// the watermark: they stop waiting once the daemon is not running.
+func (d *Daemon) setState(s state, reason string) {
+	d.wmu.Lock()
+	d.st, d.reason = s, reason
+	d.wcond.Broadcast()
+	d.wmu.Unlock()
+}
+
+// stateErr is what Ingest returns in a terminal state.
+func stateErr(s state, reason string) error {
+	switch s {
+	case stateDegraded:
+		return fmt.Errorf("%w (%s)", ErrDegraded, reason)
+	case stateKilled:
+		return fmt.Errorf("%w (%s)", ErrKilled, reason)
+	}
+	return ErrClosed
+}
+
+// awaitApplied waits until the apply stage has applied n events or the
+// daemon has left the running state.
+func (d *Daemon) awaitApplied(n int64) {
+	d.wmu.Lock()
+	for d.applied < n && d.st == stateRunning {
+		d.wcond.Wait()
+	}
+	d.wmu.Unlock()
+}
+
+// settled waits until every event that was durable when it was called
+// has been applied, so a read that follows an acknowledgment sees the
+// acknowledged events. The target is that snapshot, not the durable
+// count as it moves on: a read never chases a feed that keeps coming.
+// Every read of the stream calls it before it takes d.mu.
+func (d *Daemon) settled() { d.awaitApplied(d.durable.Load()) }
 
 // Applied returns how many events the daemon holds: the position a
 // feeder resumes its log from.
 func (d *Daemon) Applied() int {
+	d.settled()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stream.Applied()
 }
 
-// Close drains the ingest queue, waits for the checkpoint writes in
-// flight, takes a final checkpoint, and releases the WAL — the
-// graceful SIGTERM path. The drain checkpoint publishes under a fresh
-// name, so the one LATEST names stays intact until its replacement
-// lands. Safe to call more than once.
+// Close drains the ingest queue through both stages, waits for the
+// checkpoint writes in flight, takes a final checkpoint, and releases
+// the WAL — the graceful SIGTERM path. The drain checkpoint publishes
+// under a fresh name, so the one LATEST names stays intact until its
+// replacement lands. Safe to call more than once.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		d.ingestMu.Lock()
 		d.closing = true
 		close(d.queue)
 		d.ingestMu.Unlock()
-		<-d.applierDone // queued batches drain through the applier
+		// The WAL stage logs the queued batches and closes the hand-off
+		// as it exits; the apply stage then applies every durable group
+		// and exits too.
+		<-d.applyDone
 
-		d.mu.Lock()
-		defer d.mu.Unlock()
 		var errs []error
-		if d.st == stateRunning {
-			// A dead daemon already waited in die.
-			//lint:allow lockflow shutdown drains checkpoint writes under d.mu, so reads never see a half-closed stream; ROADMAP "activedrd: the WAL off the lock"
+		d.mu.Lock()
+		running := !d.stopped // a dead daemon already waited in die
+		if running {
+			d.stopped = true
+			//lint:allow lockflow shutdown waits for checkpoint writes under d.mu on purpose, so reads never see a half-closed stream
 			err := d.stream.Wait()
 			if err == nil && d.cfg.CheckpointDir != "" && d.stream.Applied() > d.lastCkpt {
 				at := d.lastTS
 				if at == 0 {
 					at = d.stream.NextTrigger() // stamp only; never read back
 				}
-				//lint:allow lockflow the drain checkpoint is written under d.mu at shutdown; ROADMAP "activedrd: the WAL off the lock"
+				//lint:allow lockflow the drain checkpoint is written under d.mu on purpose at shutdown, so reads never see a half-closed stream
 				err = d.stream.Checkpoint(at)
 			}
 			if err != nil {
 				errs = append(errs, err)
 			}
-			d.st = stateClosed
 		}
-		//lint:allow lockflow the WAL's final land and fsync run under d.mu at shutdown; ROADMAP "activedrd: the WAL off the lock"
+		d.mu.Unlock()
+		if running {
+			d.haltRanker()
+			d.setState(stateClosed, "")
+		}
+		// The WAL stage has exited: the log is Close's now.
+		d.prune()
 		if err := d.log.Close(); err != nil {
 			errs = append(errs, err)
 		}

@@ -46,7 +46,7 @@ func (e *Event) Encode(users []trace.User) ([]byte, error) {
 	return e.appendTo(nil, users)
 }
 
-// appendTo appends the event's encoding to b: the daemon's applier
+// appendTo appends the event's encoding to b: the daemon's WAL stage
 // encodes every event into one reused buffer this way.
 func (e *Event) appendTo(b []byte, users []trace.User) ([]byte, error) {
 	if int(e.User) >= len(users) {

@@ -59,9 +59,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *Daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	st, reason := d.st, d.reason
-	d.mu.Unlock()
+	st, reason := d.state()
 	if st != stateRunning {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status": st.String(), "reason": reason,
@@ -105,11 +103,13 @@ func (d *Daemon) WriteStatus(w io.Writer) error {
 }
 
 func (d *Daemon) status() statusResponse {
+	d.settled()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	st, reason := d.state()
 	return statusResponse{
-		State:         d.st.String(),
-		Reason:        d.reason,
+		State:         st.String(),
+		Reason:        reason,
 		Policy:        d.stream.Policy().Name(),
 		Applied:       d.stream.Applied(),
 		Recovered:     d.recovered,
@@ -142,6 +142,7 @@ type rankEntry struct {
 }
 
 func (d *Daemon) handleRanks(w http.ResponseWriter, _ *http.Request) {
+	d.settled()
 	d.mu.Lock()
 	ranks, at := d.stream.Ranks()
 	entries := make([]rankEntry, 0, len(ranks))
@@ -194,7 +195,7 @@ type planResponse struct {
 func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
 	userName := r.URL.Query().Get("user")
 	// Compute the whole response under the lock, release, then write:
-	// a slow client must not stall the applier (or every other
+	// a slow client must not stall the apply stage (or every other
 	// handler) on d.mu for the duration of the network write.
 	resp, status, err := d.planLocked(userName)
 	if err != nil {
@@ -204,9 +205,11 @@ func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// planLocked builds /v1/plan's response body under d.mu. On error the
-// returned status is the HTTP code to send.
+// planLocked builds /v1/plan's response body under d.mu, once the
+// events durable at the call are applied. On error the returned status
+// is the HTTP code to send.
 func (d *Daemon) planLocked(userName string) (planResponse, int, error) {
+	d.settled()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var uid int = -1
@@ -256,6 +259,7 @@ func (d *Daemon) handleVictims(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	d.settled()
 	d.mu.Lock()
 	rep, err := d.dryRunPlan()
 	d.mu.Unlock()

@@ -122,7 +122,8 @@ func (m *Multiplexer) feed(interval timeutil.Duration) (*colFeed, error) {
 // period index. In a batch replay (replayFeed) a worker goroutine owns
 // the cursors and computes each table one trigger ahead of the lanes
 // (start), taking ranking off the replay's critical path; the ranker
-// of a Stream fed through Apply has no worker (Emulator.newRanker).
+// of a Stream fed through Apply has one only once the stream opts in
+// (Stream.RankAhead).
 type sharedRanker struct {
 	cursors *activeness.Cursors // the worker's once started, else evalAll's
 	users   int
@@ -219,15 +220,15 @@ func (r *sharedRanker) eval(at timeutil.Time) *rankTable {
 }
 
 // evalAll makes the table for time at current. Without a worker it
-// computes the table itself: a stream's live feed has no last trigger
-// to run ahead to. With one, the first lane to ask for a new time
-// takes the worker's next table; the lanes after it find it current.
-// Lanes ask for each grid point in order (replayFeed fires triggers in
-// lockstep), after the snapshot time for a fresh replay, which is the
-// sequence the worker computes. Every consumer reads the table current
-// at or after the trigger that made it so — a trigger's purge, each
-// event's group, a checkpoint's RanksAt (ranks are recomputed on
-// resume) — so no stale table is read.
+// computes the table itself. With one, the first lane to ask for a
+// new time takes the worker's next table; the lanes after it find it
+// current. Lanes ask for each grid point in order (replayFeed fires
+// triggers in lockstep, a Stream's Apply one trigger at a time), after
+// the snapshot time for a fresh replay, which is the sequence the
+// worker computes. Every consumer reads the table current at or after
+// the trigger that made it so — a trigger's purge, each event's group,
+// a checkpoint's RanksAt (ranks are recomputed on resume) — so no
+// stale table is read.
 func (r *sharedRanker) evalAll(at timeutil.Time) {
 	if r.cur != nil && r.cur.at == at {
 		return

@@ -17,6 +17,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"activedr/internal/activeness"
@@ -28,9 +29,9 @@ import (
 )
 
 // Stream applies events to a live replay state. Not safe for
-// concurrent use; the daemon serializes all access through its
-// applier goroutine. Only checkpoint writes run beside it, on copies
-// of the state (see checkpoint).
+// concurrent use; the daemon serializes all access under its mutex.
+// Only checkpoint writes run beside it, on copies of the state (see
+// checkpoint), and, once RankAhead started it, the ranker's worker.
 type Stream struct {
 	e      *Emulator
 	policy retention.Policy
@@ -105,6 +106,19 @@ func (e *Emulator) ResumeStream(policy retention.Policy, opts RunOptions) (*Stre
 		return nil, err
 	}
 	return e.newStream(policy, opts, st), nil
+}
+
+// RankAhead moves the stream's ranking onto a worker goroutine that
+// computes each trigger's rank table one trigger ahead, as a batch
+// replay's ranker does, so a trigger takes its table instead of
+// computing it. A live feed has no last event, so the worker runs
+// until it is stopped. The tables are bit-identical to the ones the
+// triggers compute without it. The caller stops the worker with the
+// returned function, once, when it stops driving the stream; no
+// trigger may fire after that.
+func (s *Stream) RankAhead() (halt func()) {
+	s.st.ranking.start(s.st.nextTrigger, math.MaxInt64, s.e.cfg.TriggerInterval)
+	return s.st.ranking.halt
 }
 
 // Applied returns the number of events folded into the state so far.

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"fmt"
-	"unsafe"
 
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
@@ -34,24 +33,20 @@ type LaneGroup struct {
 	tree    *radix[fileRecord]
 	index   map[trace.UserID]*userIndex
 	// handles caches columnar path-id → terminal node, skipping the
-	// tree descent for re-touched paths. Entries are invalidated via
+	// map probe for re-touched paths. Entries are invalidated via
 	// fileRecord.pid1 when the record is deleted, and re-validated
 	// against the record's interned path on use.
 	handles []*rnode[fileRecord]
-	// byPtr maps every live record's interned path — keyed by the
-	// path string's data pointer, not its content — to its terminal
-	// node. Purge removals and stale-scan validations always present
-	// the record's own path string (candidate paths are aliases of
-	// rec.path by construction), so an identity key buys the lookup
-	// while hashing 8 bytes instead of the whole path. The map is a
-	// cache, not the source of truth: a lookup whose caller holds an
-	// equal-content string with different backing misses and falls
-	// back to a tree descent, preserving content semantics exactly.
-	byPtr map[*byte]*rnode[fileRecord]
+	// nodes maps the path of every terminal node of the tree — exactly
+	// the records some lane holds — to that node. The radix tree keeps
+	// a key's node object for the key's lifetime (radix.put), so one
+	// hash of the path resolves a file however its string was made: a
+	// feed's interned copy, a daemon event's fresh parse, a candidate's
+	// alias of the record's path. Split points are never in it. Keys
+	// share the records' path strings, so the map holds no path bytes
+	// of its own.
+	nodes map[string]*rnode[fileRecord]
 }
-
-// pathKey is the identity key of an interned path string.
-func pathKey(s string) *byte { return unsafe.StringData(s) }
 
 // RunEvent is one access applied by ApplyRun: a touch or create of a
 // single path, in stream order.
@@ -90,11 +85,11 @@ func AdoptLaneGroup(base *FS, n, pathCap int) *LaneGroup {
 		index:   base.index,
 		handles: make([]*rnode[fileRecord], max(pathCap, 0)),
 	}
-	g.byPtr = make(map[*byte]*rnode[fileRecord], base.tree.size())
+	g.nodes = make(map[string]*rnode[fileRecord], base.tree.size())
 	var fill func(n *rnode[fileRecord])
 	fill = func(n *rnode[fileRecord]) {
 		if n.terminal {
-			g.byPtr[pathKey(n.value.path)] = n
+			g.nodes[n.value.path] = n
 		}
 		for _, c := range n.children {
 			fill(c)
@@ -183,15 +178,10 @@ func (f *FS) acctGrow(u trace.UserID) {
 	f.dFiles = nf
 }
 
-// laneResolve finds the live node for path: identity probe on the
-// interned-path map first, content lookup as the fallback.
+// laneResolve finds the live node for path, nil when no lane holds
+// a file there.
 func (f *FS) laneResolve(path string) *rnode[fileRecord] {
-	if n := f.group.byPtr[pathKey(path)]; n != nil {
-		return n
-	}
-	// Equal content under different backing (or a genuinely absent
-	// path): resolve by content.
-	return f.group.tree.findNode(path)
+	return f.group.nodes[path]
 }
 
 // laneRemoveNode drops this lane's copy of the file at n (resolved
@@ -222,19 +212,21 @@ func (f *FS) laneRemoveNode(n *rnode[fileRecord], path string) (FileMeta, bool) 
 		if rec.pid1 > 0 && int(rec.pid1) <= len(g.handles) {
 			g.handles[rec.pid1-1] = nil
 		}
-		delete(g.byPtr, pathKey(rec.path))
+		delete(g.nodes, rec.path)
 		g.tree.delete(path)
 	}
 	return m, true
 }
 
 // ApplyRun applies one (day, path) run of events to every lane at
-// once: the tree descent, shared atime updates and candidate-index
-// maintenance happen once, while per-lane effects reduce to bit
-// operations, probe counters and (rarely) override bookkeeping.
+// once: the path's resolution, shared atime updates and
+// candidate-index maintenance happen once, while per-lane effects
+// reduce to bit operations, probe counters and (rarely) override
+// bookkeeping.
 // missMask reports which lanes missed (did not hold the file at the
 // run's first non-create event) and re-inserted it. pid is the
-// caller's interned id for path, keying the node handle cache.
+// caller's interned id for path, keying the node handle cache; a
+// handle miss resolves the path through the group's node map.
 //
 // Within a run, an event after the first can never miss: a miss or a
 // create re-materializes the file for every lane, and lane removals
@@ -248,18 +240,9 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		copy(grown, g.handles)
 		g.handles = grown
 	}
-	var n *rnode[fileRecord]
-	if h := g.handles[pid]; h != nil && h.terminal && h.value.path == path {
-		n = h
-	} else if n = g.byPtr[pathKey(path)]; n == nil {
-		// A pre-existing file's first touch presents the feed-interned
-		// path, whose backing differs from the snapshot-interned
-		// rec.path: one descent resolves it, and the handle table
-		// carries it from here.
-		n = g.tree.findNode(path)
-	}
-	if n != nil && !n.terminal {
-		n = nil // a split point holds no file; put below makes it one
+	n := g.handles[pid]
+	if n == nil || !n.terminal || n.value.path != path {
+		n = g.nodes[path]
 	}
 	lanes := g.lanes
 
@@ -306,7 +289,7 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		case ev.Create:
 			if n == nil {
 				n, _, _ = g.tree.put(path, fileRecord{meta: m, path: path})
-				g.byPtr[pathKey(n.value.path)] = n
+				g.nodes[n.value.path] = n
 				for _, lf := range lanes {
 					lf.acctAdd(m)
 					lf.laneFiles++
@@ -340,7 +323,7 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 				// No lane holds the file: everyone misses.
 				missMask = g.allMask
 				n, _, _ = g.tree.put(path, fileRecord{meta: m, path: path})
-				g.byPtr[pathKey(n.value.path)] = n
+				g.nodes[n.value.path] = n
 				for _, lf := range lanes {
 					lf.probe.TouchMisses.Inc()
 					lf.probe.Inserts.Inc()

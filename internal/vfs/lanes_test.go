@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activedr/internal/timeutil"
@@ -277,5 +278,130 @@ func TestApplyRunAtSplitNode(t *testing.T) {
 	}
 	if c := lane.StaleFiles(0, 12); len(c) != 1 || c[0].Path != "/u/x" {
 		t.Fatalf("StaleFiles(0) = %v, want /u/x", c)
+	}
+}
+
+// requireNodeMapIsTree checks the group's node map against a walk of
+// its tree: the keys are exactly the terminal nodes' paths, each mapped
+// to its own node. Every lane's Lookup of every path in universe — a
+// fresh copy of the string each time, split points included — must
+// agree with the lane's Walk.
+func requireNodeMapIsTree(t *testing.T, g *LaneGroup, universe []string, step string) {
+	t.Helper()
+	terminals := 0
+	var walk func(n *rnode[fileRecord], key string)
+	walk = func(n *rnode[fileRecord], key string) {
+		key += n.label
+		if n.terminal {
+			terminals++
+			if n.value.path != key {
+				t.Fatalf("%s: terminal node at %q holds the path %q", step, key, n.value.path)
+			}
+			if got := g.nodes[key]; got != n {
+				t.Fatalf("%s: node map maps %q to %p, the tree's node is %p", step, key, got, n)
+			}
+		}
+		for _, c := range n.children {
+			walk(c, key)
+		}
+	}
+	walk(g.tree.root, "")
+	if len(g.nodes) != terminals {
+		t.Fatalf("%s: node map holds %d paths, the tree %d terminal nodes", step, len(g.nodes), terminals)
+	}
+	for i, lane := range g.lanes {
+		held := map[string]FileMeta{}
+		lane.Walk(func(p string, m FileMeta) bool {
+			held[p] = m
+			return true
+		})
+		if lane.Count() != len(held) {
+			t.Fatalf("%s: lane %d counts %d files, its walk finds %d", step, i, lane.Count(), len(held))
+		}
+		for _, p := range universe {
+			m, ok := lane.Lookup(strings.Clone(p))
+			want, wantOK := held[p]
+			if ok != wantOK || m != want {
+				t.Fatalf("%s: lane %d Lookup(%q) = (%+v, %v), its walk finds (%+v, %v)", step, i, p, m, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestNodeMapIsTheTreesTerminals drives seeded random sequences of
+// ApplyRun, Remove and RemoveCandidate on 1-lane and 3-lane groups,
+// presenting every path as a fresh copy of its string, as a daemon's
+// parsed events do. The namespace holds split points (/u/ab over
+// /u/abc and /u/abd; /u/x over /u/x1 and /u/x2 once /u/x is purged)
+// and purged paths that runs re-create. After every step the node map
+// must be exactly the tree's terminal nodes.
+func TestNodeMapIsTheTreesTerminals(t *testing.T) {
+	universe := []string{
+		"/u/abc", "/u/abd", "/u/ab", "/u/a", "/u/x", "/u/x1", "/u/x2",
+		"/v/0/out.dat", "/v/1/out.dat", "/v/10/out.dat", "/v/2", "/w",
+	}
+	for _, lanes := range []int{1, 3} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("lanes=%d/seed=%d", lanes, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				base := New()
+				for i, p := range universe {
+					if i%3 == 2 {
+						continue // /u/ab and others start absent
+					}
+					if err := base.Insert(strings.Clone(p), FileMeta{User: trace.UserID(i % 3), Size: int64(i + 1), Stripes: 1, ATime: timeutil.Time(i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				g := AdoptLaneGroup(base, lanes, len(universe))
+				requireNodeMapIsTree(t, g, universe, "adopt")
+				ts := timeutil.Time(100)
+				var cands []Candidate // kept across steps, so some go stale
+				for step := 0; step < 400; step++ {
+					pi := rng.Intn(len(universe))
+					path := strings.Clone(universe[pi])
+					lane := g.Lane(rng.Intn(lanes))
+					var what string
+					switch op := rng.Intn(10); {
+					case op < 5:
+						evs := make([]RunEvent, 1+rng.Intn(3))
+						for ei := range evs {
+							ts += timeutil.Time(1 + rng.Int63n(daySeconds))
+							evs[ei] = RunEvent{User: trace.UserID(rng.Intn(3)), Size: int64(rng.Intn(50)), TS: ts, Create: rng.Intn(3) == 0}
+						}
+						pid := int32(pi)
+						if rng.Intn(2) == 0 {
+							pid = 0 // one handle slot for every path, as a stream uses
+						}
+						g.ApplyRun(pid, path, evs)
+						what = fmt.Sprintf("ApplyRun(%d, %q)", pid, path)
+						// Every lane holds the file after a run, touched last
+						// by the run's last event.
+						for i := 0; i < lanes; i++ {
+							if m, ok := g.Lane(i).Lookup(path); !ok || m.ATime != ts {
+								t.Fatalf("step %d %s: lane %d Lookup = (%+v, %v), want the file at atime %d", step, what, i, m, ok, ts)
+							}
+						}
+					case op < 7:
+						lane.Remove(path)
+						what = fmt.Sprintf("Remove(%q)", path)
+					default:
+						if len(cands) == 0 || rng.Intn(3) == 0 {
+							cands = lane.StaleFiles(trace.UserID(rng.Intn(3)), ts+1)
+						}
+						if len(cands) == 0 {
+							continue
+						}
+						ci := rng.Intn(len(cands))
+						c := cands[ci]
+						c.Path = strings.Clone(c.Path)
+						cands = append(cands[:ci], cands[ci+1:]...)
+						lane.RemoveCandidate(c)
+						what = fmt.Sprintf("RemoveCandidate(%q)", c.Path)
+					}
+					requireNodeMapIsTree(t, g, universe, fmt.Sprintf("step %d %s", step, what))
+				}
+			})
+		}
 	}
 }

@@ -64,8 +64,9 @@ type Candidate struct {
 // tree node the entry was indexed from — valid as long as the node is
 // terminal with a matching path (the radix tree keeps a key's node
 // object stable for the key's lifetime), nil or stale falls back to
-// findNode. Compactions refresh it; Clone nils it (the copy's entries
-// would otherwise point into the source tree).
+// the lane group's node map or, on a private FS, findNode. Compactions
+// refresh it; Clone nils it (the copy's entries would otherwise point
+// into the source tree).
 type idxEntry struct {
 	path  string
 	atime timeutil.Time
@@ -255,15 +256,16 @@ func (f *FS) Insert(path string, m FileMeta) error {
 
 // Lookup returns the metadata stored at path.
 func (f *FS) Lookup(path string) (FileMeta, bool) {
-	n := f.tree.findNode(path)
-	if n == nil || !n.terminal {
-		return FileMeta{}, false
-	}
 	if f.group != nil {
-		if n.value.dropped&f.laneBit != 0 {
+		n := f.laneResolve(path)
+		if n == nil || n.value.dropped&f.laneBit != 0 {
 			return FileMeta{}, false
 		}
 		return f.laneMeta(&n.value), true
+	}
+	n := f.tree.findNode(path)
+	if n == nil || !n.terminal {
+		return FileMeta{}, false
 	}
 	if f.hidden != nil && f.isHidden(n) {
 		return FileMeta{}, false
@@ -338,10 +340,10 @@ func (f *FS) unaccount(m FileMeta) {
 
 // RemoveCandidate is Remove for a candidate an earlier StaleFiles
 // call emitted: on a lane or dry-run view the candidate's cached node
-// replaces the lookup when it still describes the path, with the same
-// fallback and content semantics as Remove. On a private FS it is
-// exactly Remove (the radix delete re-descends for node merging
-// either way).
+// replaces the lookup when it still describes the path, and Remove's
+// lookup (the node map or the tree) resolves it otherwise. On a
+// private FS it is exactly Remove (the radix delete re-descends for
+// node merging either way).
 func (f *FS) RemoveCandidate(c Candidate) (FileMeta, bool) {
 	if f.group == nil && f.hidden == nil {
 		return f.Remove(c.Path)
@@ -560,14 +562,12 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 		for _, e := range bucket {
 			n := e.node
 			if n == nil || !n.terminal || n.value.path != e.path {
-				// Stale node cache. A lane group resolves the entry's
-				// interned path through its identity-keyed node map
-				// first; a miss there (or a private FS) pays the tree
-				// descent, keeping content semantics.
+				// Stale node cache: a lane view resolves the entry's
+				// path through the group's node map, a private FS
+				// descends the tree.
 				if f.group != nil {
-					n = f.group.byPtr[pathKey(e.path)]
-				}
-				if n == nil || !n.terminal || n.value.path != e.path {
+					n = f.laneResolve(e.path)
+				} else {
 					n = f.tree.findNode(e.path)
 				}
 				if n == nil || !n.terminal {

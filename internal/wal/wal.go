@@ -106,8 +106,7 @@ type RecoveryInfo struct {
 }
 
 // Log is an append-only, checksummed event log. Not safe for
-// concurrent use; the daemon funnels all appends through one applier
-// goroutine.
+// concurrent use; after recovery only the daemon's WAL stage uses it.
 type Log struct {
 	dir    string
 	opts   Options
