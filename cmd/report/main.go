@@ -222,14 +222,7 @@ func render(s *experiments.Suite, fig string, w io.Writer, ranks int) error {
 		}
 		r.Render(w)
 	case "workload":
-		// The upscale replays go through the out-of-core snapfile path;
-		// the snapfiles themselves are scratch.
-		snapDir, err := os.MkdirTemp("", "report-workload-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(snapDir)
-		r, err := s.WorkloadScenario(experiments.WorkloadScenarioConfig{SnapDir: snapDir})
+		r, err := s.WorkloadScenario(experiments.WorkloadScenarioConfig{})
 		if err != nil {
 			return err
 		}

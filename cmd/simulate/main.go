@@ -225,12 +225,11 @@ func run(o *options, out io.Writer) (err error) {
 		return err
 	}
 	if o.vfsSnapOut != "" {
+		snap := &ds.Snapshot
 		if baseFS != nil {
-			err = vfs.WriteSnapfile(o.vfsSnapOut, baseFS, ds.Snapshot.Taken)
-		} else {
-			err = vfs.WriteSnapfileFromSnapshot(o.vfsSnapOut, &ds.Snapshot)
+			snap = baseFS.Snapshot(ds.Snapshot.Taken)
 		}
-		if err != nil {
+		if err := vfs.WriteSnapfileFromSnapshot(o.vfsSnapOut, snap); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote snapfile %s\n", o.vfsSnapOut)

@@ -3,22 +3,18 @@
 // publication list, and reference metadata snapshot — into a
 // directory consumable by cmd/activedr and cmd/simulate.
 //
-// -preset spider streams a Spider II-scale namespace (a million
-// users, over ten million files) directly into a binary snapfile in
-// bounded memory, skipping the snapshot TSV entirely; cmd/simulate
-// reopens it with -vfs-snapshot.
-//
 // -from-in2p3 adapts an IN2P3-style job accounting export (CSV/TSV,
 // facility-local timestamps) into a dataset; -fit compresses the
 // adapted trace into a reconstruction model, and -model/-scale
 // regenerate a statistically faithful trace from such a model at a
-// user-scale multiplier. With -vfs-snapshot-out, the scaled snapshot
-// streams straight into a binary snapfile in bounded memory.
+// user-scale multiplier. -users sizes only the synthetic dataset; the
+// export or the model fixes the population of the other two.
+// With -vfs-snapshot-out, any of the three also writes its snapshot
+// as a binary snapfile, which cmd/simulate reopens with -vfs-snapshot.
 //
 // Usage:
 //
 //	tracegen -out ./data -users 2000 -seed 42
-//	tracegen -out ./data -preset spider
 //	tracegen -out ./data -from-in2p3 jobs.csv -fit model.json
 //	tracegen -out ./big -model model.json -scale 10 -vfs-snapshot-out big.snap
 package main
@@ -30,7 +26,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 
 	"activedr/internal/synth"
 	"activedr/internal/timeutil"
@@ -43,11 +38,10 @@ import (
 type options struct {
 	out      string
 	users    int
+	usersSet bool
 	seed     uint64
 	quiet    bool
 	snapOut  string
-	preset   string
-	usersSet bool
 
 	fromIN2P3 string
 	zone      string
@@ -65,12 +59,11 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.SetOutput(errOut)
 	var o options
 	fs.StringVar(&o.out, "out", "data", "output directory")
-	fs.IntVar(&o.users, "users", 2000, "number of users")
+	fs.IntVar(&o.users, "users", 2000, "number of synthetic users (rejected with -from-in2p3 or -model)")
 	fs.Uint64Var(&o.seed, "seed", 0, "random seed (0 = built-in default)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the summary")
 	//lint:allow flagvalidate an output path: any path is valid until the snapfile write, whose error fails the run
 	fs.StringVar(&o.snapOut, "vfs-snapshot-out", "", "also write the metadata snapshot as a binary snapfile to this path (cmd/simulate reopens it with -vfs-snapshot)")
-	fs.StringVar(&o.preset, "preset", "", "scale preset; \"spider\" streams a Spider II-scale namespace (1M users, 10M+ files) straight into a snapfile, bounded memory, no snapshot TSV")
 	fs.StringVar(&o.fromIN2P3, "from-in2p3", "", "adapt an IN2P3-style job accounting export (CSV/TSV, optionally .gz) into the output dataset")
 	fs.StringVar(&o.zone, "in2p3-zone", workload.DefaultZone, "IANA time zone of the -from-in2p3 timestamps")
 	fs.BoolVar(&o.lenient, "lenient", false, "with -from-in2p3, quarantine malformed records instead of failing")
@@ -98,17 +91,11 @@ func (o *options) validate() error {
 	if o.users < 1 {
 		return fmt.Errorf("-users must be >= 1, got %d", o.users)
 	}
-	if o.preset != "" && o.preset != "spider" {
-		return fmt.Errorf("unknown -preset %q (only \"spider\")", o.preset)
+	if o.fromIN2P3 != "" && o.model != "" {
+		return errors.New("-from-in2p3 and -model are mutually exclusive")
 	}
-	sources := 0
-	for _, set := range []bool{o.preset != "", o.fromIN2P3 != "", o.model != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources > 1 {
-		return errors.New("-preset, -from-in2p3, and -model are mutually exclusive")
+	if o.usersSet && (o.fromIN2P3 != "" || o.model != "") {
+		return errors.New("-users sizes the synthetic dataset only; -from-in2p3 and -model take the population from their input")
 	}
 	if o.fitOut != "" && o.fromIN2P3 == "" {
 		return errors.New("-fit requires -from-in2p3")
@@ -141,46 +128,6 @@ func main() {
 	if err := run(o, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runSpider is the streamed preset path: the user table and empty
-// activity traces go out as a normal (tiny) dataset directory, while
-// the 10M+-file namespace streams straight from the generator into a
-// snapfile — no snapshot TSV, no in-memory materialization. Replay it
-// with: simulate -data <out> -vfs-snapshot <out>/fs.snap.
-func runSpider(o *options, out io.Writer) error {
-	cfg := synth.SpiderStream(o.seed)
-	if o.usersSet {
-		cfg.Users = o.users
-	}
-	ds := &trace.Dataset{Users: cfg.StreamUsers()}
-	ds.Snapshot.Taken = cfg.Taken
-	if err := trace.WriteDataset(o.out, ds); err != nil {
-		return err
-	}
-	snapPath := o.snapOut
-	if snapPath == "" {
-		snapPath = filepath.Join(o.out, "fs.snap")
-	}
-	w, err := vfs.NewSnapfileWriter(snapPath, cfg.Taken)
-	if err != nil {
-		return err
-	}
-	n, err := synth.StreamSnapshot(cfg, func(e trace.SnapshotEntry) error {
-		return w.Add(e.Path, vfs.FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
-	})
-	if err != nil {
-		_ = w.Abort()
-		return err
-	}
-	if err := w.Finish(); err != nil {
-		return err
-	}
-	if !o.quiet {
-		fmt.Fprintf(out, "wrote %s: %d users; streamed %d snapshot files to snapfile %s\n",
-			o.out, len(ds.Users), n, snapPath)
-	}
-	return nil
 }
 
 // runIN2P3 adapts a facility job-accounting export into a dataset and
@@ -226,57 +173,32 @@ func runIN2P3(o *options, out io.Writer) error {
 }
 
 // runModel regenerates a trace from a fitted reconstruction model.
-// With -vfs-snapshot-out the snapshot skips the dataset entirely and
-// streams into a snapfile — the bounded-memory path for big -scale
-// runs; cmd/simulate reopens it with -vfs-snapshot.
 func runModel(o *options, out io.Writer) error {
 	m, err := workload.LoadModel(o.model)
 	if err != nil {
 		return err
 	}
-	cfg := workload.RegenConfig{Scale: o.scale, Seed: o.seed, SkipSnapshot: o.snapOut != ""}
-	ds, err := workload.Regen(m, cfg)
+	ds, err := workload.Regen(m, workload.RegenConfig{Scale: o.scale, Seed: o.seed})
 	if err != nil {
 		return err
 	}
 	if err := trace.WriteDataset(o.out, ds); err != nil {
 		return err
 	}
-	streamed := 0
 	if o.snapOut != "" {
-		w, err := vfs.NewSnapfileWriter(o.snapOut, m.Taken)
-		if err != nil {
-			return err
-		}
-		streamed, err = workload.StreamSnapshot(m, cfg, func(e trace.SnapshotEntry) error {
-			return w.Add(e.Path, vfs.FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
-		})
-		if err != nil {
-			_ = w.Abort()
-			return err
-		}
-		if err := w.Finish(); err != nil {
+		if err := vfs.WriteSnapfileFromSnapshot(o.snapOut, &ds.Snapshot); err != nil {
 			return err
 		}
 	}
 	if !o.quiet {
-		fmt.Fprintf(out, "regenerated %s at %dx: %d users, %d jobs, %d accesses",
-			o.out, o.scale, len(ds.Users), len(ds.Jobs), len(ds.Accesses))
-		if o.snapOut != "" {
-			fmt.Fprintf(out, "; streamed %d snapshot files to snapfile %s", streamed, o.snapOut)
-		} else {
-			fmt.Fprintf(out, ", %d snapshot files (%.2f GB)",
-				len(ds.Snapshot.Entries), float64(ds.Snapshot.TotalBytes())/1e9)
-		}
-		fmt.Fprintln(out)
+		fmt.Fprintf(out, "regenerated %s at %dx: %d users, %d jobs, %d accesses, %d snapshot files (%.2f GB)\n",
+			o.out, o.scale, len(ds.Users), len(ds.Jobs), len(ds.Accesses),
+			len(ds.Snapshot.Entries), float64(ds.Snapshot.TotalBytes())/1e9)
 	}
 	return nil
 }
 
 func run(o *options, out io.Writer) error {
-	if o.preset == "spider" {
-		return runSpider(o, out)
-	}
 	if o.fromIN2P3 != "" {
 		return runIN2P3(o, out)
 	}

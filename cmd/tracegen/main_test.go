@@ -2,12 +2,13 @@ package main
 
 import (
 	"io"
-	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"activedr/internal/trace"
+	"activedr/internal/vfs"
 	"activedr/internal/workload"
 )
 
@@ -25,12 +26,13 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"in2p3 with fit", []string{"-from-in2p3", "jobs.csv", "-fit", "m.json"}, ""},
 		{"model with scale", []string{"-model", "m.json", "-scale", "10"}, ""},
-		{"preset and in2p3", []string{"-preset", "spider", "-from-in2p3", "j.csv"}, "mutually exclusive"},
 		{"in2p3 and model", []string{"-from-in2p3", "j.csv", "-model", "m.json"}, "mutually exclusive"},
 		{"fit without in2p3", []string{"-fit", "m.json"}, "-fit requires -from-in2p3"},
 		{"scale without model", []string{"-scale", "5"}, "-scale requires -model"},
 		{"zero scale", []string{"-model", "m.json", "-scale", "0"}, "-scale must be >= 1"},
 		{"lenient without in2p3", []string{"-lenient"}, "-lenient requires -from-in2p3"},
+		{"users with model", []string{"-model", "m.json", "-users", "50"}, "-users sizes the synthetic dataset only"},
+		{"users with in2p3", []string{"-from-in2p3", "j.csv", "-users", "50"}, "-users sizes the synthetic dataset only"},
 		{"in2p3 zone", []string{"-from-in2p3", "j.csv", "-in2p3-zone", "UTC"}, ""},
 		{"unknown in2p3 zone", []string{"-from-in2p3", "j.csv", "-in2p3-zone", "No/Such_Zone"}, "-in2p3-zone:"},
 	}
@@ -72,7 +74,8 @@ func TestRunWritesDataset(t *testing.T) {
 
 // TestRunIN2P3FitRegen drives the full adapt -> fit -> regen loop
 // through the command surface: adapt the bundled IN2P3 sample, fit a
-// model, regenerate at 2x into a snapfile, and check the outputs land.
+// model, regenerate at 2x with a snapfile, and check that the
+// dataset's snapshot TSV and the snapfile hold the same entries.
 func TestRunIN2P3FitRegen(t *testing.T) {
 	dir := t.TempDir()
 	sample := filepath.Join("..", "..", "internal", "workload", "testdata", "in2p3_sample.csv")
@@ -113,15 +116,32 @@ func TestRunIN2P3FitRegen(t *testing.T) {
 	if !strings.Contains(out.String(), "regenerated") || !strings.Contains(out.String(), "24 users") {
 		t.Fatalf("summary %q does not report the 2x regeneration", out.String())
 	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapfile not written: %v", err)
-	}
-	// The scaled dataset must load cleanly with the snapshot left out.
 	ds, err := trace.LoadDataset(filepath.Join(dir, "big"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds.Users) != 24 {
 		t.Fatalf("regenerated dataset has %d users, want 24", len(ds.Users))
+	}
+	if len(ds.Snapshot.Entries) == 0 {
+		t.Fatal("regenerated dataset's snapshot TSV is empty")
+	}
+	sf, err := vfs.OpenSnapfile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := vfs.LoadSnapfileFS(sf)
+	if cerr := sf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf.Taken() != ds.Snapshot.Taken {
+		t.Fatalf("snapfile taken %d, snapshot TSV taken %d", sf.Taken(), ds.Snapshot.Taken)
+	}
+	if got := fs.Snapshot(ds.Snapshot.Taken); !reflect.DeepEqual(got.Entries, ds.Snapshot.Entries) {
+		t.Fatalf("snapfile holds %d entries, snapshot TSV %d, and they differ",
+			len(got.Entries), len(ds.Snapshot.Entries))
 	}
 }

@@ -11,13 +11,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"activedr/internal/report"
 	"activedr/internal/sim"
 	"activedr/internal/timeutil"
-	"activedr/internal/trace"
-	"activedr/internal/vfs"
 	"activedr/internal/workload"
 )
 
@@ -36,11 +33,6 @@ type WorkloadScenarioConfig struct {
 	Scales []int
 	// Seed drives the regeneration draws.
 	Seed uint64
-	// SnapDir, when non-empty, routes every scale > 1 through the
-	// out-of-core path: the snapshot streams into a snapfile there and
-	// the replay starts from the snapfile-backed VFS instead of a
-	// materialized snapshot.
-	SnapDir string
 }
 
 // WorkloadTrace is one replayed trace (the source or a regeneration).
@@ -60,8 +52,6 @@ type WorkloadTrace struct {
 	// after dividing the upscaled total by the scale: 0.03 means the
 	// reconstruction purges 3% more per 1x-equivalent than the source.
 	Delta map[string]float64
-	// OutOfCore marks rows replayed through the snapfile path.
-	OutOfCore bool
 }
 
 // WorkloadScenarioResult backs the scenario report.
@@ -127,13 +117,9 @@ func (s *Suite) WorkloadScenario(cfg WorkloadScenarioConfig) (*WorkloadScenarioR
 	return res, nil
 }
 
-// workloadRegenRow regenerates at one scale and replays it, either on
-// a materialized snapshot or (SnapDir set, scale > 1) through the
-// snapfile out-of-core path.
+// workloadRegenRow regenerates at one scale and replays it.
 func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScenarioConfig, srcPurged map[string]int64) (*WorkloadTrace, error) {
-	outOfCore := cfg.SnapDir != "" && scale > 1
-	rcfg := workload.RegenConfig{Scale: scale, Seed: cfg.Seed, SkipSnapshot: outOfCore}
-	ds, err := workload.Regen(m, rcfg)
+	ds, err := workload.Regen(m, workload.RegenConfig{Scale: scale, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -141,20 +127,9 @@ func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScena
 	if err != nil {
 		return nil, err
 	}
-
-	var mux *sim.Multiplexer
-	var snapBytes int64
-	if outOfCore {
-		snapBytes, mux, err = workloadOutOfCore(m, rcfg, ds, filepath.Join(cfg.SnapDir, fmt.Sprintf("regen%dx.snap", scale)))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		snapBytes = ds.Snapshot.TotalBytes()
-		mux, err = sim.NewMultiplexer(ds)
-		if err != nil {
-			return nil, err
-		}
+	mux, err := sim.NewMultiplexer(ds)
+	if err != nil {
+		return nil, err
 	}
 	purged, misses, err := workloadReplay(mux, workloadSimConfig)
 	if err != nil {
@@ -164,12 +139,11 @@ func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScena
 		Name:          fmt.Sprintf("regen %dx", scale),
 		Scale:         scale,
 		Users:         len(ds.Users),
-		SnapshotBytes: snapBytes,
+		SnapshotBytes: ds.Snapshot.TotalBytes(),
 		ClassShares:   refit.ClassShares(),
 		Purged:        purged,
 		Misses:        misses,
 		Delta:         make(map[string]float64, 2),
-		OutOfCore:     outOfCore,
 	}
 	for policy, got := range purged {
 		if want := srcPurged[policy]; want != 0 {
@@ -177,39 +151,6 @@ func (s *Suite) workloadRegenRow(m *workload.Model, scale int, cfg WorkloadScena
 		}
 	}
 	return row, nil
-}
-
-// workloadOutOfCore streams the scaled snapshot into a snapfile and
-// reopens it as the replay's base file system — the bounded-memory
-// path a full-scale run takes; the dataset itself never materializes
-// the namespace.
-func workloadOutOfCore(m *workload.Model, rcfg workload.RegenConfig, ds *trace.Dataset, snapPath string) (int64, *sim.Multiplexer, error) {
-	w, err := vfs.NewSnapfileWriter(snapPath, m.Taken)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, err := workload.StreamSnapshot(m, rcfg, func(e trace.SnapshotEntry) error {
-		return w.Add(e.Path, vfs.FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
-	}); err != nil {
-		_ = w.Abort()
-		return 0, nil, err
-	}
-	if err := w.Finish(); err != nil {
-		return 0, nil, err
-	}
-	sf, err := vfs.OpenSnapfile(snapPath)
-	if err != nil {
-		return 0, nil, err
-	}
-	base, err := vfs.LoadSnapfileFS(sf)
-	if cerr := sf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	ds.Snapshot.Taken = m.Taken
-	return base.TotalBytes(), sim.NewMultiplexerWithBase(ds, base), nil
 }
 
 // Render writes the scenario report: class-share fidelity first, then
@@ -228,19 +169,15 @@ func (r *WorkloadScenarioResult) Render(w io.Writer) {
 	ct.Render(w)
 
 	pt := report.NewTable("Workload scenario: per-policy replay totals",
-		"Trace", "Policy", "Purged", "Misses", "Δ/1x vs source", "Replay")
+		"Trace", "Policy", "Purged", "Misses", "Δ/1x vs source")
 	for _, tr := range r.Traces {
 		for _, policy := range []string{sim.PolicyFLT, sim.PolicyActiveDR} {
 			delta := "—"
 			if tr.Scale > 0 {
 				delta = report.Percent(tr.Delta[policy])
 			}
-			mode := "in-memory"
-			if tr.OutOfCore {
-				mode = "snapfile"
-			}
 			pt.AddRow(tr.Name, policy, report.Bytes(tr.Purged[policy]),
-				fmt.Sprint(tr.Misses[policy]), delta, mode)
+				fmt.Sprint(tr.Misses[policy]), delta)
 		}
 	}
 	pt.Render(w)

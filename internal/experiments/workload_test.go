@@ -25,14 +25,12 @@ func loadIN2P3Sample(t *testing.T) *Suite {
 }
 
 // TestWorkloadScenario runs the real-trace scenario end to end: source
-// replay, 1x fidelity row, and a 2x upscale through the out-of-core
-// snapfile path, then renders the report.
+// replay, 1x fidelity row, and a 2x upscale, then renders the report.
 func TestWorkloadScenario(t *testing.T) {
 	s := loadIN2P3Sample(t)
 	res, err := s.WorkloadScenario(WorkloadScenarioConfig{
-		Scales:  []int{1, 2},
-		Seed:    99,
-		SnapDir: t.TempDir(),
+		Scales: []int{1, 2},
+		Seed:   99,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +50,6 @@ func TestWorkloadScenario(t *testing.T) {
 		t.Fatalf("snapshot bytes: source %d, 1x %d, 2x %d",
 			src.SnapshotBytes, one.SnapshotBytes, two.SnapshotBytes)
 	}
-	if one.OutOfCore || !two.OutOfCore {
-		t.Fatalf("out-of-core flags: 1x %v (want false), 2x %v (want true)",
-			one.OutOfCore, two.OutOfCore)
-	}
 	for _, policy := range []string{sim.PolicyFLT, sim.PolicyActiveDR} {
 		if src.Purged[policy] == 0 {
 			t.Errorf("source replay purged nothing under %s", policy)
@@ -65,14 +59,14 @@ func TestWorkloadScenario(t *testing.T) {
 			t.Errorf("1x %s purge delta %.3f exceeds 5%%", policy, d)
 		}
 		if two.Purged[policy] == 0 {
-			t.Errorf("2x out-of-core replay purged nothing under %s", policy)
+			t.Errorf("2x replay purged nothing under %s", policy)
 		}
 	}
 
 	var out strings.Builder
 	res.Render(&out)
 	for _, want := range []string{"activeness-class shares", "per-policy replay totals",
-		"source", "regen 1x", "regen 2x", "snapfile"} {
+		"source", "regen 1x", "regen 2x"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -167,7 +168,7 @@ func TestSnapfileWriteIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := filepath.Join(t.TempDir(), "snap2.advfs")
-	if err := WriteSnapfile(p2, fs, s.Taken); err != nil {
+	if err := WriteSnapfileFromSnapshot(p2, fs.Snapshot(s.Taken)); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := os.ReadFile(p1)
@@ -267,27 +268,54 @@ func TestSnapfileEmpty(t *testing.T) {
 	}
 }
 
+// TestSnapfileBytesArePinned pins the writer's output bytes: the
+// format, the header and the CRC. A change to any of them must
+// re-record these digests and say why.
+func TestSnapfileBytesArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    *trace.Snapshot
+		size int
+		sha  string
+	}{
+		{"fixture", snapFixture(5, 9), 3551, "08669e5b304dfa94eb14953a37e15ce44a6ca01187d9c7fecc690b60b564cba1"},
+		{"empty", &trace.Snapshot{Taken: timeutil.Time(42)}, snapHdrSize, "05d6bf43963ce442a98b61f6f97dd365843f2e24486e7656e865d23161513006"},
+	} {
+		b, err := os.ReadFile(writeFixture(t, tc.s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.size || got != tc.sha {
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(b), got, tc.size, tc.sha)
+		}
+	}
+}
+
+// TestSnapfileWriterValidation feeds the writer snapshots it must
+// reject; each must fail before anything reaches the disk, leaving
+// neither the destination nor its temp file.
 func TestSnapfileWriterValidation(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewSnapfileWriter(filepath.Join(dir, "v.advfs"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	if err := w.Add("relative/path", FileMeta{}); err == nil {
-		t.Fatal("relative path accepted")
-	}
-	if err := w.Add("/b", FileMeta{Size: -1}); err == nil {
-		t.Fatal("negative size accepted")
-	}
-	if err := w.Add("/b", FileMeta{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add("/a", FileMeta{}); err == nil {
-		t.Fatal("descending path accepted")
-	}
-	if err := w.Add("/b", FileMeta{}); err == nil {
-		t.Fatal("duplicate path accepted")
+	for _, tc := range []struct {
+		name    string
+		entries []trace.SnapshotEntry
+	}{
+		{"relative path", []trace.SnapshotEntry{{Path: "relative/path"}}},
+		{"negative size", []trace.SnapshotEntry{{Path: "/b", Size: -1}}},
+		{"negative user", []trace.SnapshotEntry{{Path: "/b", User: -1}}},
+		{"descending paths", []trace.SnapshotEntry{{Path: "/b"}, {Path: "/a"}}},
+		{"duplicate path", []trace.SnapshotEntry{{Path: "/b"}, {Path: "/b"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := filepath.Join(t.TempDir(), "v.advfs")
+			if err := WriteSnapfileFromSnapshot(dst, &trace.Snapshot{Entries: tc.entries}); err == nil {
+				t.Fatal("accepted")
+			}
+			for _, p := range []string{dst, dst + ".tmp"} {
+				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s left behind (stat: %v)", filepath.Base(p), err)
+				}
+			}
+		})
 	}
 }
 

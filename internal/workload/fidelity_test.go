@@ -6,9 +6,8 @@ package workload
 //   - At 1x, a fitted-and-regenerated trace must reproduce the source's
 //     per-user activeness-class shares and per-policy purge totals
 //     within 5% of the source replay.
-//   - At 10x, the upscaled trace must replay end-to-end through the
-//     snapfile path without materializing the snapshot in the
-//     dataset.
+//   - At 10x, a replay of the upscaled trace from its snapfile must
+//     equal the replay on its in-memory snapshot.
 
 import (
 	"math"
@@ -18,15 +17,13 @@ import (
 
 	"activedr/internal/sim"
 	"activedr/internal/timeutil"
-	"activedr/internal/trace"
 	"activedr/internal/vfs"
 )
 
-// replayTotals runs both policies and returns (purged bytes, misses)
-// per policy keyed "flt"/"activedr".
-func replayTotals(t *testing.T, em *sim.Emulator) map[string][2]int64 {
+// replayPolicies runs both policies and returns their results keyed
+// "flt"/"activedr".
+func replayPolicies(t *testing.T, em *sim.Emulator) map[string]*sim.Result {
 	t.Helper()
-	out := map[string][2]int64{}
 	flt, err := em.Run(em.NewFLT())
 	if err != nil {
 		t.Fatal(err)
@@ -39,15 +36,21 @@ func replayTotals(t *testing.T, em *sim.Emulator) map[string][2]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := func(r *sim.Result) [2]int64 {
+	return map[string]*sim.Result{"flt": flt, "activedr": adr}
+}
+
+// replayTotals runs both policies and returns (purged bytes, misses)
+// per policy keyed "flt"/"activedr".
+func replayTotals(t *testing.T, em *sim.Emulator) map[string][2]int64 {
+	t.Helper()
+	out := map[string][2]int64{}
+	for policy, r := range replayPolicies(t, em) {
 		var b int64
 		for _, rep := range r.Reports {
 			b += rep.PurgedBytes
 		}
-		return [2]int64{b, r.TotalMisses}
+		out[policy] = [2]int64{b, r.TotalMisses}
 	}
-	out["flt"] = sum(flt)
-	out["activedr"] = sum(adr)
 	return out
 }
 
@@ -176,79 +179,32 @@ func TestRegenDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamSnapshotMatchesRegen proves the streaming path emits the
-// same namespace Regen materializes, in strictly ascending path order
-// — the invariant the snapfile writer keys on.
-func TestStreamSnapshotMatchesRegen(t *testing.T) {
-	src, _ := loadSample(t)
-	m, err := Fit(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := RegenConfig{Scale: 3, Seed: 17}
-	full, err := Regen(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []trace.SnapshotEntry
-	n, err := StreamSnapshot(m, cfg, func(e trace.SnapshotEntry) error {
-		streamed = append(streamed, e)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(streamed) || !reflect.DeepEqual(streamed, full.Snapshot.Entries) {
-		t.Fatalf("streamed snapshot (%d entries) differs from the materialized one (%d)",
-			len(streamed), len(full.Snapshot.Entries))
-	}
-	for i := 1; i < len(streamed); i++ {
-		if streamed[i].Path <= streamed[i-1].Path {
-			t.Fatalf("stream not strictly ascending at %d: %q then %q",
-				i, streamed[i-1].Path, streamed[i].Path)
-		}
-	}
-}
-
-// TestUpscaleReplaysOutOfCore is the 10x acceptance check: regenerate
-// at 10x with the snapshot left out of the dataset, stream it into a
-// snapfile, and replay both policies against the snapfile-backed VFS
-// — the exact out-of-core path a full-scale run takes.
-func TestUpscaleReplaysOutOfCore(t *testing.T) {
+// TestUpscaleReplaysFromSnapfile is the 10x acceptance check:
+// regenerate at 10x, write the regenerated snapshot to a snapfile, and
+// require the replay from the snapfile-backed VFS to equal the replay
+// on the in-memory snapshot, report for report.
+func TestUpscaleReplaysFromSnapfile(t *testing.T) {
 	src, _ := loadSample(t)
 	m, err := Fit(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const scale = 10
-	cfg := RegenConfig{Scale: scale, Seed: 23, SkipSnapshot: true}
-	ds, err := Regen(m, cfg)
+	ds, err := Regen(m, RegenConfig{Scale: scale, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(ds.Snapshot.Entries) != 0 {
-		t.Fatal("SkipSnapshot materialized snapshot entries anyway")
 	}
 	if len(ds.Users) != scale*len(src.Users) {
 		t.Fatalf("10x regen has %d users, want %d", len(ds.Users), scale*len(src.Users))
 	}
+	if len(ds.Snapshot.Entries) != scale*len(src.Snapshot.Entries) {
+		t.Fatalf("10x regen has %d snapshot entries, want %d", len(ds.Snapshot.Entries), scale*len(src.Snapshot.Entries))
+	}
 
 	snap := filepath.Join(t.TempDir(), "fs.snap")
-	w, err := vfs.NewSnapfileWriter(snap, m.Taken)
-	if err != nil {
+	if err := vfs.WriteSnapfileFromSnapshot(snap, &ds.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	nStreamed, err := StreamSnapshot(m, cfg, func(e trace.SnapshotEntry) error {
-		return w.Add(e.Path, vfs.FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
-	})
-	if err != nil {
-		w.Abort()
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
 	sf, err := vfs.OpenSnapfile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -260,20 +216,40 @@ func TestUpscaleReplaysOutOfCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Snapshot.Taken = sf.Taken()
+	if sf.Count() != len(ds.Snapshot.Entries) || sf.Taken() != ds.Snapshot.Taken {
+		t.Fatalf("snapfile holds %d entries taken at %d, want %d at %d",
+			sf.Count(), sf.Taken(), len(ds.Snapshot.Entries), ds.Snapshot.Taken)
+	}
 
-	em, err := sim.NewWithBase(ds, base, fidelityCfg)
+	inMemory, err := sim.New(ds, fidelityCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals := replayTotals(t, em)
-	for policy, got := range totals {
-		if got[0] == 0 {
+	fromSnap, err := sim.NewWithBase(ds, base, fidelityCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := replayPolicies(t, inMemory), replayPolicies(t, fromSnap)
+	for policy, w := range want {
+		g := got[policy]
+		if len(g.Reports) != len(w.Reports) {
+			t.Fatalf("%s: %d reports from the snapfile, %d in memory", policy, len(g.Reports), len(w.Reports))
+		}
+		var purged int64
+		for i := range w.Reports {
+			wr, gr := *w.Reports[i], *g.Reports[i]
+			wr.Elapsed, gr.Elapsed = 0, 0
+			if !reflect.DeepEqual(gr, wr) {
+				t.Fatalf("%s report %d differs:\nsnapfile  %+v\nin memory %+v", policy, i, gr, wr)
+			}
+			purged += wr.PurgedBytes
+		}
+		if g.TotalMisses != w.TotalMisses {
+			t.Errorf("%s: %d misses from the snapfile, %d in memory", policy, g.TotalMisses, w.TotalMisses)
+		}
+		if purged == 0 {
 			t.Errorf("%s purged nothing on the 10x replay", policy)
 		}
-		t.Logf("10x %s: purged %d bytes, %d misses", policy, got[0], got[1])
-	}
-	if nStreamed != scale*len(src.Snapshot.Entries) {
-		t.Fatalf("streamed %d snapshot entries, want %d", nStreamed, scale*len(src.Snapshot.Entries))
+		t.Logf("10x %s: purged %d bytes, %d misses", policy, purged, w.TotalMisses)
 	}
 }

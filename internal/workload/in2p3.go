@@ -16,8 +16,7 @@
 //   - The TraceTracker-style reconstructor (fit.go / regen.go) fits
 //     per-user archetype parameters from any loaded dataset and
 //     regenerates statistically equivalent traces at a configurable
-//     user-scale multiplier, streaming the upscaled namespace straight
-//     into a snapfile so 10-100x replays stay bounded-memory.
+//     user-scale multiplier.
 //
 // Everything here is deterministic: same input bytes, same options,
 // same dataset, bit for bit. The package is in vetadr's determinism

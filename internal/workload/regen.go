@@ -3,10 +3,10 @@ package workload
 // Regeneration: turn a fitted Model back into a replayable trace, at
 // 1x or at a user-scale multiplier. Every clone of a source user gets
 // its own deterministic random stream derived from (seed, clone id),
-// independent of emission order — the same contract synth's streamed
-// generator keeps — so the upscaled snapshot can stream straight into
-// a snapfile in ascending path order with one user's state live at a
-// time.
+// independent of emission order, and clones emit in ID order with
+// fixed-width names, so the regenerated snapshot comes out in
+// ascending path order: the order vfs.WriteSnapfileFromSnapshot
+// requires.
 
 import (
 	"fmt"
@@ -23,10 +23,6 @@ type RegenConfig struct {
 	Scale int
 	// Seed drives every random draw. 0 means 1.
 	Seed uint64
-	// SkipSnapshot leaves Dataset.Snapshot.Entries empty (Taken still
-	// set) for replays that source the namespace from a snapfile
-	// written by StreamSnapshot — the out-of-core path for big scales.
-	SkipSnapshot bool
 }
 
 func (c RegenConfig) defaults() (RegenConfig, error) {
@@ -130,39 +126,9 @@ func regenFiles(um *UserModel, id int, seed uint64) ([]trace.SnapshotEntry, []bo
 	return entries, touched
 }
 
-// StreamSnapshot regenerates the scaled snapshot one entry at a time
-// in strictly ascending path order (clone ID order, file index order
-// within a clone) and hands each to emit, holding one clone's files
-// at a time. Returns the number of entries emitted.
-func StreamSnapshot(m *Model, cfg RegenConfig, emit func(trace.SnapshotEntry) error) (int, error) {
-	cfg, err := cfg.defaults()
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	total := 0
-	for id := 0; id < len(m.Users)*cfg.Scale; id++ {
-		um := &m.Users[id/cfg.Scale]
-		files, _ := regenFiles(um, id, cfg.Seed)
-		for _, e := range files {
-			e.User = trace.UserID(id)
-			e.ATime = m.Taken.Add(timeutil.Duration(e.ATime)) // rebase the age offset onto Taken
-			if err := emit(e); err != nil {
-				return total, err
-			}
-			total++
-		}
-	}
-	return total, nil
-}
-
-// Regen regenerates a full dataset from the model at cfg.Scale. The
-// event log (jobs, accesses, logins) is materialized in memory — it
-// scales with Scale x the fitted event counts — while the snapshot
-// can be left to StreamSnapshot with cfg.SkipSnapshot for out-of-core
-// replays.
+// Regen regenerates a full dataset from the model at cfg.Scale, held
+// in memory: the snapshot and the event log (jobs, accesses, logins)
+// both scale with Scale x the fitted counts.
 func Regen(m *Model, cfg RegenConfig) (*trace.Dataset, error) {
 	cfg, err := cfg.defaults()
 	if err != nil {
@@ -198,13 +164,11 @@ func Regen(m *Model, cfg RegenConfig) (*trace.Dataset, error) {
 			Name:    name,
 			Created: taken.Add(-timeutil.Duration(src.Int64n(int64(2 * 365 * timeutil.Day)))),
 		})
-		if !cfg.SkipSnapshot {
-			for k := range files {
-				e := files[k]
-				e.User = trace.UserID(id)
-				e.ATime = taken.Add(timeutil.Duration(e.ATime))
-				d.Snapshot.Entries = append(d.Snapshot.Entries, e)
-			}
+		for k := range files {
+			e := files[k]
+			e.User = trace.UserID(id)
+			e.ATime = taken.Add(timeutil.Duration(e.ATime))
+			d.Snapshot.Entries = append(d.Snapshot.Entries, e)
 		}
 
 		// Cadence is pinned, not redrawn: every clone replays the fitted

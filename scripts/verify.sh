@@ -11,8 +11,9 @@
 #      malformed or stale //lint:allow directives included)
 #   5. README rule catalogue in sync        (scripts/update-rule-catalogue.sh -check)
 #   6. go test -race                        (-quick: go test -short, no race)
-#   7. workload smoke: IN2P3 adapt + fit + 2x upscale replay, scenario
-#      report into out/workload-report.txt
+#   7. workload smoke: IN2P3 adapt + fit + 2x upscale, replayed from its
+#      snapshot TSV and from its snapfile (the two must agree on every
+#      miss count), scenario report into out/workload-report.txt
 #
 # Usage:
 #   scripts/verify.sh          # the full gate, what CI runs
@@ -66,8 +67,18 @@ go run ./cmd/tracegen -out "$smoke/real" -seed 7 \
     -from-in2p3 internal/workload/testdata/in2p3_sample.csv -fit "$smoke/model.json"
 go run ./cmd/tracegen -out "$smoke/big" -seed 7 \
     -model "$smoke/model.json" -scale 2 -vfs-snapshot-out "$smoke/big.snap"
-go run ./cmd/simulate -data "$smoke/big" -vfs-snapshot "$smoke/big.snap" \
-    -lifetime 90 -interval 7 -target 0.5 >/dev/null
+# The regen's two snapshot forms must replay alike: the same misses per
+# policy and per activeness group, wall times aside.
+replay_misses() {
+    go run ./cmd/simulate -data "$smoke/big" -lifetime 90 -interval 7 -target 0.5 "$@" |
+        grep -E 'misses=|reduction=' | sed 's/, wall=.*//'
+}
+from_tsv="$(replay_misses)"
+from_snap="$(replay_misses -vfs-snapshot "$smoke/big.snap")"
+if [ "$from_tsv" != "$from_snap" ]; then
+    printf 'snapshot TSV and snapfile replays differ:\n%s\n--- snapfile:\n%s\n' "$from_tsv" "$from_snap" >&2
+    exit 1
+fi
 go run ./cmd/report -data "$smoke/real" -fig workload -o out/workload-report.txt
 grep -q 'regen 10x' out/workload-report.txt
 
