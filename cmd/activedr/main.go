@@ -135,7 +135,7 @@ func run(o *options, out io.Writer) error {
 			return err
 		}
 	}
-	// One pass, so the policy purges the emulator's base tree itself.
+	// One pass, so the policy purges the emulator's base namespace itself.
 	em, err := sim.NewWithBase(ds, fsys, sim.Config{
 		Lifetime:          timeutil.Days(o.lifetime),
 		TargetUtilization: o.target,

@@ -10,7 +10,7 @@
 //
 // -vfs-snapshot-out writes the initial file system as a compact binary
 // snapfile; -vfs-snapshot reopens one in place of the snapshot TSV,
-// making startup an O(1) open plus one straight decode of the tree and
+// making startup an O(1) open plus one straight decode of the namespace and
 // its candidate index instead of a full TSV re-parse.
 //
 // Observability: -metrics-out dumps each policy's counter registry

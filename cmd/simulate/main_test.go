@@ -265,3 +265,26 @@ func TestSnapshotSourcePrecedence(t *testing.T) {
 		t.Fatalf("warned with no snapshot TSV present:\n%s", console.String())
 	}
 }
+
+// TestEmptySnapshotNamesTheNamespace runs simulate on a dataset whose
+// snapshot holds no entries. The purge target's capacity defaults to
+// the snapshot's bytes, so the target has nothing to apply to, and the
+// error must say that rather than name a capacity no flag sets.
+func TestEmptySnapshotNamesTheNamespace(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Seed: 5, Users: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Snapshot.Entries = nil
+	data := filepath.Join(t.TempDir(), "data")
+	if err := trace.WriteDataset(data, ds); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseFlags([]string{"-data", data, "-lifetime", "90", "-interval", "7", "-target", "0.5"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "initial namespace holds no bytes") {
+		t.Fatalf("simulate on an empty snapshot: %v, want an error naming the empty namespace", err)
+	}
+}

@@ -235,7 +235,7 @@ func (d *Daemon) planLocked(userName string) (planResponse, int, error) {
 	}
 	if uid >= 0 {
 		// Victims were only hidden from the plan's view, so ownership
-		// still resolves against the live tree.
+		// still resolves against the live namespace.
 		for _, path := range rep.Victims {
 			meta, ok := d.stream.FS().Lookup(path)
 			if !ok || int(meta.User) != uid {

@@ -24,7 +24,6 @@ import (
 	"activedr/internal/synth"
 	"activedr/internal/timeutil"
 	"activedr/internal/trace"
-	"activedr/internal/vfs"
 )
 
 // CaptureDate is the paper's "last weekly metadata snapshot we have",
@@ -575,8 +574,10 @@ type LoadStats struct {
 // Figure12Result aggregates the performance evaluation.
 type Figure12Result struct {
 	Load LoadStats
-	// Index is the prefix tree footprint of the loaded snapshot.
-	Index vfs.Stats
+	// Files and PathBytes size the record table of the loaded
+	// snapshot: its files and the path bytes they hold.
+	Files     int
+	PathBytes int64
 	// EvalTimings/DecisionTimings/ScanTimings are per-rank probes
 	// (Figures 12b–d).
 	EvalTimings     []parallel.RankTiming
@@ -649,13 +650,13 @@ func (s *Suite) Figure12(ranks int) (*Figure12Result, error) {
 		return nil, err
 	}
 
-	res.Index = fsys.Stats()
-
 	// Snapshot scan: walk shards of the namespace, summing sizes.
 	paths := make([]string, 0, len(snap.Entries))
 	for i := range snap.Entries {
 		paths = append(paths, snap.Entries[i].Path)
+		res.PathBytes += int64(len(snap.Entries[i].Path))
 	}
+	res.Files = len(paths)
 	res.ScanTimings, err = pool.TimedShards(len(paths), func(rank, lo, hi int) {
 		var bytes int64
 		for i := lo; i < hi; i++ {
@@ -678,8 +679,8 @@ func (r *Figure12Result) Render(w io.Writer) {
 		r.Load.Users, r.Load.Jobs, r.Load.Accesses, r.Load.Pubs, r.Load.SnapshotEntries)
 	fmt.Fprintf(w, "(a) load+index time=%v heap≈%.1f MiB\n",
 		r.Load.LoadTime, float64(r.Load.HeapBytes)/(1<<20))
-	fmt.Fprintf(w, "(a) prefix tree: %d files in %d nodes, %.2f MiB of edge labels\n",
-		r.Index.Files, r.Index.Nodes, float64(r.Index.LabelBytes)/(1<<20))
+	fmt.Fprintf(w, "(a) record table: %d files, %.2f MiB of paths\n",
+		r.Files, float64(r.PathBytes)/(1<<20))
 	for _, block := range []struct {
 		name    string
 		timings []parallel.RankTiming

@@ -3,10 +3,14 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -173,4 +177,205 @@ func flagToken(word string) (string, bool) {
 		name = name[:i]
 	}
 	return name, true
+}
+
+// TestCIRunPatternsNameTests holds every go test command in CI's
+// workflow and in scripts/*.sh to the names it selects: each
+// |-separated alternative of a -run pattern, and each -fuzz name, must
+// match a Test, Fuzz or Benchmark function of a package the command
+// names. go test passes silently when an alternative matches nothing,
+// so a renamed test would quietly drop out of the step that names it.
+// The pattern '^$' (no tests) is exempt.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	root, err := findModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripts, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range append([]string{filepath.Join(root, ".github", "workflows", "ci.yml")}, scripts...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, cmd := range goTestCommands(string(data)) {
+			var pkgs, patterns []string
+			for i := 0; i < len(cmd); i++ {
+				arg := cmd[i]
+				switch name, value, _ := strings.Cut(strings.TrimLeft(arg, "-"), "="); {
+				case arg == "":
+				case arg[0] == '.':
+					pkgs = append(pkgs, arg)
+				case arg[0] == '-' && (name == "run" || name == "fuzz"):
+					if !strings.Contains(arg, "=") && i+1 < len(cmd) {
+						i++
+						value = cmd[i]
+					}
+					if name == "run" {
+						value, _, _ = strings.Cut(value, "/") // the top-level tests
+					}
+					if value != "^$" {
+						patterns = append(patterns, splitAlternatives(value)...)
+					}
+				}
+			}
+			if len(patterns) == 0 {
+				continue
+			}
+			if len(pkgs) == 0 {
+				pkgs = []string{"."}
+			}
+			names := testFuncNames(t, root, pkgs)
+			for _, p := range patterns {
+				re, err := regexp.Compile(p)
+				if err != nil {
+					t.Errorf("%s: go test pattern %q: %v", rel, p, err)
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("%s: go test pattern %q matches no test, fuzz or benchmark function in %s",
+						rel, p, strings.Join(pkgs, " "))
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run or -fuzz pattern in CI's go test commands; the command parser lost them")
+	}
+	t.Logf("%d patterns checked", checked)
+}
+
+// goTestCommands returns the words of each go test command in a shell
+// script or a workflow file: backslash-continued lines are joined,
+// quotes group and are dropped, # starts a comment, and an unquoted
+// |, ;, &, ( or ) ends a command.
+func goTestCommands(doc string) [][]string {
+	doc = strings.ReplaceAll(doc, "\\\n", " ")
+	var out [][]string
+	for _, line := range strings.Split(doc, "\n") {
+		var words []string
+		var word strings.Builder
+		inWord, quote := false, byte(0)
+		flush := func(end bool) {
+			if inWord {
+				words = append(words, word.String())
+				word.Reset()
+				inWord = false
+			}
+			if end {
+				if len(words) > 2 && words[0] == "go" && words[1] == "test" {
+					out = append(out, words[2:])
+				}
+				words = nil
+			}
+		}
+		for i := 0; i < len(line); i++ {
+			c := line[i]
+			switch {
+			case quote != 0:
+				if c == quote {
+					quote = 0
+				} else {
+					word.WriteByte(c)
+				}
+			case c == '\'' || c == '"':
+				quote, inWord = c, true
+			case c == '#' && !inWord:
+				i = len(line)
+			case strings.IndexByte("|;&()", c) >= 0:
+				flush(true)
+			case c == ' ' || c == '\t':
+				flush(false)
+				if len(words) == 1 && words[0] != "go" {
+					words = nil // "run:" and other leading words
+				}
+			default:
+				word.WriteByte(c)
+				inWord = true
+			}
+		}
+		flush(true)
+	}
+	return out
+}
+
+// splitAlternatives splits a regular expression at its top-level |.
+func splitAlternatives(re string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i := 0; i < len(re); i++ {
+		switch re[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				out = append(out, re[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(out, re[start:])
+}
+
+// testFuncNames returns the Test, Fuzz and Benchmark functions declared
+// in the _test.go files of the named packages, relative to root; ./...
+// names every package of the module.
+func testFuncNames(t *testing.T, root string, pkgs []string) []string {
+	t.Helper()
+	var dirs []string
+	for _, p := range pkgs {
+		if p != "./..." {
+			dirs = append(dirs, filepath.Join(root, p))
+			continue
+		}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if path != root && (name[0] == '.' || name[0] == '_' || name == "testdata" || name == "journeybench") {
+				return filepath.SkipDir // go test ./... skips these; journeybench is its own module
+			}
+			dirs = append(dirs, path)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil {
+					continue
+				}
+				for _, prefix := range []string{"Test", "Fuzz", "Benchmark"} {
+					if strings.HasPrefix(fn.Name.Name, prefix) {
+						names = append(names, fn.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
 }

@@ -32,17 +32,16 @@ func randomFS(rng *rand.Rand, users, files int) (*vfs.FS, []activeness.Rank) {
 		addFile(fs, fmt.Sprintf("/scratch/u%d/d%d/f%03d", u, i%7, i), u, int64(rng.Intn(5000)+1), age)
 	}
 	// Churn: renew some files, remove some, re-insert one path under a
-	// different owner.
-	i := 0
-	fs.Walk(func(path string, m vfs.FileMeta) bool {
-		switch i++; i % 11 {
+	// different owner. The churn runs over a snapshot of the namespace,
+	// so it visits every file once, in path order, whatever it removes.
+	for i, e := range fs.Snapshot(tc).Entries {
+		switch (i + 1) % 11 {
 		case 0:
-			fs.Touch(path, tc.Add(-timeutil.Days(rng.Intn(100))))
+			fs.Touch(e.Path, tc.Add(-timeutil.Days(rng.Intn(100))))
 		case 5:
-			fs.Remove(path)
+			fs.Remove(e.Path)
 		}
-		return true
-	})
+	}
 	addFile(fs, "/scratch/u0/d0/reowned", trace.UserID(users-1), 77, 300)
 	ranks := make([]activeness.Rank, users)
 	for u := range ranks {
@@ -83,18 +82,18 @@ func selectionDigest(t *testing.T, reps []*Report, fs *vfs.FS) string {
 // selectionGolden holds the committed selectionDigest of every
 // TestIndexedSelectionEquivalence case.
 var selectionGolden = map[string]string{
-	"flt/trial0": "b90cfbcdf7a9c7a14dd108381367430c2c7db23453837c85827be5bb659fecf2",
-	"flt/trial1": "d96b3ba6963ee2fff1aa0aceb64c216910ec2b5d25823ee2d542748fdec3d1e5",
-	"flt/trial2": "9864c4ee2b6a5d60e0d5d71ee5ffacc2fe762bfc3ca7592673bd7ea0a1052f44",
-	"flt/trial3": "171e76eb078282d7c68990b022578db7b546963cc1fd6395714692ad48538487",
-	"flt/trial4": "bb83cc6a7774c0b3b7b7253143cefb28666405e0f21615fb93344aeee7eda7f9",
-	"flt/trial5": "fc4a6593cf807af95a47080fffda2a7e57c834e8c0534933145002ca799b84e9",
-	"adr/trial0": "d47b30837eb776a8db3d9f2995c67c83bfa82e17b852f3b14ee08687a2d85fe4",
-	"adr/trial1": "e7f3acb7f4d380f632b02fcf761d6722a419af2b32317d974e14aafa63ad2af7",
-	"adr/trial2": "676da361a6a3665156ac182a0e892c79edddb29ef2fd779fc51582fc08b889eb",
-	"adr/trial3": "c1d024c400b54d172e3d1c61373233836a72794c8560e53fc1964302f2f7871c",
-	"adr/trial4": "ccf8490632c31450a3c51ef67b288bb8798edcbd66d2d030666ec010ff5454b0",
-	"adr/trial5": "710d3bb98ee1492580068e3bda1c28b822e3ce2ec90092511fcd768dcb33c476",
+	"flt/trial0": "dfddef33dbdc961931db8a5172d857d4b33068d5ae0fa6e6aa88ae33cee19de2",
+	"flt/trial1": "5656649ea9d6455487a565cbbeb4eddc41df5386eaab24cbb81f0bbabddaca89",
+	"flt/trial2": "15d03688c3fd192bf4039454ee119b2f25b63c5cd43d4d6a0d6cf66cb0526a06",
+	"flt/trial3": "0a13a1bf33afc525082794d9e1ea62470a8c196ecb5a86fde3ec732181d6c42e",
+	"flt/trial4": "2d57e2a0e08070d7207e9d9b51e6d0a6095add7559033bf3fc8baa6bcf892c4b",
+	"flt/trial5": "f2f5e8e9cfff4a189f430aee9a7a37ed63dab35d02bff1d4ed87ea9563d58d9b",
+	"adr/trial0": "e18a6c54df9f019985a53780b4541e457bda6408bedd494f2dff7a6bfd5ab93e",
+	"adr/trial1": "50a51325fce2b0503d796dd161e4c7d8f0ad04a98a70e8119e7bf9be7e14f421",
+	"adr/trial2": "c41b94d5ff98fe7250592c938ca2ad8be89c2877d8fc724b7a821f9d4c083403",
+	"adr/trial3": "7f719af064cd520175a8bcdbc891bf014e53d3d8d07f43d5b264407fa13e2efc",
+	"adr/trial4": "9ae09d9d7f9eef047204bbc12e2866bc8da1672cab977e98f16206a3c4e3ea28",
+	"adr/trial5": "7332823525fdefc1a0668f0f1c7732e03683207fd54d8e7d6d690cfd8be52809",
 }
 
 // TestIndexedSelectionEquivalence pins candidate selection at the
@@ -102,10 +101,13 @@ var selectionGolden = map[string]string{
 // churn, a re-owned path), with and without fault injection, two
 // purge triggers per policy must reproduce the committed digest of
 // their reports — victim sequences, group accounting, fault outcomes —
-// and of the post-purge namespace. The digests were recorded while a
-// namespace-walk selection path still ran beside the index and agreed
-// with it; the brute-force model in vfs/index_test.go checks the
-// index's selection contract itself.
+// and of the post-purge namespace. The first digests were recorded
+// while a namespace-walk selection path still ran beside the index and
+// agreed with it. The fixture's churn later moved from a Walk that
+// removed files as it went (which skipped files, depending on the
+// prefix tree's walk) to a snapshot; the prefix-tree namespace and the
+// record table give the same digests on it. The brute-force model in
+// vfs/index_test.go checks the index's selection contract itself.
 func TestIndexedSelectionEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))

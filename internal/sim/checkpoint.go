@@ -20,11 +20,11 @@ package sim
 //	  snapshots/      SnapshotEvery series files new since the base
 //
 // With RunOptions.CheckpointFullEvery ≤ 1 every checkpoint is full
-// (fs.tsv.gz holds the whole tree and sidecars are complete), the
+// (fs.tsv.gz holds every file and sidecars are complete), the
 // historical format. With K > 1 only every Kth checkpoint is full;
 // the ones between carry a delta against their base (state.json's
 // "base" field names the previous checkpoint), so checkpoint cost
-// scales with the mutation rate instead of the tree size. Loading a
+// scales with the mutation rate instead of the namespace size. Loading a
 // delta walks the base chain back to the nearest full checkpoint and
 // replays upserts and deletions forward.
 //
@@ -41,7 +41,7 @@ package sim
 // A checkpoint is taken in two halves. The capture (saveCheckpoint)
 // runs on the applier at the trigger and only copies state into
 // memory; the vfs hands a delta its dirty window ready-made, so a
-// delta capture does no tree walk. The write (ckptCapture.write)
+// delta capture does no walk. The write (ckptCapture.write)
 // formats, compresses, fsyncs and publishes the capture on the
 // stream's writer, off the replay's path; stream.go keeps at most
 // maxCkptWrites of them in flight and publishes them in order.
@@ -163,7 +163,7 @@ const maxCkptWrites = 2
 type ckptCapture struct {
 	dir, name string
 	users     []trace.User
-	fs        *trace.Snapshot          // full checkpoint: the whole tree
+	fs        *trace.Snapshot          // full checkpoint: every file, in slab order until write sorts it
 	dirty     map[string]vfs.DirtyFile // delta checkpoint: the window since its base
 	captured  *trace.Snapshot          // the CaptureAt sidecar, when this checkpoint carries it
 	snaps     []*trace.Snapshot        // series files new to this checkpoint
@@ -176,8 +176,8 @@ type ckptCapture struct {
 
 // saveCheckpoint is the capture half of a checkpoint, run on the
 // applier at the trigger that just fired at `at`. It only copies
-// state into memory: the whole tree for a full checkpoint, the dirty
-// window for a delta. It advances the run's checkpoint bookkeeping as
+// state into memory: every file, unsorted, for a full checkpoint, the
+// dirty window for a delta. It advances the run's checkpoint bookkeeping as
 // if the checkpoint had already published, so the next capture can
 // base a delta on it; write does the rest.
 func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *runState, at timeutil.Time) *ckptCapture {
@@ -195,7 +195,7 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 		kind = kindDelta
 	}
 	if kind == kindFull {
-		c.fs = st.fsys.Snapshot(at)
+		c.fs = st.fsys.SnapshotUnsorted(at)
 		st.fsys.TakeDirty() // a full snapshot resets the delta window
 		st.chainStart = c.name
 	} else {
@@ -263,6 +263,7 @@ func (c *ckptCapture) write() error {
 		return err
 	}
 	if c.fs != nil {
+		slices.SortFunc(c.fs.Entries, func(a, b trace.SnapshotEntry) int { return strings.Compare(a.Path, b.Path) })
 		if err := trace.WriteSnapshotFile(filepath.Join(tmp, fsFile), c.users, c.fs); err != nil {
 			return fmt.Errorf("fs: %w", err)
 		}
@@ -572,7 +573,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions, path
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint %s: %w", full, err)
 	}
-	tree, err := vfs.FromSnapshot(snap)
+	fsys, err := vfs.FromSnapshot(snap)
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint %s: %w", full, err)
 	}
@@ -583,7 +584,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions, path
 			return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, dn, err)
 		}
 		for _, p := range deleted {
-			tree.Remove(p)
+			fsys.Remove(p)
 		}
 		up, err := trace.ReadSnapshotFile(filepath.Join(dir, dn, deltaFile), idx)
 		if err != nil {
@@ -591,7 +592,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions, path
 		}
 		for i := range up.Entries {
 			ue := &up.Entries[i]
-			if err := tree.Insert(ue.Path, vfs.FileMeta{User: ue.User, Size: ue.Size, Stripes: ue.Stripes, ATime: ue.ATime}); err != nil {
+			if err := fsys.Insert(ue.Path, vfs.FileMeta{User: ue.User, Size: ue.Size, Stripes: ue.Stripes, ATime: ue.ATime}); err != nil {
 				return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, dn, err)
 			}
 		}
@@ -650,7 +651,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions, path
 	// cs.Ckpts is 0 for v2 checkpoints, which don't carry the cadence
 	// counter; that makes the resumed run's next checkpoint full,
 	// which is always safe.
-	group := vfs.AdoptLaneGroup(tree, 1, pathCap)
+	group := vfs.AdoptLaneGroup(fsys, 1, pathCap)
 	st := &runState{
 		group:       group,
 		fsys:        group.Lane(0),

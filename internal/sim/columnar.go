@@ -7,7 +7,7 @@ package sim
 // event indexes). replayFeed, the one loop every batch replay runs
 // (Emulator.RunWith and Resume on one lane, Multiplexer.Run on N),
 // then fires triggers once per batch boundary and applies each run
-// with a single tree descent for all lanes, instead of one descent per
+// with a single path resolution for all lanes, instead of one per
 // event per lane.
 //
 // The feed is a pure index over ds.Accesses — it never copies event

@@ -323,6 +323,54 @@ func TestReplayGolden(t *testing.T) {
 	}
 }
 
+// TestReplayIgnoresRecordIDs replays both policies from a base that
+// holds the golden dataset's snapshot after a churned history: decoy
+// files inserted first and removed partway, so later inserts reuse
+// their record ids, the entries inserted in reverse path order, and
+// every third first inserted under other metadata and then replaced.
+// Its record ids and slab order differ from the snapfile load's, and
+// each run must still hit the snapfile cell's digests: result,
+// checkpoint state and sidecar, final namespace and metrics.
+func TestReplayIgnoresRecordIDs(t *testing.T) {
+	golden := loadGolden(t)
+	ds, err := synth.Generate(synth.Config{Seed: goldenSeeds[0], Users: goldenUsers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := vfs.New()
+	insert := func(p string, m vfs.FileMeta) {
+		if err := base.Insert(p, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const decoys = 500
+	for i := 0; i < decoys; i++ {
+		insert(fmt.Sprintf("/decoy/%03d", i), vfs.FileMeta{User: 0, Size: 1, Stripes: 1, ATime: ds.Snapshot.Taken})
+	}
+	removed := 0
+	for i := len(ds.Snapshot.Entries) - 1; i >= 0; i-- {
+		e := &ds.Snapshot.Entries[i]
+		if i%3 == 0 {
+			insert(e.Path, vfs.FileMeta{User: e.User, Size: e.Size + 1, Stripes: 1, ATime: e.ATime - 1})
+		}
+		if i%2 == 0 && removed < decoys {
+			base.Remove(fmt.Sprintf("/decoy/%03d", removed))
+			removed++
+		}
+		insert(e.Path, vfs.FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
+	}
+	for ; removed < decoys; removed++ {
+		base.Remove(fmt.Sprintf("/decoy/%03d", removed))
+	}
+	bare := *ds
+	bare.Snapshot = trace.Snapshot{Taken: ds.Snapshot.Taken}
+	cfg := Config{TargetUtilization: 0.5}
+	for _, policy := range []string{"flt", "adr"} {
+		cell := "snapfile/" + policy
+		checkGolden(t, golden, cell, runSolo(t, &bare, base, cfg, policy, false, false).digests(t))
+	}
+}
+
 // TestResumeRejectsLegacySelectionDigest pins checkpoint compatibility
 // across the selection-path retirement: a checkpoint whose config
 // fingerprint records the legacy path (sel=true) is refused with the

@@ -4,7 +4,7 @@ package sim
 // policy instances — a lifetime sweep, an ablation grid, facility
 // presets — in ONE pass over the access stream. All lanes share the
 // columnar day-batched feed (columnar.go), one vfs.LaneGroup (shared
-// prefix tree + candidate index, per-lane divergence bitmasks) and,
+// record table + candidate index, per-lane divergence bitmasks) and,
 // where their activity inputs coincide, one activeness cursor walk per
 // trigger (EvaluateUserMulti ranks all registered period lengths off
 // one cursor advance, so even a lifetime sweep with four distinct
@@ -76,7 +76,7 @@ func NewMultiplexer(ds *trace.Dataset) (*Multiplexer, error) {
 
 // NewMultiplexerWithBase prepares a multiplexer over a pre-built
 // initial file system, the multiplexed counterpart of NewWithBase:
-// snapfile-backed startup decodes the tree once and shares it across
+// snapfile-backed startup decodes the namespace once and shares it across
 // every lane. ds.Snapshot.Taken must carry the state's capture time;
 // the snapshot's Entries slice is never consulted.
 func NewMultiplexerWithBase(ds *trace.Dataset, base *vfs.FS) *Multiplexer {

@@ -1,6 +1,6 @@
 // Package sim implements the emulation-based evaluation procedure of
 // the paper's §4.1.3: load the reference metadata snapshot into the
-// prefix-tree virtual file system, replay the application (file
+// virtual file system, replay the application (file
 // access) log day by day, trigger the retention policy on a fixed
 // interval (the paper: every 7 days), and count a file miss whenever
 // a replayed access touches a path the policy has purged. Misses are
@@ -184,8 +184,8 @@ func New(ds *trace.Dataset, cfg Config) (*Emulator, error) {
 
 // NewWithBase prepares an emulator over a pre-built initial file
 // system instead of parsing ds.Snapshot's entries — the entry point
-// for snapfile-backed startup (vfs.LoadSnapfileFS), where the tree is
-// decoded straight from the binary format. ds.Snapshot.Taken must
+// for snapfile-backed startup (vfs.LoadSnapfileFS), where the namespace
+// is decoded straight from the binary format. ds.Snapshot.Taken must
 // carry the state's capture time (it anchors the trigger grid and the
 // predate checks); the snapshot's Entries slice is never consulted
 // and may be empty.
@@ -264,8 +264,13 @@ func (e *Emulator) NewPolicy(name string) (retention.Policy, error) {
 }
 
 // NewActiveDR builds the ActiveDR policy matching this emulator's
-// configuration.
+// configuration. A purge target needs a capacity, which defaults to the
+// initial namespace's bytes, so a target over an empty namespace (and
+// no Capacity) is refused by naming the namespace.
 func (e *Emulator) NewActiveDR() (*retention.ActiveDR, error) {
+	if e.cfg.TargetUtilization > 0 && e.cfg.Capacity == 0 {
+		return nil, fmt.Errorf("sim: the initial namespace holds no bytes, so the purge target %g has nothing to apply to", e.cfg.TargetUtilization)
+	}
 	return retention.NewActiveDR(retention.Config{
 		Lifetime:          e.cfg.Lifetime,
 		Capacity:          e.cfg.Capacity,
@@ -301,7 +306,7 @@ type RunOptions struct {
 	// CheckpointFullEvery makes only every Kth checkpoint a full
 	// snapshot; the ones between persist a delta against the previous
 	// checkpoint, so checkpoint cost scales with the mutation rate
-	// instead of the tree size. ≤ 1 keeps every checkpoint full (the
+	// instead of the namespace size. ≤ 1 keeps every checkpoint full (the
 	// historical format).
 	CheckpointFullEvery int
 	// Faults threads a deterministic fault injector through the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,6 +295,29 @@ func TestEmulatorPolicyBuilders(t *testing.T) {
 	}
 	var _ retention.Policy = adr
 	var _ retention.Policy = em.NewFLT()
+}
+
+// TestEmptyNamespaceTarget pins what a purge target over an empty
+// initial namespace does: the capacity defaults to the namespace's
+// bytes, none here, so NewActiveDR refuses the target and says why,
+// while FLT, which has no target, still replays the whole log.
+func TestEmptyNamespaceTarget(t *testing.T) {
+	d := tinyDataset()
+	d.Snapshot.Entries = nil
+	em, err := New(d, Config{TargetUtilization: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em.NewActiveDR(); err == nil || !strings.Contains(err.Error(), "initial namespace holds no bytes") {
+		t.Fatalf("NewActiveDR over an empty namespace: %v, want it to name the empty namespace", err)
+	}
+	res, err := em.Run(em.NewFLT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalAccesses != int64(len(d.Accesses)) || len(res.Reports) == 0 {
+		t.Fatalf("FLT replayed %d of %d accesses in %d triggers", res.TotalAccesses, len(d.Accesses), len(res.Reports))
+	}
 }
 
 func TestUseLoginsAndTransfers(t *testing.T) {

@@ -133,10 +133,17 @@ type decoder struct {
 	archs  strIntern // user archetype tags
 }
 
-func newDecoder(internPaths bool) *decoder {
+// bytesPerPath sizes a file's path intern table from its size (the
+// uncompressed size hint): a synthetic 2,000-user year's access log
+// holds one distinct path per 560 bytes, so a table of one entry per
+// bytesPerPath is sized once there. No table starts below 1,024
+// entries, so a small or unsized file allocates what it always did.
+const bytesPerPath = 512
+
+func newDecoder(internPaths bool, sizeHint int) *decoder {
 	dc := &decoder{fields: make([][]byte, 0, 8), archs: make(strIntern)}
 	if internPaths {
-		dc.paths = make(strIntern, 1024)
+		dc.paths = make(strIntern, max(1024, sizeHint/bytesPerPath))
 	}
 	return dc
 }

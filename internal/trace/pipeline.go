@@ -80,7 +80,7 @@ type fatalRow struct{ error }
 // records (nil when none, and on error), the last valid #taken
 // timestamp for snapshot specs, and the ParseReport. sizeHint, when
 // positive, is the uncompressed input size used to size the record
-// slice (growRecords). The reader has exited by the time it returns,
+// slice (growRecords) and the path intern table (newDecoder). The reader has exited by the time it returns,
 // on every path.
 func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOptions, sizeHint int, spec rowSpec[T]) ([]T, int64, *ParseReport, error) {
 	// free can hold every arena at once, so handing one back never
@@ -197,7 +197,7 @@ func readPipelined[T any](r io.Reader, byName map[string]UserID, opts ReadOption
 	// Decoder: blanks and comments are skipped without counting,
 	// #taken headers (snapshot specs only) set taken, and data lines
 	// either append a record or quarantine at their line number.
-	dc := newDecoder(spec.internPaths)
+	dc := newDecoder(spec.internPaths, sizeHint)
 	rep := &ParseReport{File: spec.name}
 	var out []T
 	var taken int64

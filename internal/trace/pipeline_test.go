@@ -424,6 +424,55 @@ func TestCarriedLinesReuseArenas(t *testing.T) {
 	}
 }
 
+// TestPathTableSizedOnce bounds what interning an access log's paths
+// allocates. Two logs of one size and row count are read with their
+// size as the hint: one names 4,000 distinct paths, ten rows each
+// (570 bytes per distinct path, about a synthetic year's ratio), the
+// other one path throughout. The hint sizes both intern tables alike,
+// so the first read may allocate more than the second only by its
+// extra path strings. A table that starts small and rehashes its way
+// up to 4,000 entries allocates its outgrown tables on top. A small
+// log read with its hint allocates no more than one read without it,
+// whose table starts at the 1,024 entries every read started at.
+func TestPathTableSizedOnce(t *testing.T) {
+	const paths, rowsPer = 4000, 10
+	byName := map[string]UserID{"u0": 0}
+	accessLog := func(rows int, distinct bool) []byte {
+		var b bytes.Buffer
+		for i := 0; i < rows; i++ {
+			p := 0
+			if distinct {
+				p = i % paths
+			}
+			fmt.Fprintf(&b, "%d\tu0\t0\t100\t/lustre/atlas/u0/proj/run%06d/out.dat\n", 1_000_000+i, p)
+		}
+		return b.Bytes()
+	}
+	alloc := func(in []byte, hint int) uint64 {
+		runtime.GC()
+		runtime.GC() // the pool's primary and victim caches
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, _, err := readPipelined(bytes.NewReader(in), byName, ReadOptions{}, hint, accessSpec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	many, one := accessLog(paths*rowsPer, true), accessLog(paths*rowsPer, false)
+	extra := int64(alloc(many, len(many))) - int64(alloc(one, len(one)))
+	limit := int64(paths) * 64 // a 39-byte path string takes a 48-byte slot
+	t.Logf("%d distinct paths cost %d bytes more than one", paths, extra)
+	if extra > limit {
+		t.Fatalf("%d distinct paths cost %d bytes more than one path, want at most %d: their strings",
+			paths, extra, limit)
+	}
+	small := accessLog(100, true)
+	if hinted, bare := alloc(small, len(small)), alloc(small, 0); hinted > bare+4<<10 {
+		t.Fatalf("a %d-byte log read with its size hint allocated %d bytes, without it %d", len(small), hinted, bare)
+	}
+}
+
 func TestPipelinedMessy(t *testing.T) {
 	dir := t.TempDir()
 	messyDataset(t, dir)

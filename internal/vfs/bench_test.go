@@ -9,9 +9,8 @@ import (
 	"activedr/internal/trace"
 )
 
-// benchFiles sizes the radix micro-benchmarks: large enough that tree
-// depth and fan-out resemble the replay's namespace, small enough to
-// rebuild between timer pauses.
+// benchFiles sizes the FS micro-benchmarks: about the replay's
+// namespace, small enough to rebuild between timer pauses.
 const benchFiles = 100_000
 
 const benchUsers = 512
@@ -45,7 +44,7 @@ func benchFS(b *testing.B, paths []string) *FS {
 	return fs
 }
 
-func BenchmarkRadixPut(b *testing.B) {
+func BenchmarkFSInsert(b *testing.B) {
 	paths := benchPaths(benchFiles)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -62,7 +61,7 @@ func BenchmarkRadixPut(b *testing.B) {
 	}
 }
 
-func BenchmarkRadixGet(b *testing.B) {
+func BenchmarkFSLookup(b *testing.B) {
 	paths := benchPaths(benchFiles)
 	fs := benchFS(b, paths)
 	b.ReportAllocs()
@@ -74,7 +73,7 @@ func BenchmarkRadixGet(b *testing.B) {
 	}
 }
 
-func BenchmarkRadixDelete(b *testing.B) {
+func BenchmarkFSRemove(b *testing.B) {
 	paths := benchPaths(benchFiles)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -91,7 +90,9 @@ func BenchmarkRadixDelete(b *testing.B) {
 	}
 }
 
-func BenchmarkRadixWalk(b *testing.B) {
+// BenchmarkFSWalk walks a table filled in random path order, so every
+// walk sorts.
+func BenchmarkFSWalk(b *testing.B) {
 	fs := benchFS(b, benchPaths(benchFiles))
 	b.ReportAllocs()
 	b.ResetTimer()

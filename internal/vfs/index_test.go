@@ -37,11 +37,11 @@ func checkStale(t *testing.T, fs *FS, model map[string]FileMeta, u trace.UserID,
 	if len(got) == 0 && len(want) == 0 {
 		return
 	}
-	// The model doesn't predict the cached node hint; blank it before
+	// The model doesn't predict the record id hint; blank it before
 	// comparing the contractual (Path, Meta) content.
 	got = append([]Candidate(nil), got...)
 	for i := range got {
-		got[i].node = nil
+		got[i].id = 0
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("StaleFiles(%d, %d):\n got %v\nwant %v", u, cutoff, got, want)

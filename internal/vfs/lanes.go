@@ -7,15 +7,15 @@ import (
 	"activedr/internal/trace"
 )
 
-// LaneGroup multiplexes up to 64 policy lanes over ONE shared prefix
-// tree and ONE shared candidate index (DESIGN.md §13). Every lane
+// LaneGroup multiplexes up to 64 policy lanes over ONE shared record
+// table and ONE shared candidate index (DESIGN.md §13). Every lane
 // replays the same access stream, so the expensive per-event work —
-// tree descent, atime update, index maintenance — is done once, and a
-// lane holds only its divergence from the shared state:
+// path resolution, atime update, index maintenance — is done once, and
+// a lane holds only its divergence from the shared state:
 //
 //   - fileRecord.dropped is an inverted hold mask: bit i set means
 //     lane i purged the file. A fresh clone needs no initialization
-//     (0 = everyone holds), and the record is deleted from the tree
+//     (0 = everyone holds), and the record is released from the table
 //     when the last holder drops it.
 //   - a lane that re-inserts a purged file on a miss whose metadata
 //     differs from the shared record keeps a FileMeta override
@@ -30,22 +30,17 @@ import (
 type LaneGroup struct {
 	lanes   []*FS
 	allMask uint64
-	tree    *radix[fileRecord]
-	index   map[trace.UserID]*userIndex
-	// handles caches columnar path-id → terminal node, skipping the
-	// map probe for re-touched paths. Entries are invalidated via
-	// fileRecord.pid1 when the record is deleted, and re-validated
-	// against the record's interned path on use.
-	handles []*rnode[fileRecord]
-	// nodes maps the path of every terminal node of the tree — exactly
-	// the records some lane holds — to that node. The radix tree keeps
-	// a key's node object for the key's lifetime (radix.put), so one
-	// hash of the path resolves a file however its string was made: a
-	// feed's interned copy, a daemon event's fresh parse, a candidate's
-	// alias of the record's path. Split points are never in it. Keys
-	// share the records' path strings, so the map holds no path bytes
-	// of its own.
-	nodes map[string]*rnode[fileRecord]
+	// tab holds exactly the records some lane holds. Its path map
+	// resolves a file in one hash however the path string was made: a
+	// feed's interned copy, a daemon event's fresh parse, a
+	// candidate's alias of the record's path.
+	tab   *table
+	index map[trace.UserID]*userIndex
+	// handles caches columnar path id → record id, skipping the map
+	// probe for re-touched paths. A handle is checked against the
+	// record's path on use (table.holds), so released and reused ids
+	// need no invalidation.
+	handles []int32
 }
 
 // RunEvent is one access applied by ApplyRun: a touch or create of a
@@ -71,37 +66,27 @@ func NewLaneGroup(base *FS, n, pathCap int) (*LaneGroup, error) {
 }
 
 // AdoptLaneGroup is NewLaneGroup without the copy: the group takes
-// over the tree and index of base, a private FS, and leaves base empty
-// (a private index carries no compaction marks or skip masks). Streams
-// adopt a clone of their base or a restored checkpoint. It panics where
-// NewLaneGroup returns an error, and on a dry-run view.
+// over the record table and index of base, a private FS, and leaves
+// base empty (a private index carries no compaction marks or skip
+// masks). Streams adopt a clone of their base or a restored
+// checkpoint. It panics where NewLaneGroup returns an error, and on a
+// dry-run view.
 func AdoptLaneGroup(base *FS, n, pathCap int) *LaneGroup {
 	if n < 1 || n > 64 || base.group != nil || base.hidden != nil {
 		panic("vfs: AdoptLaneGroup needs 1 to 64 lanes over a private FS")
 	}
 	g := &LaneGroup{
 		lanes:   make([]*FS, n),
-		tree:    base.tree,
+		tab:     base.tab,
 		index:   base.index,
-		handles: make([]*rnode[fileRecord], max(pathCap, 0)),
+		handles: make([]int32, max(pathCap, 0)),
 	}
-	g.nodes = make(map[string]*rnode[fileRecord], base.tree.size())
-	var fill func(n *rnode[fileRecord])
-	fill = func(n *rnode[fileRecord]) {
-		if n.terminal {
-			g.nodes[n.value.path] = n
-		}
-		for _, c := range n.children {
-			fill(c)
-		}
-	}
-	fill(g.tree.root)
 	if n == 64 {
 		g.allMask = ^uint64(0)
 	} else {
 		g.allMask = uint64(1)<<uint(n) - 1
 	}
-	files := int64(base.tree.size())
+	files := int64(len(base.tab.ids))
 	// Lane accounting is dense by UserID (trace loaders assign dense
 	// non-negative ids); size every lane to the base population once.
 	maxU := trace.UserID(-1)
@@ -112,7 +97,7 @@ func AdoptLaneGroup(base *FS, n, pathCap int) *LaneGroup {
 	}
 	for i := range g.lanes {
 		lf := &FS{
-			tree:      g.tree,
+			tab:       g.tab,
 			bytes:     base.bytes,
 			dBytes:    make([]int64, maxU+1),
 			dFiles:    make([]int64, maxU+1),
@@ -178,24 +163,12 @@ func (f *FS) acctGrow(u trace.UserID) {
 	f.dFiles = nf
 }
 
-// laneResolve finds the live node for path, nil when no lane holds
-// a file there.
-func (f *FS) laneResolve(path string) *rnode[fileRecord] {
-	return f.group.nodes[path]
-}
-
-// laneRemoveNode drops this lane's copy of the file at n (resolved
-// from path). The shared record stays for the remaining holders and
-// is deleted with the last one.
-func (f *FS) laneRemoveNode(n *rnode[fileRecord], path string) (FileMeta, bool) {
+// laneRemove drops this lane's copy of the file at record id, which
+// the lane holds. The shared record stays for the remaining holders
+// and is released with the last one.
+func (f *FS) laneRemove(id int32) FileMeta {
 	g := f.group
-	if n == nil || !n.terminal {
-		return FileMeta{}, false
-	}
-	rec := &n.value
-	if rec.dropped&f.laneBit != 0 {
-		return FileMeta{}, false
-	}
+	rec := &g.tab.recs[id]
 	m := f.laneMeta(rec)
 	f.acctSub(m)
 	f.laneFiles--
@@ -209,13 +182,9 @@ func (f *FS) laneRemoveNode(n *rnode[fileRecord], path string) (FileMeta, bool) 
 	}
 	f.probe.Removes.Inc()
 	if rec.dropped == g.allMask {
-		if rec.pid1 > 0 && int(rec.pid1) <= len(g.handles) {
-			g.handles[rec.pid1-1] = nil
-		}
-		delete(g.nodes, rec.path)
-		g.tree.delete(path)
+		g.tab.release(id)
 	}
-	return m, true
+	return m
 }
 
 // ApplyRun applies one (day, path) run of events to every lane at
@@ -225,8 +194,8 @@ func (f *FS) laneRemoveNode(n *rnode[fileRecord], path string) (FileMeta, bool) 
 // bookkeeping.
 // missMask reports which lanes missed (did not hold the file at the
 // run's first non-create event) and re-inserted it. pid is the
-// caller's interned id for path, keying the node handle cache; a
-// handle miss resolves the path through the group's node map.
+// caller's interned id for path, keying the record handle cache; a
+// stale handle resolves the path through the table's path map.
 //
 // Within a run, an event after the first can never miss: a miss or a
 // create re-materializes the file for every lane, and lane removals
@@ -236,19 +205,20 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		return 0
 	}
 	if int(pid) >= len(g.handles) {
-		grown := make([]*rnode[fileRecord], int(pid)+1)
+		grown := make([]int32, int(pid)+1)
 		copy(grown, g.handles)
 		g.handles = grown
 	}
-	n := g.handles[pid]
-	if n == nil || !n.terminal || n.value.path != path {
-		n = g.nodes[path]
+	tab := g.tab
+	id, existed0 := g.handles[pid], true
+	if !tab.holds(id, path) {
+		id, existed0 = tab.ids[path]
 	}
 	lanes := g.lanes
 
 	// Fast path: every lane holds the file with shared metadata and
 	// the run creates nothing — a pure touch for all lanes.
-	if n != nil && n.value.dropped == 0 && n.value.ovr == 0 {
+	if existed0 && tab.recs[id].dropped == 0 && tab.recs[id].ovr == 0 {
 		pure := true
 		for i := range evs {
 			if evs[i].Create {
@@ -257,11 +227,11 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 			}
 		}
 		if pure {
-			rec := &n.value
+			rec := &tab.recs[id]
 			last := evs[len(evs)-1].TS
 			if last != rec.meta.ATime {
 				rec.meta.ATime = last
-				lanes[0].indexAdd(rec.meta.User, rec.path, last, n)
+				lanes[0].indexAdd(rec.meta.User, rec.path, last, id)
 			}
 			for _, lf := range lanes {
 				lf.probe.Touches.Add(int64(len(evs)))
@@ -269,17 +239,19 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 					lf.dirty[rec.path] = DirtyFile{Meta: rec.meta}
 				}
 			}
-			rec.pid1 = pid + 1
-			g.handles[pid] = n
+			g.handles[pid] = id
 			return 0
 		}
 	}
 
-	existed0 := n != nil
+	// rec points into the slab, which tab.add may move, so an add
+	// re-takes it; a run adds at most one record, at its first event.
+	var rec *fileRecord
 	var owner0 trace.UserID
 	var atime0 timeutil.Time
 	if existed0 {
-		owner0, atime0 = n.value.meta.User, n.value.meta.ATime
+		rec = &tab.recs[id]
+		owner0, atime0 = rec.meta.User, rec.meta.ATime
 	}
 	var newOvr uint64
 	for ei := range evs {
@@ -287,16 +259,15 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		m := FileMeta{User: ev.User, Size: ev.Size, Stripes: 1, ATime: ev.TS}
 		switch {
 		case ev.Create:
-			if n == nil {
-				n, _, _ = g.tree.put(path, fileRecord{meta: m, path: path})
-				g.nodes[n.value.path] = n
+			if rec == nil {
+				id = tab.add(path, m)
+				rec = &tab.recs[id]
 				for _, lf := range lanes {
 					lf.acctAdd(m)
 					lf.laneFiles++
 					lf.probe.Inserts.Inc()
 				}
 			} else {
-				rec := &n.value
 				for _, lf := range lanes {
 					if rec.dropped&lf.laneBit == 0 {
 						lf.acctSub(lf.laneMeta(rec))
@@ -319,11 +290,11 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 				rec.meta = m
 			}
 		case ei == 0:
-			if n == nil {
+			if rec == nil {
 				// No lane holds the file: everyone misses.
 				missMask = g.allMask
-				n, _, _ = g.tree.put(path, fileRecord{meta: m, path: path})
-				g.nodes[n.value.path] = n
+				id = tab.add(path, m)
+				rec = &tab.recs[id]
 				for _, lf := range lanes {
 					lf.probe.TouchMisses.Inc()
 					lf.probe.Inserts.Inc()
@@ -331,7 +302,6 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 					lf.laneFiles++
 				}
 			} else {
-				rec := &n.value
 				for _, lf := range lanes {
 					if rec.dropped&lf.laneBit == 0 {
 						lf.probe.Touches.Inc()
@@ -361,13 +331,12 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 			for _, lf := range lanes {
 				lf.probe.Touches.Inc()
 			}
-			n.value.meta.ATime = ev.TS
+			rec.meta.ATime = ev.TS
 		}
 	}
-	rec := &n.value
 	atimeChanged := !existed0 || rec.meta.ATime != atime0
 	if atimeChanged || rec.meta.User != owner0 {
-		lanes[0].indexAdd(rec.meta.User, rec.path, rec.meta.ATime, n)
+		lanes[0].indexAdd(rec.meta.User, rec.path, rec.meta.ATime, id)
 	}
 	if rec.ovr != 0 {
 		for _, lf := range lanes {
@@ -381,12 +350,11 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 				if lf.extra == nil {
 					lf.extra = make(map[trace.UserID]*userIndex)
 				}
-				indexAddTo(lf.extra, o.User, rec.path, rec.meta.ATime, n)
+				indexAddTo(lf.extra, o.User, rec.path, rec.meta.ATime, id)
 			}
 		}
 	}
-	rec.pid1 = pid + 1
-	g.handles[pid] = n
+	g.handles[pid] = id
 	// Every lane holds the file after a run (its first event re-inserts
 	// it wherever it was dropped), each with its own view of it.
 	for _, lf := range lanes {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // RemoveCandidate purges at batch boundaries — and requires identical
 // observable state throughout: miss masks, candidate lists,
 // accounting, and the final snapshot. This pins the multiplexed fast
-// paths (skip masks, node handles, dense accounting) directly at the
+// paths (skip masks, record handles, dense accounting) directly at the
 // vfs layer, beneath the sim-level equivalence suite.
 func TestLaneGroupMatchesDedicated(t *testing.T) {
 	const (
@@ -106,10 +107,10 @@ func TestLaneGroupMatchesDedicated(t *testing.T) {
 		}
 	}
 
-	blankNodes := func(cs []Candidate) []Candidate {
+	blankIDs := func(cs []Candidate) []Candidate {
 		out := append([]Candidate(nil), cs...)
 		for i := range out {
-			out[i].node = nil
+			out[i].id = 0
 		}
 		return out
 	}
@@ -150,7 +151,7 @@ func TestLaneGroupMatchesDedicated(t *testing.T) {
 				for u := trace.UserID(0); u < users; u++ {
 					got := lane.StaleFiles(u, cutoff)
 					want := ded[i].StaleFiles(u, cutoff)
-					if !reflect.DeepEqual(blankNodes(got), blankNodes(want)) {
+					if !reflect.DeepEqual(blankIDs(got), blankIDs(want)) {
 						t.Fatalf("day %d lane %d user %d: stale %v != dedicated %v", d, i, u, got, want)
 					}
 					for ci, c := range got {
@@ -166,7 +167,7 @@ func TestLaneGroupMatchesDedicated(t *testing.T) {
 					}
 					again := lane.StaleFiles(u, cutoff)
 					wantAgain := ded[i].StaleFiles(u, cutoff)
-					if !reflect.DeepEqual(blankNodes(again), blankNodes(wantAgain)) {
+					if !reflect.DeepEqual(blankIDs(again), blankIDs(wantAgain)) {
 						t.Fatalf("day %d lane %d user %d: post-purge rescan diverges", d, i, u)
 					}
 				}
@@ -183,10 +184,10 @@ func TestLaneGroupMatchesDedicated(t *testing.T) {
 	}
 }
 
-// TestRemoveCandidateStaleHint pins the node-hint revalidation:
-// removing through a candidate whose cached node was invalidated (the
-// file was removed and its path re-created, so the node is stale or
-// re-used) must behave exactly like a path-addressed Remove.
+// TestRemoveCandidateStaleHint pins the id-hint revalidation:
+// removing through a candidate whose record was released (the file
+// was removed and its path re-created, under a reused or a fresh id)
+// must behave exactly like a path-addressed Remove.
 func TestRemoveCandidateStaleHint(t *testing.T) {
 	day := timeutil.Time(daySeconds)
 	base := New()
@@ -230,13 +231,13 @@ func TestRemoveCandidateStaleHint(t *testing.T) {
 	}
 }
 
-// TestApplyRunAtSplitNode applies runs to paths whose tree nodes hold
-// no file: /u/ab, the split point over /u/abc and /u/abd, and /u/x, a
-// purged file whose node stays on as the split over /u/x1 and /u/x2.
-// Each must act as an absent file, as the private Touch and Insert
-// treat it: a touch misses and re-inserts, a create adds a file, and
-// the lane's accounting matches the files a walk finds.
-func TestApplyRunAtSplitNode(t *testing.T) {
+// TestApplyRunAtPathPrefix applies runs to paths that are string
+// prefixes of held files: /u/ab, a prefix of /u/abc and /u/abd, and
+// /u/x, a purged file beside the held /u/x1 and /u/x2. Each must act
+// as an absent file, as the private Touch and Insert treat it: a touch
+// misses and re-inserts, a create adds a file, and the lane's
+// accounting matches the files a walk finds.
+func TestApplyRunAtPathPrefix(t *testing.T) {
 	base := New()
 	for _, p := range []string{"/u/abc", "/u/abd", "/u/x", "/u/x1", "/u/x2"} {
 		if err := base.Insert(p, FileMeta{User: 1, Size: 10, Stripes: 1, ATime: 5}); err != nil {
@@ -244,8 +245,8 @@ func TestApplyRunAtSplitNode(t *testing.T) {
 		}
 	}
 	group := AdoptLaneGroup(base, 1, 0)
-	if base.tree != nil || base.index != nil {
-		t.Fatal("AdoptLaneGroup left the base holding the group's tree")
+	if base.tab != nil || base.index != nil {
+		t.Fatal("AdoptLaneGroup left the base holding the group's table")
 	}
 	lane := group.Lane(0)
 	if _, ok := lane.Remove("/u/x"); !ok {
@@ -281,66 +282,94 @@ func TestApplyRunAtSplitNode(t *testing.T) {
 	}
 }
 
-// requireNodeMapIsTree checks the group's node map against a walk of
-// its tree: the keys are exactly the terminal nodes' paths, each mapped
-// to its own node. Every lane's Lookup of every path in universe — a
-// fresh copy of the string each time, split points included — must
-// agree with the lane's Walk.
-func requireNodeMapIsTree(t *testing.T, g *LaneGroup, universe []string, step string) {
+// requireTable checks a record table's bookkeeping: the path map holds
+// exactly the live records, each live id maps back to its path, and
+// every released id is listed once and holds the zero record, so no
+// path string stays reachable through it.
+func requireTable(t *testing.T, tab *table, step string) {
 	t.Helper()
-	terminals := 0
-	var walk func(n *rnode[fileRecord], key string)
-	walk = func(n *rnode[fileRecord], key string) {
-		key += n.label
-		if n.terminal {
-			terminals++
-			if n.value.path != key {
-				t.Fatalf("%s: terminal node at %q holds the path %q", step, key, n.value.path)
-			}
-			if got := g.nodes[key]; got != n {
-				t.Fatalf("%s: node map maps %q to %p, the tree's node is %p", step, key, got, n)
-			}
+	live := 0
+	for i := range tab.recs {
+		rec := &tab.recs[i]
+		if rec.path == "" {
+			continue
 		}
-		for _, c := range n.children {
-			walk(c, key)
+		live++
+		if id, ok := tab.ids[rec.path]; !ok || id != int32(i) {
+			t.Fatalf("%s: record %d holds %q, the map gives (%d, %v)", step, i, rec.path, id, ok)
 		}
 	}
-	walk(g.tree.root, "")
-	if len(g.nodes) != terminals {
-		t.Fatalf("%s: node map holds %d paths, the tree %d terminal nodes", step, len(g.nodes), terminals)
+	if len(tab.ids) != live {
+		t.Fatalf("%s: the map holds %d paths, the slab %d live records", step, len(tab.ids), live)
 	}
-	for i, lane := range g.lanes {
-		held := map[string]FileMeta{}
-		lane.Walk(func(p string, m FileMeta) bool {
-			held[p] = m
-			return true
-		})
-		if lane.Count() != len(held) {
-			t.Fatalf("%s: lane %d counts %d files, its walk finds %d", step, i, lane.Count(), len(held))
+	released := map[int32]bool{}
+	for _, id := range tab.free {
+		if released[id] || tab.recs[id] != (fileRecord{}) {
+			t.Fatalf("%s: released id %d listed twice or holding %+v", step, id, tab.recs[id])
 		}
-		for _, p := range universe {
-			m, ok := lane.Lookup(strings.Clone(p))
-			want, wantOK := held[p]
-			if ok != wantOK || m != want {
-				t.Fatalf("%s: lane %d Lookup(%q) = (%+v, %v), its walk finds (%+v, %v)", step, i, p, m, ok, want, wantOK)
-			}
-		}
+		released[id] = true
+	}
+	if live+len(released) != len(tab.recs) {
+		t.Fatalf("%s: %d live and %d released ids in a slab of %d", step, live, len(released), len(tab.recs))
 	}
 }
 
-// TestNodeMapIsTheTreesTerminals drives seeded random sequences of
-// ApplyRun, Remove and RemoveCandidate on 1-lane and 3-lane groups,
-// presenting every path as a fresh copy of its string, as a daemon's
-// parsed events do. The namespace holds split points (/u/ab over
-// /u/abc and /u/abd; /u/x over /u/x1 and /u/x2 once /u/x is purged)
-// and purged paths that runs re-create. After every step the node map
-// must be exactly the tree's terminal nodes.
-func TestNodeMapIsTheTreesTerminals(t *testing.T) {
+// requireModel checks every read of fs against a path→meta model:
+// Count, the Lookup of a fresh copy of every path in universe, and the
+// Snapshot.
+func requireModel(t *testing.T, fs *FS, model map[string]FileMeta, universe []string, step string) {
+	t.Helper()
+	if fs.Count() != len(model) {
+		t.Fatalf("%s: Count = %d, model %d", step, fs.Count(), len(model))
+	}
+	for _, p := range universe {
+		m, ok := fs.Lookup(strings.Clone(p))
+		if want, held := model[p]; ok != held || m != want {
+			t.Fatalf("%s: Lookup(%q) = (%+v, %v), model (%+v, %v)", step, p, m, ok, want, held)
+		}
+	}
+	want := make([]trace.SnapshotEntry, 0, len(model))
+	for p, m := range model {
+		want = append(want, trace.SnapshotEntry{Path: p, User: m.User, Size: m.Size, Stripes: m.Stripes, ATime: m.ATime})
+	}
+	slices.SortFunc(want, func(a, b trace.SnapshotEntry) int { return strings.Compare(a.Path, b.Path) })
+	if got := fs.Snapshot(0).Entries; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Snapshot\n got %v\nwant %v", step, got, want)
+	}
+}
+
+// applyModel applies a run to one lane's model as a dedicated FS
+// would: a create stores the event's file, a touch renews a held file,
+// and a touch of an absent file misses and stores it.
+func applyModel(model map[string]FileMeta, path string, evs []RunEvent) {
+	for _, ev := range evs {
+		if m, held := model[path]; held && !ev.Create {
+			m.ATime = ev.TS
+			model[path] = m
+			continue
+		}
+		model[path] = FileMeta{User: ev.User, Size: ev.Size, Stripes: 1, ATime: ev.TS}
+	}
+}
+
+// TestRecordTableMatchesModel drives seeded random sequences of
+// ApplyRun, Remove, purges through StaleFiles and RemoveCandidate, and
+// Clone on lane groups of 1, 2, 3 and 64 lanes, presenting every path
+// as a fresh copy of its string, as a daemon's parsed events do.
+// Candidates are kept across steps, so some name records released
+// since and ids reused for other paths. The namespace holds string
+// prefixes of held files (/u/ab beside /u/abc, /u/x beside /u/x1) and
+// purged paths that runs re-create. After every step the shared table
+// must hold exactly the records some lane holds (requireTable), and
+// every lane must answer Lookup, Count and Snapshot as its model does.
+// A lane's Clone is a private FS with a table of its own; a one-lane
+// group sometimes re-adopts one, as a resumed stream does.
+func TestRecordTableMatchesModel(t *testing.T) {
 	universe := []string{
 		"/u/abc", "/u/abd", "/u/ab", "/u/a", "/u/x", "/u/x1", "/u/x2",
-		"/v/0/out.dat", "/v/1/out.dat", "/v/10/out.dat", "/v/2", "/w",
+		"/p/run", "/p/run1.dat", "/v/0/out.dat", "/v/1/out.dat", "/v/10/out.dat", "/v/2", "/w",
 	}
-	for _, lanes := range []int{1, 3} {
+	for _, lanes := range []int{1, 2, 3, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("lanes=%d/seed=%d", lanes, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
@@ -353,17 +382,38 @@ func TestNodeMapIsTheTreesTerminals(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				models := make([]map[string]FileMeta, lanes)
+				for i := range models {
+					models[i] = map[string]FileMeta{}
+					base.Walk(func(p string, m FileMeta) bool {
+						models[i][p] = m
+						return true
+					})
+				}
 				g := AdoptLaneGroup(base, lanes, len(universe))
-				requireNodeMapIsTree(t, g, universe, "adopt")
+				check := func(step string) {
+					t.Helper()
+					requireTable(t, g.tab, step)
+					for id := range g.tab.recs {
+						if rec := &g.tab.recs[id]; rec.path != "" && rec.dropped == g.allMask {
+							t.Fatalf("%s: record %d (%q) is live, but no lane holds it", step, id, rec.path)
+						}
+					}
+					for i := range models {
+						requireModel(t, g.Lane(i), models[i], universe, fmt.Sprintf("%s lane %d", step, i))
+					}
+				}
+				check("adopt")
 				ts := timeutil.Time(100)
 				var cands []Candidate // kept across steps, so some go stale
-				for step := 0; step < 400; step++ {
+				for step := 0; step < 300; step++ {
 					pi := rng.Intn(len(universe))
 					path := strings.Clone(universe[pi])
-					lane := g.Lane(rng.Intn(lanes))
+					li := rng.Intn(lanes)
+					lane := g.Lane(li)
 					var what string
-					switch op := rng.Intn(10); {
-					case op < 5:
+					switch op := rng.Intn(20); {
+					case op < 10:
 						evs := make([]RunEvent, 1+rng.Intn(3))
 						for ei := range evs {
 							ts += timeutil.Time(1 + rng.Int63n(daySeconds))
@@ -374,18 +424,18 @@ func TestNodeMapIsTheTreesTerminals(t *testing.T) {
 							pid = 0 // one handle slot for every path, as a stream uses
 						}
 						g.ApplyRun(pid, path, evs)
-						what = fmt.Sprintf("ApplyRun(%d, %q)", pid, path)
-						// Every lane holds the file after a run, touched last
-						// by the run's last event.
-						for i := 0; i < lanes; i++ {
-							if m, ok := g.Lane(i).Lookup(path); !ok || m.ATime != ts {
-								t.Fatalf("step %d %s: lane %d Lookup = (%+v, %v), want the file at atime %d", step, what, i, m, ok, ts)
-							}
+						for _, model := range models {
+							applyModel(model, path, evs)
 						}
-					case op < 7:
-						lane.Remove(path)
-						what = fmt.Sprintf("Remove(%q)", path)
-					default:
+						what = fmt.Sprintf("ApplyRun(%d, %q)", pid, path)
+					case op < 13:
+						m, ok := lane.Remove(path)
+						if want, held := models[li][path]; ok != held || m != want {
+							t.Fatalf("step %d: lane %d Remove(%q) = (%+v, %v), model (%+v, %v)", step, li, path, m, ok, want, held)
+						}
+						delete(models[li], path)
+						what = fmt.Sprintf("lane %d Remove(%q)", li, path)
+					case op < 18:
 						if len(cands) == 0 || rng.Intn(3) == 0 {
 							cands = lane.StaleFiles(trace.UserID(rng.Intn(3)), ts+1)
 						}
@@ -396,12 +446,75 @@ func TestNodeMapIsTheTreesTerminals(t *testing.T) {
 						c := cands[ci]
 						c.Path = strings.Clone(c.Path)
 						cands = append(cands[:ci], cands[ci+1:]...)
-						lane.RemoveCandidate(c)
-						what = fmt.Sprintf("RemoveCandidate(%q)", c.Path)
+						m, ok := lane.RemoveCandidate(c)
+						if want, held := models[li][c.Path]; ok != held || m != want {
+							t.Fatalf("step %d: lane %d RemoveCandidate(%q) = (%+v, %v), model (%+v, %v)", step, li, c.Path, m, ok, want, held)
+						}
+						delete(models[li], c.Path)
+						what = fmt.Sprintf("lane %d RemoveCandidate(%q)", li, c.Path)
+					default:
+						c := lane.Clone()
+						what = fmt.Sprintf("lane %d Clone", li)
+						requireTable(t, c.tab, what)
+						requireModel(t, c, models[li], universe, what)
+						if lanes == 1 && rng.Intn(2) == 0 {
+							g = AdoptLaneGroup(c, 1, len(universe))
+							what = "re-adopt"
+						}
 					}
-					requireNodeMapIsTree(t, g, universe, fmt.Sprintf("step %d %s", step, what))
+					check(fmt.Sprintf("step %d %s", step, what))
 				}
 			})
+		}
+	}
+}
+
+// TestReusedIDIsNotTrusted pins the hazard of id reuse: after a file
+// is released and its id reused for another path of the same owner
+// and atime, neither a candidate nor an index entry that still holds
+// the old id may stand for the new file. The stale candidate removes
+// nothing, and a compaction emits the new file once, under its own
+// path.
+func TestReusedIDIsNotTrusted(t *testing.T) {
+	day := timeutil.Time(daySeconds)
+	for _, lanes := range []int{0, 1, 3} {
+		fs := New()
+		for _, p := range []string{"/a", "/b"} {
+			if err := fs.Insert(p, FileMeta{User: 1, Size: 10, Stripes: 1, ATime: day}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lanes > 0 {
+			fs = AdoptLaneGroup(fs, lanes, 1).Lane(0)
+		}
+		cands := fs.StaleFiles(1, 2*day)
+		if len(cands) != 2 || cands[0].Path != "/a" {
+			t.Fatalf("lanes=%d: stale = %v, want /a and /b", lanes, cands)
+		}
+		stale := cands[0]
+		for i := 0; i < max(lanes, 1); i++ {
+			lane := fs
+			if lanes > 0 {
+				lane = fs.group.Lane(i)
+			}
+			if _, ok := lane.Remove("/a"); !ok {
+				t.Fatalf("lanes=%d: Remove(/a) failed in lane %d", lanes, i)
+			}
+		}
+		if lanes > 0 {
+			fs.group.ApplyRun(0, "/c", []RunEvent{{User: 1, Size: 99, TS: day, Create: true}})
+		} else if err := fs.Insert("/c", FileMeta{User: 1, Size: 99, Stripes: 1, ATime: day}); err != nil {
+			t.Fatal(err)
+		}
+		if id := fs.tab.ids["/c"]; id != stale.id {
+			t.Fatalf("lanes=%d: /c got id %d, want the released id %d of /a", lanes, id, stale.id)
+		}
+		if m, ok := fs.RemoveCandidate(stale); ok {
+			t.Fatalf("lanes=%d: RemoveCandidate(/a) through a reused id removed %+v", lanes, m)
+		}
+		got := fs.StaleFiles(1, 2*day)
+		if len(got) != 2 || got[0].Path != "/b" || got[1].Path != "/c" || got[1].Meta.Size != 99 {
+			t.Fatalf("lanes=%d: stale after reuse = %v, want /b and /c", lanes, got)
 		}
 	}
 }

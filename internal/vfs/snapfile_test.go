@@ -8,6 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"activedr/internal/timeutil"
@@ -288,6 +292,140 @@ func TestSnapfileBytesArePinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.size || got != tc.sha {
 			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(b), got, tc.size, tc.sha)
 		}
+	}
+}
+
+// churnedFS builds an FS holding exactly the entries of s after a
+// history that scatters its record ids: decoy files come first and are
+// removed partway, so later inserts reuse their ids, entries go in in
+// reverse path order, and every third entry is first inserted under
+// other metadata and then replaced.
+func churnedFS(t *testing.T, s *trace.Snapshot) *FS {
+	t.Helper()
+	fs := New()
+	insert := func(p string, m FileMeta) {
+		if err := fs.Insert(p, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const decoys = 40
+	for i := 0; i < decoys; i++ {
+		insert(fmt.Sprintf("/decoy/%02d", i), FileMeta{User: 9, Size: 3, Stripes: 1, ATime: 5})
+	}
+	removed := 0
+	for i := len(s.Entries) - 1; i >= 0; i-- {
+		e := &s.Entries[i]
+		if i%3 == 0 {
+			insert(e.Path, FileMeta{User: e.User + 1, Size: 1, Stripes: 1, ATime: e.ATime + 86400})
+		}
+		if i%2 == 0 && removed < decoys {
+			fs.Remove(fmt.Sprintf("/decoy/%02d", removed))
+			removed++
+		}
+		insert(e.Path, FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime})
+	}
+	for ; removed < decoys; removed++ {
+		fs.Remove(fmt.Sprintf("/decoy/%02d", removed))
+	}
+	return fs
+}
+
+// TestOutputsIgnoreRecordIDs pins that no output depends on record
+// ids or slab order: an FS loaded from the fixture's snapfile (ids in
+// path order) and a churned FS holding the same files (ids scattered)
+// give identical walks, Snapshots, stale-file answers and snapfile
+// bytes, the last equal to the pinned ones.
+func TestOutputsIgnoreRecordIDs(t *testing.T) {
+	snap := snapFixture(5, 9)
+	sf, err := OpenSnapfile(writeFixture(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapfileFS(sf)
+	if cerr := sf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned := churnedFS(t, snap)
+	moved := 0
+	for _, e := range snap.Entries {
+		if loaded.tab.ids[e.Path] != churned.tab.ids[e.Path] {
+			moved++
+		}
+	}
+	if moved < len(snap.Entries)/2 {
+		t.Fatalf("only %d of %d files changed id: the histories do not differ enough", moved, len(snap.Entries))
+	}
+	for name, fs := range map[string]*FS{"loaded": loaded, "churned": churned} {
+		got := fs.Snapshot(snap.Taken)
+		if !reflect.DeepEqual(got, snap) {
+			t.Fatalf("%s: Snapshot differs from the fixture", name)
+		}
+		unsorted := fs.SnapshotUnsorted(snap.Taken)
+		slices.SortFunc(unsorted.Entries, func(a, b trace.SnapshotEntry) int { return strings.Compare(a.Path, b.Path) })
+		if !reflect.DeepEqual(unsorted, snap) {
+			t.Fatalf("%s: SnapshotUnsorted, sorted by path, differs from the fixture", name)
+		}
+		var walked []string
+		fs.Walk(func(p string, _ FileMeta) bool {
+			walked = append(walked, p)
+			return true
+		})
+		for i, e := range snap.Entries {
+			if walked[i] != e.Path {
+				t.Fatalf("%s: walk visits %q at %d, want %q", name, walked[i], i, e.Path)
+			}
+		}
+		b, err := os.ReadFile(writeFixture(t, got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(b)); sum != "08669e5b304dfa94eb14953a37e15ce44a6ca01187d9c7fecc690b60b564cba1" {
+			t.Fatalf("%s: snapfile sha256 %s, want the pinned fixture's", name, sum)
+		}
+	}
+	model := map[string]FileMeta{}
+	for _, e := range snap.Entries {
+		model[e.Path] = FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime}
+	}
+	for u := trace.UserID(0); u < 5; u++ {
+		for _, cutoff := range []timeutil.Time{60 * 86400, 200 * 86400} {
+			checkStale(t, loaded, model, u, cutoff)
+			checkStale(t, churned, model, u, cutoff)
+		}
+	}
+}
+
+// TestReadsShareAnFS runs Lookup, Walk and Snapshot from several
+// goroutines at once on a churned FS and on a lane view of one, which
+// nobody mutates meanwhile, as Figure 12's sharded scan does: reads
+// keep no state in the FS, so the race detector finds nothing and
+// every reader sees the whole namespace.
+func TestReadsShareAnFS(t *testing.T) {
+	snap := snapFixture(5, 9)
+	lane := AdoptLaneGroup(churnedFS(t, snap), 2, 0).Lane(1)
+	for name, fs := range map[string]*FS{"private": churnedFS(t, snap), "lane": lane} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, e := range snap.Entries {
+					if m, ok := fs.Lookup(e.Path); !ok || m.Size != e.Size {
+						t.Errorf("%s: Lookup(%q) = (%+v, %v)", name, e.Path, m, ok)
+						return
+					}
+				}
+				n := 0
+				fs.Walk(func(string, FileMeta) bool { n++; return true })
+				if s := fs.Snapshot(snap.Taken); n != len(snap.Entries) || !reflect.DeepEqual(s, snap) {
+					t.Errorf("%s: a reader walked %d files and snapshotted %d, want %d", name, n, len(s.Entries), len(snap.Entries))
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -235,11 +235,12 @@ func (d *snapDecoder) next(i int) (string, FileMeta, error) {
 	return string(d.path), m, nil
 }
 
-// LoadSnapfileFS materializes a single-tree FS (tree, accounting, and
-// candidate index) from an open snapfile. The index section is loaded
-// as straight fills — no per-entry day search — leaving exactly the
-// state FromSnapshot would have built from the equivalent TSV
-// snapshot.
+// LoadSnapfileFS materializes a private FS (record table, accounting,
+// and candidate index) from an open snapfile. File id i becomes record
+// id i, so the slab is in path order, and the index section is loaded
+// as straight fills — no per-entry day search — leaving the files,
+// accounting and index order FromSnapshot would have built from the
+// equivalent TSV snapshot.
 func LoadSnapfileFS(sf *SnapshotFile) (*FS, error) {
 	if err := sf.verifyCRC(); err != nil {
 		return nil, err
@@ -248,21 +249,19 @@ func LoadSnapfileFS(sf *SnapshotFile) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := New()
-	nodes := make([]*rnode[fileRecord], sf.files)
+	f := newFS(sf.files)
 	dec := sf.newDecoder(segs)
 	for i := 0; i < sf.files; i++ {
 		path, m, err := dec.next(i)
 		if err != nil {
 			return nil, err
 		}
-		n, _, _ := f.tree.put(path, fileRecord{meta: m, path: path})
+		f.tab.add(path, m) // paths ascend strictly, so each is new
 		f.bytes += m.Size
 		f.userBytes[m.User] += m.Size
 		f.userFiles[m.User]++
-		nodes[i] = n
 	}
-	if err := loadSnapIndex(sf, f, nodes); err != nil {
+	if err := loadSnapIndex(sf, f); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -271,8 +270,9 @@ func LoadSnapfileFS(sf *SnapshotFile) (*FS, error) {
 // loadSnapIndex decodes the candidate-index section into f's userIndex
 // structures, validating that it is the canonical rebuild of the file
 // table (every file exactly once, under its owner, in its atime's day
-// bucket, file ids ascending).
-func loadSnapIndex(sf *SnapshotFile, f *FS, nodes []*rnode[fileRecord]) error {
+// bucket, file ids ascending). File id i is f's record id i.
+func loadSnapIndex(sf *SnapshotFile, f *FS) error {
+	recs := f.tab.recs
 	r := bufio.NewReaderSize(sf.section(secIndex), 1<<16)
 	var b12 [12]byte
 	entries := 0
@@ -305,11 +305,11 @@ func loadSnapIndex(sf *SnapshotFile, f *FS, nodes []*rnode[fileRecord]) error {
 					return corruptf("vfs: snapfile index entry of user %d: %v", user, err)
 				}
 				fid := binary.LittleEndian.Uint32(b12[0:4])
-				if int64(fid) <= lastFid || int(fid) >= len(nodes) {
+				if int64(fid) <= lastFid || int(fid) >= len(recs) {
 					return corruptf("vfs: snapfile index file ids invalid for user %d", user)
 				}
 				lastFid = int64(fid)
-				rec := &nodes[fid].value
+				rec := &recs[fid]
 				if rec.meta.User != u || dayOf(rec.meta.ATime) != day {
 					return corruptf("vfs: snapfile index entry %d contradicts record", fid)
 				}
@@ -331,7 +331,7 @@ func loadSnapIndex(sf *SnapshotFile, f *FS, nodes []*rnode[fileRecord]) error {
 				uidx.buckets[bi] = append(uidx.buckets[bi], idxEntry{
 					path:  rec.path,
 					atime: rec.meta.ATime,
-					node:  nodes[fid],
+					id:    int32(fid),
 				})
 				entries++
 			}

@@ -1,27 +1,28 @@
 package vfs
 
 import (
-	"sort"
+	"strings"
 	"testing"
 
 	"activedr/internal/randx"
 )
 
-// valueAt reads key the way FS.Lookup does: find the node, then check
-// that it is terminal.
-func valueAt[V any](t *radix[V], key string) (V, bool) {
-	n := t.findNode(key)
-	if n == nil || !n.terminal {
-		var zero V
-		return zero, false
+// coveredByModel is coveredBy by brute force over the stored keys: a
+// key is covered by an equal stored key, by a stored key it extends
+// with a '/', or by the empty key.
+func coveredByModel(model map[string]bool, key string) bool {
+	for k := range model {
+		if k == "" || key == k || strings.HasPrefix(key, k+"/") {
+			return true
+		}
 	}
-	return n.value, true
+	return false
 }
 
 // TestRadixArbitraryKeys drives the radix tree with random byte-level
-// keys (not just well-formed paths) against a map model: shared
-// prefixes, empty keys, repeated inserts and deletes. The final walk
-// is the one FS.Walk and the snapfile writer use.
+// keys (not just well-formed paths) against a set model: shared
+// prefixes, empty keys and repeated inserts, with coveredBy queries of
+// random keys between them.
 func TestRadixArbitraryKeys(t *testing.T) {
 	src := randx.New(777)
 	alphabet := []byte("ab/€\x00z")
@@ -33,97 +34,61 @@ func TestRadixArbitraryKeys(t *testing.T) {
 		}
 		return string(b)
 	}
-	tree := newRadix[fileRecord]()
-	model := map[string]int64{}
-	for step := 0; step < 30000; step++ {
-		k := randKey()
-		switch src.Intn(3) {
-		case 0:
-			v := int64(src.Intn(1000))
-			_, prev, existed := tree.put(k, fileRecord{path: k, meta: FileMeta{Size: v}})
-			wantPrev, wantExisted := model[k]
-			if existed != wantExisted || (existed && prev.meta.Size != wantPrev) {
-				t.Fatalf("step %d: put(%q) = (%d,%v), want (%d,%v)", step, k, prev.meta.Size, existed, wantPrev, wantExisted)
+	for round := 0; round < 40; round++ {
+		tree := newRadix()
+		model := map[string]bool{}
+		for step := 0; step < 60; step++ {
+			k := randKey()
+			if k == "" && round%4 != 0 {
+				k = "a" // the root key covers everything: store it in a quarter of the rounds only
 			}
-			model[k] = v
-		case 1:
-			v, ok := valueAt(tree, k)
-			wantV, wantOK := model[k]
-			if ok != wantOK || (ok && v.meta.Size != wantV) {
-				t.Fatalf("step %d: lookup(%q) mismatch", step, k)
+			if got := tree.put(k); got != model[k] {
+				t.Fatalf("round %d step %d: put(%q) existed = %v, want %v", round, step, k, got, model[k])
 			}
-		case 2:
-			v, ok := tree.delete(k)
-			wantV, wantOK := model[k]
-			if ok != wantOK || (ok && v.meta.Size != wantV) {
-				t.Fatalf("step %d: delete(%q) = (%d,%v), want (%d,%v)", step, k, v.meta.Size, ok, wantV, wantOK)
+			model[k] = true
+			if tree.size() != len(model) {
+				t.Fatalf("round %d step %d: size %d != model %d", round, step, tree.size(), len(model))
 			}
-			delete(model, k)
-		}
-		if tree.size() != len(model) {
-			t.Fatalf("step %d: size %d != model %d", step, tree.size(), len(model))
-		}
-	}
-	// Final walk agrees with the sorted model.
-	var wantKeys []string
-	for k := range model {
-		wantKeys = append(wantKeys, k)
-	}
-	sort.Strings(wantKeys)
-	var gotKeys []string
-	walkRecords(tree.root, func(k string, m FileMeta) bool {
-		gotKeys = append(gotKeys, k)
-		if model[k] != m.Size {
-			t.Fatalf("walk value mismatch at %q", k)
-		}
-		return true
-	})
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("walk yielded %d keys, want %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range wantKeys {
-		if gotKeys[i] != wantKeys[i] {
-			t.Fatalf("walk order: got %q want %q at %d", gotKeys[i], wantKeys[i], i)
+			for q := 0; q < 8; q++ {
+				key := randKey()
+				if q == 0 {
+					key = k + randKey()
+				}
+				if got, want := tree.coveredBy(key), coveredByModel(model, key); got != want {
+					t.Fatalf("round %d step %d: coveredBy(%q) = %v, want %v", round, step, key, got, want)
+				}
+			}
 		}
 	}
 }
 
-// TestRadixEmptyKey exercises the root-terminal special case.
+// TestRadixEmptyKey exercises the root-terminal special case: the empty
+// key is stored once and covers every key.
 func TestRadixEmptyKey(t *testing.T) {
-	tree := newRadix[string]()
-	if _, ok := valueAt(tree, ""); ok {
-		t.Fatal("empty tree contains empty key")
+	tree := newRadix()
+	if tree.coveredBy("") || tree.coveredBy("/any/path") {
+		t.Fatal("empty tree covers a key")
 	}
-	tree.put("", "root")
-	if v, ok := valueAt(tree, ""); !ok || v != "root" {
-		t.Fatal("empty key lost")
+	if tree.put("") {
+		t.Fatal("first put of the empty key reported it present")
 	}
-	// A root reservation covers everything.
-	if !tree.coveredBy("/any/path") {
+	if !tree.put("") || tree.size() != 1 {
+		t.Fatalf("second put of the empty key: size %d, want 1 and reported present", tree.size())
+	}
+	if !tree.coveredBy("/any/path") || !tree.coveredBy("") {
 		t.Fatal("root terminal should cover all keys")
 	}
-	if v, ok := tree.delete(""); !ok || v != "root" {
-		t.Fatal("empty key not deletable")
-	}
-	if tree.size() != 0 {
-		t.Fatal("size wrong after delete")
-	}
-	if _, ok := tree.delete(""); ok {
-		t.Fatal("double delete of empty key")
-	}
 }
 
-// TestRadixCompression verifies single-child merging after deletes
-// keeps the tree compact.
+// TestRadixCompression verifies that put keeps the tree compact: shared
+// prefixes are stored once, edges split only where keys diverge, and a
+// key ending inside an edge splits it without adding a leaf.
 func TestRadixCompression(t *testing.T) {
-	tree := newRadix[int]()
-	tree.put("/a/b/c/d", 1)
-	tree.put("/a/b/c/e", 2)
-	tree.put("/a/x", 3)
-	countNodes := func() int {
+	tree := newRadix()
+	nodes := func() int {
 		n := 0
-		var rec func(*rnode[int])
-		rec = func(nd *rnode[int]) {
+		var rec func(*rnode)
+		rec = func(nd *rnode) {
 			n++
 			for _, c := range nd.children {
 				rec(c)
@@ -132,16 +97,23 @@ func TestRadixCompression(t *testing.T) {
 		rec(tree.root)
 		return n
 	}
-	before := countNodes()
-	tree.delete("/a/b/c/e")
-	after := countNodes()
-	if after >= before {
-		t.Fatalf("no compaction: %d → %d nodes", before, after)
+	tree.put("/a/b/c/d")
+	tree.put("/a/b/c/e")
+	tree.put("/a/x")
+	// root → "/a/" → {"b/c/" → {"d", "e"}, "x"}
+	if got := nodes(); got != 6 {
+		t.Fatalf("%d nodes after three puts, want 6", got)
 	}
-	if v, ok := valueAt(tree, "/a/b/c/d"); !ok || v != 1 {
-		t.Fatal("sibling lost during compaction")
+	tree.put("/a/b") // ends inside the edge "b/c/"
+	if got := nodes(); got != 7 {
+		t.Fatalf("%d nodes after splitting an edge, want 7", got)
 	}
-	if v, ok := valueAt(tree, "/a/x"); !ok || v != 3 {
-		t.Fatal("cousin lost during compaction")
+	for _, k := range []string{"/a/b/c/d", "/a/b/c/e", "/a/x", "/a/b", "/a/b/zz"} {
+		if !tree.coveredBy(k) {
+			t.Errorf("coveredBy(%q) = false after the split", k)
+		}
+	}
+	if tree.coveredBy("/a/bc") || tree.coveredBy("/a") {
+		t.Error("a split point covers keys it does not store")
 	}
 }

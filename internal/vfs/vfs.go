@@ -20,57 +20,113 @@ type FileMeta struct {
 	ATime   timeutil.Time
 }
 
-// fileRecord is what a terminal tree node stores: the metadata plus
-// the file's canonical path string. Interning the path here means
-// walks, snapshots and candidate queries hand out the stored string
-// instead of rebuilding one byte slice per file per scan.
+// fileRecord is one slot of the record table: the metadata plus the
+// file's canonical path string. Interning the path here means walks,
+// snapshots and candidate queries hand out the stored string instead
+// of rebuilding one byte slice per file per scan. A released slot is
+// the zero record; live paths are absolute, so an empty path marks it.
 //
-// The dropped/ovr/pid1 fields only carry state when the record lives
-// in a LaneGroup's shared tree (lanes.go); in a private FS they stay
-// zero, which reads as "every lane holds the file, no overrides" — so
-// a freshly cloned tree needs no per-record initialization.
+// The dropped/ovr fields only carry state when the record lives in a
+// LaneGroup's shared table (lanes.go); in a private FS they stay zero,
+// which reads as "every lane holds the file, no overrides" — so a
+// freshly cloned table needs no per-record initialization.
 type fileRecord struct {
 	meta FileMeta
 	path string
 	// dropped is the inverted lane mask: bit i set means lane i purged
 	// the file. 0 = held by every lane. When all lane bits are set the
-	// record is deleted from the shared tree.
+	// record is released from the shared table.
 	dropped uint64
 	// ovr marks lanes holding a metadata override for this path in
 	// their FS.overrides map (divergent owner/size after a per-lane
 	// miss re-insert).
 	ovr uint64
-	// pid1 is the columnar path id + 1 (0 = none), used to invalidate
-	// the LaneGroup's path-id→node handle table on delete.
-	pid1 int32
+}
+
+// table is the namespace's record table: a slab of records addressed
+// by dense ids, the path-to-id map of every live record, and the ids
+// released since, which the next inserts reuse before the slab grows.
+// The map's keys are the records' own path strings, so it holds no
+// path bytes of its own. The slab never shrinks, so an id once issued
+// stays in range, in a clone of the table too. Because an id can be
+// reused for another path, every holder of one (index entries,
+// candidates, the lane group's handles) checks it with holds before
+// trusting it; a stale id falls back to the map.
+type table struct {
+	recs []fileRecord
+	ids  map[string]int32
+	free []int32
+}
+
+func newTable(n int) *table {
+	return &table{recs: make([]fileRecord, 0, n), ids: make(map[string]int32, n)}
+}
+
+// holds reports whether id names the live record of path.
+func (t *table) holds(id int32, path string) bool {
+	return uint(id) < uint(len(t.recs)) && t.recs[id].path == path
+}
+
+// add stores a new record for path, which must not be live, and
+// returns its id.
+func (t *table) add(path string, m FileMeta) int32 {
+	var id int32
+	if n := len(t.free); n > 0 {
+		id, t.free = t.free[n-1], t.free[:n-1]
+		t.recs[id] = fileRecord{meta: m, path: path}
+	} else {
+		id = int32(len(t.recs))
+		t.recs = append(t.recs, fileRecord{meta: m, path: path})
+	}
+	t.ids[path] = id
+	return id
+}
+
+// release drops the live record id, clearing its slot so its path
+// string can be collected, and frees the id for reuse.
+func (t *table) release(id int32) {
+	delete(t.ids, t.recs[id].path)
+	t.recs[id] = fileRecord{}
+	t.free = append(t.free, id)
+}
+
+// clone copies the table. Records copy by value and share their path
+// strings with the source. The copy's map is filled from the slab:
+// that takes a third of the time maps.Clone does.
+func (t *table) clone() *table {
+	c := &table{recs: slices.Clone(t.recs), ids: make(map[string]int32, len(t.ids)), free: slices.Clone(t.free)}
+	for i := range c.recs {
+		if p := c.recs[i].path; p != "" {
+			c.ids[p] = int32(i)
+		}
+	}
+	return c
 }
 
 // Candidate is one purge candidate emitted by StaleFiles.
 type Candidate struct {
 	Path string
 	Meta FileMeta
-	// node is the tree node the emitting scan validated for this
-	// candidate, letting RemoveCandidate on a lane view skip the
-	// lookup. Never trusted blindly: consumers revalidate it and fall
-	// back to a path lookup (it goes stale if the record is deleted
-	// between emission and removal).
-	node *rnode[fileRecord]
+	// id is the record the emitting scan validated for this candidate,
+	// letting RemoveCandidate skip the map probe. Never trusted
+	// blindly: it goes stale if the record is released between
+	// emission and removal, so RemoveCandidate checks it against Path
+	// and falls back to the path map.
+	id int32
 }
 
 // idxEntry is one (path, atime-at-index-time) pair in a day bucket.
 // An entry is live iff the file still exists, still belongs to the
 // bucket's user, and still has exactly this atime; anything else is a
-// tombstone dropped at the next compaction. node caches the terminal
-// tree node the entry was indexed from — valid as long as the node is
-// terminal with a matching path (the radix tree keeps a key's node
-// object stable for the key's lifetime), nil or stale falls back to
-// the lane group's node map or, on a private FS, findNode. Compactions
-// refresh it; Clone nils it (the copy's entries would otherwise point
-// into the source tree).
+// tombstone dropped at the next compaction. id is the record the entry
+// was indexed from, valid while the record holds the entry's path
+// (table.holds); a stale id falls back to the path map. Compactions
+// refresh it, and a cloned index keeps it, since the clone's slab holds
+// the same records at the same ids.
 type idxEntry struct {
 	path  string
 	atime timeutil.Time
-	node  *rnode[fileRecord]
+	id    int32
 }
 
 // userIndex is one user's purge-candidate index: entries bucketed by
@@ -84,11 +140,11 @@ type userIndex struct {
 	buckets [][]idxEntry // buckets[i] pairs with days[i]
 	// compacted[i] marks bucket i as compacted in place by a lane-group
 	// scan (see appendStaleScan): sorted, deduplicated, unique per
-	// (path, atime), with node caches that were live at compaction
+	// (path, atime), with record ids that were live at compaction
 	// time. Appends clear the mark. A marked bucket is scanned without
 	// rebuilding — each entry is revalidated with three loads off the
-	// record it already points at, and the first stale entry observed
-	// clears the mark so the next scan compacts the churn away.
+	// record its id names, and the first stale entry observed clears
+	// the mark so the next scan compacts the churn away.
 	compacted []bool
 	// skip[i] is a per-lane exhaustion mask over bucket i, maintained
 	// only for group-shared indexes. Bit L set means a full fast-path
@@ -139,15 +195,15 @@ func dayOf(t timeutil.Time) int64 {
 	return d
 }
 
-// FS is the virtual file system: a compact prefix tree over absolute
-// paths with byte and count accounting, overall and per user, plus an
+// FS is the virtual file system: a record table over absolute paths
+// with byte and count accounting, overall and per user, plus an
 // incrementally maintained per-user atime index that answers purge
 // candidate queries without walking the namespace (DESIGN.md §8). FS
-// is not safe for concurrent mutation, and StaleFiles mutates
-// (it compacts index buckets); the parallel scan pool shards work
-// over read-only walks only.
+// is not safe for concurrent mutation, and StaleFiles mutates (it
+// compacts index buckets); Lookup, Walk and Snapshot only read, so an
+// FS nobody mutates serves them from several goroutines.
 type FS struct {
-	tree      *radix[fileRecord]
+	tab       *table
 	bytes     int64
 	userBytes map[trace.UserID]int64
 	userFiles map[trace.UserID]int64
@@ -172,7 +228,7 @@ type FS struct {
 	dirty map[string]DirtyFile
 
 	// Lane-view state. A private FS leaves all of this zero. A lane
-	// view shares tree and index with its sibling lanes through group
+	// view shares table and index with its sibling lanes through group
 	// and owns only its accounting maps, overrides and extra index;
 	// see lanes.go.
 	group     *LaneGroup
@@ -188,10 +244,10 @@ type FS struct {
 	// them under the override owner.
 	extra map[trace.UserID]*userIndex
 
-	// hidden is non-nil only on a dry-run view (DryRun): the terminal
-	// nodes of the source tree the view has removed. Everything the
-	// view answers skips them; the source never sees them.
-	hidden map[*rnode[fileRecord]]struct{}
+	// hidden is non-nil only on a dry-run view (DryRun): the ids of the
+	// source's records the view has removed. Everything the view
+	// answers skips them; the source never sees them.
+	hidden map[int32]struct{}
 }
 
 // SetProbe installs observability counters for a lane view's
@@ -201,9 +257,12 @@ type FS struct {
 func (f *FS) SetProbe(p obs.VFSProbe) { f.probe = p }
 
 // New returns an empty FS.
-func New() *FS {
+func New() *FS { return newFS(0) }
+
+// newFS returns an empty FS whose table is sized for n files.
+func newFS(n int) *FS {
 	return &FS{
-		tree:      newRadix[fileRecord](),
+		tab:       newTable(n),
 		userBytes: make(map[trace.UserID]int64),
 		userFiles: make(map[trace.UserID]int64),
 		index:     make(map[trace.UserID]*userIndex),
@@ -213,7 +272,7 @@ func New() *FS {
 // FromSnapshot builds an FS holding every entry of a metadata
 // snapshot.
 func FromSnapshot(s *trace.Snapshot) (*FS, error) {
-	fs := New()
+	fs := newFS(len(s.Entries))
 	for i := range s.Entries {
 		e := &s.Entries[i]
 		if err := fs.Insert(e.Path, FileMeta{User: e.User, Size: e.Size, Stripes: e.Stripes, ATime: e.ATime}); err != nil {
@@ -238,9 +297,14 @@ func (f *FS) Insert(path string, m FileMeta) error {
 	if f.hidden != nil {
 		panic("vfs: a dry-run view only supports Remove, not Insert")
 	}
-	n, prev, existed := f.tree.put(path, fileRecord{meta: m, path: path})
+	id, existed := f.tab.ids[path]
+	var prev FileMeta
 	if existed {
-		f.unaccount(prev.meta)
+		rec := &f.tab.recs[id]
+		prev, rec.meta = rec.meta, m
+		f.unaccount(prev)
+	} else {
+		id = f.tab.add(path, m)
 	}
 	f.bytes += m.Size
 	f.userBytes[m.User] += m.Size
@@ -248,35 +312,33 @@ func (f *FS) Insert(path string, m FileMeta) error {
 	// The old index entry stays valid only if owner and atime are both
 	// unchanged; otherwise it becomes a tombstone and a fresh entry is
 	// indexed.
-	if !existed || prev.meta.User != m.User || prev.meta.ATime != m.ATime {
-		f.indexAdd(m.User, n.value.path, m.ATime, n)
+	if !existed || prev.User != m.User || prev.ATime != m.ATime {
+		f.indexAdd(m.User, f.tab.recs[id].path, m.ATime, id)
 	}
 	return nil
 }
 
 // Lookup returns the metadata stored at path.
 func (f *FS) Lookup(path string) (FileMeta, bool) {
-	if f.group != nil {
-		n := f.laneResolve(path)
-		if n == nil || n.value.dropped&f.laneBit != 0 {
-			return FileMeta{}, false
-		}
-		return f.laneMeta(&n.value), true
-	}
-	n := f.tree.findNode(path)
-	if n == nil || !n.terminal {
+	id, ok := f.tab.ids[path]
+	if !ok || !f.sees(id) {
 		return FileMeta{}, false
 	}
-	if f.hidden != nil && f.isHidden(n) {
-		return FileMeta{}, false
-	}
-	return n.value.meta, true
+	return f.metaOf(&f.tab.recs[id]), true
 }
 
-// isHidden reports whether a dry-run view has removed the file at n.
-func (f *FS) isHidden(n *rnode[fileRecord]) bool {
-	_, gone := f.hidden[n]
-	return gone
+// sees reports whether the live record id is one of f's files: a lane
+// view skips the records its lane dropped, a dry-run view the ones it
+// removed.
+func (f *FS) sees(id int32) bool {
+	switch {
+	case f.group != nil:
+		return f.tab.recs[id].dropped&f.laneBit == 0
+	case f.hidden != nil:
+		_, gone := f.hidden[id]
+		return !gone
+	}
+	return true
 }
 
 // Contains reports whether path holds a file.
@@ -294,14 +356,14 @@ func (f *FS) Touch(path string, at timeutil.Time) bool {
 	if f.hidden != nil {
 		panic("vfs: a dry-run view only supports Remove, not Touch")
 	}
-	n := f.tree.findNode(path)
-	if n == nil || !n.terminal {
+	id, ok := f.tab.ids[path]
+	if !ok {
 		return false
 	}
 	// An unchanged atime keeps the index entry valid.
-	if n.value.meta.ATime != at {
-		n.value.meta.ATime = at
-		f.indexAdd(n.value.meta.User, n.value.path, at, n)
+	if rec := &f.tab.recs[id]; rec.meta.ATime != at {
+		rec.meta.ATime = at
+		f.indexAdd(rec.meta.User, rec.path, at, id)
 	}
 	return true
 }
@@ -312,18 +374,31 @@ func (f *FS) Touch(path string, at timeutil.Time) bool {
 // dropped; the shared record dies when the last holder removes it. On
 // a dry-run view the file is only hidden from the view.
 func (f *FS) Remove(path string) (FileMeta, bool) {
-	if f.group != nil {
-		return f.laneRemoveNode(f.laneResolve(path), path)
-	}
-	if f.hidden != nil {
-		return f.hide(f.tree.findNode(path))
-	}
-	r, ok := f.tree.delete(path)
+	id, ok := f.tab.ids[path]
 	if !ok {
 		return FileMeta{}, false
 	}
-	f.unaccount(r.meta)
-	return r.meta, true
+	return f.removeID(id)
+}
+
+// removeID is Remove of the live record id.
+func (f *FS) removeID(id int32) (FileMeta, bool) {
+	if !f.sees(id) {
+		return FileMeta{}, false
+	}
+	if f.group != nil {
+		return f.laneRemove(id), true
+	}
+	m := f.tab.recs[id].meta
+	if f.hidden != nil {
+		// A dry-run view only hides the file: the view's accounting
+		// drops it, while the source's table, index and totals stay.
+		f.hidden[id] = struct{}{}
+	} else {
+		f.tab.release(id)
+	}
+	f.unaccount(m)
+	return m, true
 }
 
 // unaccount takes a file's bytes and count off a private FS's (or a
@@ -339,39 +414,13 @@ func (f *FS) unaccount(m FileMeta) {
 }
 
 // RemoveCandidate is Remove for a candidate an earlier StaleFiles
-// call emitted: on a lane or dry-run view the candidate's cached node
-// replaces the lookup when it still describes the path, and Remove's
-// lookup (the node map or the tree) resolves it otherwise. On a
-// private FS it is exactly Remove (the radix delete re-descends for
-// node merging either way).
+// call emitted: the candidate's record id replaces the map probe while
+// it still holds the candidate's path.
 func (f *FS) RemoveCandidate(c Candidate) (FileMeta, bool) {
-	if f.group == nil && f.hidden == nil {
+	if !f.tab.holds(c.id, c.Path) {
 		return f.Remove(c.Path)
 	}
-	n := c.node
-	valid := n != nil && n.terminal && n.value.path == c.Path
-	if f.group != nil {
-		if !valid {
-			n = f.laneResolve(c.Path)
-		}
-		return f.laneRemoveNode(n, c.Path)
-	}
-	if !valid {
-		n = f.tree.findNode(c.Path)
-	}
-	return f.hide(n)
-}
-
-// hide removes the file at n from a dry-run view: the view's
-// accounting drops it and its queries skip it, while the source's tree,
-// index and totals stay as they were.
-func (f *FS) hide(n *rnode[fileRecord]) (FileMeta, bool) {
-	if n == nil || !n.terminal || f.isHidden(n) {
-		return FileMeta{}, false
-	}
-	f.hidden[n] = struct{}{}
-	f.unaccount(n.value.meta)
-	return n.value.meta, true
+	return f.removeID(c.id)
 }
 
 // indexAdd appends an entry to the owner's day bucket, registering the
@@ -379,13 +428,13 @@ func (f *FS) hide(n *rnode[fileRecord]) (FileMeta, bool) {
 // entries spread over hundreds of (user, day) buckets, and letting
 // append crawl through caps 1→2→4 doubled the replay's allocation
 // count.
-func (f *FS) indexAdd(u trace.UserID, path string, at timeutil.Time, n *rnode[fileRecord]) {
-	indexAddTo(f.index, u, path, at, n)
+func (f *FS) indexAdd(u trace.UserID, path string, at timeutil.Time, id int32) {
+	indexAddTo(f.index, u, path, at, id)
 }
 
 // indexAddTo is indexAdd against an explicit index map, shared with
 // the per-lane extra indexes.
-func indexAddTo(index map[trace.UserID]*userIndex, u trace.UserID, path string, at timeutil.Time, n *rnode[fileRecord]) {
+func indexAddTo(index map[trace.UserID]*userIndex, u trace.UserID, path string, at timeutil.Time, id int32) {
 	ui := index[u]
 	if ui == nil {
 		ui = &userIndex{}
@@ -416,7 +465,7 @@ func indexAddTo(index map[trace.UserID]*userIndex, u trace.UserID, path string, 
 		copy(nb, b)
 		b = nb
 	}
-	ui.buckets[i] = append(b, idxEntry{path: path, atime: at, node: n})
+	ui.buckets[i] = append(b, idxEntry{path: path, atime: at, id: id})
 }
 
 // Users returns every user owning at least one file, ascending. This
@@ -498,13 +547,15 @@ const (
 )
 
 // appendStaleScan is the bucket scan behind AppendStaleFiles: walk the
-// day buckets older than cutoff, validate entries against the tree
-// (through the cached node pointer when it is still current), compact
-// the bucket in place, and emit the visible stale prefix.
+// day buckets older than cutoff, validate entries against the record
+// table (through the entry's record id while it still holds the
+// entry's path), compact the bucket in place, and emit the visible
+// stale prefix.
 func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cutoff timeutil.Time, mode staleMode) []Candidate {
 	if ui == nil {
 		return dst
 	}
+	recs := f.tab.recs
 	for di := 0; di < len(ui.days); {
 		day := ui.days[di]
 		if day*daySeconds >= int64(cutoff) {
@@ -514,11 +565,9 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 		// Fast path for lane groups: a compacted bucket is still sorted
 		// and deduplicated (appends clear the mark), so the scan skips
 		// the rebuild and revalidates each entry with three compares
-		// against the record it already points at. The radix tree keeps
-		// a key's node object stable for the key's lifetime (tree.go),
-		// so a cached node either still describes the entry's file or
-		// fails these checks; stale entries self-heal by clearing the
-		// mark, queueing the bucket for compaction at the next scan.
+		// against the record its id names. A released or reused id
+		// fails the path compare; stale entries self-heal by clearing
+		// the mark, queueing the bucket for compaction at the next scan.
 		if mode == staleShared && ui.compacted[di] {
 			if ui.skip[di]&f.laneBit != 0 {
 				di++ // exhausted for this lane: nothing here can yield again
@@ -528,9 +577,8 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 			mark := len(dst)
 			for i := 0; i < split; i++ {
 				e := &bucket[i]
-				n := e.node
-				rec := &n.value
-				if !n.terminal || rec.meta.ATime != e.atime || rec.meta.User != u || rec.path != e.path {
+				rec := &recs[e.id]
+				if rec.path != e.path || rec.meta.ATime != e.atime || rec.meta.User != u {
 					// Re-touched, chowned or deleted since compaction:
 					// a tombstone. Skip it and schedule a compaction.
 					ui.compacted[di] = false
@@ -547,7 +595,7 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 					}
 					m.User, m.Size, m.Stripes = o.User, o.Size, o.Stripes
 				}
-				dst = append(dst, Candidate{Path: e.path, Meta: m, node: n})
+				dst = append(dst, Candidate{Path: e.path, Meta: m, id: e.id})
 			}
 			// A clean full scan (no tombstones, whole bucket below the
 			// cutoff) that emitted nothing proves the bucket exhausted
@@ -560,21 +608,15 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 		}
 		live := f.scratch[:0]
 		for _, e := range bucket {
-			n := e.node
-			if n == nil || !n.terminal || n.value.path != e.path {
-				// Stale node cache: a lane view resolves the entry's
-				// path through the group's node map, a private FS
-				// descends the tree.
-				if f.group != nil {
-					n = f.laneResolve(e.path)
-				} else {
-					n = f.tree.findNode(e.path)
-				}
-				if n == nil || !n.terminal {
+			if !f.tab.holds(e.id, e.path) {
+				// Stale id: resolve the entry's path through the map.
+				id, ok := f.tab.ids[e.path]
+				if !ok {
 					continue
 				}
+				e.id = id
 			}
-			rec := &n.value
+			rec := &recs[e.id]
 			if rec.meta.ATime != e.atime {
 				continue
 			}
@@ -589,7 +631,6 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 					continue
 				}
 			}
-			e.node = n
 			live = append(live, liveEntry{e: e, meta: rec.meta})
 		}
 		if !liveSorted(live) {
@@ -619,14 +660,14 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 			m := le.meta
 			switch mode {
 			case stalePrivate:
-				// A dry-run view compacts against the live tree, so the
-				// bucket stays right for the source; its own removals
-				// only filter what it emits.
-				if f.hidden != nil && f.isHidden(le.e.node) {
+				// A dry-run view compacts against the live table, so
+				// the bucket stays right for the source; its own
+				// removals only filter what it emits.
+				if f.hidden != nil && !f.sees(le.e.id) {
 					continue
 				}
 			case staleShared:
-				rec := &le.e.node.value
+				rec := &recs[le.e.id]
 				if rec.dropped&f.laneBit != 0 {
 					continue
 				}
@@ -641,7 +682,7 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 				o := f.overrides[le.e.path]
 				m.User, m.Size, m.Stripes = o.User, o.Size, o.Stripes
 			}
-			dst = append(dst, Candidate{Path: le.e.path, Meta: m, node: le.e.node})
+			dst = append(dst, Candidate{Path: le.e.path, Meta: m, id: le.e.id})
 		}
 		if len(live) == 0 {
 			ui.days = append(ui.days[:di], ui.days[di+1:]...)
@@ -656,9 +697,9 @@ func (f *FS) appendStaleScan(dst []Candidate, ui *userIndex, u trace.UserID, cut
 		}
 		ui.buckets[di] = bucket
 		// Only group-shared buckets are marked: the fast path's
-		// revalidation leans on the group's exact node bookkeeping and
-		// the append/compaction discipline, which private indexes (and
-		// the per-lane extra indexes) do not maintain.
+		// revalidation leans on the group's append/compaction
+		// discipline, which private indexes (and the per-lane extra
+		// indexes) do not maintain.
 		ui.compacted[di] = mode == staleShared
 		di++
 	}
@@ -683,7 +724,7 @@ func (f *FS) Count() int {
 	if f.group != nil {
 		return int(f.laneFiles)
 	}
-	return f.tree.size() - len(f.hidden)
+	return len(f.tab.ids) - len(f.hidden)
 }
 
 // TotalBytes returns the total stored bytes.
@@ -713,89 +754,79 @@ func (f *FS) UserFiles(u trace.UserID) int64 {
 
 // Walk visits every file in lexicographic path order. fn returning
 // false stops the walk early. Paths are the interned canonical
-// strings, so a walk allocates nothing.
+// strings. The walk sorts the files' ids by path unless the slab is
+// already in path order, as it is right after a load.
 func (f *FS) Walk(fn func(path string, m FileMeta) bool) {
-	switch {
-	case f.group != nil:
-		f.laneWalkRecords(f.tree.root, fn)
-	case f.hidden != nil:
-		f.viewWalkRecords(f.tree.root, fn)
-	default:
-		walkRecords(f.tree.root, fn)
+	recs := f.tab.recs
+	ids := f.files()
+	byPath := func(a, b int32) int { return strings.Compare(recs[a].path, recs[b].path) }
+	if !slices.IsSortedFunc(ids, byPath) {
+		slices.SortFunc(ids, byPath)
+	}
+	for _, id := range ids {
+		if !fn(recs[id].path, f.metaOf(&recs[id])) {
+			return
+		}
 	}
 }
 
-// viewWalkRecords is walkRecords skipping the files a dry-run view
-// has removed.
-func (f *FS) viewWalkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bool {
-	if n.terminal && !f.isHidden(n) {
-		if !fn(n.value.path, n.value.meta) {
-			return false
+// files returns the ids of f's files in slab order.
+func (f *FS) files() []int32 {
+	ids := make([]int32, 0, f.Count())
+	for i := range f.tab.recs {
+		if id := int32(i); f.tab.recs[i].path != "" && f.sees(id) {
+			ids = append(ids, id)
 		}
 	}
-	for _, c := range n.children {
-		if !f.viewWalkRecords(c, fn) {
-			return false
-		}
-	}
-	return true
+	return ids
 }
 
-// laneWalkRecords is walkRecords restricted to the files this lane
-// holds, with override metadata substituted.
-func (f *FS) laneWalkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bool {
-	if n.terminal && n.value.dropped&f.laneBit == 0 {
-		if !fn(n.value.path, f.laneMeta(&n.value)) {
-			return false
-		}
+// metaOf returns the metadata f sees for one of its records.
+func (f *FS) metaOf(rec *fileRecord) FileMeta {
+	if f.group != nil {
+		return f.laneMeta(rec)
 	}
-	for _, c := range n.children {
-		if !f.laneWalkRecords(c, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// walkRecords visits terminal records in lexicographic order using
-// their interned paths.
-func walkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bool {
-	if n.terminal {
-		if !fn(n.value.path, n.value.meta) {
-			return false
-		}
-	}
-	for _, c := range n.children {
-		if !walkRecords(c, fn) {
-			return false
-		}
-	}
-	return true
+	return rec.meta
 }
 
 // Snapshot exports the current state as a metadata snapshot taken at
-// the given time.
+// the given time, its entries in path order.
 func (f *FS) Snapshot(taken timeutil.Time) *trace.Snapshot {
-	s := &trace.Snapshot{Taken: taken}
-	s.Entries = make([]trace.SnapshotEntry, 0, f.Count())
+	s := &trace.Snapshot{Taken: taken, Entries: make([]trace.SnapshotEntry, 0, f.Count())}
 	f.Walk(func(path string, m FileMeta) bool {
-		s.Entries = append(s.Entries, trace.SnapshotEntry{
-			Path: path, User: m.User, Size: m.Size, Stripes: m.Stripes, ATime: m.ATime,
-		})
+		s.Entries = append(s.Entries, snapshotEntry(path, m))
 		return true
 	})
 	return s
 }
 
+// SnapshotUnsorted is Snapshot without the sort: its entries come in
+// slab order, which depends on the table's history, so a caller sorts
+// them by path before it emits them. It lets a caller that must not
+// stall, such as a checkpoint capture on the replay's goroutine, leave
+// the sort to a writer.
+func (f *FS) SnapshotUnsorted(taken timeutil.Time) *trace.Snapshot {
+	ids := f.files()
+	s := &trace.Snapshot{Taken: taken, Entries: make([]trace.SnapshotEntry, len(ids))}
+	for i, id := range ids {
+		rec := &f.tab.recs[id]
+		s.Entries[i] = snapshotEntry(rec.path, f.metaOf(rec))
+	}
+	return s
+}
+
+func snapshotEntry(path string, m FileMeta) trace.SnapshotEntry {
+	return trace.SnapshotEntry{Path: path, User: m.User, Size: m.Size, Stripes: m.Stripes, ATime: m.ATime}
+}
+
 // Clone deep-copies the FS so FLT and ActiveDR can replay the same
-// initial state independently. The tree is copied structurally (one
-// allocation per node, labels and paths shared) and the candidate
-// index is copied bucket by bucket. Cloning a lane or dry-run view
-// materializes it as a private FS holding exactly the view's files
-// and metadata.
+// initial state independently. The record table is copied whole (paths
+// shared) and the candidate index bucket by bucket. Cloning a lane or
+// dry-run view materializes it as a private FS holding exactly the
+// view's files and metadata.
 func (f *FS) Clone() *FS {
 	if f.group != nil || f.hidden != nil {
-		c := New()
+		c := newFS(f.Count())
 		f.Walk(func(path string, m FileMeta) bool {
 			_ = c.Insert(path, m) // paths/sizes already validated on entry
 			return true
@@ -803,7 +834,7 @@ func (f *FS) Clone() *FS {
 		return c
 	}
 	c := &FS{
-		tree:      f.tree.clone(),
+		tab:       f.tab.clone(),
 		bytes:     f.bytes,
 		userBytes: make(map[trace.UserID]int64, len(f.userBytes)),
 		userFiles: make(map[trace.UserID]int64, len(f.userFiles)),
@@ -819,10 +850,10 @@ func (f *FS) Clone() *FS {
 }
 
 // DryRun returns a copy-free view of a private FS or of a one-lane
-// view, for planning a purge against it. The view shares f's tree and
+// view, for planning a purge against it. The view shares f's table and
 // candidate index and copies only the per-user totals, O(users): a
-// one-lane group deletes a record once its lane drops it and never
-// holds an override, so its tree is exactly the lane's files. Remove
+// one-lane group releases a record once its lane drops it and never
+// holds an override, so its table is exactly the lane's files. Remove
 // and RemoveCandidate hide a file from the view; Count, Lookup, Walk,
 // the totals and the stale-file queries all answer for what is left,
 // while f itself is not changed. The view's queries compact f's index
@@ -837,13 +868,13 @@ func (f *FS) DryRun() *FS {
 	}
 	users := f.Users()
 	v := &FS{
-		tree:      f.tree,
+		tab:       f.tab,
 		bytes:     f.bytes,
 		userBytes: make(map[trace.UserID]int64, len(users)),
 		userFiles: make(map[trace.UserID]int64, len(users)),
 		index:     f.index,
 		scratch:   f.scratch,
-		hidden:    make(map[*rnode[fileRecord]]struct{}),
+		hidden:    make(map[int32]struct{}),
 	}
 	for _, u := range users {
 		v.userBytes[u], v.userFiles[u] = f.UserBytes(u), f.UserFiles(u)
@@ -851,17 +882,16 @@ func (f *FS) DryRun() *FS {
 	return v
 }
 
-// cloneIndex deep-copies a candidate index. Cached node pointers are
-// dropped: they point into the source tree, not the copy's.
+// cloneIndex deep-copies a candidate index for a copy of its table.
 func cloneIndex(index map[trace.UserID]*userIndex) map[trace.UserID]*userIndex {
 	out := make(map[trace.UserID]*userIndex, len(index))
 	for u, ui := range index {
 		cu := &userIndex{
 			days:    append([]int64(nil), ui.days...),
 			buckets: make([][]idxEntry, len(ui.buckets)),
-			// Compaction marks and skip masks are never inherited: the
-			// copy's node caches are dropped below, so every bucket
-			// must revalidate from scratch.
+			// Compaction marks and skip masks are never inherited: a
+			// private FS maintains neither, and a lane group adopting
+			// the copy revalidates every bucket from scratch.
 			compacted: make([]bool, len(ui.days)),
 			skip:      make([]uint64, len(ui.days)),
 		}
@@ -876,9 +906,7 @@ func cloneIndex(index map[trace.UserID]*userIndex) map[trace.UserID]*userIndex {
 		off := 0
 		for i, b := range ui.buckets {
 			seg := backing[off : off+len(b) : off+len(b)]
-			for j := range b {
-				seg[j] = idxEntry{path: b[j].path, atime: b[j].atime}
-			}
+			copy(seg, b)
 			cu.buckets[i] = seg
 			off += len(b)
 		}
@@ -911,7 +939,7 @@ func (f *FS) TrackDirty() {
 // TakeDirty hands over the dirty window and opens the next one, empty.
 // The window maps every path mutated since tracking began or the last
 // TakeDirty to its state now — exactly what Lookup reports for it —
-// so the caller needs no tree lookups, and owns the map. It is
+// so the caller needs no lookups, and owns the map. It is
 // unordered: a consumer that emits it sorts it first. Nil when
 // tracking is off.
 func (f *FS) TakeDirty() map[string]DirtyFile {
@@ -922,43 +950,20 @@ func (f *FS) TakeDirty() map[string]DirtyFile {
 	return w
 }
 
-// Stats summarizes the index footprint of the prefix tree — the
-// memory-efficiency measure of the paper's Figure 12a.
-type Stats struct {
-	Files      int   // terminal nodes
-	Nodes      int   // all tree nodes (compression quality indicator)
-	LabelBytes int64 // bytes held in edge labels
-}
-
-// Stats walks the tree structure and reports its footprint.
-func (f *FS) Stats() Stats {
-	st := Stats{Files: f.Count()}
-	var walk func(n *rnode[fileRecord])
-	walk = func(n *rnode[fileRecord]) {
-		st.Nodes++
-		st.LabelBytes += int64(len(n.label))
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(f.tree.root)
-	return st
-}
-
 // ReservedSet indexes purge-exempt paths. A reservation covers the
 // exact path and, when the reserved path is a directory, its whole
 // subtree (any stored prefix followed by '/').
 type ReservedSet struct {
-	tree *radix[struct{}]
+	tree *radix
 }
 
 // NewReservedSet returns an empty reservation index.
 func NewReservedSet() *ReservedSet {
-	return &ReservedSet{tree: newRadix[struct{}]()}
+	return &ReservedSet{tree: newRadix()}
 }
 
 // Add reserves path (file or directory subtree).
-func (r *ReservedSet) Add(path string) { r.tree.put(path, struct{}{}) }
+func (r *ReservedSet) Add(path string) { r.tree.put(path) }
 
 // Len returns the number of reservations.
 func (r *ReservedSet) Len() int { return r.tree.size() }
