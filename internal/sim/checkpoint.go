@@ -263,7 +263,7 @@ func (c *ckptCapture) write() error {
 		return err
 	}
 	if c.fs != nil {
-		slices.SortFunc(c.fs.Entries, func(a, b trace.SnapshotEntry) int { return strings.Compare(a.Path, b.Path) })
+		sortByPath(c.fs.Entries)
 		if err := trace.WriteSnapshotFile(filepath.Join(tmp, fsFile), c.users, c.fs); err != nil {
 			return fmt.Errorf("fs: %w", err)
 		}
@@ -315,6 +315,12 @@ func (c *ckptCapture) write() error {
 	}
 	pruneCheckpoints(c.dir, c.prevStart, c.name)
 	return nil
+}
+
+// sortByPath puts snapshot entries in path order, the order every
+// snapshot a run emits holds.
+func sortByPath(es []trace.SnapshotEntry) {
+	slices.SortFunc(es, func(a, b trace.SnapshotEntry) int { return strings.Compare(a.Path, b.Path) })
 }
 
 // writeDelta persists a delta checkpoint's dirty window into dir: the

@@ -44,7 +44,15 @@ type Stream struct {
 	// most maxCkptWrites; werr is the first write that failed.
 	writes []*ckptWrite
 	werr   error
+	// sorted is the newest series snapshot's sort (nil before the
+	// first): a trigger copies its snapshot unsorted, and sortSeries
+	// sorts it off the replay's goroutine.
+	sorted *seriesSort
 }
+
+// seriesSort is one series snapshot's sort. Its goroutine closes done
+// once the snapshot, and every one taken before it, is in path order.
+type seriesSort struct{ done chan struct{} }
 
 // ckptWrite is one queued checkpoint write. Its goroutine closes done
 // when the write has finished; err is then its outcome.
@@ -192,12 +200,30 @@ func (s *Stream) trigger(at timeutil.Time) {
 	s.ro.noteTrigger(rep, seq)
 	if e.cfg.SnapshotEvery > 0 && (st.lastSnap == 0 || at.Sub(st.lastSnap) >= e.cfg.SnapshotEvery) {
 		stopSnap := s.opts.Obs.StartPhase("snapshot")
-		res.Snapshots = append(res.Snapshots, st.fsys.Snapshot(at))
+		snap := st.fsys.SnapshotUnsorted(at)
+		res.Snapshots = append(res.Snapshots, snap)
+		s.sortSeries(snap)
 		stopSnap()
 		st.lastSnap = at
 		s.ro.snaps.Inc()
 	}
 	st.triggers++
+}
+
+// sortSeries sorts series snapshot snap by path on a goroutine of its
+// own, once the snapshots before it are sorted, so that on a churned
+// record table the sort does not stall the replay. Checkpoint writes
+// and Wait wait for it.
+func (s *Stream) sortSeries(snap *trace.Snapshot) {
+	prev, cur := s.sorted, &seriesSort{done: make(chan struct{})}
+	s.sorted = cur
+	go func() {
+		defer close(cur.done)
+		if prev != nil {
+			<-prev.done
+		}
+		sortByPath(snap.Entries)
+	}()
 }
 
 // fireTriggers runs every purge trigger scheduled at or before ts,
@@ -273,8 +299,12 @@ func (s *Stream) checkpoint(at timeutil.Time) error {
 	if n := len(s.writes); n > 0 {
 		prev = s.writes[n-1]
 	}
+	sorted := s.sorted // the capture's series snapshots are sorted once it is done
 	go func() {
 		defer close(w.done)
+		if sorted != nil {
+			<-sorted.done
+		}
 		if prev != nil {
 			<-prev.done
 			if prev.err != nil {
@@ -321,12 +351,18 @@ func (s *Stream) settle(keep int) error {
 	return s.werr
 }
 
-// Wait blocks until every checkpoint write in flight has finished,
-// runs OnCheckpoint after each one that published, and returns the
-// first write failure (a *CheckpointError), if any. Batch replays
-// wait before they return; a caller driving a Stream itself waits
-// before it reads the checkpoint directory or abandons the stream.
-func (s *Stream) Wait() error { return s.settle(0) }
+// Wait blocks until every checkpoint write in flight has finished and
+// every series snapshot is sorted, runs OnCheckpoint after each write
+// that published, and returns the first write failure (a
+// *CheckpointError), if any. Batch replays wait before they return; a
+// caller driving a Stream itself waits before it reads the checkpoint
+// directory or Result().Snapshots, or abandons the stream.
+func (s *Stream) Wait() error {
+	if s.sorted != nil {
+		<-s.sorted.done
+	}
+	return s.settle(0)
+}
 
 // Apply folds one access event into the state: due triggers fire
 // first, then the access lands as a create, a hit, or a miss (which

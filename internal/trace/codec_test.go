@@ -73,19 +73,19 @@ func TestCodecTableRoundTrip(t *testing.T) {
 	d := codecFixture()
 	u := d.Users
 	idx := NameIndex(u)
-	roundTrip(t, userSpec, func(w io.Writer) error { return WriteUsers(w, u) },
+	roundTrip(t, userSpec, func(w io.Writer) error { return writeUsers(w, u) },
 		"u000\t100\tpower\nu001\t-5\t\n", nil, u)
-	roundTrip(t, jobSpec, func(w io.Writer) error { return WriteJobs(w, u, d.Jobs) },
+	roundTrip(t, jobSpec, func(w io.Writer) error { return writeJobs(w, u, d.Jobs) },
 		"u001\t7\t3600\t16\nu000\t9\t0\t1\n", idx, d.Jobs)
-	roundTrip(t, accessSpec, func(w io.Writer) error { return WriteAccesses(w, u, d.Accesses) },
+	roundTrip(t, accessSpec, func(w io.Writer) error { return writeAccesses(w, u, d.Accesses) },
 		"11\tu000\t1\t4096\t/lustre/atlas/u000/a.dat\n12\tu001\t0\t0\t/lustre/atlas/u001/tab\there\n", idx, d.Accesses)
-	roundTrip(t, pubSpec, func(w io.Writer) error { return WritePublications(w, u, d.Publications) },
+	roundTrip(t, pubSpec, func(w io.Writer) error { return writePublications(w, u, d.Publications) },
 		"13\t4\tu001,u000\n14\t0\tu000\n", idx, d.Publications)
 	roundTrip(t, snapshotSpec, func(w io.Writer) error { return WriteSnapshot(w, u, &d.Snapshot) },
 		"#taken\t19\nu000\t4096\t4\t-3\t/lustre/atlas/u000/a.dat\nu001\t1\t1\t20\t/lustre/atlas/u001/tab\there\n", idx, d.Snapshot.Entries)
-	roundTrip(t, loginSpec, func(w io.Writer) error { return WriteLogins(w, u, d.Logins) },
+	roundTrip(t, loginSpec, func(w io.Writer) error { return writeLogins(w, u, d.Logins) },
 		"15\tu001\n16\tu000\n", idx, d.Logins)
-	roundTrip(t, transferSpec, func(w io.Writer) error { return WriteTransfers(w, u, d.Transfers) },
+	roundTrip(t, transferSpec, func(w io.Writer) error { return writeTransfers(w, u, d.Transfers) },
 		"17\tu000\tin\t1099511627776\n18\tu001\tout\t0\n", idx, d.Transfers)
 	paths := []string{d.Accesses[0].Path, d.Accesses[1].Path}
 	roundTrip(t, pathSpec, func(w io.Writer) error { return writeRows(w, nil, paths, pathSpec) },
@@ -138,10 +138,10 @@ func TestWriteSnapshotFileAllocs(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotFileAllocs: the reader's 256 KiB buffer and flate
-// decompressor come from pools too, so reading a one-entry sidecar
-// allocates kilobytes, not the 300 KB a fresh pair costs. Measured as
-// TestWriteSnapshotFileAllocs is.
+// TestReadSnapshotFileAllocs: the gzip reader's state (its 256 KiB
+// input buffer, window and tables) comes from a pool too, so reading a
+// one-entry sidecar allocates kilobytes, not the 340 KB a fresh state
+// costs. Measured as TestWriteSnapshotFileAllocs is.
 func TestReadSnapshotFileAllocs(t *testing.T) {
 	d := codecFixture()
 	s := &Snapshot{Taken: 1, Entries: d.Snapshot.Entries[:1]}

@@ -55,12 +55,12 @@ const (
 	TransfersFile = "transfers.tsv.gz"
 )
 
-// WriteLogins writes a login log as TSV: ts, user.
-func WriteLogins(w io.Writer, users []User, logins []Login) error {
+// writeLogins writes a login log as TSV: ts, user.
+func writeLogins(w io.Writer, users []User, logins []Login) error {
 	return writeRows(w, users, logins, loginSpec)
 }
 
-// WriteTransfers writes a transfer log as TSV: ts, user, dir, bytes.
-func WriteTransfers(w io.Writer, users []User, xs []Transfer) error {
+// writeTransfers writes a transfer log as TSV: ts, user, dir, bytes.
+func writeTransfers(w io.Writer, users []User, xs []Transfer) error {
 	return writeRows(w, users, xs, transferSpec)
 }

@@ -39,7 +39,7 @@ func TestLoginRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	logins, _ := extraSample()
 	var buf bytes.Buffer
-	if err := WriteLogins(&buf, d.Users, logins); err != nil {
+	if err := writeLogins(&buf, d.Users, logins); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, loginSpec)
@@ -55,7 +55,7 @@ func TestTransferRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	_, xs := extraSample()
 	var buf bytes.Buffer
-	if err := WriteTransfers(&buf, d.Users, xs); err != nil {
+	if err := writeTransfers(&buf, d.Users, xs); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, transferSpec)

@@ -43,20 +43,10 @@ func closeAll(closers ...func() error) func() error {
 	}
 }
 
-// The reader's layers are pooled as the writer's are: a 256 KiB read
-// buffer and a flate decompressor cost about 300 KB to allocate, more
-// than a small checkpoint sidecar holds. Reset makes a reused layer
-// read like a new one.
-var (
-	bufReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 256<<10) }}
-	gzReaders  = sync.Pool{New: func() any { return new(gzip.Reader) }}
-)
-
-// openReader opens path, transparently ungzipping *.gz. Gzipped
-// inputs read the file through a large bufio layer so the flate
-// decoder issues few syscalls. The returned closer closes both
-// layers and returns the pooled ones, so the reader must not be used
-// after it.
+// openReader opens path, transparently ungzipping *.gz through the
+// package's own gzip reader (gunzip.go), whose states are pooled as
+// the writer's layers are. The returned closer closes the file and
+// returns the pooled state, so the reader must not be used after it.
 func openReader(path string) (io.Reader, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -65,16 +55,14 @@ func openReader(path string) (io.Reader, func() error, error) {
 	if !strings.HasSuffix(path, ".gz") {
 		return f, f.Close, nil
 	}
-	br := bufReaders.Get().(*bufio.Reader)
-	br.Reset(f)
-	gz := gzReaders.Get().(*gzip.Reader)
-	put := func() error { gzReaders.Put(gz); bufReaders.Put(br); return nil }
-	if err := gz.Reset(br); err != nil {
+	z := gzipReaders.Get().(*gzipReader)
+	put := func() error { z.src = nil; gzipReaders.Put(z); return nil }
+	if err := z.reset(f); err != nil {
 		f.Close() //lint:allow unchecked-close the gzip open error wins; nothing was written
 		put()
 		return nil, nil, fmt.Errorf("trace: open %s: %w", path, err)
 	}
-	return gz, closeAll(gz.Close, f.Close, put), nil
+	return z, closeAll(z.Close, f.Close, put), nil
 }
 
 // The writer's layers are pooled: a 1 MiB buffer and a BestSpeed
@@ -198,23 +186,23 @@ func writeRows[T any](w io.Writer, users []User, recs []T, spec rowSpec[T]) erro
 	return nil
 }
 
-// WriteUsers writes the user list as TSV: name, created, archetype.
-func WriteUsers(w io.Writer, users []User) error { return writeRows(w, users, users, userSpec) }
+// writeUsers writes the user list as TSV: name, created, archetype.
+func writeUsers(w io.Writer, users []User) error { return writeRows(w, users, users, userSpec) }
 
-// WriteJobs writes the job log as TSV: user, submit, duration_s, cores.
-func WriteJobs(w io.Writer, users []User, jobs []Job) error {
+// writeJobs writes the job log as TSV: user, submit, duration_s, cores.
+func writeJobs(w io.Writer, users []User, jobs []Job) error {
 	return writeRows(w, users, jobs, jobSpec)
 }
 
-// WriteAccesses writes the application log as TSV:
+// writeAccesses writes the application log as TSV:
 // ts, user, create, size, path.
-func WriteAccesses(w io.Writer, users []User, accs []Access) error {
+func writeAccesses(w io.Writer, users []User, accs []Access) error {
 	return writeRows(w, users, accs, accessSpec)
 }
 
-// WritePublications writes the publication list as TSV:
+// writePublications writes the publication list as TSV:
 // ts, citations, comma-joined author names.
-func WritePublications(w io.Writer, users []User, pubs []Publication) error {
+func writePublications(w io.Writer, users []User, pubs []Publication) error {
 	return writeRows(w, users, pubs, pubSpec)
 }
 
@@ -411,8 +399,8 @@ func NameIndex(users []User) map[string]UserID {
 
 // WriteDataset persists every trace kind under dir using the standard
 // file names, one writer per file running concurrently. Each file's
-// bytes are exactly its per-file writer's output (WriteUsers,
-// WriteJobs, ...), gzipped for .gz names.
+// bytes are exactly its per-file writer's output (writeUsers,
+// writeJobs, ...), gzipped for .gz names.
 func WriteDataset(dir string, d *Dataset) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -422,16 +410,16 @@ func WriteDataset(dir string, d *Dataset) error {
 		return writeStep(filepath.Join(dir, name), fn)
 	}
 	steps := []func() (*ParseReport, error){
-		step(UsersFile, func(w io.Writer) error { return WriteUsers(w, u) }),
-		step(JobsFile, func(w io.Writer) error { return WriteJobs(w, u, d.Jobs) }),
-		step(AccessesFile, func(w io.Writer) error { return WriteAccesses(w, u, d.Accesses) }),
-		step(PubsFile, func(w io.Writer) error { return WritePublications(w, u, d.Publications) }),
+		step(UsersFile, func(w io.Writer) error { return writeUsers(w, u) }),
+		step(JobsFile, func(w io.Writer) error { return writeJobs(w, u, d.Jobs) }),
+		step(AccessesFile, func(w io.Writer) error { return writeAccesses(w, u, d.Accesses) }),
+		step(PubsFile, func(w io.Writer) error { return writePublications(w, u, d.Publications) }),
 	}
 	if len(d.Logins) > 0 {
-		steps = append(steps, step(LoginsFile, func(w io.Writer) error { return WriteLogins(w, u, d.Logins) }))
+		steps = append(steps, step(LoginsFile, func(w io.Writer) error { return writeLogins(w, u, d.Logins) }))
 	}
 	if len(d.Transfers) > 0 {
-		steps = append(steps, step(TransfersFile, func(w io.Writer) error { return WriteTransfers(w, u, d.Transfers) }))
+		steps = append(steps, step(TransfersFile, func(w io.Writer) error { return writeTransfers(w, u, d.Transfers) }))
 	}
 	steps = append(steps, step(SnapshotFile, func(w io.Writer) error { return WriteSnapshot(w, u, &d.Snapshot) }))
 	_, err := runFiles(steps)

@@ -372,7 +372,7 @@ func TestPathsInternedPerFile(t *testing.T) {
 			Path: fmt.Sprintf("/lustre/atlas/u000/proj%d/out-%04d.h5", i%7, i%2000)})
 	}
 	path := filepath.Join(t.TempDir(), AccessesFile)
-	if err := writeFile(path, func(w io.Writer) error { return WriteAccesses(w, users, accs) }); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return writeAccesses(w, users, accs) }); err != nil {
 		t.Fatal(err)
 	}
 	if size := uncompressedSizeHint(path); size < 4*pipeBlockSize {
@@ -709,12 +709,12 @@ func TestWriteDatasetParallelMatchesSequential(t *testing.T) {
 		name  string
 		write func(w *bytes.Buffer) error
 	}{
-		{UsersFile, func(w *bytes.Buffer) error { return WriteUsers(w, d.Users) }},
-		{JobsFile, func(w *bytes.Buffer) error { return WriteJobs(w, d.Users, d.Jobs) }},
-		{AccessesFile, func(w *bytes.Buffer) error { return WriteAccesses(w, d.Users, d.Accesses) }},
-		{PubsFile, func(w *bytes.Buffer) error { return WritePublications(w, d.Users, d.Publications) }},
-		{LoginsFile, func(w *bytes.Buffer) error { return WriteLogins(w, d.Users, d.Logins) }},
-		{TransfersFile, func(w *bytes.Buffer) error { return WriteTransfers(w, d.Users, d.Transfers) }},
+		{UsersFile, func(w *bytes.Buffer) error { return writeUsers(w, d.Users) }},
+		{JobsFile, func(w *bytes.Buffer) error { return writeJobs(w, d.Users, d.Jobs) }},
+		{AccessesFile, func(w *bytes.Buffer) error { return writeAccesses(w, d.Users, d.Accesses) }},
+		{PubsFile, func(w *bytes.Buffer) error { return writePublications(w, d.Users, d.Publications) }},
+		{LoginsFile, func(w *bytes.Buffer) error { return writeLogins(w, d.Users, d.Logins) }},
+		{TransfersFile, func(w *bytes.Buffer) error { return writeTransfers(w, d.Users, d.Transfers) }},
 		{SnapshotFile, func(w *bytes.Buffer) error { return WriteSnapshot(w, d.Users, &d.Snapshot) }},
 	} {
 		var want bytes.Buffer

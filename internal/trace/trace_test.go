@@ -122,7 +122,7 @@ func TestSortAccessesAndJobs(t *testing.T) {
 func TestUserRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, d.Users); err != nil {
+	if err := writeUsers(&buf, d.Users); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readRows(&buf, nil, ReadOptions{}, userSpec)
@@ -137,7 +137,7 @@ func TestUserRoundTrip(t *testing.T) {
 func TestJobRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteJobs(&buf, d.Users, d.Jobs); err != nil {
+	if err := writeJobs(&buf, d.Users, d.Jobs); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, jobSpec)
@@ -152,7 +152,7 @@ func TestJobRoundTrip(t *testing.T) {
 func TestAccessRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteAccesses(&buf, d.Users, d.Accesses); err != nil {
+	if err := writeAccesses(&buf, d.Users, d.Accesses); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, accessSpec)
@@ -167,7 +167,7 @@ func TestAccessRoundTrip(t *testing.T) {
 func TestPublicationRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WritePublications(&buf, d.Users, d.Publications); err != nil {
+	if err := writePublications(&buf, d.Users, d.Publications); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readRows(&buf, NameIndex(d.Users), ReadOptions{}, pubSpec)
